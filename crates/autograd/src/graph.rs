@@ -1,6 +1,6 @@
 //! The tape: node storage, `Var` handles, and the backward pass.
 
-use lttf_tensor::Tensor;
+use lttf_tensor::{Shape, Tensor};
 use std::cell::RefCell;
 
 /// Context handed to a backward closure.
@@ -14,21 +14,49 @@ pub struct Ctx<'a> {
 }
 
 /// A backward closure: maps the output gradient to one gradient per parent.
-pub(crate) type BackFn = Box<dyn Fn(&Ctx<'_>) -> Vec<Tensor>>;
+type BackFn = Box<dyn Fn(&Ctx<'_>) -> Vec<Tensor>>;
+
+/// What the backward pass needs of a computed node: its parents' ids and
+/// the closure that maps its output gradient to one gradient per parent.
+/// Ops hand [`Graph::push`] a constructor for it, which only recording
+/// graphs call, so an inference forward allocates no closure, no
+/// captured shapes and no parent list.
+pub(crate) struct Backward {
+    parents: Vec<usize>,
+    f: BackFn,
+}
+
+impl Backward {
+    pub(crate) fn new(parents: Vec<usize>, f: impl Fn(&Ctx<'_>) -> Vec<Tensor> + 'static) -> Self {
+        Backward {
+            parents,
+            f: Box::new(f),
+        }
+    }
+}
+
+/// A node's forward value. [`Graph::release_since`] turns `Live` into
+/// `Released`, which keeps only the shape; reading it panics.
+pub(crate) enum Slot {
+    Live(Tensor),
+    Released(Shape),
+}
 
 /// A dynamic computation graph (tape).
 ///
 /// Create one per forward/backward pass. See the crate docs for the model.
 pub struct Graph {
-    pub(crate) values: RefCell<Vec<Tensor>>,
-    pub(crate) parents: RefCell<Vec<Vec<usize>>>,
-    pub(crate) backs: RefCell<Vec<Option<BackFn>>>,
+    pub(crate) values: RefCell<Vec<Slot>>,
+    /// One entry per node on recording graphs (`None` for leaves); empty
+    /// on inference graphs.
+    backs: RefCell<Vec<Option<Backward>>>,
     /// Op name per node (`"leaf"` for leaves); names the per-op backward
-    /// telemetry spans (`bwd.<name>`).
-    pub(crate) names: RefCell<Vec<&'static str>>,
-    /// False for inference graphs: backward closures are dropped at push
-    /// time and [`Graph::backward`] is unavailable.
-    pub(crate) record: bool,
+    /// telemetry spans (`bwd.<name>`) and a released node in the panic of
+    /// a read after [`Graph::release_since`].
+    names: RefCell<Vec<&'static str>>,
+    /// False for inference graphs: no backward state is built and
+    /// [`Graph::backward`] is unavailable.
+    record: bool,
 }
 
 /// A handle to a node in a [`Graph`]. Cheap to copy.
@@ -66,7 +94,6 @@ impl Graph {
     pub fn new() -> Self {
         Graph {
             values: RefCell::new(Vec::new()),
-            parents: RefCell::new(Vec::new()),
             backs: RefCell::new(Vec::new()),
             names: RefCell::new(Vec::new()),
             record: true,
@@ -74,11 +101,12 @@ impl Graph {
     }
 
     /// An empty **inference** graph: forward values are tracked as usual,
-    /// but backward closures are discarded at push time, so no gradient
-    /// state (boxed closures, captured buffers) accumulates on the tape.
-    /// This is the no-grad mode used by every `predict` path and by the
-    /// serving batcher, where thousands of forward passes would otherwise
-    /// allocate tape machinery that is never used.
+    /// but no backward state (boxed closures, captured shapes, parent
+    /// lists) is built, and each layer's intermediates can be dropped at
+    /// the layer's exit with [`Graph::release_since`]. This is the no-grad
+    /// mode used by every `predict` path and by the serving batcher, where
+    /// thousands of forward passes would otherwise allocate tape machinery
+    /// that is never used.
     ///
     /// Calling [`Graph::backward`] on an inference graph panics.
     pub fn inference() -> Self {
@@ -94,7 +122,8 @@ impl Graph {
         self.record
     }
 
-    /// Number of nodes currently on the tape.
+    /// Number of nodes currently on the tape. Taken before a layer runs,
+    /// it is the `mark` that [`Graph::release_since`] releases back to.
     pub fn len(&self) -> usize {
         self.values.borrow().len()
     }
@@ -104,10 +133,23 @@ impl Graph {
         self.len() == 0
     }
 
+    /// Bytes of forward values the tape still holds (released nodes hold
+    /// none). Computed on demand by walking the tape.
+    pub fn held_bytes(&self) -> usize {
+        self.values
+            .borrow()
+            .iter()
+            .map(|slot| match slot {
+                Slot::Live(t) => t.numel() * std::mem::size_of::<f32>(),
+                Slot::Released(_) => 0,
+            })
+            .sum()
+    }
+
     /// Insert a leaf node (an input or parameter). Gradients flow *to*
     /// leaves but not through them.
     pub fn leaf(&self, value: Tensor) -> Var<'_> {
-        self.push("leaf", value, Vec::new(), None)
+        self.push_node("leaf", value, None)
     }
 
     /// Alias for [`Graph::leaf`] that reads better for non-trainable data.
@@ -116,21 +158,27 @@ impl Graph {
     }
 
     /// Push a computed node onto the tape. `name` labels the node's
-    /// backward span in the telemetry registry.
+    /// backward span in the telemetry registry; `backward` is called only
+    /// on recording graphs.
     pub(crate) fn push(
         &self,
         name: &'static str,
         value: Tensor,
-        parents: Vec<usize>,
-        back: Option<BackFn>,
+        backward: impl FnOnce() -> Backward,
     ) -> Var<'_> {
+        // Built before `push_node` borrows the tape: constructors read
+        // their parents' shapes through it.
+        let back = self.record.then(backward);
+        self.push_node(name, value, back)
+    }
+
+    fn push_node(&self, name: &'static str, value: Tensor, back: Option<Backward>) -> Var<'_> {
         let mut values = self.values.borrow_mut();
         let id = values.len();
-        values.push(value);
-        self.parents.borrow_mut().push(parents);
-        self.backs
-            .borrow_mut()
-            .push(if self.record { back } else { None });
+        values.push(Slot::Live(value));
+        if self.record {
+            self.backs.borrow_mut().push(back);
+        }
         self.names.borrow_mut().push(name);
         Var { g: self, id }
     }
@@ -163,23 +211,81 @@ impl Graph {
         parents: &[Var<'_>],
         back: impl Fn(&Ctx<'_>) -> Vec<Tensor> + 'static,
     ) -> Var<'_> {
-        let ids = parents.iter().map(|v| v.id).collect();
-        self.push(name, value, ids, Some(Box::new(back)))
+        self.push(name, value, || {
+            Backward::new(parents.iter().map(|v| v.id).collect(), back)
+        })
+    }
+
+    /// End a layer's scope on an inference graph: drop the value of every
+    /// node pushed since `mark` (a [`Graph::len`] taken when the layer
+    /// began) except those in `keep`, which must list every value the
+    /// caller reads after the layer returns. Released nodes keep their
+    /// shapes; reading one's value panics with its id and op name.
+    ///
+    /// A no-op on recording graphs, whose backward pass needs every
+    /// value.
+    pub fn release_since(&self, mark: usize, keep: &[Var<'_>]) {
+        if self.record {
+            return;
+        }
+        let mut values = self.values.borrow_mut();
+        for (id, slot) in values.iter_mut().enumerate().skip(mark) {
+            if matches!(slot, Slot::Live(_)) && !keep.iter().any(|k| k.id == id) {
+                if let Slot::Live(t) = std::mem::replace(slot, Slot::Released(Shape::new(&[]))) {
+                    *slot = Slot::Released(t.into_shape());
+                }
+            }
+        }
+    }
+
+    /// The live value of node `id` in a borrowed tape.
+    #[track_caller]
+    pub(crate) fn live<'a>(&self, values: &'a [Slot], id: usize) -> &'a Tensor {
+        match &values[id] {
+            Slot::Live(t) => t,
+            Slot::Released(_) => self.read_after_release(id),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    #[track_caller]
+    fn read_after_release(&self, id: usize) -> ! {
+        panic!(
+            "read of node {id} ({}) after Graph::release_since dropped its value; \
+             the layer that made it must list it in `keep`",
+            self.names.borrow()[id]
+        )
+    }
+
+    /// Apply `f` to the forward values of several nodes at once, without
+    /// cloning them — for fused kernels that read all their inputs.
+    pub fn with_values<const N: usize, R>(
+        &self,
+        vars: [Var<'_>; N],
+        f: impl FnOnce([&Tensor; N]) -> R,
+    ) -> R {
+        let values = self.values.borrow();
+        f(vars.map(|v| {
+            debug_assert!(std::ptr::eq(v.g, self), "variable from another graph");
+            self.live(&values, v.id)
+        }))
     }
 
     /// Scan every computed node's forward value and aggregate one
-    /// [`lttf_obs::TensorHealth`] per op name (leaves are skipped — the
-    /// trainer inspects parameters and gradients separately). Names come
-    /// back in first-appearance tape order, so the health monitor's log
-    /// records follow the forward pass. One pass over the tape's values;
-    /// call it at a cadence, not per batch.
+    /// [`lttf_obs::TensorHealth`] per op name (leaves and released nodes
+    /// are skipped — the trainer inspects parameters and gradients
+    /// separately). Names come back in first-appearance tape order, so the
+    /// health monitor's log records follow the forward pass. One pass over
+    /// the tape's values; call it at a cadence, not per batch.
     pub fn activation_health(&self) -> Vec<(&'static str, lttf_obs::TensorHealth)> {
         let values = self.values.borrow();
         let names = self.names.borrow();
         let mut order: Vec<&'static str> = Vec::new();
         let mut agg: std::collections::HashMap<&'static str, lttf_obs::TensorHealth> =
             std::collections::HashMap::new();
-        for (v, &name) in values.iter().zip(names.iter()) {
+        for (slot, &name) in values.iter().zip(names.iter()) {
+            let Slot::Live(v) = slot else { continue };
             if name == "leaf" {
                 continue;
             }
@@ -200,7 +306,7 @@ impl Graph {
     /// The root is seeded with a gradient of ones (so a scalar root yields
     /// plain derivatives; a tensor root yields the gradient of its sum).
     pub fn backward(&self, root: Var<'_>) -> Grads {
-        let seed = self.values.borrow()[root.id].ones_like();
+        let seed = root.with_value(|t| t.ones_like());
         self.backward_with_seed(root, seed)
     }
 
@@ -216,12 +322,11 @@ impl Graph {
         );
         let _span = lttf_obs::span!("backward");
         let values = self.values.borrow();
-        let parents = self.parents.borrow();
         let backs = self.backs.borrow();
         let names = self.names.borrow();
         assert_eq!(
             seed.shape(),
-            values[root.id].shape(),
+            self.live(&values, root.id).shape(),
             "backward seed shape mismatch"
         );
         let n = values.len();
@@ -230,9 +335,13 @@ impl Graph {
         for id in (0..=root.id).rev() {
             let Some(g) = grads[id].take() else { continue };
             if let Some(back) = &backs[id] {
-                let inputs: Vec<&Tensor> = parents[id].iter().map(|&p| &values[p]).collect();
+                let inputs: Vec<&Tensor> = back
+                    .parents
+                    .iter()
+                    .map(|&p| self.live(&values, p))
+                    .collect();
                 let ctx = Ctx {
-                    out: &values[id],
+                    out: self.live(&values, id),
                     grad: &g,
                     inputs,
                 };
@@ -244,17 +353,17 @@ impl Graph {
                 } else {
                     lttf_obs::SpanGuard::inactive()
                 };
-                let pgrads = back(&ctx);
+                let pgrads = (back.f)(&ctx);
                 drop(op_span);
                 debug_assert_eq!(
                     pgrads.len(),
-                    parents[id].len(),
+                    back.parents.len(),
                     "backward fn returned wrong number of gradients"
                 );
-                for (&pid, pg) in parents[id].iter().zip(pgrads) {
+                for (&pid, pg) in back.parents.iter().zip(pgrads) {
                     debug_assert_eq!(
                         pg.shape(),
-                        values[pid].shape(),
+                        self.live(&values, pid).shape(),
                         "gradient shape mismatch for parent node {pid}"
                     );
                     match &mut grads[pid] {
@@ -271,13 +380,20 @@ impl Graph {
 
 impl<'g> Var<'g> {
     /// The node's forward value (cloned out of the tape).
+    ///
+    /// # Panics
+    /// Panics if the value was dropped by [`Graph::release_since`].
+    #[track_caller]
     pub fn value(&self) -> Tensor {
-        self.g.values.borrow()[self.id].clone()
+        self.with_value(Tensor::clone)
     }
 
-    /// Shape of the node's value.
+    /// Shape of the node's value (available after release too).
     pub fn shape(&self) -> Vec<usize> {
-        self.g.values.borrow()[self.id].shape().to_vec()
+        match &self.g.values.borrow()[self.id] {
+            Slot::Live(t) => t.shape().to_vec(),
+            Slot::Released(s) => s.dims().to_vec(),
+        }
     }
 
     /// The graph this variable belongs to.
@@ -306,8 +422,13 @@ impl<'g> Var<'g> {
     }
 
     /// Apply `f` to the forward value without cloning it.
+    ///
+    /// # Panics
+    /// Panics if the value was dropped by [`Graph::release_since`].
+    #[track_caller]
     pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
-        f(&self.g.values.borrow()[self.id])
+        let values = self.g.values.borrow();
+        f(self.g.live(&values, self.id))
     }
 }
 
@@ -334,8 +455,48 @@ mod tests {
         let c = a.add(b);
         // Forward values match a recording graph exactly.
         assert_eq!(c.value().data(), &[4.0, 6.0]);
-        // No backward closure was kept for any node.
-        assert!(g.backs.borrow().iter().all(|b| b.is_none()));
+        // No backward state was built for any node.
+        assert!(g.backs.borrow().is_empty());
+    }
+
+    #[test]
+    fn release_since_drops_values_but_keeps_shapes_and_kept_nodes() {
+        let g = Graph::inference();
+        let x = g.leaf(Tensor::from_slice(&[1.0, 2.0]));
+        let mark = g.len();
+        let y = x.add(x); // [2, 4]
+        let z = y.mul_scalar(3.0); // [6, 12]
+        let before = g.held_bytes();
+        g.release_since(mark, &[z]);
+        assert_eq!(g.held_bytes(), before - 2 * 4, "only y's buffer is freed");
+        assert_eq!(y.shape(), vec![2]);
+        assert_eq!(x.value().data(), &[1.0, 2.0], "nodes before the mark stay");
+        assert_eq!(z.value().data(), &[6.0, 12.0], "kept nodes stay");
+    }
+
+    #[test]
+    #[should_panic(expected = "read of node 1 (add) after Graph::release_since")]
+    fn reading_a_released_node_panics_with_id_and_op() {
+        let g = Graph::inference();
+        let x = g.leaf(Tensor::from_slice(&[1.0]));
+        let y = x.add(x);
+        let z = y.mul_scalar(2.0);
+        g.release_since(1, &[z]);
+        let _ = y.with_value(|t| t.sum());
+    }
+
+    #[test]
+    fn release_since_is_a_no_op_on_recording_graphs() {
+        let g = Graph::new();
+        let x = g.leaf(Tensor::from_slice(&[1.0, 2.0]));
+        let y = x.square();
+        let z = y.sum_all();
+        let before = g.held_bytes();
+        g.release_since(0, &[]);
+        assert_eq!(g.held_bytes(), before);
+        assert_eq!(y.value().data(), &[1.0, 4.0]);
+        let grads = g.backward(z);
+        assert_eq!(grads.get(x).unwrap().data(), &[2.0, 4.0]);
     }
 
     #[test]

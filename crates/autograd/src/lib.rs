@@ -8,6 +8,9 @@
 //! value, the ids of its parents, and (for non-leaf nodes) a backward
 //! closure that maps the node's output gradient to per-parent gradients.
 //! A [`Var`] is a copyable handle (graph reference + node id).
+//! An inference graph ([`Graph::inference`]) builds no parents or
+//! closures, and can drop the values a layer no longer needs
+//! ([`Graph::release_since`]).
 //!
 //! A fresh graph is built for every training step — there is no graph
 //! reuse, no in-place mutation, and therefore no stale-state hazards:
@@ -25,8 +28,8 @@
 //!
 //! ## Design notes
 //!
-//! * Nodes are stored in `RefCell<Vec<_>>` columns (values / parents /
-//!   backward fns), so `Var` can be `Copy` and ops can take `&self`.
+//! * Nodes are stored in `RefCell<Vec<_>>` columns (values / backward
+//!   state / op names), so `Var` can be `Copy` and ops can take `&self`.
 //! * Backward closures do **not** capture parent tensors; they read them
 //!   from the tape at backward time through [`Ctx`]. Only small config
 //!   (axes, shapes, masks) is captured.

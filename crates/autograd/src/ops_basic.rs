@@ -1,6 +1,6 @@
 //! Differentiable element-wise arithmetic and activations.
 
-use crate::graph::Var;
+use crate::graph::{Backward, Var};
 use lttf_tensor::{broadcast_shapes, Tensor};
 
 /// Sum-reduce `grad` back to `shape`, undoing broadcasting.
@@ -36,92 +36,74 @@ impl<'g> Var<'g> {
     /// Element-wise addition with broadcasting.
     pub fn add(self, other: Var<'g>) -> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.add(b)));
-        let (sa, sb) = (self.shape(), other.shape());
-        self.g.push(
-            "add",
-            v,
-            vec![self.id, other.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("add", v, || {
+            let (sa, sb) = (self.shape(), other.shape());
+            Backward::new(vec![self.id, other.id], move |ctx| {
                 vec![
                     reduce_to_shape(ctx.grad, &sa),
                     reduce_to_shape(ctx.grad, &sb),
                 ]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise subtraction with broadcasting.
     pub fn sub(self, other: Var<'g>) -> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.sub(b)));
-        let (sa, sb) = (self.shape(), other.shape());
-        self.g.push(
-            "sub",
-            v,
-            vec![self.id, other.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("sub", v, || {
+            let (sa, sb) = (self.shape(), other.shape());
+            Backward::new(vec![self.id, other.id], move |ctx| {
                 vec![
                     reduce_to_shape(ctx.grad, &sa),
                     reduce_to_shape(&ctx.grad.neg(), &sb),
                 ]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise multiplication with broadcasting.
     pub fn mul(self, other: Var<'g>) -> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.mul(b)));
-        let (sa, sb) = (self.shape(), other.shape());
-        self.g.push(
-            "mul",
-            v,
-            vec![self.id, other.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("mul", v, || {
+            let (sa, sb) = (self.shape(), other.shape());
+            Backward::new(vec![self.id, other.id], move |ctx| {
                 let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
                 vec![
                     reduce_to_shape(&ctx.grad.mul(b), &sa),
                     reduce_to_shape(&ctx.grad.mul(a), &sb),
                 ]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise division with broadcasting.
     pub fn div(self, other: Var<'g>) -> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.div(b)));
-        let (sa, sb) = (self.shape(), other.shape());
-        self.g.push(
-            "div",
-            v,
-            vec![self.id, other.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("div", v, || {
+            let (sa, sb) = (self.shape(), other.shape());
+            Backward::new(vec![self.id, other.id], move |ctx| {
                 let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
                 let ga = ctx.grad.div(b);
                 let gb = ctx.grad.mul(a).neg().div(&b.square());
                 vec![reduce_to_shape(&ga, &sa), reduce_to_shape(&gb, &sb)]
-            })),
-        )
+            })
+        })
     }
 
     /// Add a scalar.
     pub fn add_scalar(self, s: f32) -> Var<'g> {
         let v = self.with_value(|a| a.add_scalar(s));
-        self.g.push(
-            "add_scalar",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| vec![ctx.grad.clone()])),
-        )
+        self.g.push("add_scalar", v, || {
+            Backward::new(vec![self.id], |ctx| vec![ctx.grad.clone()])
+        })
     }
 
     /// Multiply by a scalar.
     pub fn mul_scalar(self, s: f32) -> Var<'g> {
         let v = self.with_value(|a| a.mul_scalar(s));
-        self.g.push(
-            "mul_scalar",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| vec![ctx.grad.mul_scalar(s)])),
-        )
+        self.g.push("mul_scalar", v, || {
+            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.mul_scalar(s)])
+        })
     }
 
     /// Negation.
@@ -132,60 +114,45 @@ impl<'g> Var<'g> {
     /// Element-wise natural exponential.
     pub fn exp(self) -> Var<'g> {
         let v = self.with_value(|a| a.exp());
-        self.g.push(
-            "exp",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| vec![ctx.grad.mul(ctx.out)])),
-        )
+        self.g.push("exp", v, || {
+            Backward::new(vec![self.id], |ctx| vec![ctx.grad.mul(ctx.out)])
+        })
     }
 
     /// Element-wise natural logarithm.
     pub fn ln(self) -> Var<'g> {
         let v = self.with_value(|a| a.ln());
-        self.g.push(
-            "ln",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| vec![ctx.grad.div(ctx.inputs[0])])),
-        )
+        self.g.push("ln", v, || {
+            Backward::new(vec![self.id], |ctx| vec![ctx.grad.div(ctx.inputs[0])])
+        })
     }
 
     /// Element-wise square root.
     pub fn sqrt(self) -> Var<'g> {
         let v = self.with_value(|a| a.sqrt());
-        self.g.push(
-            "sqrt",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("sqrt", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 // d/dx √x = 1 / (2√x)
                 vec![ctx.grad.div(&ctx.out.mul_scalar(2.0))]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise square.
     pub fn square(self) -> Var<'g> {
         let v = self.with_value(|a| a.square());
-        self.g.push(
-            "square",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("square", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 vec![ctx.grad.mul(&ctx.inputs[0].mul_scalar(2.0))]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise absolute value (subgradient 0 at 0).
     pub fn abs(self) -> Var<'g> {
         let v = self.with_value(|a| a.abs());
-        self.g.push(
-            "abs",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("abs", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 let sign = ctx.inputs[0].map(|x| {
                     if x > 0.0 {
                         1.0
@@ -196,63 +163,51 @@ impl<'g> Var<'g> {
                     }
                 });
                 vec![ctx.grad.mul(&sign)]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise hyperbolic tangent.
     pub fn tanh(self) -> Var<'g> {
         let v = self.with_value(|a| a.tanh());
-        self.g.push(
-            "tanh",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("tanh", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 // d tanh = 1 - tanh²
                 let one_minus = ctx.out.square().neg().add_scalar(1.0);
                 vec![ctx.grad.mul(&one_minus)]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(self) -> Var<'g> {
         let v = self.with_value(|a| a.sigmoid());
-        self.g.push(
-            "sigmoid",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("sigmoid", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 // dσ = σ(1-σ)
                 let d = ctx.out.mul(&ctx.out.neg().add_scalar(1.0));
                 vec![ctx.grad.mul(&d)]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise ReLU.
     pub fn relu(self) -> Var<'g> {
         let v = self.with_value(|a| a.relu());
-        self.g.push(
-            "relu",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("relu", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 let mask = ctx.inputs[0].map(|x| if x > 0.0 { 1.0 } else { 0.0 });
                 vec![ctx.grad.mul(&mask)]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise GELU (tanh approximation); gradient computed from the
     /// same approximation.
     pub fn gelu(self) -> Var<'g> {
         let v = self.with_value(|a| a.gelu());
-        self.g.push(
-            "gelu",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("gelu", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 let c = (2.0 / std::f32::consts::PI).sqrt();
                 let d = ctx.inputs[0].map(|x| {
                     let inner = c * (x + 0.044_715 * x * x * x);
@@ -261,33 +216,29 @@ impl<'g> Var<'g> {
                     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
                 });
                 vec![ctx.grad.mul(&d)]
-            })),
-        )
+            })
+        })
     }
 
     /// Element-wise softplus (stable); gradient is the sigmoid.
     pub fn softplus(self) -> Var<'g> {
         let v = self.with_value(|a| a.softplus());
-        self.g.push(
-            "softplus",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| vec![ctx.grad.mul(&ctx.inputs[0].sigmoid())])),
-        )
+        self.g.push("softplus", v, || {
+            Backward::new(vec![self.id], |ctx| {
+                vec![ctx.grad.mul(&ctx.inputs[0].sigmoid())]
+            })
+        })
     }
 
     /// Element-wise ELU (alpha = 1).
     pub fn elu(self) -> Var<'g> {
         let v = self.with_value(|a| a.elu());
-        self.g.push(
-            "elu",
-            v,
-            vec![self.id],
-            Some(Box::new(|ctx| {
+        self.g.push("elu", v, || {
+            Backward::new(vec![self.id], |ctx| {
                 let d = ctx.inputs[0].map(|x| if x > 0.0 { 1.0 } else { x.exp() });
                 vec![ctx.grad.mul(&d)]
-            })),
-        )
+            })
+        })
     }
 
     /// Multiply by a constant mask tensor (used for dropout). The mask is
@@ -299,16 +250,13 @@ impl<'g> Var<'g> {
             "mask must broadcast to the variable's shape without growing it"
         );
         let v = self.with_value(|a| a.mul(mask));
-        let m = mask.clone();
-        let shape = self.shape();
-        self.g.push(
-            "mul_mask",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("mul_mask", v, || {
+            let m = mask.clone();
+            let shape = self.shape();
+            Backward::new(vec![self.id], move |ctx| {
                 vec![reduce_to_shape(&ctx.grad.mul(&m), &shape)]
-            })),
-        )
+            })
+        })
     }
 }
 

@@ -1,6 +1,6 @@
 //! Differentiable 1-D convolution and moving average.
 
-use crate::graph::Var;
+use crate::graph::{Backward, Var};
 use lttf_tensor::Tensor;
 
 impl<'g> Var<'g> {
@@ -9,19 +9,16 @@ impl<'g> Var<'g> {
     /// weight (bias, when present, is a separate `add`).
     pub fn conv1d(self, weight: Var<'g>, padding: usize, stride: usize) -> Var<'g> {
         let v = self.with_value(|x| weight.with_value(|w| x.conv1d(w, None, padding, stride)));
-        let in_shape = self.shape();
-        let w_shape = weight.shape();
-        self.g.push(
-            "conv1d",
-            v,
-            vec![self.id, weight.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("conv1d", v, || {
+            let in_shape = self.shape();
+            let w_shape = weight.shape();
+            Backward::new(vec![self.id, weight.id], move |ctx| {
                 let (x, w) = (ctx.inputs[0], ctx.inputs[1]);
                 let gx = Tensor::conv1d_backward_input(ctx.grad, w, &in_shape, padding, stride);
                 let gw = Tensor::conv1d_backward_weight(ctx.grad, x, &w_shape, padding, stride);
                 vec![gx, gw]
-            })),
-        )
+            })
+        })
     }
 
     /// Length-preserving moving average along `axis` with replicate padding
@@ -33,12 +30,9 @@ impl<'g> Var<'g> {
     /// contributions back onto the edge elements.
     pub fn moving_avg(self, axis: isize, k: usize) -> Var<'g> {
         let v = self.with_value(|t| t.moving_avg(axis, k));
-        let shape = self.shape();
-        self.g.push(
-            "moving_avg",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("moving_avg", v, || {
+            let shape = self.shape();
+            Backward::new(vec![self.id], move |ctx| {
                 let ax = if axis < 0 {
                     (shape.len() as isize + axis) as usize
                 } else {
@@ -68,8 +62,8 @@ impl<'g> Var<'g> {
                     }
                 }
                 vec![grad]
-            })),
-        )
+            })
+        })
     }
 }
 

@@ -1,6 +1,6 @@
 //! Differentiable matrix multiplication.
 
-use crate::graph::Var;
+use crate::graph::{Backward, Var};
 use lttf_tensor::Tensor;
 
 /// Transpose the last two axes of a 2-D or 3-D tensor.
@@ -21,12 +21,9 @@ impl<'g> Var<'g> {
     /// operand was shared across the batch.
     pub fn matmul(self, other: Var<'g>) -> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.matmul(b)));
-        let (ra, rb) = (self.shape().len(), other.shape().len());
-        self.g.push(
-            "matmul",
-            v,
-            vec![self.id, other.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("matmul", v, || {
+            let (ra, rb) = (self.shape().len(), other.shape().len());
+            Backward::new(vec![self.id, other.id], move |ctx| {
                 let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
                 let gc = ctx.grad;
                 // grad A = gC @ B^T
@@ -42,8 +39,8 @@ impl<'g> Var<'g> {
                     gb = gb.sum_axis(0);
                 }
                 vec![ga, gb]
-            })),
-        )
+            })
+        })
     }
 }
 

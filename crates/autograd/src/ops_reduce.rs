@@ -1,6 +1,6 @@
 //! Differentiable reductions and softmax.
 
-use crate::graph::Var;
+use crate::graph::{Backward, Var};
 use lttf_tensor::Tensor;
 
 impl<'g> Var<'g> {
@@ -8,15 +8,12 @@ impl<'g> Var<'g> {
     /// named `sum_all` to avoid clashing with axis sums.)
     pub fn sum_all(self) -> Var<'g> {
         let v = self.with_value(|a| Tensor::scalar(a.sum()));
-        let shape = self.shape();
-        self.g.push(
-            "sum_all",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("sum_all", v, || {
+            let shape = self.shape();
+            Backward::new(vec![self.id], move |ctx| {
                 vec![Tensor::full(&shape, ctx.grad.item())]
-            })),
-        )
+            })
+        })
     }
 
     /// Mean of all elements, as a scalar variable.
@@ -28,13 +25,12 @@ impl<'g> Var<'g> {
     /// Sum along `axis`, keeping it with extent 1.
     pub fn sum_axis_keepdim(self, axis: isize) -> Var<'g> {
         let v = self.with_value(|a| a.sum_axis_keepdim(axis));
-        let shape = self.shape();
-        self.g.push(
-            "sum_axis_keepdim",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| vec![ctx.grad.broadcast_to(&shape)])),
-        )
+        self.g.push("sum_axis_keepdim", v, || {
+            let shape = self.shape();
+            Backward::new(vec![self.id], move |ctx| {
+                vec![ctx.grad.broadcast_to(&shape)]
+            })
+        })
     }
 
     /// Mean along `axis`, keeping it with extent 1.
@@ -47,17 +43,14 @@ impl<'g> Var<'g> {
     /// Jacobian-vector backward `dx = y ⊙ (g − Σ(g ⊙ y))`.
     pub fn softmax(self, axis: isize) -> Var<'g> {
         let v = self.with_value(|a| a.softmax(axis));
-        self.g.push(
-            "softmax",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("softmax", v, || {
+            Backward::new(vec![self.id], move |ctx| {
                 let y = ctx.out;
                 let gy = ctx.grad.mul(y);
                 let s = gy.sum_axis_keepdim(axis);
                 vec![gy.sub(&y.mul(&s))]
-            })),
-        )
+            })
+        })
     }
 
     /// Layer-normalize along the last axis with learnable-free statistics:

@@ -1,57 +1,45 @@
 //! Differentiable shape surgery: reshape, axis swaps, slicing, concat, pad.
 
-use crate::graph::Var;
+use crate::graph::{Backward, Var};
 use lttf_tensor::Tensor;
 
 impl<'g> Var<'g> {
     /// Reshape to a new shape with the same element count.
     pub fn reshape(self, shape: &[usize]) -> Var<'g> {
         let v = self.with_value(|a| a.reshape(shape));
-        let old = self.shape();
-        self.g.push(
-            "reshape",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| vec![ctx.grad.reshape(&old)])),
-        )
+        self.g.push("reshape", v, || {
+            let old = self.shape();
+            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.reshape(&old)])
+        })
     }
 
     /// Swap two axes (gradient swaps them back).
     pub fn swap_axes(self, a: isize, b: isize) -> Var<'g> {
         let v = self.with_value(|t| t.swap_axes(a, b));
-        self.g.push(
-            "swap_axes",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| vec![ctx.grad.swap_axes(a, b)])),
-        )
+        self.g.push("swap_axes", v, || {
+            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.swap_axes(a, b)])
+        })
     }
 
     /// Permute axes; the gradient applies the inverse permutation.
     pub fn permute(self, order: &[usize]) -> Var<'g> {
         let v = self.with_value(|t| t.permute(order));
-        let mut inverse = vec![0usize; order.len()];
-        for (i, &o) in order.iter().enumerate() {
-            inverse[o] = i;
-        }
-        self.g.push(
-            "permute",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| vec![ctx.grad.permute(&inverse)])),
-        )
+        self.g.push("permute", v, || {
+            let mut inverse = vec![0usize; order.len()];
+            for (i, &o) in order.iter().enumerate() {
+                inverse[o] = i;
+            }
+            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.permute(&inverse)])
+        })
     }
 
     /// Take `[start, start+len)` along `axis`; the gradient scatters back
     /// into a zero tensor of the original shape.
     pub fn narrow(self, axis: isize, start: usize, len: usize) -> Var<'g> {
         let v = self.with_value(|t| t.narrow(axis, start, len));
-        let shape = self.shape();
-        self.g.push(
-            "narrow",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("narrow", v, || {
+            let shape = self.shape();
+            Backward::new(vec![self.id], move |ctx| {
                 let ax = if axis < 0 {
                     (shape.len() as isize + axis) as usize
                 } else {
@@ -60,20 +48,17 @@ impl<'g> Var<'g> {
                 let before = start;
                 let after = shape[ax] - start - len;
                 vec![ctx.grad.pad_axis(ax as isize, before, after, 0.0)]
-            })),
-        )
+            })
+        })
     }
 
     /// Select `indices` along `axis` (gather); the gradient scatter-adds.
     pub fn select(self, axis: isize, indices: &[usize]) -> Var<'g> {
         let v = self.with_value(|t| t.select(axis, indices));
-        let shape = self.shape();
-        let idx = indices.to_vec();
-        self.g.push(
-            "select",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("select", v, || {
+            let shape = self.shape();
+            let idx = indices.to_vec();
+            Backward::new(vec![self.id], move |ctx| {
                 let ax = if axis < 0 {
                     (shape.len() as isize + axis) as usize
                 } else {
@@ -96,22 +81,19 @@ impl<'g> Var<'g> {
                     }
                 }
                 vec![grad]
-            })),
-        )
+            })
+        })
     }
 
     /// Zero-pad along `axis`; the gradient narrows back.
     pub fn pad_axis(self, axis: isize, before: usize, after: usize) -> Var<'g> {
         let v = self.with_value(|t| t.pad_axis(axis, before, after, 0.0));
-        let len = self.with_value(|t| t.size(axis));
-        self.g.push(
-            "pad_axis",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("pad_axis", v, || {
+            let len = self.with_value(|t| t.size(axis));
+            Backward::new(vec![self.id], move |ctx| {
                 vec![ctx.grad.narrow(axis, before, len)]
-            })),
-        )
+            })
+        })
     }
 
     /// Concatenate variables along `axis`; each parent's gradient is the
@@ -122,16 +104,18 @@ impl<'g> Var<'g> {
     pub fn concat(vars: &[Var<'g>], axis: isize) -> Var<'g> {
         assert!(!vars.is_empty(), "concat of empty var list");
         let g = vars[0].g;
-        let values: Vec<Tensor> = vars.iter().map(|v| v.value()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
-        let out = Tensor::concat(&refs, axis);
-        let extents: Vec<usize> = values.iter().map(|t| t.size(axis)).collect();
-        let parents: Vec<usize> = vars.iter().map(|v| v.id).collect();
-        g.push(
-            "concat",
-            out,
-            parents,
-            Some(Box::new(move |ctx| {
+        let out = {
+            let values = g.values.borrow();
+            let refs: Vec<&Tensor> = vars.iter().map(|v| g.live(&values, v.id)).collect();
+            Tensor::concat(&refs, axis)
+        };
+        g.push("concat", out, || {
+            let extents: Vec<usize> = vars
+                .iter()
+                .map(|v| v.with_value(|t| t.size(axis)))
+                .collect();
+            let parents = vars.iter().map(|v| v.id).collect();
+            Backward::new(parents, move |ctx| {
                 let mut grads = Vec::with_capacity(extents.len());
                 let mut start = 0;
                 for &e in &extents {
@@ -139,22 +123,19 @@ impl<'g> Var<'g> {
                     start += e;
                 }
                 grads
-            })),
-        )
+            })
+        })
     }
 
     /// Broadcast to a larger shape; the gradient sum-reduces back.
     pub fn broadcast_to(self, target: &[usize]) -> Var<'g> {
         let v = self.with_value(|t| t.broadcast_to(target));
-        let shape = self.shape();
-        self.g.push(
-            "broadcast_to",
-            v,
-            vec![self.id],
-            Some(Box::new(move |ctx| {
+        self.g.push("broadcast_to", v, || {
+            let shape = self.shape();
+            Backward::new(vec![self.id], move |ctx| {
                 vec![crate::ops_basic::reduce_to_shape(ctx.grad, &shape)]
-            })),
-        )
+            })
+        })
     }
 }
 

@@ -97,7 +97,8 @@ impl NormalizingFlow {
     ///
     /// `h_e`, `h_d`: `[b, d_model]` hidden states from the SIRN RNNs.
     /// When `sample` is false the Gaussian noise is zeroed, yielding the
-    /// deterministic mean path (used at evaluation time).
+    /// deterministic mean path (used at evaluation time). On an inference
+    /// graph only the returned node outlives the call.
     pub fn forward<'g>(
         &self,
         cx: &Fwd<'g, '_>,
@@ -107,6 +108,7 @@ impl NormalizingFlow {
     ) -> Var<'g> {
         let b = h_e.shape()[0];
         let g = cx.graph();
+        let mark = g.len();
         let eps = if sample {
             g.constant(cx.noise(&[b, self.d_model]))
         } else {
@@ -142,7 +144,9 @@ impl NormalizingFlow {
             }
             FlowMode::None => panic!("FlowMode::None has no flow output; the model must skip it"),
         };
-        self.out.forward(cx, z).reshape(&[b, self.ly, self.c_out])
+        let out = self.out.forward(cx, z).reshape(&[b, self.ly, self.c_out]);
+        g.release_since(mark, &[out]);
+        out
     }
 
     /// Sample `n` flow outputs and return per-element empirical quantiles

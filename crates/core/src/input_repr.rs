@@ -153,7 +153,8 @@ impl InputRepresentation {
     }
 
     /// Build `X^in` from values `x: [b, len, c_in]` and time features
-    /// `marks: [b, len, mark_dim]`.
+    /// `marks: [b, len, mark_dim]`. On an inference graph only the
+    /// returned node outlives the call.
     pub fn forward<'g>(&self, cx: &Fwd<'g, '_>, x: Var<'g>, marks: Option<Var<'g>>) -> Var<'g> {
         let shape = x.shape();
         assert_eq!(
@@ -167,10 +168,11 @@ impl InputRepresentation {
             self.c_in, shape
         );
         let g = cx.graph();
+        let mark = g.len();
         use InputReprMode::*;
 
         // W^R X (diagonal reweighting) — computed from detached values.
-        let wr = g.constant(Self::correlation_weights(&x.value())); // [b, 1, c_in]
+        let wr = g.constant(x.with_value(Self::correlation_weights)); // [b, 1, c_in]
         let rx = x.mul(wr);
 
         let needs_gamma = !matches!(
@@ -206,6 +208,7 @@ impl InputRepresentation {
         if let (Some(te), Some(m)) = (&self.time_embed, marks) {
             out = out.add(te.forward(cx, m));
         }
+        g.release_since(mark, &[out]);
         out
     }
 }

@@ -422,4 +422,28 @@ mod tests {
         let b = model.predict(&ps, &x, &xm, &d, &dm);
         a.assert_close(&b, 0.0);
     }
+
+    #[test]
+    fn inference_tape_holds_under_a_quarter_of_a_recording_one() {
+        // Every layer releases its intermediates at its exit on an
+        // inference graph; a recording graph keeps them all for backward.
+        fn run(g: &Graph, model: &Conformer, ps: &ParamSet, t: &[Tensor; 4]) -> (Tensor, usize) {
+            let cx = Fwd::new(g, ps, false, 0);
+            let [x, xm, d, dm] = t.each_ref().map(|t| g.leaf(t.clone()));
+            let out = model.forward(&cx, x, Some(xm), d, Some(dm), false);
+            (out.y_dec.value(), g.held_bytes())
+        }
+        let cfg = ConformerConfig::tiny(3, 48, 24);
+        let mut ps = ParamSet::new();
+        let model = Conformer::new(&mut ps, &cfg, &mut Rng::seed(0));
+        let (x, xm, d, dm, _) = inputs(&cfg, 8, 9);
+        let batch = [x, xm, d, dm];
+        let (y_inf, held_inf) = run(&Graph::inference(), &model, &ps, &batch);
+        let (y_rec, held_rec) = run(&Graph::new(), &model, &ps, &batch);
+        assert_eq!(y_inf, y_rec, "releasing values changed the forecast");
+        assert!(
+            held_inf * 4 < held_rec,
+            "inference tape holds {held_inf} bytes against {held_rec} recording"
+        );
+    }
 }

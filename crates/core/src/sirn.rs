@@ -119,7 +119,8 @@ impl SirnLayer {
     }
 
     /// Run the layer. `x: [b, len, d_model]`; `cross` is the encoder
-    /// output for decoder layers.
+    /// output for decoder layers. On an inference graph only `out` and
+    /// `hidden` outlive the call.
     ///
     /// # Panics
     /// Panics if `cross` is provided to a layer built without
@@ -135,6 +136,7 @@ impl SirnLayer {
             self.cross_attn.is_some(),
             "cross input must match the layer's cross-attention configuration"
         );
+        let mark = cx.graph().len();
         // Eq. (8): global gate + local attention + residual.
         let rnn_out = self.global_rnn.forward(cx, x);
         let hidden = *rnn_out
@@ -170,6 +172,7 @@ impl SirnLayer {
         // Residual + layer norm for depth stability (implementation choice,
         // matching standard transformer practice).
         let out = self.norm.forward(cx, fused.add(x));
+        cx.graph().release_since(mark, &[out, hidden]);
         SirnOutput { out, hidden }
     }
 }

@@ -298,6 +298,37 @@ mod tests {
         ds.batch(&[0, 1])
     }
 
+    /// `predict_batch`'s forward run on a recording graph, which releases
+    /// no intermediate values.
+    fn recording_predict(m: &TrainedModel, batch: &Batch) -> Tensor {
+        let g = lttf_autograd::Graph::new();
+        let cx = Fwd::new(&g, &m.ps, false, 0);
+        let leaf = |t: &Tensor| g.leaf(t.clone());
+        let (x, xm) = (leaf(&batch.x), leaf(&batch.x_mark));
+        let (dec, dm) = (leaf(&batch.dec), leaf(&batch.dec_mark));
+        match &m.inner {
+            ModelImpl::Conformer(c) => {
+                let marks = c.config().mark_dim > 0;
+                let out = c.forward(&cx, x, marks.then_some(xm), dec, marks.then_some(dm), false);
+                let lambda = c.config().lambda;
+                match out.y_flow {
+                    Some(z) => out
+                        .y_dec
+                        .value()
+                        .mul_scalar(lambda)
+                        .add(&z.value().mul_scalar(1.0 - lambda)),
+                    None => out.y_dec.value(),
+                }
+            }
+            ModelImpl::Transformer(t) => t.forward(&cx, x, xm, dec, dm).value(),
+            ModelImpl::Autoformer(a) => a.forward(&cx, x, xm, dec, dm).value(),
+            ModelImpl::Gru(r) => r.forward(&cx, x).value(),
+            ModelImpl::LstNet(l) => l.forward(&cx, x).value(),
+            ModelImpl::NBeats(n) => n.forward(&cx, x).value(),
+            ModelImpl::Ts2Vec(t) => t.forward(&cx, x).value(),
+        }
+    }
+
     #[test]
     fn every_kind_builds_and_predicts() {
         let batch = sample_batch();
@@ -318,6 +349,12 @@ mod tests {
             let y = m.predict_batch(&batch);
             assert_eq!(y.shape(), &[2, 8, 3], "{kind:?}");
             assert!(!y.has_non_finite(), "{kind:?}");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&y),
+                bits(&recording_predict(&m, &batch)),
+                "{kind:?}: the inference graph's forecast differs from a recording graph's"
+            );
         }
     }
 

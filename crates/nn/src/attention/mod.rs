@@ -202,7 +202,8 @@ impl MultiHeadAttention {
             .reshape(&[b, l, self.d_model])
     }
 
-    /// Attend `query → key/value`. All inputs `[B, L, d_model]`.
+    /// Attend `query → key/value`. All inputs `[B, L, d_model]`. On an
+    /// inference graph only the returned node outlives the call.
     pub fn forward<'g>(
         &self,
         cx: &Fwd<'g, '_>,
@@ -210,14 +211,16 @@ impl MultiHeadAttention {
         key: Var<'g>,
         value: Var<'g>,
     ) -> Var<'g> {
+        let mark = cx.graph().len();
         let b = query.shape()[0];
         let q = self.split_heads(self.wq.forward(cx, query));
         let k = self.split_heads(self.wk.forward(cx, key));
         let v = self.split_heads(self.wv.forward(cx, value));
         let ctxt = attend_folded(self.kind, cx, q, k, v);
         let merged = self.merge_heads(ctxt, b);
-        let out = self.wo.forward(cx, merged);
-        cx.dropout(out, self.dropout)
+        let out = cx.dropout(self.wo.forward(cx, merged), self.dropout);
+        cx.graph().release_since(mark, &[out]);
+        out
     }
 
     /// Self-attention convenience: query = key = value = `x`.

@@ -80,9 +80,10 @@ pub fn sliding_window_global_attention<'g>(
     n_global: usize,
 ) -> Var<'g> {
     assert!(w >= 1, "window size must be >= 1");
-    let (qv, kv, vv) = (q.value(), k.value(), v.value());
-    let out = window_global_forward(&qv, &kv, &vv, w, n_global);
     let g = q.graph();
+    let out = g.with_values([q, k, v], |[q, k, v]| {
+        window_global_forward(q, k, v, w, n_global)
+    });
     g.custom_named("window_attn", out, &[q, k, v], move |ctx| {
         let (qv, kv, vv) = (ctx.inputs[0], ctx.inputs[1], ctx.inputs[2]);
         window_global_backward(qv, kv, vv, ctx.grad, w, n_global)

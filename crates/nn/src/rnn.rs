@@ -136,7 +136,8 @@ impl Gru {
     /// `GruCell::step` op-by-op costs ~20 nodes per timestep, and at the
     /// paper's sequence lengths the tape bookkeeping dominates the
     /// arithmetic. The backward is the hand-written BPTT kernel; on
-    /// inference graphs no gate stash is recorded at all.
+    /// inference graphs no gate stash is recorded at all, and every node
+    /// this call makes except the returned ones is released on return.
     pub fn forward<'g>(&self, cx: &Fwd<'g, '_>, x: Var<'g>) -> RnnOutput<'g> {
         let shape = x.shape();
         assert_eq!(
@@ -147,6 +148,7 @@ impl Gru {
         let (b, len) = (shape[0], shape[1]);
         let hs = self.hidden_size();
         let g = cx.graph();
+        let mark = g.len();
         let mut layer_input = x;
         let mut last_hidden = Vec::with_capacity(self.cells.len());
         let mut outputs = layer_input; // replaced below
@@ -155,13 +157,11 @@ impl Gru {
             let w_hh = cx.param(cell.w_hh);
             let b_ih = cx.param(cell.b_ih);
             let b_hh = cx.param(cell.b_hh);
-            let (out, stash) = lttf_tensor::gru_layer_forward(
-                &layer_input.value(),
-                &w_ih.value(),
-                &w_hh.value(),
-                &b_ih.value(),
-                &b_hh.value(),
-                g.records_gradients(),
+            let (out, stash) = g.with_values(
+                [layer_input, w_ih, w_hh, b_ih, b_hh],
+                |[x, w_ih, w_hh, b_ih, b_hh]| {
+                    lttf_tensor::gru_layer_forward(x, w_ih, w_hh, b_ih, b_hh, g.records_gradients())
+                },
             );
             outputs = g.custom_named(
                 "gru_layer",
@@ -193,6 +193,9 @@ impl Gru {
             }
             layer_input = outputs;
         }
+        let mut keep = last_hidden.clone();
+        keep.push(outputs);
+        g.release_since(mark, &keep);
         RnnOutput {
             outputs,
             last_hidden,

@@ -129,6 +129,11 @@ impl Tensor {
         self.data
     }
 
+    /// Consume the tensor, freeing its buffer and returning its [`Shape`].
+    pub fn into_shape(self) -> Shape {
+        self.shape
+    }
+
     /// Dimension extents.
     pub fn shape(&self) -> &[usize] {
         self.shape.dims()

@@ -38,6 +38,9 @@ LTTF_QUIET=1 LTTF_THREADS=1 LTTF_SIMD=0 cargo test -q --offline
 echo "==> cargo test -q --offline  (LTTF_THREADS=4 LTTF_SIMD=1, pooled + SIMD dispatch)"
 LTTF_QUIET=1 LTTF_THREADS=4 LTTF_SIMD=1 cargo test -q --offline
 
+echo "==> ledger unit tests + --smoke run  (the benchmark package has its own workspace)"
+LTTF_QUIET=1 cargo test -q --offline --manifest-path ledger/Cargo.toml
+
 echo "==> determinism + serve e2e under the full LTTF_SIMD x LTTF_THREADS matrix"
 # The scalar fallback must never rot, and neither backend may depend on
 # the thread count (DESIGN.md §8) — sweep both suites over all four cells.

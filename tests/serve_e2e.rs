@@ -17,6 +17,9 @@ use lttf::serve::{
 };
 use lttf::tensor::{Rng, Tensor};
 
+mod common;
+use common::{ask_stats, SessionClient};
+
 fn test_model() -> LoadedModel {
     let cfg = ConformerConfig::tiny(3, 12, 6);
     let model = TrainedModel::from_conformer(&cfg, 42);
@@ -423,21 +426,6 @@ fn metrics_endpoint_and_traced_request_over_tcp() {
     handle.shutdown();
 }
 
-/// Ask the `stats` command on a fresh connection.
-fn ask_stats(addr: SocketAddr, id: u64) -> protocol::StatsReport {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{}", protocol::format_stats_request(id, None)).unwrap();
-    writer.flush().unwrap();
-    let mut resp = String::new();
-    reader.read_line(&mut resp).unwrap();
-    let (got, report) = protocol::parse_stats_response(resp.trim_end()).expect("stats parses");
-    assert_eq!(got, id);
-    report.expect("stats ok")
-}
-
 /// Fetch the metrics exposition on a fresh connection.
 fn ask_metrics(addr: SocketAddr, id: u64) -> String {
     let stream = TcpStream::connect(addr).expect("connect");
@@ -621,52 +609,6 @@ fn profileless_checkpoint_serves_with_drift_unavailable() {
 // Streaming sessions and online adaptation
 // ---------------------------------------------------------------------------
 
-/// A persistent connection speaking the session protocol.
-struct SessionClient {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl SessionClient {
-    fn connect(addr: SocketAddr) -> SessionClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        let writer = stream.try_clone().unwrap();
-        SessionClient {
-            writer,
-            reader: BufReader::new(stream),
-        }
-    }
-
-    fn ask(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        let mut resp = String::new();
-        self.reader.read_line(&mut resp).unwrap();
-        resp.trim_end().to_string()
-    }
-
-    fn open(&mut self, id: u64) -> (u64, usize) {
-        let resp = self.ask(&protocol::format_open(id, None, 1_700_000_000, 3600));
-        let (got, res) = protocol::parse_open_response(&resp).expect("open parses");
-        assert_eq!(got, id);
-        res.expect("open refused")
-    }
-
-    fn push(&mut self, id: u64, session: u64, row: &[f32]) -> Result<protocol::PushReply, String> {
-        let resp = self.ask(&protocol::format_push(id, session, row));
-        let (got, res) = protocol::parse_push_response(&resp).expect("push parses");
-        assert_eq!(got, id);
-        res
-    }
-
-    fn close(&mut self, id: u64, session: u64) -> (u64, u64) {
-        let resp = self.ask(&protocol::format_close(id, session));
-        let (got, res) = protocol::parse_close_response(&resp).expect("close parses");
-        assert_eq!(got, id);
-        res.expect("close refused")
-    }
-}
-
 /// `n` rows of 3 features drawn from the test model's raw distribution.
 fn session_rows(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let t = Tensor::randn(&[n, 3], &mut Rng::seed(seed)).mul_scalar(3.0);
@@ -752,98 +694,6 @@ fn session_push_forecasts_match_one_shot_bit_for_bit() {
     let (pushed, forecasts) = client.close(99, session);
     assert_eq!(pushed, 20);
     assert_eq!(forecasts, 9, "every push from row 12 on forecasts");
-    handle.shutdown();
-}
-
-#[test]
-fn allocation_accounting_sees_session_buffers_grow_and_shrink() {
-    // End-to-end check of the instrumented allocator against real
-    // workload memory: session ring buffers are the dominant per-client
-    // state in the server, so buffering rows into many sessions must
-    // grow the process's live-byte count by at least the buffered
-    // payload, and the TTL sweep must hand most of it back. Counters are
-    // process-global, so every comparison leaves headroom for the other
-    // tests running in this binary.
-    if lttf::obs::alloc::snapshot().allocs == 0 {
-        // Telemetry compiled out: no #[global_allocator] is installed
-        // and every counter reads zero — nothing to measure.
-        return;
-    }
-    // lx=2048 windows of 8 features: each session buffers up to 64 KiB
-    // of f32 rows, far above cross-test allocator noise.
-    let cfg = ConformerConfig::tiny(8, 2048, 8);
-    let model = TrainedModel::from_conformer(&cfg, 9);
-    let fit_on = Tensor::randn(&[64, 8], &mut Rng::seed(10)).mul_scalar(2.0);
-    let scaler = StandardScaler::fit(&fit_on);
-    let loaded = LoadedModel::from_parts(model, cfg, scaler, "OT".to_string(), 1);
-    let handle = serve(
-        Registry::single("m", loaded),
-        "127.0.0.1:0",
-        ServeConfig {
-            session: SessionConfig {
-                max_sessions: 64,
-                ttl_ms: 1_200,
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client = SessionClient::connect(handle.addr());
-
-    // 2040 rows per session stays one row short of the 2048-row window,
-    // so nothing ever reaches the forward pass — this test is about the
-    // buffers, not the model.
-    const SESSIONS: usize = 32;
-    const ROWS: usize = 2_040;
-    const PER_SESSION_FLOOR: u64 = (ROWS * 8 * 4) as u64; // f32 payload actually buffered
-    let payload: Vec<f32> = Tensor::randn(&[ROWS * 8], &mut Rng::seed(11))
-        .data()
-        .to_vec();
-    let live0 = lttf::obs::alloc::live_bytes();
-    let mut last = live0;
-    let mut handles = Vec::new();
-    for batch in 0..4u64 {
-        for i in 0..(SESSIONS as u64 / 4) {
-            let id = batch * 100 + i + 1;
-            let (session, _) = client.open(id);
-            handles.push(session);
-            let reply = client.push(1_000 + id, session, &payload).expect("push buffered");
-            assert!(
-                matches!(reply, protocol::PushReply::Pending(_)),
-                "short-of-window push must not forecast"
-            );
-        }
-        // Live bytes must climb batch over batch while the buffers pile
-        // up — half the payload floor leaves room for concurrent churn.
-        let now = lttf::obs::alloc::live_bytes();
-        assert!(
-            now >= last + (SESSIONS as u64 / 4) * PER_SESSION_FLOOR / 2,
-            "live bytes did not grow with session buffers: batch {batch}, {last} -> {now}"
-        );
-        last = now;
-    }
-    let grown = lttf::obs::alloc::live_bytes();
-    assert!(
-        grown >= live0 + SESSIONS as u64 * PER_SESSION_FLOOR / 2,
-        "session buffers invisible to the allocator: {live0} -> {grown}"
-    );
-
-    // Let every session idle past the TTL, then force a sweep with a
-    // table operation: a push against a known-but-idle id runs the sweep
-    // before the lookup, so the reply itself proves the eviction.
-    std::thread::sleep(std::time::Duration::from_millis(1_600));
-    let err = client
-        .push(9_999, handles[0], &payload[..8])
-        .expect_err("an idle session past its TTL must be gone");
-    assert!(err.contains("unknown session"), "unexpected error: {err}");
-    let stats = ask_stats(handle.addr(), 10_000);
-    assert_eq!(stats.sessions_open, 0, "sweep left sessions behind");
-    assert!(stats.session_evictions >= SESSIONS as u64, "{stats:?}");
-    let after = lttf::obs::alloc::live_bytes();
-    assert!(
-        after <= grown.saturating_sub(SESSIONS as u64 * PER_SESSION_FLOOR / 2),
-        "TTL sweep reclaimed too little: {grown} -> {after}"
-    );
     handle.shutdown();
 }
 
