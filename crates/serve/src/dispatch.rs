@@ -34,9 +34,8 @@ use std::time::Instant;
 
 use crate::drift::{DriftConfig, DriftMonitor};
 use crate::engine::{BatchConfig, Engine, Reject, Reply, Submitter};
-use crate::latency::LatencySummary;
 use crate::registry::{LoadedModel, Window};
-use crate::stats::ServeStats;
+use crate::stats::{LatencySummary, ServeStats};
 
 /// How the dispatcher picks a replica for each request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

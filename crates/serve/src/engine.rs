@@ -21,9 +21,8 @@ use std::time::{Duration, Instant};
 
 use lttf_obs::trace;
 
-use crate::latency::LatencySummary;
 use crate::registry::{LoadedModel, Window};
-use crate::stats::ServeStats;
+use crate::stats::{LatencySummary, ServeStats};
 
 /// Interned trace-name indices for the request path, computed once. The
 /// async `serve.req` slice is opened at submit on the connection thread
@@ -424,36 +423,29 @@ mod tests {
     #[test]
     fn queue_full_rejects_instead_of_blocking() {
         let model = Arc::new(tiny_model());
-        // Capacity 1 and a long flush window: the second un-flushed
-        // submission can find the queue occupied.
-        let engine = Engine::start(
-            Arc::clone(&model),
-            BatchConfig {
-                max_batch: 64,
-                max_wait_ms: 500,
-                queue_cap: 1,
-            },
-        );
-        let sub = engine.submitter();
-        let mut rejected = false;
-        let mut pending = Vec::new();
-        for i in 0..50 {
-            let w = model.make_window(&raw_window(&model, i), 0, 60).unwrap();
-            match sub.submit(w, None) {
-                Ok(rx) => pending.push(rx),
-                Err(Reject::QueueFull) => {
-                    rejected = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected reject: {other:?}"),
-            }
-        }
-        assert!(rejected, "a capacity-1 queue never reported QueueFull");
-        for rx in pending {
-            rx.recv().unwrap().unwrap();
-        }
+        // A capacity-1 queue whose receiver the test holds: nothing
+        // drains it, so the second submit finds it full by construction.
+        let (tx, rx) = mpsc::sync_channel(1);
+        let depth = Arc::new(AtomicUsize::new(0));
+        let stats = ServeStats::new(1);
+        let sub = Submitter {
+            tx,
+            depth: Arc::clone(&depth),
+            stats: Arc::clone(&stats),
+        };
+        let raw = raw_window(&model, 0);
+        let window = || model.make_window(&raw, 0, 60).unwrap();
+        let accepted = sub.submit(window(), None).expect("an empty queue accepts");
+        assert_eq!(sub.submit(window(), None).unwrap_err(), Reject::QueueFull);
+        assert_eq!(sub.queue_depth(), 1, "a refused submit is not queued");
+
+        // Accepted work is still answered: drop the only sender and let a
+        // batcher drain the queue on this thread.
         drop(sub);
-        engine.shutdown();
+        let cfg = BatchConfig::default();
+        batcher_loop(Arc::clone(&model), cfg, rx, depth, stats, 0);
+        let got = accepted.recv().unwrap().unwrap();
+        assert_eq!(got, model.forecast_one(&raw, 0, 60).unwrap());
     }
 
     #[test]

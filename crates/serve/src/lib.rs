@@ -75,7 +75,6 @@ mod admission;
 mod dispatch;
 mod drift;
 mod engine;
-mod latency;
 pub mod metrics;
 pub mod protocol;
 mod registry;
@@ -88,11 +87,13 @@ pub use admission::{Admission, AdmissionConfig, Denied};
 pub use dispatch::{ModelEntry, Policy, PoolConfig, ReplicaPool};
 pub use drift::{DriftConfig, DriftMonitor, DriftStatus};
 pub use engine::{BatchConfig, Engine, Reject, Reply, Submitter};
-pub use latency::{LatencyStats, LatencySummary};
 pub use metrics::ServerGauges;
 pub use registry::{scaler_from_meta, scaler_meta, LoadedModel, Registry, Window};
 pub use server::{serve, ServeConfig, ServerHandle, MAX_LINE};
 pub use session::{
     PushOutcome, SessionConfig, SessionShape, SessionSummary, SessionTable,
 };
-pub use stats::{FlowRates, FlowStats, ServeStats, WindowSnapshot, WINDOW_BUCKETS, WINDOW_BUCKET_MS};
+pub use stats::{
+    FlowRates, FlowStats, LatencySummary, ServeStats, WindowSnapshot, WINDOW_BUCKETS,
+    WINDOW_BUCKET_MS,
+};

@@ -2,85 +2,72 @@
 //!
 //! One request per line, one response per line, both flat JSON objects
 //! (the [`lttf_obs::jsonl`] dialect: string/number scalars plus flat
-//! number arrays, no nesting).
-//!
-//! Request fields:
-//!
-//! * `id` — client-chosen correlation number, echoed in the response,
-//! * `values` — the raw (unscaled) input window, `lx * c_in` numbers in
-//!   row-major `[time][variable]` order,
-//! * `t0` — unix timestamp (seconds) of the first window step,
-//! * `dt` — seconds between steps,
-//! * `deadline_ms` — optional per-request deadline; a request that cannot
-//!   be answered within this many milliseconds of arrival is rejected
-//!   instead of served late,
-//! * `model` — optional registry name; defaults to the server's default
-//!   model.
-//!
-//! Responses are `{"id":…,"ok":true,"forecast":[…]}` with `ly` numbers
-//! (the raw-space forecast of the model's target variable), or
-//! `{"id":…,"ok":false,"error":"…"}`. Floats use shortest round-trip
+//! number arrays, no nesting). Floats use shortest round-trip
 //! formatting, so an `f32` survives the wire bit-for-bit.
 //!
-//! Successful forecasts also carry `"gen"` — the generation number of
-//! the model that served them, bumped by every hot reload — so clients
-//! (and the reload e2e test) can tell which checkpoint answered.
+//! **The envelope.** Every request carries `id`, a client-chosen
+//! correlation number that must be an integer in `0..2^53` (the range an
+//! `f64` holds exactly; session ids obey the same rule). Every response
+//! echoes it next to `ok`:
 //!
-//! Refusals from admission control or a saturated queue add
-//! `"retry_after_ms"` to the error response: a backoff hint, not a
-//! promise. Clients that honor it ride out bursts instead of amplifying
-//! them.
+//! * success — `{"id":…,"ok":true,…}` followed by the command's fields;
+//! * failure — `{"id":…,"ok":false,"error":"…"}`. Refusals from
+//!   admission control or a saturated queue add `"retry_after_ms"`: a
+//!   backoff hint, not a promise. A line that does not parse, including
+//!   one whose id is out of range, is answered with the id
+//!   [`extract_id`] finds in its text.
 //!
-//! Besides one-shot forecasts, the framing carries the **streaming
-//! session** commands:
+//! [`parse_command`] reads a request line once; each client-side
+//! `parse_*_response` reads the envelope once and then only its
+//! command's fields.
 //!
-//! * `{"id":…,"cmd":"open"[,"model":…][,"t0":…][,"dt":…]}` — open a
-//!   stateful session against one model. The answer is
-//!   `{"id":…,"ok":true,"session":S,"window":W}`: a server-assigned
-//!   session id and the number of observation rows (`lx`) the rolling
-//!   window needs before forecasts flow.
-//! * `{"id":…,"cmd":"push","session":S,"values":[…]}` — append one or
-//!   more raw observation rows (each `c_in` values) to the session's
-//!   rolling window. While the window is still filling the answer is
-//!   `{"id":…,"ok":true,"session":S,"pending":K}` (`K` rows still
-//!   needed); once full, every push answers with a fresh horizon
-//!   forecast `{"id":…,"ok":true,"session":S,"gen":G,"adapted":B,
-//!   "forecast":[…]}` through the same micro-batching engine one-shot
-//!   requests use. `"adapted"` is `true` when the serving generation
-//!   was published by the online adapter rather than loaded from disk.
-//! * `{"id":…,"cmd":"close","session":S}` — drop the session; the
-//!   answer echoes its lifetime counts:
-//!   `{"id":…,"ok":true,"session":S,"pushed":P,"forecasts":F}`.
+//! **Forecast** (no `cmd` field; [`format_request`] writes one):
+//! `values` holds the raw (unscaled) input window, `lx * c_in` numbers in
+//! row-major `[time][variable]` order; `t0` is the unix timestamp
+//! (seconds) of the first step and `dt` the seconds between steps
+//! (default 3600). Optional `deadline_ms` rejects a request that cannot
+//! be answered within that many milliseconds of arrival instead of
+//! serving it late; optional `model` names a registry entry (default:
+//! the server's default model). The answer carries `"gen"`, the
+//! generation that served it (bumped by every hot reload), and
+//! `"forecast"`, `ly` raw-space values of the model's target variable.
 //!
-//! Sessions are keyed by model *name*, not generation, so they survive
-//! hot reloads: the first push after a swap simply forecasts on the new
-//! generation. Idle sessions are evicted after the server's TTL; a push
-//! against an evicted or unknown id gets
-//! `{"ok":false,"error":"unknown session"}` and the client re-opens.
+//! **Streaming sessions**, keyed by model *name* so they survive hot
+//! reloads (the first push after a swap forecasts on the new
+//! generation):
 //!
-//! Three further control commands share the framing:
+//! * `open` (`model`, `t0`, `dt` optional) → `"session":S,"window":W`,
+//!   a server-assigned session id and the `lx` rows the rolling window
+//!   needs before forecasts flow;
+//! * `push` (`session`, `values`: one or more raw rows of `c_in` values)
+//!   → `"session":S,"pending":K` while the window fills, then
+//!   `"session":S,"gen":G,"adapted":B,"forecast":[…]` through the same
+//!   micro-batching engine one-shot requests use. `adapted` is `true`
+//!   when the serving generation was published by the online adapter;
+//! * `close` (`session`) → `"session":S,"pushed":P,"forecasts":F`.
 //!
-//! * `{"id":…,"cmd":"metrics"}` — the answer is
-//!   `{"id":…,"ok":true,"metrics":"…"}` where the string holds a
-//!   Prometheus-style text exposition (newlines escaped as `\n` so the
-//!   one-line-per-response framing survives). See [`crate::metrics`].
-//! * `{"id":…,"cmd":"stats"[,"model":"…"]}` — a one-line JSON snapshot
-//!   of one model's live state ([`StatsReport`]): trailing-window
-//!   latency quantiles (total, queue wait, service time), refusal/retry
-//!   rates, and the drift monitor's verdict. Machine-readable where the
-//!   metrics exposition is scrape-shaped; `lttf watch` polls it.
-//! * `{"id":…,"cmd":"reload","path":"…","model":"…"}` — load the
-//!   checkpoint at `path` as a new generation of `model` (default: the
-//!   server's default model), atomically swap it into the routing table,
-//!   and drain the old generation. The answer is
-//!   `{"id":…,"ok":true,"gen":…,"replicas":…,"drained":…}`: the new
-//!   generation number, its replica count, and how many requests the old
-//!   generation answered during its lifetime.
+//! Idle sessions are evicted after the server's TTL; a push against an
+//! evicted or unknown id gets `"error":"unknown session"` and the client
+//! re-opens.
+//!
+//! **Control commands:**
+//!
+//! * `metrics` → `"metrics":"…"`, a Prometheus-style text exposition
+//!   (newlines escaped as `\n`). See [`crate::metrics`].
+//! * `stats` (`model` optional) → one model's live [`StatsReport`]:
+//!   trailing-window latency quantiles (total, queue wait, service time),
+//!   refusal/retry rates, and the drift monitor's verdict.
+//!   Machine-readable where the metrics exposition is scrape-shaped;
+//!   `lttf watch` polls it.
+//! * `reload` (`path`, `model` optional) → `"gen":…,"replicas":…,
+//!   "drained":…`: loads the checkpoint at `path` as a new generation,
+//!   swaps it into the routing table, and drains the old generation,
+//!   reporting how many requests that generation answered.
 
-use lttf_obs::jsonl::{field, parse_object, JsonObj};
+use lttf_obs::jsonl::{field, parse_object, JsonObj, JsonValue};
 
-/// A parsed inference request.
-#[derive(Clone, Debug)]
+/// A parsed inference request; [`format_request`] writes one.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Request {
     /// Client correlation id, echoed back in the response.
     pub id: u64,
@@ -100,8 +87,12 @@ pub struct Request {
 /// would allocate without bound.
 pub const MAX_VALUES: usize = 1 << 22;
 
+/// Ids travel as JSON numbers and are parsed as `f64`, which holds every
+/// integer only below 2^53.
+const ID_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// One parsed request line: a forecast, or a control command.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Command {
     /// An inference request (the default when no `cmd` field is present).
     Forecast(Request),
@@ -160,120 +151,191 @@ pub enum Command {
     },
 }
 
-/// Parse one request line into a [`Command`]. Lines without a `cmd`
-/// field are forecasts; unknown commands are errors.
-pub fn parse_command(line: &str) -> Result<Command, String> {
-    let fields = parse_object(line)?;
-    match field(&fields, "cmd").and_then(|v| v.as_str()) {
-        None => parse_request(line).map(Command::Forecast),
-        Some("metrics") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            Ok(Command::Metrics { id })
+/// The fields of one parsed line, with the typed readers every request
+/// and response reader shares.
+struct Fields(Vec<(String, JsonValue)>);
+
+impl Fields {
+    fn get(&self, k: &str) -> Option<&JsonValue> {
+        field(&self.0, k)
+    }
+
+    fn num(&self, k: &str) -> Option<f64> {
+        self.get(k).and_then(JsonValue::as_num)
+    }
+
+    fn need(&self, k: &str) -> Result<f64, String> {
+        self.num(k).ok_or_else(|| format!("missing numeric '{k}'"))
+    }
+
+    /// An optional count, 0 when absent.
+    fn count(&self, k: &str) -> u64 {
+        self.num(k).unwrap_or(0.0) as u64
+    }
+
+    fn str(&self, k: &str) -> Option<&str> {
+        self.get(k).and_then(JsonValue::as_str)
+    }
+
+    fn string(&self, k: &str) -> Option<String> {
+        self.str(k).map(str::to_string)
+    }
+
+    fn flag(&self, k: &str) -> bool {
+        self.get(k).and_then(JsonValue::as_bool).unwrap_or(false)
+    }
+
+    fn floats(&self, k: &str) -> Option<Vec<f32>> {
+        let arr = self.get(k)?.as_arr()?;
+        Some(arr.iter().map(|&v| v as f32).collect())
+    }
+
+    /// The one id reader (`id`, `session`): an integer in `0..2^53`. A
+    /// larger, negative or fractional id is an error, never a rounded,
+    /// clamped or truncated echo.
+    fn id(&self, k: &str) -> Result<u64, String> {
+        let v = self.need(k)?;
+        if (0.0..ID_LIMIT).contains(&v) && v.fract() == 0.0 {
+            Ok(v as u64)
+        } else {
+            Err(format!("'{k}' must be an integer in 0..2^53"))
         }
-        Some("stats") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            let model = field(&fields, "model")
-                .and_then(|v| v.as_str())
-                .map(str::to_string);
-            Ok(Command::Stats { id, model })
+    }
+
+    /// The one `values` check: an array of at most [`MAX_VALUES`]
+    /// entries, non-empty, and finite once narrowed to `f32` (a non-finite
+    /// input must be caught before it reaches the model).
+    fn values(&self) -> Result<Vec<f32>, String> {
+        let raw = self
+            .get("values")
+            .and_then(JsonValue::as_arr)
+            .ok_or("missing array 'values'")?;
+        if raw.len() > MAX_VALUES {
+            return Err(format!("'values' too long ({} > {MAX_VALUES})", raw.len()));
         }
-        Some("reload") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            let path = field(&fields, "path")
-                .and_then(|v| v.as_str())
-                .ok_or("reload requires a string 'path'")?
-                .to_string();
-            let model = field(&fields, "model")
-                .and_then(|v| v.as_str())
-                .map(str::to_string);
-            Ok(Command::Reload { id, model, path })
+        if raw.is_empty() {
+            return Err("'values' must be non-empty".to_string());
         }
-        Some("open") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            let model = field(&fields, "model")
-                .and_then(|v| v.as_str())
-                .map(str::to_string);
-            let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-            Ok(Command::Open {
-                id,
-                model,
-                t0: num("t0").unwrap_or(0.0) as i64,
-                dt: num("dt").unwrap_or(3600.0) as i64,
-            })
+        let values: Vec<f32> = raw.iter().map(|&v| v as f32).collect();
+        if values.iter().any(|v| !v.is_finite()) {
+            return Err("'values' contains a non-finite entry".to_string());
         }
-        Some("push") => {
-            let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-            let id = num("id").ok_or("missing numeric 'id'")? as u64;
-            let session = num("session").ok_or("push requires a numeric 'session'")? as u64;
-            let values = field(&fields, "values")
-                .and_then(|v| v.as_arr())
-                .ok_or("push requires an array 'values'")?;
-            if values.len() > MAX_VALUES {
-                return Err(format!("'values' too long ({} > {MAX_VALUES})", values.len()));
-            }
-            if values.is_empty() {
-                return Err("push requires a non-empty 'values'".to_string());
-            }
-            if values.iter().any(|v| !v.is_finite()) {
-                return Err("'values' contains a non-finite entry".to_string());
-            }
-            Ok(Command::Push {
-                id,
-                session,
-                values: values.iter().map(|&v| v as f32).collect(),
-            })
-        }
-        Some("close") => {
-            let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-            let id = num("id").ok_or("missing numeric 'id'")? as u64;
-            let session = num("session").ok_or("close requires a numeric 'session'")? as u64;
-            Ok(Command::Close { id, session })
-        }
-        Some(other) => Err(format!("unknown cmd '{other}'")),
+        Ok(values)
     }
 }
 
-/// Parse one request line. Errors are human-readable strings that go
-/// straight into the `error` field of the reject response.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let values = field(&fields, "values")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing array 'values'")?;
-    if values.len() > MAX_VALUES {
-        return Err(format!("'values' too long ({} > {MAX_VALUES})", values.len()));
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err("'values' contains a non-finite entry".to_string());
-    }
-    Ok(Request {
-        id,
-        values: values.iter().map(|&v| v as f32).collect(),
-        t0: num("t0").ok_or("missing numeric 't0'")? as i64,
-        dt: num("dt").unwrap_or(3600.0) as i64,
-        deadline_ms: num("deadline_ms").map(|v| v as u64),
-        model: field(&fields, "model")
-            .and_then(|v| v.as_str())
-            .map(str::to_string),
+/// Parse one request line into a [`Command`]. Lines without a `cmd`
+/// field are forecasts; unknown commands are errors. Errors are
+/// human-readable strings that go straight into the `error` field of the
+/// reject response.
+pub fn parse_command(line: &str) -> Result<Command, String> {
+    let f = Fields(parse_object(line)?);
+    let id = f.id("id")?;
+    Ok(match f.str("cmd") {
+        None => Command::Forecast(Request {
+            id,
+            values: f.values()?,
+            t0: f.need("t0")? as i64,
+            dt: f.num("dt").unwrap_or(3600.0) as i64,
+            deadline_ms: f.num("deadline_ms").map(|v| v as u64),
+            model: f.string("model"),
+        }),
+        Some("metrics") => Command::Metrics { id },
+        Some("stats") => Command::Stats {
+            id,
+            model: f.string("model"),
+        },
+        Some("reload") => Command::Reload {
+            id,
+            model: f.string("model"),
+            path: f.string("path").ok_or("reload requires a string 'path'")?,
+        },
+        Some("open") => Command::Open {
+            id,
+            model: f.string("model"),
+            t0: f.num("t0").unwrap_or(0.0) as i64,
+            dt: f.num("dt").unwrap_or(3600.0) as i64,
+        },
+        Some("push") => Command::Push {
+            id,
+            session: f.id("session")?,
+            values: f.values()?,
+        },
+        Some("close") => Command::Close {
+            id,
+            session: f.id("session")?,
+        },
+        Some(other) => return Err(format!("unknown cmd '{other}'")),
     })
+}
+
+/// One response line's `(id, retry_after_ms, result)`.
+type Envelope<T> = (u64, Option<u64>, Result<T, String>);
+
+/// The response envelope reader: parses the line once and reads `id` and
+/// `ok`. On success it hands the fields to `body` for the command's own
+/// fields (a `body` error means a malformed line); on failure it reads
+/// `error` and the optional `retry_after_ms` hint.
+fn read_envelope<T>(
+    line: &str,
+    body: impl FnOnce(&Fields) -> Result<T, String>,
+) -> Result<Envelope<T>, String> {
+    let f = Fields(parse_object(line)?);
+    let id = f.id("id")?;
+    match f.get("ok").and_then(JsonValue::as_bool) {
+        Some(true) => Ok((id, None, Ok(body(&f)?))),
+        Some(false) => {
+            let error = f.str("error").unwrap_or("unknown").to_string();
+            Ok((id, f.num("retry_after_ms").map(|v| v as u64), Err(error)))
+        }
+        None => Err("missing 'ok'".to_string()),
+    }
+}
+
+/// [`read_envelope`] for the replies that carry no backoff hint.
+fn read_reply<T>(
+    line: &str,
+    body: impl FnOnce(&Fields) -> Result<T, String>,
+) -> Result<(u64, Result<T, String>), String> {
+    read_envelope(line, body).map(|(id, _, result)| (id, result))
+}
+
+/// A request line's header: the correlation id and the command name.
+fn command(id: u64, cmd: &str) -> JsonObj {
+    JsonObj::new().int("id", id).str("cmd", cmd)
+}
+
+/// A response line's header: the echoed id and `ok`.
+fn header(id: u64, ok: bool) -> JsonObj {
+    JsonObj::new().int("id", id).bool("ok", ok)
+}
+
+/// Append `"model"` when a registry name is given.
+fn with_model(o: JsonObj, model: Option<&str>) -> JsonObj {
+    match model {
+        Some(m) => o.str("model", m),
+        None => o,
+    }
+}
+
+/// Format a forecast request line (client side): the inverse of
+/// [`parse_command`] on a line without `cmd`.
+pub fn format_request(r: &Request) -> String {
+    let o = with_model(JsonObj::new().int("id", r.id), r.model.as_deref())
+        .nums("values", r.values.iter().copied())
+        .num("t0", r.t0 as f64)
+        .num("dt", r.dt as f64);
+    match r.deadline_ms {
+        Some(ms) => o.int("deadline_ms", ms),
+        None => o,
+    }
+    .finish()
 }
 
 /// Format a success response carrying the forecast values, stamped with
 /// the generation of the model that produced them.
 pub fn format_ok(id: u64, generation: u64, forecast: &[f32]) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
+    header(id, true)
         .int("gen", generation)
         .nums("forecast", forecast.iter().copied())
         .finish()
@@ -281,19 +343,13 @@ pub fn format_ok(id: u64, generation: u64, forecast: &[f32]) -> String {
 
 /// Format a reject/error response.
 pub fn format_err(id: u64, error: &str) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", false)
-        .str("error", error)
-        .finish()
+    header(id, false).str("error", error).finish()
 }
 
 /// Format an admission/backpressure refusal: an error response with a
 /// `retry_after_ms` backoff hint.
 pub fn format_reject(id: u64, error: &str, retry_after_ms: u64) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", false)
+    header(id, false)
         .str("error", error)
         .int("retry_after_ms", retry_after_ms)
         .finish()
@@ -301,19 +357,13 @@ pub fn format_reject(id: u64, error: &str, retry_after_ms: u64) -> String {
 
 /// Format a reload request line (client side).
 pub fn format_reload(id: u64, model: Option<&str>, path: &str) -> String {
-    let mut o = JsonObj::new().int("id", id).str("cmd", "reload").str("path", path);
-    if let Some(m) = model {
-        o = o.str("model", m);
-    }
-    o.finish()
+    with_model(command(id, "reload").str("path", path), model).finish()
 }
 
 /// Format a successful reload response: the new generation, its replica
 /// count, and the number of requests the drained generation served.
 pub fn format_reload_ok(id: u64, generation: u64, replicas: usize, drained: u64) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
+    header(id, true)
         .int("gen", generation)
         .int("replicas", replicas as u64)
         .int("drained", drained)
@@ -333,40 +383,27 @@ pub struct ReloadInfo {
 
 /// Parse a reload response into `(id, Result<info, error>)`.
 pub fn parse_reload_response(line: &str) -> Result<(u64, Result<ReloadInfo, String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        Ok((
-            id,
-            Ok(ReloadInfo {
-                generation: num("gen").ok_or("reload response missing 'gen'")? as u64,
-                replicas: num("replicas").ok_or("reload response missing 'replicas'")? as usize,
-                drained: num("drained").unwrap_or(0.0) as u64,
-            }),
-        ))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    read_reply(line, |f| {
+        Ok(ReloadInfo {
+            generation: f.need("gen")? as u64,
+            replicas: f.need("replicas")? as usize,
+            drained: f.count("drained"),
+        })
+    })
 }
 
 /// Format an `open` request line (client side).
 pub fn format_open(id: u64, model: Option<&str>, t0: i64, dt: i64) -> String {
-    let mut o = JsonObj::new().int("id", id).str("cmd", "open");
-    if let Some(m) = model {
-        o = o.str("model", m);
-    }
-    o.num("t0", t0 as f64).num("dt", dt as f64).finish()
+    with_model(command(id, "open"), model)
+        .num("t0", t0 as f64)
+        .num("dt", dt as f64)
+        .finish()
 }
 
 /// Format a successful `open` response: the assigned session id and the
 /// number of observation rows the window needs before forecasts flow.
 pub fn format_open_ok(id: u64, session: u64, window_rows: usize) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
+    header(id, true)
         .int("session", session)
         .int("window", window_rows as u64)
         .finish()
@@ -374,9 +411,7 @@ pub fn format_open_ok(id: u64, session: u64, window_rows: usize) -> String {
 
 /// Format a `push` request line (client side).
 pub fn format_push(id: u64, session: u64, values: &[f32]) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .str("cmd", "push")
+    command(id, "push")
         .int("session", session)
         .nums("values", values.iter().copied())
         .finish()
@@ -385,9 +420,7 @@ pub fn format_push(id: u64, session: u64, values: &[f32]) -> String {
 /// Format a `push` response while the rolling window is still filling:
 /// `pending` rows are still needed before forecasts flow.
 pub fn format_push_pending(id: u64, session: u64, pending: usize) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
+    header(id, true)
         .int("session", session)
         .int("pending", pending as u64)
         .finish()
@@ -402,9 +435,7 @@ pub fn format_push_ok(
     adapted: bool,
     forecast: &[f32],
 ) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
+    header(id, true)
         .int("session", session)
         .int("gen", generation)
         .bool("adapted", adapted)
@@ -414,19 +445,13 @@ pub fn format_push_ok(
 
 /// Format a `close` request line (client side).
 pub fn format_close(id: u64, session: u64) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .str("cmd", "close")
-        .int("session", session)
-        .finish()
+    command(id, "close").int("session", session).finish()
 }
 
 /// Format a successful `close` response echoing the session's lifetime
 /// counts.
 pub fn format_close_ok(id: u64, session: u64, pushed: u64, forecasts: u64) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
+    header(id, true)
         .int("session", session)
         .int("pushed", pushed)
         .int("forecasts", forecasts)
@@ -451,59 +476,26 @@ pub enum PushReply {
 
 /// Parse an `open` response into `(id, Result<(session, window_rows), error>)`.
 pub fn parse_open_response(line: &str) -> Result<(u64, Result<(u64, usize), String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let session = num("session").ok_or("open response missing 'session'")? as u64;
-        let window = num("window").ok_or("open response missing 'window'")? as usize;
-        Ok((id, Ok((session, window))))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    read_reply(line, |f| Ok((f.id("session")?, f.need("window")? as usize)))
 }
 
 /// Parse a `push` response into `(id, Result<PushReply, error>)`.
 pub fn parse_push_response(line: &str) -> Result<(u64, Result<PushReply, String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if !ok {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        return Ok((id, Err(error.to_string())));
-    }
-    if let Some(forecast) = field(&fields, "forecast").and_then(|v| v.as_arr()) {
-        Ok((
-            id,
-            Ok(PushReply::Forecast {
-                generation: num("gen").ok_or("push response missing 'gen'")? as u64,
-                adapted: field(&fields, "adapted").and_then(|v| v.as_bool()).unwrap_or(false),
-                forecast: forecast.iter().map(|&v| v as f32).collect(),
-            }),
-        ))
-    } else {
-        let pending = num("pending").ok_or("push response missing 'pending'")? as usize;
-        Ok((id, Ok(PushReply::Pending(pending))))
-    }
+    read_reply(line, |f| {
+        Ok(match f.floats("forecast") {
+            Some(forecast) => PushReply::Forecast {
+                generation: f.need("gen")? as u64,
+                adapted: f.flag("adapted"),
+                forecast,
+            },
+            None => PushReply::Pending(f.need("pending")? as usize),
+        })
+    })
 }
 
 /// Parse a `close` response into `(id, Result<(pushed, forecasts), error>)`.
 pub fn parse_close_response(line: &str) -> Result<(u64, Result<(u64, u64), String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let pushed = num("pushed").unwrap_or(0.0) as u64;
-        let forecasts = num("forecasts").unwrap_or(0.0) as u64;
-        Ok((id, Ok((pushed, forecasts))))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    read_reply(line, |f| Ok((f.count("pushed"), f.count("forecasts"))))
 }
 
 /// Best-effort extraction of the `id` field from a request line that may
@@ -512,71 +504,28 @@ pub fn parse_close_response(line: &str) -> Result<(u64, Result<(u64, u64), Strin
 /// `0`. Scans for an `"id"` key textually; returns `None` when no
 /// plausible numeric id exists.
 pub fn extract_id(line: &str) -> Option<u64> {
-    let bytes = line.as_bytes();
-    let key = b"\"id\"";
-    let mut from = 0;
-    while let Some(pos) = find(bytes, key, from) {
-        let mut i = pos + key.len();
-        while bytes.get(i).is_some_and(|b| b.is_ascii_whitespace()) {
-            i += 1;
-        }
-        if bytes.get(i) != Some(&b':') {
-            from = pos + key.len();
-            continue;
-        }
-        i += 1;
-        while bytes.get(i).is_some_and(|b| b.is_ascii_whitespace()) {
-            i += 1;
-        }
-        let start = i;
-        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-        if i > start {
-            if let Ok(v) = line[start..i].parse::<u64>() {
-                return Some(v);
-            }
-        }
-        from = pos + key.len();
-    }
-    None
-}
-
-fn find(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    haystack
-        .get(from..)?
-        .windows(needle.len())
-        .position(|w| w == needle)
-        .map(|p| p + from)
+    let ws = |c: char| c.is_ascii_whitespace();
+    line.match_indices("\"id\"").find_map(|(pos, key)| {
+        let rest = line[pos + key.len()..].trim_start_matches(ws);
+        let rest = rest.strip_prefix(':')?.trim_start_matches(ws);
+        let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        rest[..digits].parse().ok()
+    })
 }
 
 /// Format a metrics response: the exposition text rides in a JSON string
 /// (its newlines become `\n` escapes, keeping the response one line).
 pub fn format_metrics(id: u64, text: &str) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
-        .str("metrics", text)
-        .finish()
+    header(id, true).str("metrics", text).finish()
 }
 
 /// Parse a metrics response back into `(id, Result<text, error>)` — the
 /// client half of the `"metrics"` command.
 pub fn parse_metrics_response(line: &str) -> Result<(u64, Result<String, String>), String> {
-    let fields = parse_object(line)?;
-    let id = field(&fields, "id")
-        .and_then(|v| v.as_num())
-        .ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let text = field(&fields, "metrics")
-            .and_then(|v| v.as_str())
-            .ok_or("ok response missing 'metrics'")?;
-        Ok((id, Ok(text.to_string())))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    read_reply(line, |f| {
+        f.string("metrics")
+            .ok_or_else(|| "ok response missing 'metrics'".to_string())
+    })
 }
 
 /// One model's live serving state, as carried by the `"stats"` command.
@@ -664,18 +613,12 @@ pub struct StatsReport {
 
 /// Format a stats request line (client side).
 pub fn format_stats_request(id: u64, model: Option<&str>) -> String {
-    let mut o = JsonObj::new().int("id", id).str("cmd", "stats");
-    if let Some(m) = model {
-        o = o.str("model", m);
-    }
-    o.finish()
+    with_model(command(id, "stats"), model).finish()
 }
 
 /// Format a stats response carrying one model's [`StatsReport`].
 pub fn format_stats(id: u64, r: &StatsReport) -> String {
-    JsonObj::new()
-        .int("id", id)
-        .bool("ok", true)
+    header(id, true)
         .str("model", &r.model)
         .int("gen", r.generation)
         .int("replicas", r.replicas as u64)
@@ -719,69 +662,55 @@ pub fn format_stats(id: u64, r: &StatsReport) -> String {
 /// Parse a stats response into `(id, Result<report, error>)` — the
 /// client half of the `"stats"` command (`lttf watch` runs on this).
 pub fn parse_stats_response(line: &str) -> Result<(u64, Result<StatsReport, String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if !ok {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        return Ok((id, Err(error.to_string())));
-    }
-    let need = |k: &str| num(k).ok_or_else(|| format!("stats response missing '{k}'"));
-    let flag = |k: &str| field(&fields, k).and_then(|v| v.as_bool()).unwrap_or(false);
-    let report = StatsReport {
-        model: field(&fields, "model")
-            .and_then(|v| v.as_str())
-            .ok_or("stats response missing 'model'")?
-            .to_string(),
-        generation: need("gen")? as u64,
-        replicas: need("replicas")? as usize,
-        queue_depth: need("queue_depth")? as usize,
-        served_total: need("served_total")? as u64,
-        window_ms: need("window_ms")? as u64,
-        window_count: need("window_count")? as u64,
-        p50_ms: need("p50_ms")?,
-        p95_ms: need("p95_ms")?,
-        p99_ms: need("p99_ms")?,
-        queue_p50_ms: need("queue_p50_ms")?,
-        service_p50_ms: need("service_p50_ms")?,
-        // Cost/memory fields are absent in pre-attribution stats lines;
-        // default them so old servers still parse.
-        cpu_p50_ms: num("cpu_p50_ms").unwrap_or(0.0),
-        cpu_p95_ms: num("cpu_p95_ms").unwrap_or(0.0),
-        alloc_p50_bytes: num("alloc_p50_bytes").unwrap_or(0.0),
-        alloc_p95_bytes: num("alloc_p95_bytes").unwrap_or(0.0),
-        mem_live_bytes: num("mem_live_bytes").unwrap_or(0.0) as u64,
-        mem_peak_bytes: num("mem_peak_bytes").unwrap_or(0.0) as u64,
-        shed_per_sec: need("shed_per_sec")?,
-        rejected_per_sec: need("rejected_per_sec")?,
-        resubmitted_per_sec: need("resubmitted_per_sec")?,
-        drift_available: flag("drift_available"),
-        drift_alert: flag("drift_alert"),
-        drift_scores: field(&fields, "drift_scores")
-            .and_then(|v| v.as_arr())
-            .map(|a| a.to_vec())
-            .unwrap_or_default(),
-        drift_prediction_score: num("drift_prediction_score").unwrap_or(0.0),
-        drift_threshold: num("drift_threshold").unwrap_or(0.0),
-        drift_window_count: num("drift_window_count").unwrap_or(0.0) as u64,
-        // Session/adapter fields are absent in pre-session stats lines;
-        // default them so old servers still parse.
-        sessions_open: num("sessions_open").unwrap_or(0.0) as u64,
-        sessions_opened: num("sessions_opened").unwrap_or(0.0) as u64,
-        session_evictions: num("session_evictions").unwrap_or(0.0) as u64,
-        adapt_enabled: flag("adapt_enabled"),
-        adapt_state: field(&fields, "adapt_state")
-            .and_then(|v| v.as_str())
-            .unwrap_or("off")
-            .to_string(),
-        adapt_steps: num("adapt_steps").unwrap_or(0.0) as u64,
-        adapt_rollbacks: num("adapt_rollbacks").unwrap_or(0.0) as u64,
-        adapt_publishes: num("adapt_publishes").unwrap_or(0.0) as u64,
-        adapt_cpu_ms: num("adapt_cpu_ms").unwrap_or(0.0),
-        adapt_alloc_bytes: num("adapt_alloc_bytes").unwrap_or(0.0) as u64,
-    };
-    Ok((id, Ok(report)))
+    read_reply(line, |f| {
+        Ok(StatsReport {
+            model: f.string("model").ok_or("stats response missing 'model'")?,
+            generation: f.need("gen")? as u64,
+            replicas: f.need("replicas")? as usize,
+            queue_depth: f.need("queue_depth")? as usize,
+            served_total: f.need("served_total")? as u64,
+            window_ms: f.need("window_ms")? as u64,
+            window_count: f.need("window_count")? as u64,
+            p50_ms: f.need("p50_ms")?,
+            p95_ms: f.need("p95_ms")?,
+            p99_ms: f.need("p99_ms")?,
+            queue_p50_ms: f.need("queue_p50_ms")?,
+            service_p50_ms: f.need("service_p50_ms")?,
+            // Cost/memory fields are absent in pre-attribution stats
+            // lines; default them so old servers still parse.
+            cpu_p50_ms: f.num("cpu_p50_ms").unwrap_or(0.0),
+            cpu_p95_ms: f.num("cpu_p95_ms").unwrap_or(0.0),
+            alloc_p50_bytes: f.num("alloc_p50_bytes").unwrap_or(0.0),
+            alloc_p95_bytes: f.num("alloc_p95_bytes").unwrap_or(0.0),
+            mem_live_bytes: f.count("mem_live_bytes"),
+            mem_peak_bytes: f.count("mem_peak_bytes"),
+            shed_per_sec: f.need("shed_per_sec")?,
+            rejected_per_sec: f.need("rejected_per_sec")?,
+            resubmitted_per_sec: f.need("resubmitted_per_sec")?,
+            drift_available: f.flag("drift_available"),
+            drift_alert: f.flag("drift_alert"),
+            drift_scores: f
+                .get("drift_scores")
+                .and_then(JsonValue::as_arr)
+                .map(<[f64]>::to_vec)
+                .unwrap_or_default(),
+            drift_prediction_score: f.num("drift_prediction_score").unwrap_or(0.0),
+            drift_threshold: f.num("drift_threshold").unwrap_or(0.0),
+            drift_window_count: f.count("drift_window_count"),
+            // Session/adapter fields are absent in pre-session stats
+            // lines; default them so old servers still parse.
+            sessions_open: f.count("sessions_open"),
+            sessions_opened: f.count("sessions_opened"),
+            session_evictions: f.count("session_evictions"),
+            adapt_enabled: f.flag("adapt_enabled"),
+            adapt_state: f.str("adapt_state").unwrap_or("off").to_string(),
+            adapt_steps: f.count("adapt_steps"),
+            adapt_rollbacks: f.count("adapt_rollbacks"),
+            adapt_publishes: f.count("adapt_publishes"),
+            adapt_cpu_ms: f.num("adapt_cpu_ms").unwrap_or(0.0),
+            adapt_alloc_bytes: f.count("adapt_alloc_bytes"),
+        })
+    })
 }
 
 /// Everything a client can learn from one forecast response line.
@@ -797,78 +726,112 @@ pub struct ResponseMeta {
     pub result: Result<Vec<f32>, String>,
 }
 
-/// Parse a response line with its metadata (generation stamp, backoff
-/// hint) — the full client half of the protocol. The load generator uses
-/// `retry_after_ms` to tell shed traffic from hard failures, and the
-/// reload e2e uses `generation` to prove no mixed-generation batches.
+/// Parse a forecast response line with its metadata (generation stamp,
+/// backoff hint) — the client half of a one-shot forecast. The load
+/// generator uses `retry_after_ms` to tell shed traffic from hard
+/// failures, and the reload e2e uses `generation` to prove no
+/// mixed-generation batches.
 pub fn parse_response_meta(line: &str) -> Result<ResponseMeta, String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let forecast = field(&fields, "forecast")
-            .and_then(|v| v.as_arr())
-            .ok_or("ok response missing 'forecast'")?;
-        Ok(ResponseMeta {
-            id,
-            generation: num("gen").map(|v| v as u64),
-            retry_after_ms: None,
-            result: Ok(forecast.iter().map(|&v| v as f32).collect()),
-        })
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok(ResponseMeta {
-            id,
-            generation: None,
-            retry_after_ms: num("retry_after_ms").map(|v| v as u64),
-            result: Err(error.to_string()),
-        })
-    }
-}
-
-/// Parse a response line back into `(id, Result<forecast, error>)` — the
-/// compact client half used by `lttf bench-serve` and the tests.
-pub fn parse_response(line: &str) -> Result<(u64, Result<Vec<f32>, String>), String> {
-    parse_response_meta(line).map(|m| (m.id, m.result))
+    let mut generation = None;
+    let (id, retry_after_ms, result) = read_envelope(line, |f| {
+        generation = f.num("gen").map(|v| v as u64);
+        f.floats("forecast")
+            .ok_or_else(|| "ok response missing 'forecast'".to_string())
+    })?;
+    Ok(ResponseMeta {
+        id,
+        generation,
+        retry_after_ms,
+        result,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn request(id: u64) -> Request {
+        Request {
+            id,
+            values: vec![1.5, -2.25, 0.125],
+            t0: 1_700_000_000,
+            dt: 60,
+            deadline_ms: Some(250),
+            model: None,
+        }
+    }
+
     #[test]
     fn request_round_trip() {
-        let line = JsonObj::new()
-            .int("id", 7)
-            .nums("values", [1.5f32, -2.25, 0.125])
-            .int("t0", 1_700_000_000)
-            .int("dt", 60)
-            .int("deadline_ms", 250)
-            .finish();
-        let r = parse_request(&line).unwrap();
+        let line = format_request(&request(7));
+        let Command::Forecast(r) = parse_command(&line).unwrap() else {
+            panic!("expected Forecast from {line}");
+        };
         assert_eq!(r.id, 7);
         assert_eq!(r.values, vec![1.5, -2.25, 0.125]);
         assert_eq!(r.t0, 1_700_000_000);
         assert_eq!(r.dt, 60);
         assert_eq!(r.deadline_ms, Some(250));
         assert!(r.model.is_none());
+
+        // The optional fields, and a t0 before the epoch, survive too.
+        let r = Request {
+            t0: -3600,
+            deadline_ms: None,
+            model: Some("demo".to_string()),
+            ..request(8)
+        };
+        assert_eq!(
+            parse_command(&format_request(&r)).unwrap(),
+            Command::Forecast(r)
+        );
+    }
+
+    #[test]
+    fn ids_outside_the_exact_f64_range_are_rejected() {
+        // An `as u64` cast of the parsed f64 would echo each of these as
+        // a different id: rounded to 2^53, clamped to u64::MAX, clamped
+        // to 0, truncated to 1.
+        for id in ["9007199254740993", "18446744073709551614", "-1", "1.5"] {
+            for line in [
+                format!("{{\"id\":{id},\"t0\":0,\"values\":[1]}}"),
+                format!("{{\"id\":{id},\"cmd\":\"stats\"}}"),
+                format!("{{\"id\":1,\"cmd\":\"close\",\"session\":{id}}}"),
+                format!("{{\"id\":{id},\"ok\":false,\"error\":\"x\"}}"),
+            ] {
+                let err = if line.contains("\"ok\"") {
+                    parse_response_meta(&line).unwrap_err()
+                } else {
+                    parse_command(&line).unwrap_err()
+                };
+                let want = "must be an integer in 0..2^53";
+                assert!(err.contains(want), "{line}: {err}");
+            }
+        }
+        // The largest exact id round-trips unchanged.
+        let max = (1u64 << 53) - 1;
+        let line = format_request(&request(max));
+        assert!(matches!(parse_command(&line).unwrap(), Command::Forecast(r) if r.id == max));
+        assert_eq!(parse_response_meta(&format_err(max, "x")).unwrap().id, max);
+        // The server answers an out-of-range id with the exact text id.
+        assert_eq!(
+            extract_id("{\"id\":9007199254740993,\"cmd\":\"stats\"}"),
+            Some(9_007_199_254_740_993)
+        );
     }
 
     #[test]
     fn response_round_trip_is_bit_exact() {
         let forecast = vec![0.1f32, -3.5e-5, 1.0e8, f32::MIN_POSITIVE];
-        let (id, res) = parse_response(&format_ok(42, 3, &forecast)).unwrap();
-        assert_eq!(id, 42);
-        assert_eq!(res.unwrap(), forecast);
-
         let meta = parse_response_meta(&format_ok(42, 3, &forecast)).unwrap();
+        assert_eq!(meta.id, 42);
+        assert_eq!(meta.result.unwrap(), forecast);
         assert_eq!(meta.generation, Some(3));
         assert_eq!(meta.retry_after_ms, None);
 
-        let (id, res) = parse_response(&format_err(9, "queue full")).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(res.unwrap_err(), "queue full");
+        let meta = parse_response_meta(&format_err(9, "queue full")).unwrap();
+        assert_eq!(meta.id, 9);
+        assert_eq!(meta.result.unwrap_err(), "queue full");
     }
 
     #[test]
@@ -1089,11 +1052,14 @@ mod tests {
 
     #[test]
     fn malformed_requests_rejected() {
-        assert!(parse_request("not json").is_err());
-        assert!(parse_request("{\"values\":[1,2]}").is_err()); // no id
-        assert!(parse_request("{\"id\":1,\"t0\":0}").is_err()); // no values
-        // non-finite input must be caught before it reaches the model
+        assert!(parse_command("not json").is_err());
+        assert!(parse_command("{\"values\":[1,2]}").is_err()); // no id
+        assert!(parse_command("{\"id\":1,\"t0\":0}").is_err()); // no values
+        // non-finite input must be caught before it reaches the model,
+        // including a finite f64 that overflows f32
         let line = "{\"id\":1,\"t0\":0,\"values\":[1,null,2]}";
-        assert!(parse_request(line).unwrap_err().contains("non-finite"));
+        assert!(parse_command(line).unwrap_err().contains("non-finite"));
+        let line = "{\"id\":1,\"t0\":0,\"values\":[1,1e39]}";
+        assert!(parse_command(line).unwrap_err().contains("non-finite"));
     }
 }

@@ -56,7 +56,6 @@ use crate::admission::{Admission, AdmissionConfig};
 use crate::dispatch::{ModelEntry, Policy, PoolConfig};
 use crate::drift::DriftConfig;
 use crate::engine::{BatchConfig, Reject};
-use crate::latency::LatencySummary;
 use crate::metrics::{self, ServerGauges};
 use crate::protocol::{
     extract_id, format_close_ok, format_err, format_metrics, format_ok, format_open_ok,
@@ -65,7 +64,7 @@ use crate::protocol::{
 };
 use crate::registry::{LoadedModel, Registry, Window};
 use crate::session::{SessionConfig, SessionShape, SessionTable};
-use crate::stats::FlowStats;
+use crate::stats::{FlowStats, LatencySummary};
 
 /// How often blocked connection reads wake up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
@@ -798,18 +797,23 @@ fn publish_adapted(old: &Arc<ModelEntry>, tuned: lttf_eval::TrainedModel, shared
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{parse_reload_response, parse_response, parse_response_meta};
+    use crate::protocol::{format_request, parse_reload_response, parse_response_meta, Request};
     use crate::registry::tiny_model;
-    use lttf_obs::jsonl::JsonObj;
     use lttf_tensor::{Rng, Tensor};
 
+    fn request(id: u64, values: &[f32]) -> Request {
+        Request {
+            id,
+            values: values.to_vec(),
+            t0: 1_700_000_000,
+            dt: 3600,
+            deadline_ms: None,
+            model: None,
+        }
+    }
+
     fn request_line(id: u64, values: &[f32]) -> String {
-        JsonObj::new()
-            .int("id", id)
-            .nums("values", values.iter().copied())
-            .int("t0", 1_700_000_000)
-            .int("dt", 3600)
-            .finish()
+        format_request(&request(id, values))
     }
 
     fn roundtrip(addr: SocketAddr, lines: &[String]) -> Vec<String> {
@@ -844,9 +848,9 @@ mod tests {
         assert_eq!(meta.result.unwrap(), expect, "wire forecast != direct forward");
 
         let bad = roundtrip(handle.addr(), &["{\"id\":9,\"t0\":0}".to_string()]);
-        let (id, res) = parse_response(&bad[0]).unwrap();
-        assert_eq!(id, 9, "parse-failure replies must echo the extracted id");
-        assert!(res.unwrap_err().contains("bad request"));
+        let meta = parse_response_meta(&bad[0]).unwrap();
+        assert_eq!(meta.id, 9, "parse-failure replies must echo the extracted id");
+        assert!(meta.result.unwrap_err().contains("bad request"));
 
         let summaries = handle.shutdown();
         assert_eq!(summaries.len(), 1);
@@ -871,8 +875,7 @@ mod tests {
         let handle = serve(reg, "127.0.0.1:0", cfg).unwrap();
         let lines: Vec<String> = (0..6).map(|i| request_line(i, &raw)).collect();
         for resp in roundtrip(handle.addr(), &lines) {
-            let (_, res) = parse_response(&resp).unwrap();
-            assert_eq!(res.unwrap(), expect);
+            assert_eq!(parse_response_meta(&resp).unwrap().result.unwrap(), expect);
         }
         let summaries = handle.shutdown();
         assert_eq!(summaries[0].1.count, 6);
@@ -938,14 +941,12 @@ mod tests {
         let raw = vec![0.5f32; model.window_len()];
         let reg = Registry::single("demo", model);
         let handle = serve(reg, "127.0.0.1:0", ServeConfig::default()).unwrap();
-        let line = JsonObj::new()
-            .int("id", 1)
-            .str("model", "nope")
-            .nums("values", raw.iter().copied())
-            .int("t0", 0)
-            .finish();
+        let line = format_request(&Request {
+            model: Some("nope".to_string()),
+            ..request(1, &raw)
+        });
         let responses = roundtrip(handle.addr(), &[line]);
-        let (_, res) = parse_response(&responses[0]).unwrap();
+        let res = parse_response_meta(&responses[0]).unwrap().result;
         assert!(res.unwrap_err().contains("unknown model"));
         handle.shutdown();
     }
@@ -973,9 +974,9 @@ mod tests {
 
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
-        let (id, res) = parse_response(resp.trim_end()).unwrap();
-        assert_eq!(id, 77, "oversize reject must carry the extracted id");
-        assert!(res.unwrap_err().contains("exceeds"), "{resp}");
+        let meta = parse_response_meta(resp.trim_end()).unwrap();
+        assert_eq!(meta.id, 77, "oversize reject must carry the extracted id");
+        assert!(meta.result.unwrap_err().contains("exceeds"), "{resp}");
         // The server closes the connection after the reject.
         let mut next = String::new();
         assert_eq!(reader.read_line(&mut next).unwrap_or(0), 0, "connection must be closed");
@@ -999,7 +1000,7 @@ mod tests {
         let lines: Vec<String> = (0..3).map(|i| request_line(i, &raw)).collect();
         let responses = roundtrip(handle.addr(), &lines);
         for resp in &responses[..2] {
-            let (_, res) = parse_response(resp).unwrap();
+            let res = parse_response_meta(resp).unwrap().result;
             assert!(res.is_ok(), "burst capacity must admit: {resp}");
         }
         let meta = parse_response_meta(&responses[2]).unwrap();

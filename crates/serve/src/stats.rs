@@ -4,7 +4,8 @@
 //!
 //! - a **lifetime** histogram of total request latency (exact count /
 //!   sum / min / max, quantiles within 3.125%), exposed as a Prometheus
-//!   `_bucket`/`_sum`/`_count` family and used for the shutdown summary;
+//!   `_bucket`/`_sum`/`_count` family and used for the shutdown
+//!   [`LatencySummary`];
 //! - **trailing-window** histograms (12 × 10 s by default) of total
 //!   latency, queue wait, and service time, answering "what is p99
 //!   *right now*" in O(1) memory under unbounded traffic;
@@ -20,8 +21,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use lttf_obs::hist::{Histogram, WindowedCounter, WindowedHistogram};
-
-use crate::latency::LatencySummary;
 
 /// Number of rotating window buckets on the live path.
 pub const WINDOW_BUCKETS: usize = 12;
@@ -61,6 +60,58 @@ pub struct WindowSnapshot {
     pub alloc: Histogram,
     /// Trailing-window span in milliseconds.
     pub window_ms: u64,
+}
+
+/// A latency percentile summary, read off a [`Histogram`] of
+/// nanosecond samples: count, min, max and mean are exact; quantiles are
+/// within the histogram's 3.125% relative-error bound (and monotone:
+/// p50 <= p95 <= p99). Printed on shutdown and written by
+/// `lttf bench-serve`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LatencySummary {
+    /// Number of completed requests.
+    pub count: usize,
+    /// Median latency, nanoseconds.
+    pub p50_ns: u64,
+    /// 95th percentile, nanoseconds.
+    pub p95_ns: u64,
+    /// 99th percentile, nanoseconds.
+    pub p99_ns: u64,
+    /// Fastest request, nanoseconds.
+    pub min_ns: u64,
+    /// Slowest request, nanoseconds.
+    pub max_ns: u64,
+    /// Arithmetic mean, nanoseconds.
+    pub mean_ns: u64,
+}
+
+impl From<&Histogram> for LatencySummary {
+    fn from(h: &Histogram) -> LatencySummary {
+        LatencySummary {
+            count: h.count() as usize,
+            p50_ns: h.quantile(0.50),
+            p95_ns: h.quantile(0.95),
+            p99_ns: h.quantile(0.99),
+            min_ns: h.min(),
+            max_ns: h.max(),
+            mean_ns: h.mean(),
+        }
+    }
+}
+
+impl LatencySummary {
+    /// One-line human rendering with millisecond units.
+    pub fn render(&self) -> String {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        format!(
+            "{} requests: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
+            self.count,
+            ms(self.p50_ns),
+            ms(self.p95_ns),
+            ms(self.p99_ns),
+            ms(self.max_ns),
+        )
+    }
 }
 
 /// Shared live statistics for one model's replica pool.
@@ -191,20 +242,9 @@ impl ServeStats {
         }
     }
 
-    /// The shutdown/e2e summary, from the lifetime histogram: count,
-    /// min, max, and mean are exact; quantiles are within the 1/32
-    /// relative-error bound (and monotone: p50 <= p95 <= p99).
+    /// The shutdown/e2e summary of the lifetime histogram.
     pub fn summary(&self) -> LatencySummary {
-        let life = self.lifetime.lock().unwrap_or_else(|e| e.into_inner());
-        LatencySummary {
-            count: life.count() as usize,
-            p50_ns: life.quantile(0.50),
-            p95_ns: life.quantile(0.95),
-            p99_ns: life.quantile(0.99),
-            min_ns: life.min(),
-            max_ns: life.max(),
-            mean_ns: life.mean(),
-        }
+        LatencySummary::from(&*self.lifetime.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 

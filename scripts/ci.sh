@@ -250,6 +250,14 @@ for threads in 1 4; do
         *'"pushed":17'*'"forecasts":2'*) ;;
         *) echo "FAIL: close summary wrong at LTTF_THREADS=$threads: $resp" >&2; exit 1 ;;
     esac
+    # An id past 2^53 does not survive the f64 parse: the server must
+    # refuse it and echo the id exactly as sent, not a rounded one.
+    echo '{"id":9007199254740993,"cmd":"stats"}' >&8
+    IFS= read -r resp <&8
+    case "$resp" in
+        *'"id":9007199254740993,"ok":false'*) ;;
+        *) echo "FAIL: out-of-range id not refused with its exact echo at LTTF_THREADS=$threads: $resp" >&2; exit 1 ;;
+    esac
     exec 8>&-
     echo quit >&9
     exec 9>&-

@@ -852,46 +852,53 @@ fn bench_serve_run(
     threads: usize,
     per_thread: usize,
     window: &[f32],
-) -> (std::time::Duration, lttf::serve::LatencyStats) {
+) -> (std::time::Duration, lttf::serve::LatencySummary) {
     use std::io::{BufRead, BufReader, Write};
     let t0 = std::time::Instant::now();
     let handles: Vec<_> = (0..threads)
         .map(|t| {
-            let window = window.to_vec();
+            let mut req = bench_request(window);
             std::thread::spawn(move || {
                 let stream = std::net::TcpStream::connect(addr).expect("connect");
                 stream.set_nodelay(true).expect("nodelay");
                 let mut writer = stream.try_clone().expect("clone");
                 let mut reader = BufReader::new(stream);
-                let mut lat = Vec::with_capacity(per_thread);
+                let mut lat = lttf::obs::hist::Histogram::new();
                 let mut resp = String::new();
                 for i in 0..per_thread {
-                    let line = lttf::obs::JsonObj::new()
-                        .int("id", (t * per_thread + i) as u64)
-                        .nums("values", window.iter().copied())
-                        .int("t0", 1_700_000_000)
-                        .int("dt", 3600)
-                        .finish();
+                    req.id = (t * per_thread + i) as u64;
+                    let line = lttf::serve::protocol::format_request(&req);
                     let sent = std::time::Instant::now();
                     writeln!(writer, "{line}").expect("send");
                     resp.clear();
                     reader.read_line(&mut resp).expect("recv");
-                    lat.push(sent.elapsed().as_nanos() as u64);
-                    let (_, result) =
-                        lttf::serve::protocol::parse_response(resp.trim_end()).expect("parse");
-                    result.expect("request failed");
+                    lat.record(sent.elapsed().as_nanos() as u64);
+                    let meta =
+                        lttf::serve::protocol::parse_response_meta(resp.trim_end()).expect("parse");
+                    meta.result.expect("request failed");
                 }
                 lat
             })
         })
         .collect();
-    let mut stats = lttf::serve::LatencyStats::new();
+    let mut lat = lttf::obs::hist::Histogram::new();
     for h in handles {
-        for ns in h.join().expect("client thread") {
-            stats.record(ns);
-        }
+        lat.merge(&h.join().expect("client thread"));
     }
-    (t0.elapsed(), stats)
+    (t0.elapsed(), (&lat).into())
+}
+
+/// The one-shot forecast request both load generators send, re-stamped
+/// with a fresh id before each send.
+fn bench_request(window: &[f32]) -> lttf::serve::protocol::Request {
+    lttf::serve::protocol::Request {
+        id: 0,
+        values: window.to_vec(),
+        t0: 1_700_000_000,
+        dt: 3600,
+        deadline_ms: None,
+        model: None,
+    }
 }
 
 /// Arrival-rate envelope for the open-loop generator: a multiplier on
@@ -979,7 +986,7 @@ struct OpenLoopOutcome {
     completed: u64,
     shed: u64,
     failed: u64,
-    stats: lttf::serve::LatencyStats,
+    stats: lttf::obs::hist::Histogram,
     elapsed: std::time::Duration,
     first_error: Option<String>,
 }
@@ -1013,14 +1020,14 @@ fn open_loop_run(
                 pattern,
                 duration,
             );
-            let window = window.to_vec();
+            let mut req = bench_request(window);
             std::thread::spawn(move || {
                 let mut out = OpenLoopOutcome {
                     sent: 0,
                     completed: 0,
                     shed: 0,
                     failed: 0,
-                    stats: lttf::serve::LatencyStats::new(),
+                    stats: lttf::obs::hist::Histogram::new(),
                     elapsed: std::time::Duration::ZERO,
                     first_error: None,
                 };
@@ -1045,12 +1052,8 @@ fn open_loop_run(
                     if let Some(wait) = due.checked_sub(start.elapsed()) {
                         std::thread::sleep(wait);
                     }
-                    let line = lttf::obs::JsonObj::new()
-                        .int("id", ((c as u64) << 32) | k as u64)
-                        .nums("values", window.iter().copied())
-                        .int("t0", 1_700_000_000)
-                        .int("dt", 3600)
-                        .finish();
+                    req.id = ((c as u64) << 32) | k as u64;
+                    let line = lttf::serve::protocol::format_request(&req);
                     let sent_at = std::time::Instant::now();
                     if writeln!(writer, "{line}").is_err() {
                         out.failed += 1;
@@ -1097,7 +1100,7 @@ fn open_loop_run(
         completed: 0,
         shed: 0,
         failed: 0,
-        stats: lttf::serve::LatencyStats::new(),
+        stats: lttf::obs::hist::Histogram::new(),
         elapsed: std::time::Duration::ZERO,
         first_error: None,
     };
@@ -1225,12 +1228,14 @@ fn stream_series(
         }
     }
 
-    let stats = ask(&mut writer, proto::format_stats_request(u64::MAX - 1, None));
+    // Ids past the pushes' 1..=len, inside the protocol's 0..2^53.
+    let (stats_id, close_id) = (len as u64 + 1, len as u64 + 2);
+    let stats = ask(&mut writer, proto::format_stats_request(stats_id, None));
     if let Ok((_, Ok(report))) = proto::parse_stats_response(&stats) {
         out.publishes = report.adapt_publishes;
         out.rollbacks = report.adapt_rollbacks;
     }
-    let closed = ask(&mut writer, proto::format_close(u64::MAX, session));
+    let closed = ask(&mut writer, proto::format_close(close_id, session));
     let _ = proto::parse_close_response(&closed).expect("close parse");
     out
 }
@@ -1371,7 +1376,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 eprintln!("cannot start server: {e}");
                 exit(1);
             });
-        let mut out = open_loop_run(
+        let out = open_loop_run(
             handle.addr(),
             clients,
             rate,
@@ -1381,7 +1386,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
             &open_window,
         );
         handle.shutdown();
-        let summary = out.stats.summary();
+        let summary = lttf::serve::LatencySummary::from(&out.stats);
         let offered = out.sent as f64 / out.elapsed.as_secs_f64();
         let rps = out.completed as f64 / out.elapsed.as_secs_f64();
         println!(
@@ -1431,10 +1436,9 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 eprintln!("cannot start server: {e}");
                 exit(1);
             });
-            let (elapsed, mut stats) = bench_serve_run(handle.addr(), 1, n, &window);
+            let (elapsed, summary) = bench_serve_run(handle.addr(), 1, n, &window);
             handle.shutdown();
             let throughput = n as f64 / elapsed.as_secs_f64();
-            let summary = stats.summary();
             println!("single client: {throughput:.1} req/s, {}", summary.render());
             lines.push(
                 JsonObj::new()
@@ -1477,11 +1481,10 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 eprintln!("cannot start server: {e}");
                 exit(1);
             });
-            let (elapsed, mut stats) = bench_serve_run(handle.addr(), threads, requests, &window);
+            let (elapsed, summary) = bench_serve_run(handle.addr(), threads, requests, &window);
             handle.shutdown();
             let total = threads * requests;
             let throughput = total as f64 / elapsed.as_secs_f64();
-            let summary = stats.summary();
             println!(
                 "max_batch {batch}: {throughput:.1} req/s, {}",
                 summary.render()
@@ -1761,7 +1764,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         lttf::obs::alloc::reset_peak();
         let allocs_before = lttf::obs::alloc::allocs_total();
         let bytes_before = lttf::obs::alloc::alloc_bytes_total();
-        let (elapsed, mut stats) = bench_serve_run(handle.addr(), threads, requests, &window);
+        let (elapsed, summary) = bench_serve_run(handle.addr(), threads, requests, &window);
         let peak_bytes = lttf::obs::alloc::peak_bytes();
         let live_bytes = lttf::obs::alloc::live_bytes();
         let allocs = lttf::obs::alloc::allocs_total().saturating_sub(allocs_before);
@@ -1770,7 +1773,6 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         let allocs_per_request = allocs / n as u64;
         let alloc_bytes_per_request = alloc_bytes / n as u64;
         let throughput = n as f64 / elapsed.as_secs_f64();
-        let summary = stats.summary();
         println!(
             "memory: peak {} | live {} | {allocs_per_request} allocs/req, {} per request",
             fmt_bytes(peak_bytes),

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use lttf::conformer::ConformerConfig;
 use lttf::data::StandardScaler;
 use lttf::eval::TrainedModel;
-use lttf::obs::JsonObj;
 use lttf::serve::{
     protocol, serve, AdaptConfig, AdmissionConfig, BatchConfig, DriftConfig, LoadedModel, Policy,
     Registry, ServeConfig, SessionConfig,
@@ -37,16 +36,19 @@ fn raw_window(model: &LoadedModel, seed: u64) -> Vec<f32> {
         .to_vec()
 }
 
-fn request_line(id: u64, values: &[f32], deadline_ms: Option<u64>) -> String {
-    let mut obj = JsonObj::new()
-        .int("id", id)
-        .nums("values", values.iter().copied())
-        .int("t0", 1_700_000_000)
-        .int("dt", 3600);
-    if let Some(ms) = deadline_ms {
-        obj = obj.int("deadline_ms", ms);
+fn request(id: u64, values: &[f32], deadline_ms: Option<u64>) -> protocol::Request {
+    protocol::Request {
+        id,
+        values: values.to_vec(),
+        t0: 1_700_000_000,
+        dt: 3600,
+        deadline_ms,
+        model: None,
     }
-    obj.finish()
+}
+
+fn request_line(id: u64, values: &[f32], deadline_ms: Option<u64>) -> String {
+    protocol::format_request(&request(id, values, deadline_ms))
 }
 
 /// Open a connection, send one line, read one line back.
@@ -356,12 +358,10 @@ fn malformed_and_oversized_requests_get_error_responses() {
     assert!(res.unwrap_err().contains("expected 36 values"));
 
     // Unknown model name.
-    let line = JsonObj::new()
-        .int("id", 2)
-        .str("model", "missing")
-        .nums("values", raw_window(&test_model(), 1).iter().copied())
-        .int("t0", 0)
-        .finish();
+    let line = protocol::format_request(&protocol::Request {
+        model: Some("missing".to_string()),
+        ..request(2, &raw_window(&test_model(), 1), None)
+    });
     let (_, res) = ask(addr, &line);
     assert!(res.unwrap_err().contains("unknown model"));
 
