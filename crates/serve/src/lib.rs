@@ -2,8 +2,9 @@
 //!
 //! Zero-dependency batched inference serving for the Conformer
 //! reproduction: a model [`Registry`] that round-trips checkpoints plus
-//! scaler state, a dynamic micro-batching [`Engine`] (bounded queue,
-//! flush on `max_batch` or `max_wait_ms`), a replicated [`ReplicaPool`]
+//! scaler state, a work-conserving micro-batching [`Engine`] (bounded
+//! queue; each batch takes what is queued, up to `max_batch`, as soon as
+//! the replica is free), a replicated [`ReplicaPool`]
 //! dispatcher with [`Admission`] control, and a std-only TCP front end
 //! speaking newline-delimited JSON (see [`protocol`]).
 //!

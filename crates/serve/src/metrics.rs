@@ -13,6 +13,8 @@
 //!   family (`_bucket`/`_sum`/`_count`, cumulative and monotone — the
 //!   series `rate()`/`histogram_quantile()` work on),
 //! * per-replica served counters and windowed medians,
+//! * batches whose forward panicked (`lttf_serve_forward_panics_total`;
+//!   their requests got an error reply and are not counted as served),
 //! * windowed shed / queue-full / resubmit rates from admission and
 //!   dispatch,
 //! * the drift monitor's verdict: per-feature divergence scores against
@@ -87,6 +89,7 @@ pub fn render(entries: &[Arc<ModelEntry>], flow: &FlowRates, gauges: &ServerGaug
         let stats = pool.stats();
         let life = stats.lifetime();
         m.line("lttf_serve_requests_served_total", &labels, life.count() as f64);
+        m.line("lttf_serve_forward_panics_total", &labels, stats.forward_panics() as f64);
         // The cumulative distribution: monotone across scrapes, the
         // input to rate() + histogram_quantile().
         m.histogram("lttf_serve_latency_hist_seconds", &labels, &life, &LATENCY_LE_NS);
@@ -238,6 +241,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("lttf_serve_requests_served_total{model=\"demo\"} 1\n"), "{text}");
+        assert!(text.contains("lttf_serve_forward_panics_total{model=\"demo\"} 0\n"), "{text}");
         // Windowed quantiles carry the generation label.
         assert!(
             text.contains("lttf_serve_latency_seconds{model=\"demo\",gen=\"3\",quantile=\"0.99\"}"),

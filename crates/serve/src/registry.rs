@@ -457,10 +457,17 @@ impl Registry {
 /// A small in-memory model for unit tests across the crate.
 #[cfg(test)]
 pub(crate) fn tiny_model() -> LoadedModel {
+    tiny_model_with_c_in(2)
+}
+
+/// [`tiny_model`] over `c_in` input variables (at least 2): its windows
+/// do not fit a model with another `c_in`.
+#[cfg(test)]
+pub(crate) fn tiny_model_with_c_in(c_in: usize) -> LoadedModel {
     use lttf_tensor::Rng;
-    let cfg = ConformerConfig::tiny(2, 8, 4);
+    let cfg = ConformerConfig::tiny(c_in, 8, 4);
     let model = TrainedModel::from_conformer(&cfg, 3);
-    let fit_on = Tensor::randn(&[64, 2], &mut Rng::seed(9))
+    let fit_on = Tensor::randn(&[64, c_in], &mut Rng::seed(9))
         .mul_scalar(3.0)
         .add_scalar(5.0);
     let scaler = StandardScaler::fit(&fit_on);

@@ -9,7 +9,8 @@
 //! - **trailing-window** histograms (12 × 10 s by default) of total
 //!   latency, queue wait, and service time, answering "what is p99
 //!   *right now*" in O(1) memory under unbounded traffic;
-//! - per-replica served counters and windowed latency.
+//! - per-replica served counters and windowed latency;
+//! - a count of batches whose forward panicked.
 //!
 //! The batcher records once per batch under one short lock; readers
 //! merge the live window buckets on demand. All timestamps are
@@ -120,6 +121,8 @@ pub struct ServeStats {
     lifetime: Mutex<Histogram>,
     windows: Mutex<Windows>,
     replicas: Vec<ReplicaStats>,
+    /// Batches whose forward panicked; their requests are not served.
+    forward_panics: AtomicU64,
 }
 
 impl ServeStats {
@@ -146,6 +149,7 @@ impl ServeStats {
             replicas: (0..replicas.max(1))
                 .map(|_| ReplicaStats { served: AtomicU64::new(0), window: Mutex::new(wh()) })
                 .collect(),
+            forward_panics: AtomicU64::new(0),
         })
     }
 
@@ -201,6 +205,17 @@ impl ServeStats {
                 w.record(t, total);
             }
         }
+    }
+
+    /// Count one batch whose forward panicked. Its requests were answered
+    /// with an error, so it records no latency and no served request.
+    pub fn record_forward_panic(&self) {
+        self.forward_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Batches whose forward panicked, over the stats' lifetime.
+    pub fn forward_panics(&self) -> u64 {
+        self.forward_panics.load(Ordering::Relaxed)
     }
 
     /// Requests served by one replica over its lifetime.

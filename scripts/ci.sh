@@ -131,6 +131,8 @@ for _ in $(seq 1 100); do
 done
 grep -q "drift monitor armed" "$SCRATCH/serve.out" \
     || { echo "FAIL: server did not arm the drift monitor from the checkpoint" >&2; exit 1; }
+grep -q "max_wait 0 ms" "$SCRATCH/serve.out" \
+    || { echo "FAIL: lttf serve does not ship the work-conserving default (max_wait 0 ms)" >&2; exit 1; }
 
 # Drive real traffic so the trailing-window series are populated. Each
 # request's raw window is a different lx=16 row slice from the TRAIN
@@ -185,6 +187,7 @@ cargo run -q --release --offline -p lttf-obs --bin metrics_check -- "$SCRATCH/me
     --require 'lttf_serve_service_time_seconds{model="ckpt",gen="1",quantile="0.5"}' \
     --require 'lttf_serve_latency_hist_seconds_bucket{model="ckpt",le="+Inf"}' \
     --require 'lttf_serve_replica_served_total{model="ckpt",replica="0"}' \
+    --require 'lttf_serve_forward_panics_total{model="ckpt"} 0' \
     --require 'lttf_drift_available{model="ckpt"} 1' \
     --require 'lttf_drift_alert{model="ckpt"} 0' \
     --require 'lttf_serve_shed_per_second' \

@@ -542,11 +542,13 @@ fn cmd_serve(flags: HashMap<String, String>) {
     let threads_per_replica = get(&flags, "threads-per-replica", 0usize);
     let rate = get(&flags, "rate", 0.0f64);
     let shed_depth = get(&flags, "shed-depth", 0usize);
+    // Unset batching flags ship the library's policy.
+    let batch = lttf::serve::BatchConfig::default();
     let serve_cfg = lttf::serve::ServeConfig {
         batch: lttf::serve::BatchConfig {
-            max_batch: get(&flags, "max-batch", 8usize),
-            max_wait_ms: get(&flags, "max-wait-ms", 5u64),
-            queue_cap: get(&flags, "queue-cap", 128usize),
+            max_batch: get(&flags, "max-batch", batch.max_batch),
+            max_wait_ms: get(&flags, "max-wait-ms", batch.max_wait_ms),
+            queue_cap: get(&flags, "queue-cap", batch.queue_cap),
         },
         replicas: get(&flags, "replicas", 1usize),
         policy,
