@@ -96,11 +96,15 @@ impl InputRepresentation {
     /// Per-variable correlation weights `W^R` (Eq. 1–2) for a batch:
     /// `[b, 1, c_in]`, softmaxed across variables, rescaled by `c_in`.
     fn correlation_weights(x: &Tensor) -> Tensor {
+        assert_eq!(x.ndim(), 3, "correlation weights expect [b, len, c_in]");
         let (b, len, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let mut scores = Vec::with_capacity(b * d);
-        for bi in 0..b {
+        let mut series = Vec::with_capacity(len);
+        for window in x.data().chunks_exact(len * d) {
             for di in 0..d {
-                let series: Vec<f32> = (0..len).map(|t| x.at(&[bi, t, di])).collect();
+                // Variable `di` of this window: every `d`-th value.
+                series.clear();
+                series.extend(window[di..].iter().step_by(d));
                 let r = autocorrelation(&series);
                 let r0 = r[0].max(1e-6);
                 let peak = r[1..len.div_ceil(2).max(2)]

@@ -21,8 +21,10 @@ pub fn autocorrelation(x: &[f32]) -> Vec<f32> {
         .iter()
         .map(|&v| Complex::from_re((v - mean) as f64))
         .collect();
-    let spec = fft(&buf);
-    let power: Vec<Complex> = spec.iter().map(|&c| c * c.conj()).collect();
+    let mut power = fft(&buf);
+    for c in power.iter_mut() {
+        *c = *c * c.conj();
+    }
     let corr = ifft(&power);
     corr.iter().map(|c| (c.re / n as f64) as f32).collect()
 }
@@ -41,8 +43,10 @@ pub fn autocorrelation_matrix(x: &Tensor) -> Tensor {
     assert_eq!(x.ndim(), 2, "autocorrelation_matrix expects [len, dims]");
     let (len, dims) = (x.shape()[0], x.shape()[1]);
     let mut out = Vec::with_capacity(dims * len);
+    let mut series = Vec::with_capacity(len);
     for d in 0..dims {
-        let series: Vec<f32> = (0..len).map(|t| x.at(&[t, d])).collect();
+        series.clear();
+        series.extend(x.data().iter().skip(d).step_by(dims));
         out.extend(autocorrelation(&series));
     }
     Tensor::from_vec(out, &[dims, len])

@@ -41,3 +41,5 @@ pub use transform::{fft, ifft, next_pow2, rfft_magnitudes};
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;

@@ -1,5 +1,14 @@
 //! Forward and inverse FFT: radix-2 Cooley–Tukey plus Bluestein for
 //! arbitrary lengths.
+//!
+//! Each thread caches the plans it has used: radix-2 twiddles per
+//! `(n, direction)` and Bluestein's chirp and chirp spectrum per
+//! `(n, direction)`. A cached value has the bits the transform would
+//! compute in place of the lookup, so caching changes no output bit.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::thread::LocalKey;
 
 use crate::complex::Complex;
 
@@ -8,9 +17,77 @@ pub fn next_pow2(n: usize) -> usize {
     n.next_power_of_two()
 }
 
+/// Plans a thread keeps per table; past it the table starts over. The
+/// models use a handful of lengths, so this only bounds a caller that
+/// sweeps many.
+const PLAN_CACHE_CAP: usize = 64;
+
+/// A per-thread table of plans keyed by `(length, inverse)`.
+type PlanTable<T> = RefCell<Vec<((usize, bool), Rc<T>)>>;
+
+thread_local! {
+    /// Radix-2 twiddles per `(n, inverse)`, see [`twiddles`].
+    static TWIDDLES: PlanTable<[Complex]> = const { RefCell::new(Vec::new()) };
+    /// Bluestein chirps and chirp spectra per `(n, inverse)`.
+    static BLUESTEIN: PlanTable<Bluestein> = const { RefCell::new(Vec::new()) };
+}
+
+/// The plan for `(n, sign)` from this thread's `table`, built by `build`
+/// on first use. `build` runs outside the table's borrow, so it may use
+/// other plans.
+fn cached<T: ?Sized>(
+    table: &'static LocalKey<PlanTable<T>>,
+    n: usize,
+    sign: f64,
+    build: impl FnOnce() -> Rc<T>,
+) -> Rc<T> {
+    let key = (n, sign > 0.0);
+    let hit = table.with(|t| {
+        t.borrow()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, plan)| Rc::clone(plan))
+    });
+    if let Some(plan) = hit {
+        return plan;
+    }
+    let plan = build();
+    table.with(|t| {
+        let mut t = t.borrow_mut();
+        if t.len() >= PLAN_CACHE_CAP {
+            t.clear();
+        }
+        t.push((key, Rc::clone(&plan)));
+    });
+    plan
+}
+
+/// Twiddle factors of every butterfly stage of a length-`n` radix-2
+/// transform, concatenated: stage `len` (2, 4, …, n) holds `w_k` for
+/// `k < len/2` at offset `len/2 - 1`. Each stage runs the recurrence
+/// `w_0 = 1`, `w_{k+1} = w_k · e^{sign·2πi/len}`; a direct `cis(k·θ)`
+/// would round differently and change the transform's bits.
+fn twiddles(n: usize, sign: f64) -> Rc<[Complex]> {
+    cached(&TWIDDLES, n, sign, || {
+        let mut table = Vec::with_capacity(n.saturating_sub(1));
+        let mut len = 2;
+        while len <= n {
+            let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+            let mut w = Complex::from_re(1.0);
+            for _ in 0..len / 2 {
+                table.push(w);
+                w = w * wlen;
+            }
+            len <<= 1;
+        }
+        table.into()
+    })
+}
+
 /// In-place iterative radix-2 Cooley–Tukey FFT.
 ///
 /// `sign = -1.0` gives the forward transform, `+1.0` the (unscaled) inverse.
+/// Twiddles come from this thread's table for `(n, sign)`.
 ///
 /// # Panics
 /// Panics unless `buf.len()` is a power of two.
@@ -37,57 +114,73 @@ fn fft_pow2(buf: &mut [Complex], sign: f64) {
         }
     }
     // Butterflies.
+    let tw = twiddles(n, sign);
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::from_re(1.0);
-            for k in 0..len / 2 {
-                let u = buf[i + k];
-                let v = buf[i + k + len / 2] * w;
-                buf[i + k] = u + v;
-                buf[i + k + len / 2] = u - v;
-                w = w * wlen;
+        let half = len / 2;
+        let w = &tw[half - 1..len - 1];
+        for block in buf.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(w) {
+                let a = *u;
+                let b = *v * w;
+                *u = a + b;
+                *v = a - b;
             }
-            i += len;
         }
         len <<= 1;
     }
 }
 
+/// What Bluestein's algorithm needs for one `(n, sign)`: the chirp
+/// `w_k = e^{sign·iπk²/n}` and the radix-2 spectrum of its conjugate,
+/// wrapped to length `m`.
+struct Bluestein {
+    chirp: Vec<Complex>,
+    kernel: Vec<Complex>,
+}
+
+fn bluestein_plan(n: usize, sign: f64) -> Rc<Bluestein> {
+    cached(&BLUESTEIN, n, sign, || {
+        let m = next_pow2(2 * n - 1);
+        let chirp: Vec<Complex> = (0..n)
+            .map(|k| {
+                // k² mod 2n avoids precision loss for large k.
+                let k2 = (k as u64 * k as u64) % (2 * n as u64);
+                Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
+            })
+            .collect();
+        let mut kernel = vec![Complex::zero(); m];
+        kernel[0] = chirp[0].conj();
+        for k in 1..n {
+            let c = chirp[k].conj();
+            kernel[k] = c;
+            kernel[m - k] = c;
+        }
+        fft_pow2(&mut kernel, -1.0);
+        Rc::new(Bluestein { chirp, kernel })
+    })
+}
+
 /// Forward DFT of arbitrary length via Bluestein's chirp-z transform.
 fn bluestein(x: &[Complex], sign: f64) -> Vec<Complex> {
     let n = x.len();
-    let m = next_pow2(2 * n - 1);
-    // Chirp: w_k = e^{sign * iπ k² / n}
-    let chirp: Vec<Complex> = (0..n)
-        .map(|k| {
-            // k² mod 2n avoids precision loss for large k.
-            let k2 = (k as u64 * k as u64) % (2 * n as u64);
-            Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
-        })
-        .collect();
+    let plan = bluestein_plan(n, sign);
+    let m = plan.kernel.len();
     let mut a = vec![Complex::zero(); m];
-    for k in 0..n {
-        a[k] = x[k] * chirp[k];
-    }
-    let mut b = vec![Complex::zero(); m];
-    b[0] = chirp[0].conj();
-    for k in 1..n {
-        let c = chirp[k].conj();
-        b[k] = c;
-        b[m - k] = c;
+    for ((a, &x), &c) in a.iter_mut().zip(x).zip(&plan.chirp) {
+        *a = x * c;
     }
     fft_pow2(&mut a, -1.0);
-    fft_pow2(&mut b, -1.0);
-    for (av, bv) in a.iter_mut().zip(&b) {
+    for (av, bv) in a.iter_mut().zip(&plan.kernel) {
         *av = *av * *bv;
     }
     fft_pow2(&mut a, 1.0);
     let scale = 1.0 / m as f64;
-    (0..n).map(|k| (a[k] * chirp[k]).scale(scale)).collect()
+    a.iter()
+        .zip(&plan.chirp)
+        .map(|(&a, &c)| (a * c).scale(scale))
+        .collect()
 }
 
 /// Forward DFT: `X[k] = Σ_t x[t] e^{-2πi kt / n}`.

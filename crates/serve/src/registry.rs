@@ -309,10 +309,15 @@ impl LoadedModel {
         // c_in); univariate heads predict the target column alone.
         let col = if c_out == self.cfg.c_in { self.target_col } else { 0 };
         let (m, s) = (self.scaler.mean()[self.target_col], self.scaler.std()[self.target_col]);
-        let rows = (0..b)
-            .map(|i| {
-                (0..ly)
-                    .map(|t| out.at(&[i, t, col]) * s + m)
+        assert_eq!(out.shape(), &[b, ly, c_out], "forecast shape");
+        let rows = out
+            .data()
+            .chunks_exact(ly * c_out)
+            .map(|window| {
+                window[col..]
+                    .iter()
+                    .step_by(c_out)
+                    .map(|&v| v * s + m)
                     .collect()
             })
             .collect();

@@ -2,10 +2,11 @@
 //!
 //! Maps over large tensors run chunked on the worker pool; each chunk is a
 //! pure element-wise image of the corresponding input range, so the output
-//! bytes do not depend on the thread count. Same-shape arithmetic and the
-//! four transcendental maps the models lean on (`exp`, `sigmoid`, `tanh`,
-//! `gelu`) dispatch through [`crate::simd`]; the rest go through the
-//! generic closure map.
+//! bytes do not depend on the thread count. Binary arithmetic reads its
+//! operands in place through the broadcasting row walker, whose contiguous
+//! rows run the [`crate::simd`] lane kernels; the four transcendental maps
+//! the models lean on (`exp`, `sigmoid`, `tanh`, `gelu`) dispatch through
+//! [`crate::simd`] too; the rest go through the generic closure map.
 
 use crate::simd::{BinOp, UnOp};
 use crate::tensor::Tensor;
@@ -17,31 +18,6 @@ pub(crate) const PAR_MAP_MIN: usize = 64 * 1024;
 pub(crate) const PAR_MAP_CHUNK: usize = 16 * 1024;
 
 impl Tensor {
-    /// Same-shape binary arithmetic through the dispatched lane kernels
-    /// (bit-identical across backends — the SIMD path only widens the
-    /// stride), chunked on the pool for large tensors. Shapes that need
-    /// broadcasting fall back to the closure path.
-    fn zip_simd(&self, other: &Tensor, op: BinOp, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-        if self.shape != other.shape {
-            return self.broadcast_zip(other, f);
-        }
-        let n = self.data.len();
-        let mut out = vec![0.0f32; n];
-        if n < PAR_MAP_MIN || lttf_parallel::num_threads() <= 1 {
-            crate::simd::binary(op, &self.data, &other.data, &mut out);
-        } else {
-            let (a, b) = (&self.data, &other.data);
-            par_chunks_mut(&mut out, PAR_MAP_CHUNK, |ci, chunk| {
-                let (s, e) = chunk_bounds(n, PAR_MAP_CHUNK, ci);
-                crate::simd::binary(op, &a[s..e], &b[s..e], chunk);
-            });
-        }
-        Tensor {
-            data: out,
-            shape: self.shape.clone(),
-        }
-    }
-
     /// Transcendental map through the dispatched kernels; per-element, so
     /// chunk boundaries never change the bytes (per backend).
     fn map_simd(&self, op: UnOp) -> Tensor {
@@ -64,32 +40,32 @@ impl Tensor {
 
     /// Element-wise addition with broadcasting.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.zip_simd(other, BinOp::Add, |a, b| a + b)
+        self.broadcast_zip(other, Some(BinOp::Add), |a, b| a + b)
     }
 
     /// Element-wise subtraction with broadcasting.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip_simd(other, BinOp::Sub, |a, b| a - b)
+        self.broadcast_zip(other, Some(BinOp::Sub), |a, b| a - b)
     }
 
     /// Element-wise multiplication with broadcasting.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_simd(other, BinOp::Mul, |a, b| a * b)
+        self.broadcast_zip(other, Some(BinOp::Mul), |a, b| a * b)
     }
 
     /// Element-wise division with broadcasting.
     pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_simd(other, BinOp::Div, |a, b| a / b)
+        self.broadcast_zip(other, Some(BinOp::Div), |a, b| a / b)
     }
 
     /// Element-wise maximum with broadcasting.
     pub fn maximum(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, f32::max)
+        self.broadcast_zip(other, None, f32::max)
     }
 
     /// Element-wise minimum with broadcasting.
     pub fn minimum(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, f32::min)
+        self.broadcast_zip(other, None, f32::min)
     }
 
     /// Add a scalar to every element.

@@ -82,3 +82,5 @@ pub fn obs_min_reduce() -> usize {
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;

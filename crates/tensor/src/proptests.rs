@@ -126,7 +126,7 @@ properties! {
 /// Run `f` under forced-scalar then forced-AVX2 dispatch, returning
 /// `(scalar, simd)`. Holds the crate's simd test lock for the duration and
 /// restores auto-detection even if `f` panics mid-property.
-fn on_both_backends<T>(f: impl Fn() -> T) -> (T, T) {
+pub(crate) fn on_both_backends<T>(f: impl Fn() -> T) -> (T, T) {
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {

@@ -24,6 +24,9 @@ const SUM_BLOCK: usize = 8192;
 /// Elements below which `sum` does not bother with the parallel path.
 const PAR_SUM_MIN: usize = 4 * SUM_BLOCK;
 
+/// Elements below which an axis reduction or softmax runs serially.
+const PAR_AXIS_MIN_WORK: usize = 1 << 15;
+
 /// Pairwise (cascade) summation by recursive halving.
 pub(crate) fn pairwise_sum(x: &[f32]) -> f32 {
     if x.len() <= PAIRWISE_BASE {
@@ -41,6 +44,18 @@ pub(crate) fn pairwise_dot(a: &[f32], b: &[f32]) -> f32 {
     }
     let mid = a.len() / 2;
     pairwise_dot(&a[..mid], &b[..mid]) + pairwise_dot(&a[mid..], &b[mid..])
+}
+
+/// `v[i] = e^{v[i]}` through the [`crate::simd::unary`] kernel, staged
+/// through a fixed stack buffer (the kernel reads and writes distinct
+/// slices). The kernel is per element, so the staging changes no bits.
+fn exp_in_place(v: &mut [f32]) {
+    let mut buf = [0.0f32; 256];
+    for piece in v.chunks_mut(buf.len()) {
+        let staged = &mut buf[..piece.len()];
+        staged.copy_from_slice(piece);
+        crate::simd::unary(crate::simd::UnOp::Exp, staged, piece);
+    }
 }
 
 impl Tensor {
@@ -158,6 +173,12 @@ impl Tensor {
         // Fold every lane of outer index `o` into its output slice; the
         // element-visit order is identical on the serial and parallel paths.
         let fold_outer = |o: usize, lane: &mut [f32]| {
+            if inner == 1 {
+                // One contiguous lane: fold it directly.
+                let src_lane = &src[o * extent..(o + 1) * extent];
+                lane[0] = fin(src_lane.iter().fold(init, |acc, &v| f(acc, v)), extent);
+                return;
+            }
             for e in 0..extent {
                 let base = (o * extent + e) * inner;
                 for (i, slot) in lane.iter_mut().enumerate() {
@@ -168,14 +189,13 @@ impl Tensor {
                 *v = fin(*v, extent);
             }
         };
-        const PAR_MIN_WORK: usize = 1 << 15;
         if out.is_empty() {
             // zero-extent axis elsewhere in the shape: nothing to fold
         } else if outer >= 2
-            && outer * extent * inner >= PAR_MIN_WORK
+            && outer * extent * inner >= PAR_AXIS_MIN_WORK
             && lttf_parallel::num_threads() > 1
         {
-            let per = (PAR_MIN_WORK / (extent * inner).max(1)).max(1);
+            let per = (PAR_AXIS_MIN_WORK / (extent * inner).max(1)).max(1);
             par_chunks_mut(&mut out, per * inner, |ci, chunk| {
                 for (j, lane) in chunk.chunks_mut(inner).enumerate() {
                     fold_outer(ci * per + j, lane);
@@ -240,11 +260,86 @@ impl Tensor {
     ///
     /// Each lane along `axis` is shifted by its maximum before
     /// exponentiation, so the result is finite for any finite input.
+    ///
+    /// One pass over each lane, reading the input in place: the maximum
+    /// is a left fold from −∞, the shifted values go through the
+    /// [`crate::simd::unary`] `exp` kernel, the sum is a left fold from
+    /// 0.0, and each value is divided by its lane's sum — the same float
+    /// operations in the same order as composing `max_axis_keepdim`,
+    /// `sub`, `exp`, `sum_axis_keepdim` and `div`, so the bits match that
+    /// composition. Large inputs run outer-parallel with the axis
+    /// reductions' threshold and chunking.
     pub fn softmax(&self, axis: isize) -> Tensor {
-        let m = self.max_axis_keepdim(axis);
-        let e = self.sub(&m).exp();
-        let s = e.sum_axis_keepdim(axis);
-        e.div(&s)
+        let ax = self.shape.normalize_axis(axis);
+        let dims = self.shape.dims();
+        let extent = dims[ax];
+        let outer: usize = dims[..ax].iter().product();
+        let inner: usize = dims[ax + 1..].iter().product();
+        let block = extent * inner;
+        let mut out = vec![0.0f32; self.data.len()];
+        if out.is_empty() {
+            return Tensor::from_vec(out, dims);
+        }
+        let src = &self.data;
+        // Softmax of the whole outer blocks that start at block `first`
+        // and fill `dst`.
+        let blocks = |first: usize, dst: &mut [f32]| {
+            let x = &src[first * block..first * block + dst.len()];
+            if inner == 1 {
+                // Contiguous lanes.
+                for (d, x) in dst.chunks_mut(extent).zip(x.chunks(extent)) {
+                    let m = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                    for (d, &v) in d.iter_mut().zip(x) {
+                        *d = v - m;
+                    }
+                }
+                exp_in_place(dst);
+                for d in dst.chunks_mut(extent) {
+                    let t = d.iter().fold(0.0f32, |t, &v| t + v);
+                    for v in d.iter_mut() {
+                        *v /= t;
+                    }
+                }
+            } else {
+                // `inner` lanes side by side: each step along the axis is
+                // one contiguous row holding one element of every lane.
+                let mut acc = vec![0.0f32; inner];
+                for (d, x) in dst.chunks_mut(block).zip(x.chunks(block)) {
+                    acc.fill(f32::NEG_INFINITY);
+                    for row in x.chunks(inner) {
+                        for (m, &v) in acc.iter_mut().zip(row) {
+                            *m = m.max(v);
+                        }
+                    }
+                    for (drow, row) in d.chunks_mut(inner).zip(x.chunks(inner)) {
+                        for ((d, &v), &m) in drow.iter_mut().zip(row).zip(&acc) {
+                            *d = v - m;
+                        }
+                    }
+                }
+                exp_in_place(dst);
+                for d in dst.chunks_mut(block) {
+                    acc.fill(0.0);
+                    for row in d.chunks(inner) {
+                        for (t, &v) in acc.iter_mut().zip(row) {
+                            *t += v;
+                        }
+                    }
+                    for row in d.chunks_mut(inner) {
+                        for (v, &t) in row.iter_mut().zip(&acc) {
+                            *v /= t;
+                        }
+                    }
+                }
+            }
+        };
+        if outer >= 2 && outer * block >= PAR_AXIS_MIN_WORK && lttf_parallel::num_threads() > 1 {
+            let per = (PAR_AXIS_MIN_WORK / block).max(1);
+            par_chunks_mut(&mut out, per * block, |ci, chunk| blocks(ci * per, chunk));
+        } else {
+            blocks(0, &mut out);
+        }
+        Tensor::from_vec(out, dims)
     }
 
     /// Log-softmax along `axis` (stable).
@@ -426,6 +521,9 @@ mod tests {
             (0..n).map(|i| (i as f32 * 0.41).sin() * 3.0).collect(),
             &[n],
         );
+        // Both sums must see the same kernel backend; tests that flip it
+        // hold this lock.
+        let _guard = crate::simd::test_lock();
         lttf_parallel::set_threads_override(Some(1));
         let serial = t.sum();
         lttf_parallel::set_threads_override(Some(4));

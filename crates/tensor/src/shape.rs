@@ -54,14 +54,17 @@ impl Shape {
             self.0.len(),
             self
         );
+        // Fold from the last axis, growing the stride as it goes: no
+        // stride vector is built.
         let mut off = 0;
-        let strides = self.strides();
-        for (axis, (&i, &d)) in idx.iter().zip(self.0.iter()).enumerate() {
+        let mut stride = 1;
+        for (axis, (&i, &d)) in idx.iter().zip(self.0.iter()).enumerate().rev() {
             assert!(
                 i < d,
                 "index {i} out of range for axis {axis} with extent {d} ({self})"
             );
-            off += i * strides[axis];
+            off += i * stride;
+            stride *= d;
         }
         off
     }

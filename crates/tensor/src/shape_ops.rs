@@ -2,6 +2,7 @@
 //!
 //! All operations materialize contiguous results (see crate docs for why).
 
+use crate::broadcast::{fill_rows, AxisVec, Rows};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -68,17 +69,16 @@ impl Tensor {
             "t() requires a 2-D tensor, got {}",
             self.shape
         );
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = vec![0.0; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Tensor::from_vec(out, &[n, m])
+        self.permute(&[1, 0])
     }
 
     /// Permute axes by `order` (a permutation of `0..ndim`), materializing.
+    ///
+    /// The output is written one innermost row at a time through the
+    /// shared row walker. When the source's innermost axis stays innermost
+    /// (the attention head split and merge) each row is one
+    /// `copy_from_slice`; otherwise the row is gathered at the source
+    /// stride of the new innermost axis.
     ///
     /// # Panics
     /// Panics if `order` is not a permutation of the axes.
@@ -90,42 +90,40 @@ impl Tensor {
             "permute order has wrong length for {}",
             self.shape
         );
-        let mut seen = vec![false; n];
-        for &o in order {
+        for (i, &o) in order.iter().enumerate() {
             assert!(
-                o < n && !seen[o],
+                o < n && !order[..i].contains(&o),
                 "invalid permutation {order:?} for rank {n}"
             );
-            seen[o] = true;
         }
         let src_dims = self.shape.dims();
-        let src_strides = self.shape.strides();
         let dst_dims: Vec<usize> = order.iter().map(|&o| src_dims[o]).collect();
-        let dst_src_strides: Vec<usize> = order.iter().map(|&o| src_strides[o]).collect();
-        let dst = Shape::new(&dst_dims);
-        let mut out = vec![0.0f32; dst.numel()];
-        let mut idx = vec![0usize; n];
-        let mut src_off = 0usize;
-        for slot in out.iter_mut() {
-            *slot = self.data[src_off];
-            for axis in (0..n).rev() {
-                idx[axis] += 1;
-                src_off += dst_src_strides[axis];
-                if idx[axis] < dst_dims[axis] {
-                    break;
+        let rows = Rows::permuted(src_dims, order);
+        let step = rows.row_stride(0);
+        let src = &self.data;
+        let data = fill_rows(&rows, self.numel(), |dst, [off]| {
+            if step == 1 {
+                dst.copy_from_slice(&src[off..off + dst.len()]);
+            } else {
+                for (i, o) in dst.iter_mut().enumerate() {
+                    *o = src[off + i * step];
                 }
-                src_off -= dst_src_strides[axis] * dst_dims[axis];
-                idx[axis] = 0;
             }
+        });
+        Tensor {
+            data,
+            shape: Shape(dst_dims),
         }
-        Tensor::from_vec(out, &dst_dims)
     }
 
     /// Swap two axes.
     pub fn swap_axes(&self, a: isize, b: isize) -> Tensor {
         let a = self.shape.normalize_axis(a);
         let b = self.shape.normalize_axis(b);
-        let mut order: Vec<usize> = (0..self.ndim()).collect();
+        let mut order = AxisVec::zeros(self.ndim());
+        for (i, o) in order.iter_mut().enumerate() {
+            *o = i;
+        }
         order.swap(a, b);
         self.permute(&order)
     }
