@@ -7,14 +7,59 @@ use std::cell::RefCell;
 pub struct Ctx<'a> {
     /// Forward value of this node.
     pub out: &'a Tensor,
-    /// Gradient of the loss with respect to this node's output.
-    pub grad: &'a Tensor,
+    /// Gradient of the loss with respect to this node's output. The tape
+    /// hands it over by value once every consumer has contributed, so a
+    /// closure can reuse its buffer (a `reshape` just moves it on).
+    pub grad: Tensor,
     /// Forward values of this node's parents, in registration order.
-    pub inputs: Vec<&'a Tensor>,
+    pub inputs: &'a [&'a Tensor],
 }
 
-/// A backward closure: maps the output gradient to one gradient per parent.
-type BackFn = Box<dyn Fn(&Ctx<'_>) -> Vec<Tensor>>;
+/// The gradient slots of one node's parents, open to the node's backward
+/// closure. A closure adds one gradient per parent, in parent order, which
+/// is the order the tape has always accumulated in: the first gradient a
+/// parent receives becomes its slot, later ones are added into it.
+pub(crate) struct ParentGrads<'a> {
+    slots: &'a mut [Option<Tensor>],
+    parents: &'a [usize],
+    /// The parents' values, for the shape check.
+    inputs: &'a [&'a Tensor],
+}
+
+impl ParentGrads<'_> {
+    /// Add `g` to parent `i`'s gradient, moving it in if it is the first.
+    pub(crate) fn add(&mut self, i: usize, g: Tensor) {
+        let pid = self.check(i, &g);
+        match &mut self.slots[pid] {
+            Some(existing) => existing.add_assign(&g),
+            slot @ None => *slot = Some(g),
+        }
+    }
+
+    /// Add `g` to parent `i`'s gradient without taking it: it is copied
+    /// only if it is the parent's first.
+    pub(crate) fn add_ref(&mut self, i: usize, g: &Tensor) {
+        let pid = self.check(i, g);
+        match &mut self.slots[pid] {
+            Some(existing) => existing.add_assign(g),
+            slot @ None => *slot = Some(g.clone()),
+        }
+    }
+
+    fn check(&self, i: usize, g: &Tensor) -> usize {
+        let pid = self.parents[i];
+        debug_assert_eq!(
+            g.shape(),
+            self.inputs[i].shape(),
+            "gradient shape mismatch for parent node {pid}"
+        );
+        pid
+    }
+}
+
+/// A backward closure: takes the node's output gradient and adds one
+/// gradient per parent into the parents' slots.
+type BackFn = Box<dyn Fn(Ctx<'_>, &mut ParentGrads<'_>)>;
 
 /// What the backward pass needs of a computed node: its parents' ids and
 /// the closure that maps its output gradient to one gradient per parent.
@@ -27,7 +72,10 @@ pub(crate) struct Backward {
 }
 
 impl Backward {
-    pub(crate) fn new(parents: Vec<usize>, f: impl Fn(&Ctx<'_>) -> Vec<Tensor> + 'static) -> Self {
+    pub(crate) fn new(
+        parents: Vec<usize>,
+        f: impl Fn(Ctx<'_>, &mut ParentGrads<'_>) + 'static,
+    ) -> Self {
         Backward {
             parents,
             f: Box::new(f),
@@ -66,18 +114,26 @@ pub struct Var<'g> {
     pub(crate) id: usize,
 }
 
-/// Gradients produced by [`Graph::backward`], indexed by [`Var`].
+/// Gradients produced by [`Graph::backward`], indexed by [`Var`]. Only
+/// leaves ([`Graph::leaf`]: inputs and parameters) keep theirs.
 pub struct Grads {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Grads {
-    /// The gradient of the loss with respect to `v`, if `v` influenced it.
+    /// The gradient of the loss with respect to the leaf `v`, if `v`
+    /// influenced it.
+    ///
+    /// Always `None` for a computed node: the backward pass frees an
+    /// interior gradient as soon as it has been propagated to the node's
+    /// parents, so the tape never holds more than the frontier's
+    /// gradients. To read the gradient at an intermediate value, make that
+    /// value a leaf of its own graph.
     pub fn get(&self, v: Var<'_>) -> Option<&Tensor> {
         self.grads.get(v.id).and_then(|g| g.as_ref())
     }
 
-    /// Take ownership of the gradient for `v`.
+    /// Take ownership of the gradient for the leaf `v` (see [`Grads::get`]).
     pub fn take(&mut self, v: Var<'_>) -> Option<Tensor> {
         self.grads.get_mut(v.id).and_then(|g| g.take())
     }
@@ -212,7 +268,17 @@ impl Graph {
         back: impl Fn(&Ctx<'_>) -> Vec<Tensor> + 'static,
     ) -> Var<'_> {
         self.push(name, value, || {
-            Backward::new(parents.iter().map(|v| v.id).collect(), back)
+            Backward::new(parents.iter().map(|v| v.id).collect(), move |ctx, pg| {
+                let grads = back(&ctx);
+                assert_eq!(
+                    grads.len(),
+                    ctx.inputs.len(),
+                    "backward fn returned wrong number of gradients"
+                );
+                for (i, g) in grads.into_iter().enumerate() {
+                    pg.add(i, g);
+                }
+            })
         })
     }
 
@@ -305,6 +371,7 @@ impl Graph {
     ///
     /// The root is seeded with a gradient of ones (so a scalar root yields
     /// plain derivatives; a tensor root yields the gradient of its sum).
+    /// The returned [`Grads`] hold the leaves' gradients only.
     pub fn backward(&self, root: Var<'_>) -> Grads {
         let seed = root.with_value(|t| t.ones_like());
         self.backward_with_seed(root, seed)
@@ -332,47 +399,36 @@ impl Graph {
         let n = values.len();
         let mut grads: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
         grads[root.id] = Some(seed);
+        // One parent-value list, refilled per node.
+        let mut inputs: Vec<&Tensor> = Vec::new();
         for id in (0..=root.id).rev() {
-            let Some(g) = grads[id].take() else { continue };
-            if let Some(back) = &backs[id] {
-                let inputs: Vec<&Tensor> = back
-                    .parents
-                    .iter()
-                    .map(|&p| self.live(&values, p))
-                    .collect();
-                let ctx = Ctx {
-                    out: self.live(&values, id),
-                    grad: &g,
-                    inputs,
-                };
-                // Per-op backward timing. `scoped` pays a registry lookup
-                // per call, which is noise next to a backward closure; it
-                // nests under the "backward" span for self-time purposes.
-                let op_span = if cfg!(feature = "telemetry") {
-                    lttf_obs::scoped("bwd", names[id])
-                } else {
-                    lttf_obs::SpanGuard::inactive()
-                };
-                let pgrads = (back.f)(&ctx);
-                drop(op_span);
-                debug_assert_eq!(
-                    pgrads.len(),
-                    back.parents.len(),
-                    "backward fn returned wrong number of gradients"
-                );
-                for (&pid, pg) in back.parents.iter().zip(pgrads) {
-                    debug_assert_eq!(
-                        pg.shape(),
-                        self.live(&values, pid).shape(),
-                        "gradient shape mismatch for parent node {pid}"
-                    );
-                    match &mut grads[pid] {
-                        Some(existing) => existing.add_assign(&pg),
-                        slot @ None => *slot = Some(pg),
-                    }
-                }
-            }
-            grads[id] = Some(g);
+            let Some(back) = &backs[id] else { continue };
+            // Every consumer of `id` has a larger id, so its gradient is
+            // complete; it moves into the closure and is freed there.
+            let Some(grad) = grads[id].take() else {
+                continue;
+            };
+            inputs.clear();
+            inputs.extend(back.parents.iter().map(|&p| self.live(&values, p)));
+            let ctx = Ctx {
+                out: self.live(&values, id),
+                grad,
+                inputs: &inputs,
+            };
+            let mut pg = ParentGrads {
+                slots: &mut grads[..id],
+                parents: &back.parents,
+                inputs: &inputs,
+            };
+            // Per-op backward timing. `scoped` pays a registry lookup per
+            // call, which is noise next to a backward closure; it nests
+            // under the "backward" span for self-time purposes.
+            let _op_span = if cfg!(feature = "telemetry") {
+                lttf_obs::scoped("bwd", names[id])
+            } else {
+                lttf_obs::SpanGuard::inactive()
+            };
+            (back.f)(ctx, &mut pg);
         }
         Grads { grads }
     }

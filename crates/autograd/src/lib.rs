@@ -35,6 +35,10 @@
 //!   (axes, shapes, masks) is captured.
 //! * Broadcasting ops reduce their output gradient back to each parent's
 //!   shape by summing over broadcast axes ([`reduce_to_shape`]).
+//! * The backward walk hands each node's finished gradient to its closure
+//!   by value; the closure adds one gradient per parent into the parents'
+//!   slots and the node's own gradient dies there. Only leaves keep
+//!   gradients ([`Grads::get`]).
 //! * Every op's gradient is verified against central finite differences in
 //!   the test suite (see [`check::grad_check`]).
 

@@ -1,25 +1,32 @@
 //! Differentiable element-wise arithmetic and activations.
 
-use crate::graph::{Backward, Var};
+use crate::graph::{Backward, ParentGrads, Var};
 use lttf_tensor::{broadcast_shapes, Tensor};
+use std::borrow::Cow;
 
 /// Sum-reduce `grad` back to `shape`, undoing broadcasting.
 ///
 /// Axes that were added by broadcasting are summed away; axes that were
-/// stretched from extent 1 are summed and kept with extent 1.
-pub fn reduce_to_shape(grad: &Tensor, shape: &[usize]) -> Tensor {
+/// stretched from extent 1 are summed and kept with extent 1. When no axis
+/// is reduced, `grad` itself comes back.
+pub fn reduce_to_shape(grad: Tensor, shape: &[usize]) -> Tensor {
     if grad.shape() == shape {
-        return grad.clone();
+        return grad;
     }
-    let mut g = grad.clone();
+    reduced(&grad, shape)
+}
+
+/// [`reduce_to_shape`] of a borrowed gradient whose shape is not `shape`.
+fn reduced(grad: &Tensor, shape: &[usize]) -> Tensor {
+    let mut g = Cow::Borrowed(grad);
     // Sum away leading axes added by broadcasting.
     while g.ndim() > shape.len() {
-        g = g.sum_axis(0);
+        g = Cow::Owned(g.sum_axis(0));
     }
     // Sum (keepdim) axes that were stretched from 1.
     for (axis, (&gs, &ts)) in g.shape().to_vec().iter().zip(shape).enumerate() {
         if ts == 1 && gs != 1 {
-            g = g.sum_axis_keepdim(axis as isize);
+            g = Cow::Owned(g.sum_axis_keepdim(axis as isize));
         }
     }
     assert_eq!(
@@ -29,7 +36,22 @@ pub fn reduce_to_shape(grad: &Tensor, shape: &[usize]) -> Tensor {
         grad.shape(),
         shape
     );
-    g
+    g.into_owned()
+}
+
+/// Add `grad`, reduced to `shape`, to parent `i` without taking it.
+fn add_reduced(pg: &mut ParentGrads<'_>, i: usize, grad: &Tensor, shape: &[usize]) {
+    if grad.shape() == shape {
+        pg.add_ref(i, grad);
+    } else {
+        pg.add(i, reduced(grad, shape));
+    }
+}
+
+/// `grad ⊙ d` for same-shaped operands, in `grad`'s buffer.
+fn times(mut grad: Tensor, d: &Tensor) -> Tensor {
+    grad.mul_assign(d);
+    grad
 }
 
 impl<'g> Var<'g> {
@@ -38,11 +60,9 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.add(b)));
         self.g.push("add", v, || {
             let (sa, sb) = (self.shape(), other.shape());
-            Backward::new(vec![self.id, other.id], move |ctx| {
-                vec![
-                    reduce_to_shape(ctx.grad, &sa),
-                    reduce_to_shape(ctx.grad, &sb),
-                ]
+            Backward::new(vec![self.id, other.id], move |ctx, pg| {
+                add_reduced(pg, 0, &ctx.grad, &sa);
+                pg.add(1, reduce_to_shape(ctx.grad, &sb));
             })
         })
     }
@@ -52,11 +72,11 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.sub(b)));
         self.g.push("sub", v, || {
             let (sa, sb) = (self.shape(), other.shape());
-            Backward::new(vec![self.id, other.id], move |ctx| {
-                vec![
-                    reduce_to_shape(ctx.grad, &sa),
-                    reduce_to_shape(&ctx.grad.neg(), &sb),
-                ]
+            Backward::new(vec![self.id, other.id], move |ctx, pg| {
+                add_reduced(pg, 0, &ctx.grad, &sa);
+                let mut neg = ctx.grad;
+                neg.map_assign(|v| -v);
+                pg.add(1, reduce_to_shape(neg, &sb));
             })
         })
     }
@@ -66,12 +86,17 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.mul(b)));
         self.g.push("mul", v, || {
             let (sa, sb) = (self.shape(), other.shape());
-            Backward::new(vec![self.id, other.id], move |ctx| {
+            Backward::new(vec![self.id, other.id], move |ctx, pg| {
                 let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-                vec![
-                    reduce_to_shape(&ctx.grad.mul(b), &sa),
-                    reduce_to_shape(&ctx.grad.mul(a), &sb),
-                ]
+                pg.add(0, reduce_to_shape(ctx.grad.mul(b), &sa));
+                // `grad ⊙ a` in the gradient's own buffer when no operand
+                // broadcasts it wider.
+                let gb = if a.shape() == ctx.grad.shape() {
+                    times(ctx.grad, a)
+                } else {
+                    ctx.grad.mul(a)
+                };
+                pg.add(1, reduce_to_shape(gb, &sb));
             })
         })
     }
@@ -81,11 +106,12 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.div(b)));
         self.g.push("div", v, || {
             let (sa, sb) = (self.shape(), other.shape());
-            Backward::new(vec![self.id, other.id], move |ctx| {
+            Backward::new(vec![self.id, other.id], move |ctx, pg| {
                 let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
                 let ga = ctx.grad.div(b);
                 let gb = ctx.grad.mul(a).neg().div(&b.square());
-                vec![reduce_to_shape(&ga, &sa), reduce_to_shape(&gb, &sb)]
+                pg.add(0, reduce_to_shape(ga, &sa));
+                pg.add(1, reduce_to_shape(gb, &sb));
             })
         })
     }
@@ -94,7 +120,7 @@ impl<'g> Var<'g> {
     pub fn add_scalar(self, s: f32) -> Var<'g> {
         let v = self.with_value(|a| a.add_scalar(s));
         self.g.push("add_scalar", v, || {
-            Backward::new(vec![self.id], |ctx| vec![ctx.grad.clone()])
+            Backward::new(vec![self.id], |ctx, pg| pg.add(0, ctx.grad))
         })
     }
 
@@ -102,7 +128,11 @@ impl<'g> Var<'g> {
     pub fn mul_scalar(self, s: f32) -> Var<'g> {
         let v = self.with_value(|a| a.mul_scalar(s));
         self.g.push("mul_scalar", v, || {
-            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.mul_scalar(s)])
+            Backward::new(vec![self.id], move |ctx, pg| {
+                let mut g = ctx.grad;
+                g.map_assign(|v| v * s);
+                pg.add(0, g);
+            })
         })
     }
 
@@ -115,7 +145,7 @@ impl<'g> Var<'g> {
     pub fn exp(self) -> Var<'g> {
         let v = self.with_value(|a| a.exp());
         self.g.push("exp", v, || {
-            Backward::new(vec![self.id], |ctx| vec![ctx.grad.mul(ctx.out)])
+            Backward::new(vec![self.id], |ctx, pg| pg.add(0, times(ctx.grad, ctx.out)))
         })
     }
 
@@ -123,7 +153,9 @@ impl<'g> Var<'g> {
     pub fn ln(self) -> Var<'g> {
         let v = self.with_value(|a| a.ln());
         self.g.push("ln", v, || {
-            Backward::new(vec![self.id], |ctx| vec![ctx.grad.div(ctx.inputs[0])])
+            Backward::new(vec![self.id], |ctx, pg| {
+                pg.add(0, ctx.grad.div(ctx.inputs[0]))
+            })
         })
     }
 
@@ -131,9 +163,9 @@ impl<'g> Var<'g> {
     pub fn sqrt(self) -> Var<'g> {
         let v = self.with_value(|a| a.sqrt());
         self.g.push("sqrt", v, || {
-            Backward::new(vec![self.id], |ctx| {
+            Backward::new(vec![self.id], |ctx, pg| {
                 // d/dx √x = 1 / (2√x)
-                vec![ctx.grad.div(&ctx.out.mul_scalar(2.0))]
+                pg.add(0, ctx.grad.div(&ctx.out.mul_scalar(2.0)))
             })
         })
     }
@@ -142,8 +174,9 @@ impl<'g> Var<'g> {
     pub fn square(self) -> Var<'g> {
         let v = self.with_value(|a| a.square());
         self.g.push("square", v, || {
-            Backward::new(vec![self.id], |ctx| {
-                vec![ctx.grad.mul(&ctx.inputs[0].mul_scalar(2.0))]
+            Backward::new(vec![self.id], |ctx, pg| {
+                let d = ctx.inputs[0].mul_scalar(2.0);
+                pg.add(0, times(ctx.grad, &d))
             })
         })
     }
@@ -152,7 +185,7 @@ impl<'g> Var<'g> {
     pub fn abs(self) -> Var<'g> {
         let v = self.with_value(|a| a.abs());
         self.g.push("abs", v, || {
-            Backward::new(vec![self.id], |ctx| {
+            Backward::new(vec![self.id], |ctx, pg| {
                 let sign = ctx.inputs[0].map(|x| {
                     if x > 0.0 {
                         1.0
@@ -162,7 +195,7 @@ impl<'g> Var<'g> {
                         0.0
                     }
                 });
-                vec![ctx.grad.mul(&sign)]
+                pg.add(0, times(ctx.grad, &sign))
             })
         })
     }
@@ -171,10 +204,10 @@ impl<'g> Var<'g> {
     pub fn tanh(self) -> Var<'g> {
         let v = self.with_value(|a| a.tanh());
         self.g.push("tanh", v, || {
-            Backward::new(vec![self.id], |ctx| {
+            Backward::new(vec![self.id], |ctx, pg| {
                 // d tanh = 1 - tanh²
                 let one_minus = ctx.out.square().neg().add_scalar(1.0);
-                vec![ctx.grad.mul(&one_minus)]
+                pg.add(0, times(ctx.grad, &one_minus))
             })
         })
     }
@@ -183,10 +216,10 @@ impl<'g> Var<'g> {
     pub fn sigmoid(self) -> Var<'g> {
         let v = self.with_value(|a| a.sigmoid());
         self.g.push("sigmoid", v, || {
-            Backward::new(vec![self.id], |ctx| {
+            Backward::new(vec![self.id], |ctx, pg| {
                 // dσ = σ(1-σ)
                 let d = ctx.out.mul(&ctx.out.neg().add_scalar(1.0));
-                vec![ctx.grad.mul(&d)]
+                pg.add(0, times(ctx.grad, &d))
             })
         })
     }
@@ -195,9 +228,9 @@ impl<'g> Var<'g> {
     pub fn relu(self) -> Var<'g> {
         let v = self.with_value(|a| a.relu());
         self.g.push("relu", v, || {
-            Backward::new(vec![self.id], |ctx| {
+            Backward::new(vec![self.id], |ctx, pg| {
                 let mask = ctx.inputs[0].map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                vec![ctx.grad.mul(&mask)]
+                pg.add(0, times(ctx.grad, &mask))
             })
         })
     }
@@ -207,7 +240,7 @@ impl<'g> Var<'g> {
     pub fn gelu(self) -> Var<'g> {
         let v = self.with_value(|a| a.gelu());
         self.g.push("gelu", v, || {
-            Backward::new(vec![self.id], |ctx| {
+            Backward::new(vec![self.id], |ctx, pg| {
                 let c = (2.0 / std::f32::consts::PI).sqrt();
                 let d = ctx.inputs[0].map(|x| {
                     let inner = c * (x + 0.044_715 * x * x * x);
@@ -215,7 +248,7 @@ impl<'g> Var<'g> {
                     let dinner = c * (1.0 + 3.0 * 0.044_715 * x * x);
                     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
                 });
-                vec![ctx.grad.mul(&d)]
+                pg.add(0, times(ctx.grad, &d))
             })
         })
     }
@@ -224,8 +257,9 @@ impl<'g> Var<'g> {
     pub fn softplus(self) -> Var<'g> {
         let v = self.with_value(|a| a.softplus());
         self.g.push("softplus", v, || {
-            Backward::new(vec![self.id], |ctx| {
-                vec![ctx.grad.mul(&ctx.inputs[0].sigmoid())]
+            Backward::new(vec![self.id], |ctx, pg| {
+                let d = ctx.inputs[0].sigmoid();
+                pg.add(0, times(ctx.grad, &d))
             })
         })
     }
@@ -234,9 +268,9 @@ impl<'g> Var<'g> {
     pub fn elu(self) -> Var<'g> {
         let v = self.with_value(|a| a.elu());
         self.g.push("elu", v, || {
-            Backward::new(vec![self.id], |ctx| {
+            Backward::new(vec![self.id], |ctx, pg| {
                 let d = ctx.inputs[0].map(|x| if x > 0.0 { 1.0 } else { x.exp() });
-                vec![ctx.grad.mul(&d)]
+                pg.add(0, times(ctx.grad, &d))
             })
         })
     }
@@ -253,8 +287,13 @@ impl<'g> Var<'g> {
         self.g.push("mul_mask", v, || {
             let m = mask.clone();
             let shape = self.shape();
-            Backward::new(vec![self.id], move |ctx| {
-                vec![reduce_to_shape(&ctx.grad.mul(&m), &shape)]
+            Backward::new(vec![self.id], move |ctx, pg| {
+                let g = if m.shape() == ctx.grad.shape() {
+                    times(ctx.grad, &m)
+                } else {
+                    ctx.grad.mul(&m)
+                };
+                pg.add(0, reduce_to_shape(g, &shape))
             })
         })
     }

@@ -23,22 +23,23 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| other.with_value(|b| a.matmul(b)));
         self.g.push("matmul", v, || {
             let (ra, rb) = (self.shape().len(), other.shape().len());
-            Backward::new(vec![self.id, other.id], move |ctx| {
+            Backward::new(vec![self.id, other.id], move |ctx, pg| {
                 let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-                let gc = ctx.grad;
+                let gc = &ctx.grad;
                 // grad A = gC @ B^T
                 let mut ga = gc.matmul(&t_last2(b));
-                // grad B = A^T @ gC
-                let mut gb = t_last2(a).matmul(gc);
                 // If an operand was rank-2 but the product was batched,
                 // its gradient carries a batch axis that must be summed.
                 if ra == 2 && ga.ndim() == 3 {
                     ga = ga.sum_axis(0);
                 }
+                pg.add(0, ga);
+                // grad B = A^T @ gC
+                let mut gb = t_last2(a).matmul(gc);
                 if rb == 2 && gb.ndim() == 3 {
                     gb = gb.sum_axis(0);
                 }
-                vec![ga, gb]
+                pg.add(1, gb);
             })
         })
     }

@@ -10,8 +10,8 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| Tensor::scalar(a.sum()));
         self.g.push("sum_all", v, || {
             let shape = self.shape();
-            Backward::new(vec![self.id], move |ctx| {
-                vec![Tensor::full(&shape, ctx.grad.item())]
+            Backward::new(vec![self.id], move |ctx, pg| {
+                pg.add(0, Tensor::full(&shape, ctx.grad.item()))
             })
         })
     }
@@ -27,8 +27,8 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| a.sum_axis_keepdim(axis));
         self.g.push("sum_axis_keepdim", v, || {
             let shape = self.shape();
-            Backward::new(vec![self.id], move |ctx| {
-                vec![ctx.grad.broadcast_to(&shape)]
+            Backward::new(vec![self.id], move |ctx, pg| {
+                pg.add(0, ctx.grad.broadcast_to(&shape))
             })
         })
     }
@@ -44,11 +44,12 @@ impl<'g> Var<'g> {
     pub fn softmax(self, axis: isize) -> Var<'g> {
         let v = self.with_value(|a| a.softmax(axis));
         self.g.push("softmax", v, || {
-            Backward::new(vec![self.id], move |ctx| {
+            Backward::new(vec![self.id], move |ctx, pg| {
                 let y = ctx.out;
-                let gy = ctx.grad.mul(y);
+                let mut gy = ctx.grad;
+                gy.mul_assign(y);
                 let s = gy.sum_axis_keepdim(axis);
-                vec![gy.sub(&y.mul(&s))]
+                pg.add(0, gy.sub(&y.mul(&s)))
             })
         })
     }

@@ -9,7 +9,9 @@ impl<'g> Var<'g> {
         let v = self.with_value(|a| a.reshape(shape));
         self.g.push("reshape", v, || {
             let old = self.shape();
-            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.reshape(&old)])
+            Backward::new(vec![self.id], move |ctx, pg| {
+                pg.add(0, ctx.grad.into_reshape(&old))
+            })
         })
     }
 
@@ -17,7 +19,9 @@ impl<'g> Var<'g> {
     pub fn swap_axes(self, a: isize, b: isize) -> Var<'g> {
         let v = self.with_value(|t| t.swap_axes(a, b));
         self.g.push("swap_axes", v, || {
-            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.swap_axes(a, b)])
+            Backward::new(vec![self.id], move |ctx, pg| {
+                pg.add(0, ctx.grad.swap_axes(a, b))
+            })
         })
     }
 
@@ -29,7 +33,9 @@ impl<'g> Var<'g> {
             for (i, &o) in order.iter().enumerate() {
                 inverse[o] = i;
             }
-            Backward::new(vec![self.id], move |ctx| vec![ctx.grad.permute(&inverse)])
+            Backward::new(vec![self.id], move |ctx, pg| {
+                pg.add(0, ctx.grad.permute(&inverse))
+            })
         })
     }
 
@@ -39,7 +45,7 @@ impl<'g> Var<'g> {
         let v = self.with_value(|t| t.narrow(axis, start, len));
         self.g.push("narrow", v, || {
             let shape = self.shape();
-            Backward::new(vec![self.id], move |ctx| {
+            Backward::new(vec![self.id], move |ctx, pg| {
                 let ax = if axis < 0 {
                     (shape.len() as isize + axis) as usize
                 } else {
@@ -47,7 +53,7 @@ impl<'g> Var<'g> {
                 };
                 let before = start;
                 let after = shape[ax] - start - len;
-                vec![ctx.grad.pad_axis(ax as isize, before, after, 0.0)]
+                pg.add(0, ctx.grad.pad_axis(ax as isize, before, after, 0.0))
             })
         })
     }
@@ -58,7 +64,7 @@ impl<'g> Var<'g> {
         self.g.push("select", v, || {
             let shape = self.shape();
             let idx = indices.to_vec();
-            Backward::new(vec![self.id], move |ctx| {
+            Backward::new(vec![self.id], move |ctx, pg| {
                 let ax = if axis < 0 {
                     (shape.len() as isize + axis) as usize
                 } else {
@@ -80,7 +86,7 @@ impl<'g> Var<'g> {
                         }
                     }
                 }
-                vec![grad]
+                pg.add(0, grad)
             })
         })
     }
@@ -90,8 +96,8 @@ impl<'g> Var<'g> {
         let v = self.with_value(|t| t.pad_axis(axis, before, after, 0.0));
         self.g.push("pad_axis", v, || {
             let len = self.with_value(|t| t.size(axis));
-            Backward::new(vec![self.id], move |ctx| {
-                vec![ctx.grad.narrow(axis, before, len)]
+            Backward::new(vec![self.id], move |ctx, pg| {
+                pg.add(0, ctx.grad.narrow(axis, before, len))
             })
         })
     }
@@ -115,14 +121,12 @@ impl<'g> Var<'g> {
                 .map(|v| v.with_value(|t| t.size(axis)))
                 .collect();
             let parents = vars.iter().map(|v| v.id).collect();
-            Backward::new(parents, move |ctx| {
-                let mut grads = Vec::with_capacity(extents.len());
+            Backward::new(parents, move |ctx, pg| {
                 let mut start = 0;
-                for &e in &extents {
-                    grads.push(ctx.grad.narrow(axis, start, e));
+                for (i, &e) in extents.iter().enumerate() {
+                    pg.add(i, ctx.grad.narrow(axis, start, e));
                     start += e;
                 }
-                grads
             })
         })
     }
@@ -132,8 +136,8 @@ impl<'g> Var<'g> {
         let v = self.with_value(|t| t.broadcast_to(target));
         self.g.push("broadcast_to", v, || {
             let shape = self.shape();
-            Backward::new(vec![self.id], move |ctx| {
-                vec![crate::ops_basic::reduce_to_shape(ctx.grad, &shape)]
+            Backward::new(vec![self.id], move |ctx, pg| {
+                pg.add(0, crate::ops_basic::reduce_to_shape(ctx.grad, &shape))
             })
         })
     }

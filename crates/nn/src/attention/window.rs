@@ -9,6 +9,7 @@
 use lttf_autograd::Var;
 use lttf_parallel::{par_chunks_mut, par_chunks_mut_zip3};
 use lttf_tensor::Tensor;
+use std::ops::Range;
 
 /// Minimum per-call score-evaluation count before the batched-head loops
 /// are dispatched to the worker pool.
@@ -33,25 +34,272 @@ fn window_bounds(i: usize, lq: usize, lk: usize, w: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-/// The key positions query `i` attends to: the `[lo, hi)` band plus, when
-/// `n_global > 0`, the Longformer-style global prefix `[0, n_global)`.
-/// Global queries (`i < n_global`) attend to every key.
-fn key_positions(i: usize, lq: usize, lk: usize, w: usize, n_global: usize, buf: &mut Vec<usize>) {
-    buf.clear();
-    if i < n_global.min(lk) {
-        buf.extend(0..lk);
-        return;
-    }
+/// The keys query `i` attends to, as two ranges walked in order: the
+/// Longformer-style global prefix `[0, n_global)` (when `n_global > 0`),
+/// then the `[lo, hi)` band past it. Global queries (`i < n_global`)
+/// attend to every key.
+fn key_ranges(
+    i: usize,
+    lq: usize,
+    lk: usize,
+    w: usize,
+    n_global: usize,
+) -> (Range<usize>, Range<usize>) {
     let g = n_global.min(lk);
-    buf.extend(0..g);
-    let (lo, hi) = window_bounds(i, lq, lk, w);
-    for j in lo.max(g)..hi {
-        buf.push(j);
+    if i < g {
+        return (0..lk, 0..0);
     }
-    if buf.is_empty() {
-        // degenerate: window entirely inside the (empty) global prefix
-        let (lo, hi) = window_bounds(i, lq, lk, w);
-        buf.extend(lo..hi);
+    let (lo, hi) = window_bounds(i, lq, lk, w);
+    (0..g, lo.max(g)..hi)
+}
+
+/// Head widths below one AVX2 vector take the inlined [`SmallFma`] planes.
+#[cfg(target_arch = "x86_64")]
+const SMALL_HEAD: usize = 8;
+
+/// The per-(query, key) row primitives of an attention plane.
+trait RowOps {
+    fn dot(a: &[f32], b: &[f32]) -> f32;
+    fn axpy(y: &mut [f32], a: f32, x: &[f32]);
+}
+
+/// The dispatched `lttf_tensor::simd` kernels: any head width, either
+/// backend.
+struct Dispatched;
+
+impl RowOps for Dispatched {
+    #[inline(always)]
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        lttf_tensor::simd::dot(a, b)
+    }
+    #[inline(always)]
+    fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
+        lttf_tensor::simd::axpy(y, a, x)
+    }
+}
+
+/// Inline FMA chains with the AVX2 backend's bits. Below 8 lanes its `dot`
+/// is a sequential FMA chain from zero, and its `axpy` is one FMA per
+/// element at any length, so these loops reproduce both exactly for heads
+/// narrower than [`SMALL_HEAD`]. At 4 lanes a dispatched call costs more
+/// than its arithmetic; inlined into a plane compiled with the `fma`
+/// feature, each `mul_add` is one instruction.
+#[cfg(target_arch = "x86_64")]
+struct SmallFma;
+
+#[cfg(target_arch = "x86_64")]
+impl RowOps for SmallFma {
+    #[inline(always)]
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).fold(0.0, |s, (&x, &y)| x.mul_add(y, s))
+    }
+    #[inline(always)]
+    fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
+        for (o, &v) in y.iter_mut().zip(x) {
+            *o = a.mul_add(v, *o);
+        }
+    }
+}
+
+/// Operands and geometry shared by every batch-head plane of one call:
+/// `q` is `[bh, lq, dh]`, `k` is `[bh, lk, dh]`, `v` is `[bh, lk, dv]`.
+struct Planes<'a> {
+    q: &'a [f32],
+    k: &'a [f32],
+    v: &'a [f32],
+    lq: usize,
+    lk: usize,
+    dh: usize,
+    dv: usize,
+    w: usize,
+    n_global: usize,
+    scale: f32,
+}
+
+impl<'a> Planes<'a> {
+    fn new(q: &'a Tensor, k: &'a Tensor, v: &'a Tensor, w: usize, n_global: usize) -> Self {
+        let (lq, dh) = (q.shape()[1], q.shape()[2]);
+        Planes {
+            q: q.data(),
+            k: k.data(),
+            v: v.data(),
+            lq,
+            lk: k.shape()[1],
+            dh,
+            dv: v.shape()[2],
+            w,
+            n_global,
+            scale: 1.0 / (dh as f32).sqrt(),
+        }
+    }
+
+    /// True when this call runs the inlined [`SmallFma`] planes: the AVX2
+    /// backend and heads narrower than one vector. Wider heads and the
+    /// scalar backend keep the dispatched calls.
+    #[cfg(target_arch = "x86_64")]
+    fn small(&self) -> bool {
+        lttf_tensor::simd::enabled() && self.dh < SMALL_HEAD && self.dv < SMALL_HEAD
+    }
+
+    fn q_row(&self, b: usize, i: usize) -> &[f32] {
+        let r = b * self.lq + i;
+        &self.q[r * self.dh..(r + 1) * self.dh]
+    }
+
+    fn k_row(&self, b: usize, j: usize) -> &[f32] {
+        let r = b * self.lk + j;
+        &self.k[r * self.dh..(r + 1) * self.dh]
+    }
+
+    fn v_row(&self, b: usize, j: usize) -> &[f32] {
+        let r = b * self.lk + j;
+        &self.v[r * self.dv..(r + 1) * self.dv]
+    }
+
+    /// Forward of batch-head `b` into its output plane `[lq, dv]`;
+    /// `scores` is scratch.
+    fn forward(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
+        #[cfg(target_arch = "x86_64")]
+        if self.small() {
+            // SAFETY: `small()` implies `simd::enabled()`, which implies
+            // AVX2+FMA were detected at runtime.
+            unsafe { self.forward_fma(b, oplane, scores) };
+            return;
+        }
+        self.forward_with::<Dispatched>(b, oplane, scores);
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn forward_fma(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
+        self.forward_with::<SmallFma>(b, oplane, scores);
+    }
+
+    #[inline(always)]
+    fn forward_with<K: RowOps>(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
+        let dv = self.dv;
+        for i in 0..self.lq {
+            let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
+            let keys = || global.clone().chain(band.clone());
+            let qrow = self.q_row(b, i);
+            scores.clear();
+            let mut max = f32::NEG_INFINITY;
+            for j in keys() {
+                let s = K::dot(qrow, self.k_row(b, j)) * self.scale;
+                max = max.max(s);
+                scores.push(s);
+            }
+            let mut z = 0.0;
+            for s in scores.iter_mut() {
+                *s = (*s - max).exp();
+                z += *s;
+            }
+            let inv_z = 1.0 / z;
+            let orow = &mut oplane[i * dv..(i + 1) * dv];
+            for (&s, j) in scores.iter().zip(keys()) {
+                K::axpy(orow, s * inv_z, self.v_row(b, j));
+            }
+        }
+    }
+
+    /// Backward of batch-head `b` into its gradient planes (`gq` `[lq,
+    /// dh]`, `gk` `[lk, dh]`, `gv` `[lk, dv]`); `gout` is the whole output
+    /// gradient, `attn`/`dattn` are scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn backward(
+        &self,
+        b: usize,
+        gout: &[f32],
+        gq: &mut [f32],
+        gk: &mut [f32],
+        gv: &mut [f32],
+        attn: &mut Vec<f32>,
+        dattn: &mut Vec<f32>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.small() {
+            // SAFETY: as in `forward`.
+            unsafe { self.backward_fma(b, gout, gq, gk, gv, attn, dattn) };
+            return;
+        }
+        self.backward_with::<Dispatched>(b, gout, gq, gk, gv, attn, dattn);
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn backward_fma(
+        &self,
+        b: usize,
+        gout: &[f32],
+        gq: &mut [f32],
+        gk: &mut [f32],
+        gv: &mut [f32],
+        attn: &mut Vec<f32>,
+        dattn: &mut Vec<f32>,
+    ) {
+        self.backward_with::<SmallFma>(b, gout, gq, gk, gv, attn, dattn);
+    }
+
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn backward_with<K: RowOps>(
+        &self,
+        b: usize,
+        gout: &[f32],
+        gq: &mut [f32],
+        gk: &mut [f32],
+        gv: &mut [f32],
+        attn: &mut Vec<f32>,
+        dattn: &mut Vec<f32>,
+    ) {
+        let (dh, dv) = (self.dh, self.dv);
+        for i in 0..self.lq {
+            let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
+            let keys = || global.clone().chain(band.clone());
+            let qrow = self.q_row(b, i);
+            let r = b * self.lq + i;
+            let grow = &gout[r * dv..(r + 1) * dv];
+            // recompute softmax weights
+            attn.clear();
+            let mut max = f32::NEG_INFINITY;
+            for j in keys() {
+                let a = K::dot(qrow, self.k_row(b, j)) * self.scale;
+                max = max.max(a);
+                attn.push(a);
+            }
+            let mut z = 0.0;
+            for a in attn.iter_mut() {
+                *a = (*a - max).exp();
+                z += *a;
+            }
+            for a in attn.iter_mut() {
+                *a /= z;
+            }
+            // dV and dA
+            dattn.clear();
+            let mut dot_sum = 0.0;
+            for (&a, j) in attn.iter().zip(keys()) {
+                let da = K::dot(grow, self.v_row(b, j));
+                dattn.push(da);
+                dot_sum += a * da;
+                K::axpy(&mut gv[j * dv..(j + 1) * dv], a, grow);
+            }
+            // softmax backward → dscores, then dQ/dK
+            let gqrow = &mut gq[i * dh..(i + 1) * dh];
+            for ((&a, &da), j) in attn.iter().zip(dattn.iter()).zip(keys()) {
+                let ds = a * (da - dot_sum) * self.scale;
+                if ds == 0.0 {
+                    continue;
+                }
+                K::axpy(gqrow, ds, self.k_row(b, j));
+                K::axpy(&mut gk[j * dh..(j + 1) * dh], ds, qrow);
+            }
+        }
     }
 }
 
@@ -86,7 +334,7 @@ pub fn sliding_window_global_attention<'g>(
     });
     g.custom_named("window_attn", out, &[q, k, v], move |ctx| {
         let (qv, kv, vv) = (ctx.inputs[0], ctx.inputs[1], ctx.inputs[2]);
-        window_global_backward(qv, kv, vv, ctx.grad, w, n_global)
+        window_global_backward(qv, kv, vv, &ctx.grad, w, n_global)
     })
 }
 
@@ -114,48 +362,19 @@ pub fn window_global_forward(
         bh * lq * (w + n_global + 1) * dh >= OBS_MIN_ATTN
     );
     span.bytes((q.numel() + k.numel() + v.numel() + bh * lq * dv) * 4);
-    let scale = 1.0 / (dh as f32).sqrt();
-    let (qd, kd, vd) = (q.data(), k.data(), v.data());
+    let planes = Planes::new(q, k, v, w, n_global);
     let mut out = vec![0.0f32; bh * lq * dv];
     // Each batch-head writes its own output plane, so the heads distribute
     // over the worker pool with bit-identical results at any thread count.
-    let plane = |b: usize, oplane: &mut [f32]| {
-        let mut scores: Vec<f32> = Vec::new();
-        let mut positions: Vec<usize> = Vec::new();
-        for i in 0..lq {
-            key_positions(i, lq, lk, w, n_global, &mut positions);
-            let n = positions.len();
-            scores.resize(n, 0.0);
-            let qrow = &qd[(b * lq + i) * dh..(b * lq + i + 1) * dh];
-            // scores
-            let mut max = f32::NEG_INFINITY;
-            for (s, &j) in positions.iter().enumerate() {
-                let krow = &kd[(b * lk + j) * dh..(b * lk + j + 1) * dh];
-                scores[s] = lttf_tensor::simd::dot(qrow, krow) * scale;
-                max = max.max(scores[s]);
-            }
-            // softmax
-            let mut z = 0.0;
-            for s in scores.iter_mut().take(n) {
-                *s = (*s - max).exp();
-                z += *s;
-            }
-            let inv_z = 1.0 / z;
-            // weighted sum of values
-            let orow = &mut oplane[i * dv..(i + 1) * dv];
-            for (s, &j) in positions.iter().enumerate() {
-                let a = scores[s] * inv_z;
-                let vrow = &vd[(b * lk + j) * dv..(b * lk + j + 1) * dv];
-                lttf_tensor::simd::axpy(orow, a, vrow);
-            }
-        }
-    };
     let work = bh * lq * (w + n_global + 1) * dh;
     if bh >= 2 && work >= PAR_MIN_WORK && lttf_parallel::num_threads() > 1 && lq * dv > 0 {
-        par_chunks_mut(&mut out, lq * dv, &plane);
+        par_chunks_mut(&mut out, lq * dv, |b, oplane| {
+            planes.forward(b, oplane, &mut Vec::new())
+        });
     } else {
+        let mut scores = Vec::new();
         for (b, oplane) in out.chunks_mut((lq * dv).max(1)).enumerate() {
-            plane(b, oplane);
+            planes.forward(b, oplane, &mut scores);
         }
     }
     Tensor::from_vec(out, &[bh, lq, dv])
@@ -180,63 +399,13 @@ pub fn window_global_backward(
         "window_attn_bwd",
         bh * lq * (w + n_global + 1) * dh >= OBS_MIN_ATTN
     );
-    let scale = 1.0 / (dh as f32).sqrt();
-    let (qd, kd, vd, gd) = (q.data(), k.data(), v.data(), gout.data());
+    let planes = Planes::new(q, k, v, w, n_global);
+    let gd = gout.data();
     let mut gq = vec![0.0f32; bh * lq * dh];
     let mut gk = vec![0.0f32; bh * lk * dh];
     let mut gv = vec![0.0f32; bh * lk * dv];
     // Each batch-head scatters only into its own gq/gk/gv planes, so the
     // three gradient buffers are sliced in lockstep across the pool.
-    let plane = |b: usize, gq_p: &mut [f32], gk_p: &mut [f32], gv_p: &mut [f32]| {
-        let mut attn: Vec<f32> = Vec::new();
-        let mut dattn: Vec<f32> = Vec::new();
-        let mut positions: Vec<usize> = Vec::new();
-        for i in 0..lq {
-            key_positions(i, lq, lk, w, n_global, &mut positions);
-            let n = positions.len();
-            attn.resize(n, 0.0);
-            dattn.resize(n, 0.0);
-            let qrow = &qd[(b * lq + i) * dh..(b * lq + i + 1) * dh];
-            let grow = &gd[(b * lq + i) * dv..(b * lq + i + 1) * dv];
-            // recompute softmax weights
-            let mut max = f32::NEG_INFINITY;
-            for (s, &j) in positions.iter().enumerate() {
-                let krow = &kd[(b * lk + j) * dh..(b * lk + j + 1) * dh];
-                attn[s] = lttf_tensor::simd::dot(qrow, krow) * scale;
-                max = max.max(attn[s]);
-            }
-            let mut z = 0.0;
-            for a in attn.iter_mut().take(n) {
-                *a = (*a - max).exp();
-                z += *a;
-            }
-            for a in attn.iter_mut().take(n) {
-                *a /= z;
-            }
-            // dV and dA
-            let mut dot_sum = 0.0;
-            for (s, &j) in positions.iter().enumerate() {
-                let vrow = &vd[(b * lk + j) * dv..(b * lk + j + 1) * dv];
-                let da = lttf_tensor::simd::dot(grow, vrow);
-                dattn[s] = da;
-                dot_sum += attn[s] * da;
-                let gvrow = &mut gv_p[j * dv..(j + 1) * dv];
-                lttf_tensor::simd::axpy(gvrow, attn[s], grow);
-            }
-            // softmax backward → dscores, then dQ/dK
-            let gqrow = &mut gq_p[i * dh..(i + 1) * dh];
-            for (s, &j) in positions.iter().enumerate() {
-                let ds = attn[s] * (dattn[s] - dot_sum) * scale;
-                if ds == 0.0 {
-                    continue;
-                }
-                let krow = &kd[(b * lk + j) * dh..(b * lk + j + 1) * dh];
-                let gkrow = &mut gk_p[j * dh..(j + 1) * dh];
-                lttf_tensor::simd::axpy(gqrow, ds, krow);
-                lttf_tensor::simd::axpy(gkrow, ds, qrow);
-            }
-        }
-    };
     let work = bh * lq * (w + n_global + 1) * dh;
     if bh >= 2
         && work >= PAR_MIN_WORK
@@ -252,15 +421,21 @@ pub fn window_global_backward(
             lk * dh,
             &mut gv,
             lk * dv,
-            &plane,
+            |b, gq_p, gk_p, gv_p| {
+                planes.backward(b, gd, gq_p, gk_p, gv_p, &mut Vec::new(), &mut Vec::new())
+            },
         );
     } else {
+        let (mut attn, mut dattn) = (Vec::new(), Vec::new());
         for b in 0..bh {
-            plane(
+            planes.backward(
                 b,
+                gd,
                 &mut gq[b * lq * dh..(b + 1) * lq * dh],
                 &mut gk[b * lk * dh..(b + 1) * lk * dh],
                 &mut gv[b * lk * dv..(b + 1) * lk * dv],
+                &mut attn,
+                &mut dattn,
             );
         }
     }
@@ -269,6 +444,153 @@ pub fn window_global_backward(
         Tensor::from_vec(gk, &[bh, lk, dh]),
         Tensor::from_vec(gv, &[bh, lk, dv]),
     ]
+}
+
+/// The planes as they were before [`SmallFma`] and [`key_ranges`]: a
+/// `positions` list per query and the dispatched `dot`/`axpy` at every
+/// width. Kept so the property tests can pin today's kernels to them bit
+/// for bit on both backends.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::window_bounds;
+    use lttf_tensor::Tensor;
+
+    fn key_positions(
+        i: usize,
+        lq: usize,
+        lk: usize,
+        w: usize,
+        n_global: usize,
+        buf: &mut Vec<usize>,
+    ) {
+        buf.clear();
+        if i < n_global.min(lk) {
+            buf.extend(0..lk);
+            return;
+        }
+        let g = n_global.min(lk);
+        buf.extend(0..g);
+        let (lo, hi) = window_bounds(i, lq, lk, w);
+        for j in lo.max(g)..hi {
+            buf.push(j);
+        }
+        if buf.is_empty() {
+            let (lo, hi) = window_bounds(i, lq, lk, w);
+            buf.extend(lo..hi);
+        }
+    }
+
+    pub(crate) fn forward(q: &Tensor, k: &Tensor, v: &Tensor, w: usize, n_global: usize) -> Tensor {
+        let (bh, lq, dh) = (q.shape()[0], q.shape()[1], q.shape()[2]);
+        let lk = k.shape()[1];
+        let dv = v.shape()[2];
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (qd, kd, vd) = (q.data(), k.data(), v.data());
+        let mut out = vec![0.0f32; bh * lq * dv];
+        let mut scores: Vec<f32> = Vec::new();
+        let mut positions: Vec<usize> = Vec::new();
+        for b in 0..bh {
+            let oplane = &mut out[b * lq * dv..(b + 1) * lq * dv];
+            for i in 0..lq {
+                key_positions(i, lq, lk, w, n_global, &mut positions);
+                let n = positions.len();
+                scores.resize(n, 0.0);
+                let qrow = &qd[(b * lq + i) * dh..(b * lq + i + 1) * dh];
+                let mut max = f32::NEG_INFINITY;
+                for (s, &j) in positions.iter().enumerate() {
+                    let krow = &kd[(b * lk + j) * dh..(b * lk + j + 1) * dh];
+                    scores[s] = lttf_tensor::simd::dot(qrow, krow) * scale;
+                    max = max.max(scores[s]);
+                }
+                let mut z = 0.0;
+                for s in scores.iter_mut().take(n) {
+                    *s = (*s - max).exp();
+                    z += *s;
+                }
+                let inv_z = 1.0 / z;
+                let orow = &mut oplane[i * dv..(i + 1) * dv];
+                for (s, &j) in positions.iter().enumerate() {
+                    let a = scores[s] * inv_z;
+                    let vrow = &vd[(b * lk + j) * dv..(b * lk + j + 1) * dv];
+                    lttf_tensor::simd::axpy(orow, a, vrow);
+                }
+            }
+        }
+        Tensor::from_vec(out, &[bh, lq, dv])
+    }
+
+    pub(crate) fn backward(
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        gout: &Tensor,
+        w: usize,
+        n_global: usize,
+    ) -> Vec<Tensor> {
+        let (bh, lq, dh) = (q.shape()[0], q.shape()[1], q.shape()[2]);
+        let lk = k.shape()[1];
+        let dv = v.shape()[2];
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (qd, kd, vd, gd) = (q.data(), k.data(), v.data(), gout.data());
+        let mut gq = vec![0.0f32; bh * lq * dh];
+        let mut gk = vec![0.0f32; bh * lk * dh];
+        let mut gv = vec![0.0f32; bh * lk * dv];
+        let mut attn: Vec<f32> = Vec::new();
+        let mut dattn: Vec<f32> = Vec::new();
+        let mut positions: Vec<usize> = Vec::new();
+        for b in 0..bh {
+            let gq_p = &mut gq[b * lq * dh..(b + 1) * lq * dh];
+            let gk_p = &mut gk[b * lk * dh..(b + 1) * lk * dh];
+            let gv_p = &mut gv[b * lk * dv..(b + 1) * lk * dv];
+            for i in 0..lq {
+                key_positions(i, lq, lk, w, n_global, &mut positions);
+                let n = positions.len();
+                attn.resize(n, 0.0);
+                dattn.resize(n, 0.0);
+                let qrow = &qd[(b * lq + i) * dh..(b * lq + i + 1) * dh];
+                let grow = &gd[(b * lq + i) * dv..(b * lq + i + 1) * dv];
+                let mut max = f32::NEG_INFINITY;
+                for (s, &j) in positions.iter().enumerate() {
+                    let krow = &kd[(b * lk + j) * dh..(b * lk + j + 1) * dh];
+                    attn[s] = lttf_tensor::simd::dot(qrow, krow) * scale;
+                    max = max.max(attn[s]);
+                }
+                let mut z = 0.0;
+                for a in attn.iter_mut().take(n) {
+                    *a = (*a - max).exp();
+                    z += *a;
+                }
+                for a in attn.iter_mut().take(n) {
+                    *a /= z;
+                }
+                let mut dot_sum = 0.0;
+                for (s, &j) in positions.iter().enumerate() {
+                    let vrow = &vd[(b * lk + j) * dv..(b * lk + j + 1) * dv];
+                    let da = lttf_tensor::simd::dot(grow, vrow);
+                    dattn[s] = da;
+                    dot_sum += attn[s] * da;
+                    let gvrow = &mut gv_p[j * dv..(j + 1) * dv];
+                    lttf_tensor::simd::axpy(gvrow, attn[s], grow);
+                }
+                let gqrow = &mut gq_p[i * dh..(i + 1) * dh];
+                for (s, &j) in positions.iter().enumerate() {
+                    let ds = attn[s] * (dattn[s] - dot_sum) * scale;
+                    if ds == 0.0 {
+                        continue;
+                    }
+                    let krow = &kd[(b * lk + j) * dh..(b * lk + j + 1) * dh];
+                    let gkrow = &mut gk_p[j * dh..(j + 1) * dh];
+                    lttf_tensor::simd::axpy(gqrow, ds, krow);
+                    lttf_tensor::simd::axpy(gkrow, ds, qrow);
+                }
+            }
+        }
+        vec![
+            Tensor::from_vec(gq, &[bh, lq, dh]),
+            Tensor::from_vec(gk, &[bh, lk, dh]),
+            Tensor::from_vec(gv, &[bh, lk, dv]),
+        ]
+    }
 }
 
 #[cfg(test)]

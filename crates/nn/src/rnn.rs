@@ -172,7 +172,7 @@ impl Gru {
                         .as_ref()
                         .expect("gate stash is recorded on gradient-recording graphs");
                     let gr = lttf_tensor::gru_layer_backward(
-                        ctx.grad,
+                        &ctx.grad,
                         ctx.inputs[0],
                         ctx.inputs[1],
                         ctx.inputs[2],

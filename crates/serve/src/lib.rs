@@ -90,9 +90,9 @@ pub use drift::{DriftConfig, DriftMonitor, DriftStatus};
 pub use engine::{BatchConfig, Engine, Reject, Reply, Submitter};
 pub use metrics::ServerGauges;
 pub use registry::{scaler_from_meta, scaler_meta, LoadedModel, Registry, Window};
-pub use server::{serve, ServeConfig, ServerHandle, MAX_LINE};
+pub use server::{serve, serve_with_clock, ServeConfig, ServerHandle, MAX_LINE};
 pub use session::{
-    PushOutcome, SessionConfig, SessionShape, SessionSummary, SessionTable,
+    PushOutcome, SessionClock, SessionConfig, SessionShape, SessionSummary, SessionTable,
 };
 pub use stats::{
     FlowRates, FlowStats, LatencySummary, ServeStats, WindowSnapshot, WINDOW_BUCKETS,

@@ -63,7 +63,7 @@ use crate::protocol::{
     parse_command, Command, StatsReport,
 };
 use crate::registry::{LoadedModel, Registry, Window};
-use crate::session::{SessionConfig, SessionShape, SessionTable};
+use crate::session::{SessionClock, SessionConfig, SessionShape, SessionTable};
 use crate::stats::{FlowStats, LatencySummary};
 
 /// How often blocked connection reads wake up to check the shutdown flag.
@@ -230,6 +230,18 @@ pub struct ServerHandle {
 /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
 /// every model in `registry`, each behind its own replica pool.
 pub fn serve(registry: Registry, addr: &str, cfg: ServeConfig) -> io::Result<ServerHandle> {
+    serve_with_clock(registry, addr, cfg, SessionClock::monotonic())
+}
+
+/// [`serve`] with the session table aging its sessions on `clock`: a
+/// [`SessionClock::manual`] clock lets a test step the server past the
+/// session TTL instead of sleeping through it.
+pub fn serve_with_clock(
+    registry: Registry,
+    addr: &str,
+    cfg: ServeConfig,
+    clock: SessionClock,
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     // Nonblocking accepts let the loop poll the stop flag and reap
@@ -252,7 +264,7 @@ pub fn serve(registry: Registry, addr: &str, cfg: ServeConfig) -> io::Result<Ser
         admission: Admission::new(cfg.admission),
         flow: FlowStats::new(),
         reload_lock: Mutex::new(()),
-        sessions: SessionTable::new(cfg.session),
+        sessions: SessionTable::with_clock(cfg.session, clock),
         adapt: AdaptShared::new(),
         examples: ExampleBuffer::new(cfg.adapt.buffer),
     });

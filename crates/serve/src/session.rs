@@ -20,14 +20,64 @@
 //!   publish) is invisible: the next push simply resolves the current
 //!   entry and forecasts on it.
 //!
-//! Time is injected (`*_at` methods take a millisecond clock) so the
-//! eviction logic is unit-testable without sleeping; the server-facing
-//! wrappers stamp a monotonic clock anchored at table construction.
+//! Time is injected, as in `admission.rs`: the `*_at` methods take a
+//! millisecond clock so the eviction logic is unit-testable without
+//! sleeping, and the server-facing wrappers read the table's
+//! [`SessionClock`] — monotonic in production, manual when a test drives
+//! a live server past the TTL.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// The session table's time source, in milliseconds since the clock was
+/// made.
+///
+/// [`SessionClock::monotonic`] is wall time and what servers run on. A
+/// [`SessionClock::manual`] clock moves only when [`SessionClock::advance`]
+/// says so: a test can step a live server past the idle TTL without
+/// sleeping, and a loaded host cannot age its sessions early.
+#[derive(Clone)]
+pub struct SessionClock(Arc<Source>);
+
+enum Source {
+    Monotonic(Instant),
+    Manual(AtomicU64),
+}
+
+impl SessionClock {
+    /// Wall time, anchored now.
+    pub fn monotonic() -> SessionClock {
+        SessionClock(Arc::new(Source::Monotonic(Instant::now())))
+    }
+
+    /// A clock that stands at 0 until advanced.
+    pub fn manual() -> SessionClock {
+        SessionClock(Arc::new(Source::Manual(AtomicU64::new(0))))
+    }
+
+    /// Move a manual clock forward by `ms`.
+    ///
+    /// # Panics
+    /// Panics on a monotonic clock, which only wall time moves.
+    pub fn advance(&self, ms: u64) {
+        match &*self.0 {
+            Source::Manual(now) => {
+                now.fetch_add(ms, Ordering::SeqCst);
+            }
+            Source::Monotonic(_) => panic!("advance on a monotonic session clock"),
+        }
+    }
+
+    /// Milliseconds since the clock was made (or the manual total).
+    pub fn now_ms(&self) -> u64 {
+        match &*self.0 {
+            Source::Monotonic(epoch) => epoch.elapsed().as_millis() as u64,
+            Source::Manual(now) => now.load(Ordering::SeqCst),
+        }
+    }
+}
 
 /// Session-table knobs.
 #[derive(Clone, Copy, Debug)]
@@ -110,7 +160,7 @@ pub struct SessionSummary {
 /// every connection thread.
 pub struct SessionTable {
     cfg: SessionConfig,
-    epoch: Instant,
+    clock: SessionClock,
     inner: Mutex<Inner>,
     opened: AtomicU64,
     evicted: AtomicU64,
@@ -122,11 +172,16 @@ struct Inner {
 }
 
 impl SessionTable {
-    /// An empty table enforcing `cfg`.
+    /// An empty table enforcing `cfg` on a monotonic clock.
     pub fn new(cfg: SessionConfig) -> SessionTable {
+        SessionTable::with_clock(cfg, SessionClock::monotonic())
+    }
+
+    /// An empty table enforcing `cfg`, aging sessions on `clock`.
+    pub fn with_clock(cfg: SessionConfig, clock: SessionClock) -> SessionTable {
         SessionTable {
             cfg,
-            epoch: Instant::now(),
+            clock,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 next_id: 1,
@@ -142,7 +197,7 @@ impl SessionTable {
     }
 
     fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+        self.clock.now_ms()
     }
 
     fn sweep(&self, inner: &mut Inner, now_ms: u64) {
@@ -340,6 +395,34 @@ mod tests {
 
     fn table(max: usize, ttl: u64) -> SessionTable {
         SessionTable::new(SessionConfig { max_sessions: max, ttl_ms: ttl })
+    }
+
+    #[test]
+    fn manual_clock_ages_sessions_only_when_advanced() {
+        let clock = SessionClock::manual();
+        let t = SessionTable::with_clock(
+            SessionConfig {
+                max_sessions: 4,
+                ttl_ms: 1_000,
+            },
+            clock.clone(),
+        );
+        let sh = shape(1, 2, 2);
+        let id = t.open("m", sh, 0, 1).unwrap();
+        clock.advance(999);
+        assert!(
+            t.push(id, &[1.0], sh).is_ok(),
+            "999 ms idle is within the TTL"
+        );
+        clock.advance(1_000);
+        assert_eq!(t.push(id, &[2.0], sh).unwrap_err(), "unknown session");
+        assert_eq!(t.evicted_total(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "advance on a monotonic session clock")]
+    fn monotonic_clock_cannot_be_advanced() {
+        SessionClock::monotonic().advance(1);
     }
 
     #[test]

@@ -200,6 +200,46 @@ impl Tensor {
         }
     }
 
+    /// In-place `self *= other` for identically shaped tensors (no
+    /// broadcast): the bits of `self.mul(other)` without a new buffer.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn mul_assign(&mut self, other: &Tensor) {
+        assert_eq!(
+            self.shape, other.shape,
+            "mul_assign shape mismatch: {} vs {}",
+            self.shape, other.shape
+        );
+        let n = self.data.len();
+        let src = &other.data;
+        let mul = |ci: usize, chunk: &mut [f32]| {
+            let (s, _) = chunk_bounds(n, PAR_MAP_CHUNK, ci);
+            for (a, &b) in chunk.iter_mut().zip(&src[s..]) {
+                *a *= b;
+            }
+        };
+        if n < PAR_MAP_MIN || lttf_parallel::num_threads() <= 1 {
+            mul(0, &mut self.data);
+        } else {
+            par_chunks_mut(&mut self.data, PAR_MAP_CHUNK, mul);
+        }
+    }
+
+    /// [`Tensor::map`] in place: the same bits without a new buffer.
+    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+        let apply = |_: usize, chunk: &mut [f32]| {
+            for v in chunk.iter_mut() {
+                *v = f(*v);
+            }
+        };
+        if self.data.len() < PAR_MAP_MIN || lttf_parallel::num_threads() <= 1 {
+            apply(0, &mut self.data);
+        } else {
+            par_chunks_mut(&mut self.data, PAR_MAP_CHUNK, apply);
+        }
+    }
+
     /// In-place scalar multiply.
     pub fn scale_assign(&mut self, s: f32) {
         for a in self.data.iter_mut() {

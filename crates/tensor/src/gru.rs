@@ -13,7 +13,7 @@
 //! weights are `[in, 3h]` / `[h, 3h]`, gate order `[r | z | n]`, and the
 //! initial hidden state is zero.
 
-use crate::matmul::{gemm, gemm_par};
+use crate::matmul::{gemm, gemm_par, gemm_par_mat, Mat};
 use crate::tensor::Tensor;
 
 /// Gate activations recorded by [`gru_layer_forward`] for the backward
@@ -170,9 +170,15 @@ pub fn gru_layer_forward(
 /// * `outputs`: the forward result (the per-step hidden states)
 /// * `stash`: gate activations from the forward pass
 ///
-/// The per-step gate backward is element-wise; everything matrix-shaped
-/// (`dx`, `dw_ih`, `dw_hh`, the recurrent `dh` chain) runs as gemms on the
-/// same dispatched kernels as the forward.
+/// The per-step gate backward is the lane-parallel row kernel
+/// [`crate::simd::gru_gates_row_backward`]; everything matrix-shaped runs
+/// as gemms on the same dispatched kernels as the forward. Each step's
+/// hidden-side gate rows are staged time-major, so the step's recurrent
+/// product is one `b`-row gemm, and `dx`, `dW_ih`, `dW_hh` read `W_ihᵀ`,
+/// `xᵀ` and `h_prevᵀ` as transposed operands rather than transposed
+/// copies. Every gradient keeps the bits of the row-at-a-time formulation:
+/// a gemm gives each output element the same operations whatever its row
+/// count, operand strides and neighbouring columns.
 pub fn gru_layer_backward(
     go: &Tensor,
     x: &Tensor,
@@ -191,16 +197,151 @@ pub fn gru_layer_backward(
     span.bytes((x.numel() + 2 * outputs.numel()) * 4);
 
     let (rs, zs, ns, ghns) = (stash.r.data(), stash.z.data(), stash.n.data(), stash.ghn.data());
-    let out = outputs.data();
+    let (gd, out) = (go.data(), outputs.data());
+    // Packed once: the recurrence reads it at every step.
     let whh_t = transpose(w_hh.data(), hs, h3);
 
-    // Pre-activation gate gradients for every step. The input-side and
-    // hidden-side rows differ only in the candidate slot (`dn` reaches
-    // `gh_n` through the reset gate).
+    // Pre-activation gate gradients for every step, `[b, len, 3h]`. The
+    // hidden-side row `dgh` differs from `dgi` only in its candidate slot
+    // (`dn` reaches `gh_n` through the reset gate), so only that slot is
+    // kept for `dW_hh`; the whole row is staged time-major, one step's `b`
+    // rows at a time, for the step's recurrent product.
+    let mut dgi_all = vec![0.0f32; b * len * h3];
+    let mut dghn_all = vec![0.0f32; b * len * hs];
+    let mut dgh_t = vec![0.0f32; b * h3];
+    let mut dh = vec![0.0f32; b * hs]; // carry: ∂L/∂h_t flowing backwards
+    let h0 = vec![0.0f32; hs];
+    for t in (0..len).rev() {
+        for (bi, dgh) in dgh_t.chunks_mut(h3).enumerate() {
+            let o = (bi * len + t) * hs;
+            let gbase = (bi * len + t) * h3;
+            let h_prev = if t == 0 { &h0[..] } else { &out[o - hs..o] };
+            crate::simd::gru_gates_row_backward(
+                &gd[o..o + hs],
+                h_prev,
+                [
+                    &rs[o..o + hs],
+                    &zs[o..o + hs],
+                    &ns[o..o + hs],
+                    &ghns[o..o + hs],
+                ],
+                &mut dh[bi * hs..(bi + 1) * hs],
+                &mut dgi_all[gbase..gbase + h3],
+                dgh,
+            );
+            dghn_all[o..o + hs].copy_from_slice(&dgh[2 * hs..]);
+        }
+        // dh_{t-1} = z ⊙ dh_t + dgh_t W_hhᵀ over all b rows at once.
+        gemm(&dgh_t, &whh_t, &mut dh, b, h3, hs);
+    }
+
+    // Whole-sequence weight/input gradients.
+    let mut dx = vec![0.0f32; b * len * input];
+    gemm_par_mat(
+        Mat::rows(&dgi_all, h3),
+        Mat::transposed(w_ih.data(), h3),
+        &mut dx,
+        b * len,
+        h3,
+        input,
+    );
+
+    let mut dw_ih = vec![0.0f32; input * h3];
+    gemm_par_mat(
+        Mat::transposed(x.data(), input),
+        Mat::rows(&dgi_all, h3),
+        &mut dw_ih,
+        input,
+        b * len,
+        h3,
+    );
+
+    // h_prev rows: outputs shifted right one step within each sequence.
+    let mut h_prev_all = vec![0.0f32; b * len * hs];
+    for bi in 0..b {
+        for t in 1..len {
+            let src = (bi * len + t - 1) * hs;
+            let dst = (bi * len + t) * hs;
+            h_prev_all[dst..dst + hs].copy_from_slice(&out[src..src + hs]);
+        }
+    }
+    // dW_hh in two column blocks, `[r | z]` from `dgi` and `[n]` from the
+    // kept candidate slot: each output column sees the same operations it
+    // would in one `3h`-wide product.
+    let h_prev_t = Mat::transposed(&h_prev_all, hs);
+    let mut dw_rz = vec![0.0f32; hs * 2 * hs];
+    gemm_par_mat(
+        h_prev_t,
+        Mat::new(&dgi_all, h3, 1),
+        &mut dw_rz,
+        hs,
+        b * len,
+        2 * hs,
+    );
+    let mut dw_n = vec![0.0f32; hs * hs];
+    gemm_par_mat(
+        h_prev_t,
+        Mat::rows(&dghn_all, hs),
+        &mut dw_n,
+        hs,
+        b * len,
+        hs,
+    );
+    let mut dw_hh = Vec::with_capacity(hs * h3);
+    for (rz, n) in dw_rz.chunks(2 * hs).zip(dw_n.chunks(hs)) {
+        dw_hh.extend_from_slice(rz);
+        dw_hh.extend_from_slice(n);
+    }
+
+    // Column sums; the `[r | z]` slots of `db_hh` sum the same rows as
+    // `db_ih`'s.
+    let mut db_ih = vec![0.0f32; h3];
+    for row in dgi_all.chunks(h3) {
+        crate::simd::axpy(&mut db_ih, 1.0, row);
+    }
+    let mut db_hh = db_ih.clone();
+    db_hh[2 * hs..].fill(0.0);
+    for row in dghn_all.chunks(hs) {
+        crate::simd::axpy(&mut db_hh[2 * hs..], 1.0, row);
+    }
+
+    GruGrads {
+        dx: Tensor::from_vec(dx, &[b, len, input]),
+        dw_ih: Tensor::from_vec(dw_ih, &[input, h3]),
+        dw_hh: Tensor::from_vec(dw_hh, &[hs, h3]),
+        db_ih: Tensor::from_vec(db_ih, &[h3]),
+        db_hh: Tensor::from_vec(db_hh, &[h3]),
+    }
+}
+
+/// [`gru_layer_backward`] as it was before the row kernel and the strided
+/// gemms: a scalar gate loop, `b` one-row recurrent gemms per step, and
+/// transposed copies. Kept so the property tests can pin the kernel to it
+/// bit for bit on both backends.
+#[cfg(test)]
+pub(crate) fn reference_layer_backward(
+    go: &Tensor,
+    x: &Tensor,
+    w_ih: &Tensor,
+    w_hh: &Tensor,
+    outputs: &Tensor,
+    stash: &GruStash,
+) -> GruGrads {
+    let (b, len, input) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let hs = w_hh.shape()[0];
+    let h3 = 3 * hs;
+    let (rs, zs, ns, ghns) = (
+        stash.r.data(),
+        stash.z.data(),
+        stash.n.data(),
+        stash.ghn.data(),
+    );
+    let out = outputs.data();
+    let whh_t = transpose(w_hh.data(), hs, h3);
     let mut dgi_all = vec![0.0f32; b * len * h3];
     let mut dgh_all = vec![0.0f32; b * len * h3];
-    let mut dh = vec![0.0f32; b * hs]; // carry: ∂L/∂h_t flowing backwards
-    let mut dh_gate = vec![0.0f32; b * hs]; // z ⊙ dh_t, the direct carry term
+    let mut dh = vec![0.0f32; b * hs];
+    let mut dh_gate = vec![0.0f32; b * hs];
     for t in (0..len).rev() {
         for bi in 0..b {
             let o = (bi * len + t) * hs;
@@ -222,9 +363,6 @@ pub fn gru_layer_backward(
                 dh_gate[bi * hs + j] = z * dht;
             }
         }
-        // dh_{t-1} = z ⊙ dh_t + dgh_t W_hh^T  (batch rows of dgh_all at
-        // step t are strided by len; gather them through a_of-style gemm
-        // is overkill for b rows — copy-free per-row gemm instead).
         dh.copy_from_slice(&dh_gate);
         for bi in 0..b {
             let gbase = (bi * len + t) * h3;
@@ -238,17 +376,12 @@ pub fn gru_layer_backward(
             );
         }
     }
-
-    // Whole-sequence weight/input gradients.
     let wih_t = transpose(w_ih.data(), input, h3);
     let mut dx = vec![0.0f32; b * len * input];
     gemm_par(&dgi_all, &wih_t, &mut dx, b * len, h3, input);
-
     let x_t = transpose(x.data(), b * len, input);
     let mut dw_ih = vec![0.0f32; input * h3];
     gemm_par(&x_t, &dgi_all, &mut dw_ih, input, b * len, h3);
-
-    // h_prev rows: outputs shifted right one step within each sequence.
     let mut h_prev_all = vec![0.0f32; b * len * hs];
     for bi in 0..b {
         for t in 1..len {
@@ -260,7 +393,6 @@ pub fn gru_layer_backward(
     let h_prev_t = transpose(&h_prev_all, b * len, hs);
     let mut dw_hh = vec![0.0f32; hs * h3];
     gemm_par(&h_prev_t, &dgh_all, &mut dw_hh, hs, b * len, h3);
-
     let mut db_ih = vec![0.0f32; h3];
     for row in dgi_all.chunks(h3) {
         crate::simd::axpy(&mut db_ih, 1.0, row);
@@ -269,7 +401,6 @@ pub fn gru_layer_backward(
     for row in dgh_all.chunks(h3) {
         crate::simd::axpy(&mut db_hh, 1.0, row);
     }
-
     GruGrads {
         dx: Tensor::from_vec(dx, &[b, len, input]),
         dw_ih: Tensor::from_vec(dw_ih, &[input, h3]),

@@ -28,27 +28,97 @@ pub(crate) const MR: usize = 4;
 /// batch=1 gemms (~100–300k madds) split across the pool.
 const PAR_GRAIN: usize = 64 * 1024;
 
+/// A gemm operand read in place: element `(i, j)` is `data[i * rs + j * cs]`.
+///
+/// A row-major matrix with `c` columns is [`Mat::rows`]; its transpose is
+/// [`Mat::transposed`], so a backward pass reads `Xᵀ` of an activation
+/// without copying it. The left operand is read at any strides, the right
+/// one at any row stride; a right operand whose columns are not adjacent
+/// is packed into a row-major panel first (in every caller it is a weight,
+/// a few hundred floats).
+#[derive(Clone, Copy)]
+pub(crate) struct Mat<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Mat<'a> {
+    /// Element `(i, j)` at `data[i * rs + j * cs]`.
+    pub(crate) fn new(data: &'a [f32], rs: usize, cs: usize) -> Self {
+        Mat { data, rs, cs }
+    }
+
+    /// Row-major `data` with `cols` columns.
+    pub(crate) fn rows(data: &'a [f32], cols: usize) -> Self {
+        Mat::new(data, cols, 1)
+    }
+
+    /// The transpose of row-major `data` with `cols` columns.
+    pub(crate) fn transposed(data: &'a [f32], cols: usize) -> Self {
+        Mat::new(data, 1, cols)
+    }
+
+    /// The operand from row `i` on.
+    fn rows_from(self, i: usize) -> Self {
+        Mat {
+            data: &self.data[i * self.rs..],
+            ..self
+        }
+    }
+
+    /// Element `(i, j)`.
+    #[inline(always)]
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.data[i * self.rs + j * self.cs]
+    }
+
+    /// The first `rows × cols` block copied out row-major.
+    fn to_rows(self, rows: usize, cols: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(rows * cols);
+        for i in 0..rows {
+            out.extend((0..cols).map(|j| self.at(i, j)));
+        }
+        out
+    }
+}
+
 /// Multiply an `m×k` row-major block by a `k×n` row-major block into `m×n`,
 /// accumulating into `out` (callers pass a zeroed buffer).
+pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    gemm_mat(Mat::rows(a, k), Mat::rows(b, n), out, m, k, n);
+}
+
+/// [`gemm`] over strided operands: `out[m×n] += a[m×k] @ b[k×n]`, with
+/// `a` at any strides, `b` row-major at any row stride ([`gemm_par_mat`]
+/// packs any other), and `out` row-major.
 ///
 /// `k <= KC` (every matmul this codebase actually issues) takes the lean
 /// path that accumulates straight into `out`; larger `k` goes through the
 /// k/n-tiled stack accumulator. The path depends only on the shape, never
-/// on the thread count.
-pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+/// on the thread count or the strides: each output element sees the same
+/// operations in the same order whichever way its operands are laid out.
+fn gemm_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    debug_assert!(a.data.len() > (m - 1) * a.rs + (k - 1) * a.cs);
+    debug_assert_eq!(b.cs, 1, "right operand read by columns is not packed");
+    let (b, ldb) = (b.data, b.rs);
+    debug_assert!(b.len() >= (k - 1) * ldb + n);
     if k <= KC {
         if crate::simd::enabled() {
-            crate::simd::gemm_block(a, k, b, n, out, n, m, k, n);
+            crate::simd::gemm_block(a.data, a.rs, a.cs, b, ldb, out, n, m, k, n);
         } else {
-            gemm_single_ktile(a, b, out, m, k, n);
+            gemm_single_ktile(a, b, ldb, out, m, k, n);
         }
         return;
     }
     if crate::simd::enabled() {
-        gemm_tiled_packed(a, b, out, m, k, n);
+        gemm_tiled_packed(a, b, ldb, out, m, k, n);
         return;
     }
     for ks in (0..k).step_by(KC) {
@@ -61,9 +131,9 @@ pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
                 let mr = MR.min(m - i);
                 let mut acc = [[0.0f32; NC]; MR];
                 for p in ks..ke {
-                    let b_row = &b[p * n + ns..p * n + ne];
+                    let b_row = &b[p * ldb + ns..p * ldb + ne];
                     for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
-                        let a_ip = a[(i + r) * k + p];
+                        let a_ip = a.at(i + r, p);
                         for (slot, &bv) in acc_r.iter_mut().zip(b_row) {
                             *slot += a_ip * bv;
                         }
@@ -86,7 +156,15 @@ pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 /// is packed into a contiguous buffer once, then every `MR`-row block of
 /// `a` streams it through the AVX2 micro-tile. Packing pays for itself
 /// because the panel is reused `m / MR` times with unit-stride loads.
-fn gemm_tiled_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_tiled_packed(
+    a: Mat<'_>,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     // Heap-allocated: 128 KiB would be a meaningful bite out of a worker
     // thread's stack, and this path only runs for k > KC. The span wraps
     // just the allocation so the pack-buffer churn shows up in `lttf
@@ -102,11 +180,12 @@ fn gemm_tiled_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
             let ne = (ns + NC).min(n);
             let nb = ne - ns;
             for (pi, p) in (ks..ke).enumerate() {
-                pack[pi * nb..(pi + 1) * nb].copy_from_slice(&b[p * n + ns..p * n + ne]);
+                pack[pi * nb..(pi + 1) * nb].copy_from_slice(&b[p * ldb + ns..p * ldb + ne]);
             }
             crate::simd::gemm_block(
-                &a[ks..],
-                k,
+                &a.data[ks * a.cs..],
+                a.rs,
+                a.cs,
                 &pack[..kc * nb],
                 nb,
                 &mut out[ns..],
@@ -123,7 +202,15 @@ fn gemm_tiled_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 /// rows serve as the accumulators directly — no stack tile to clear and
 /// flush. `MR` rows advance together so each streamed `b` row is reused
 /// `MR` times from registers.
-fn gemm_single_ktile(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_single_ktile(
+    a: Mat<'_>,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let mut i = 0;
     while i + MR <= m {
         let rows = &mut out[i * n..(i + MR) * n];
@@ -131,11 +218,11 @@ fn gemm_single_ktile(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
         let (o1, rest) = rest.split_at_mut(n);
         let (o2, o3) = rest.split_at_mut(n);
         for p in 0..k {
-            let b_row = &b[p * n..(p + 1) * n];
-            let a0 = a[i * k + p];
-            let a1 = a[(i + 1) * k + p];
-            let a2 = a[(i + 2) * k + p];
-            let a3 = a[(i + 3) * k + p];
+            let b_row = &b[p * ldb..p * ldb + n];
+            let a0 = a.at(i, p);
+            let a1 = a.at(i + 1, p);
+            let a2 = a.at(i + 2, p);
+            let a3 = a.at(i + 3, p);
             for j in 0..n {
                 let bv = b_row[j];
                 o0[j] += a0 * bv;
@@ -147,10 +234,10 @@ fn gemm_single_ktile(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
         i += MR;
     }
     for r in i..m {
-        let a_row = &a[r * k..(r + 1) * k];
         let out_row = &mut out[r * n..(r + 1) * n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
+        for p in 0..k {
+            let a_ip = a.at(r, p);
+            let b_row = &b[p * ldb..p * ldb + n];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += a_ip * bv;
             }
@@ -159,23 +246,34 @@ fn gemm_single_ktile(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 }
 
 /// `gemm` parallelized over row blocks of `a`/`out`.
+pub(crate) fn gemm_par(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    gemm_par_mat(Mat::rows(a, k), Mat::rows(b, n), out, m, k, n);
+}
+
+/// [`gemm_mat`] parallelized over row blocks of `a`/`out`; a right operand
+/// read by columns is packed into a row-major panel first.
 ///
 /// Each task owns a disjoint block of output rows, so no float operation
 /// crosses a block boundary and the result is bit-identical to the serial
 /// kernel. Block size is a pure function of the problem shape.
-pub(crate) fn gemm_par(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_par_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
+    if b.cs != 1 {
+        let packed = b.to_rows(k, n);
+        gemm_par_mat(a, Mat::rows(&packed, n), out, m, k, n);
+        return;
+    }
     let work = m * k * n;
     if work < 2 * PAR_GRAIN || lttf_parallel::num_threads() <= 1 {
-        gemm(a, b, out, m, k, n);
+        gemm_mat(a, b, out, m, k, n);
         return;
     }
     // Rows per chunk sized to ~PAR_GRAIN multiply-adds, rounded up to a
     // multiple of MR so every chunk starts on a micro-tile boundary.
     let rows = lttf_parallel::rows_per_block(k * n, PAR_GRAIN, MR);
     par_chunks_mut(out, rows * n, |ci, chunk| {
-        let r0 = ci * rows;
         let mb = chunk.len() / n;
-        gemm(&a[r0 * k..(r0 + mb) * k], b, chunk, mb, k, n);
+        gemm_mat(a.rows_from(ci * rows), b, chunk, mb, k, n);
     });
 }
 

@@ -4,6 +4,8 @@ use crate::{broadcast_shapes, Rng, Tensor};
 use lttf_testkit::prop::{self, Gen};
 use lttf_testkit::{prop_assert, prop_assert_eq, properties};
 
+pub(crate) use crate::simd::on_both_backends;
+
 /// Generator: a small random shape with 1–3 dims of extent 1–5.
 fn small_shape() -> Gen<Vec<usize>> {
     prop::vecs(prop::usizes(1..6), 1..4)
@@ -121,25 +123,6 @@ properties! {
         let c = t.cumsum(0);
         prop_assert!((c.data()[7] - t.sum()).abs() < 1e-3);
     }
-}
-
-/// Run `f` under forced-scalar then forced-AVX2 dispatch, returning
-/// `(scalar, simd)`. Holds the crate's simd test lock for the duration and
-/// restores auto-detection even if `f` panics mid-property.
-pub(crate) fn on_both_backends<T>(f: impl Fn() -> T) -> (T, T) {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            crate::simd::set_simd_override(None);
-        }
-    }
-    let _guard = crate::simd::test_lock();
-    let _restore = Restore;
-    crate::simd::set_simd_override(Some(false));
-    let scalar = f();
-    crate::simd::set_simd_override(Some(true));
-    let simd = f();
-    (scalar, simd)
 }
 
 // SIMD/scalar equivalence over randomized shapes (DESIGN.md §8): the two

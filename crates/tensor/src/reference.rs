@@ -260,6 +260,45 @@ properties! {
     }
 }
 
+properties! {
+    cases = 32;
+
+    // Hidden sizes straddle the 8-lane gate kernel, `b·len` crosses the
+    // gemm's 256-deep k-tile on the weight gradients, and `hs = 90` puts
+    // the recurrent product (`k = 3h = 270`) on the tiled path too.
+    fn gru_backward_matches_reference(
+        b in 1usize..5,
+        len in 1usize..70,
+        input in 1usize..12,
+        hs in prop::select(vec![1usize, 3, 4, 7, 8, 9, 15, 16, 17, 90]),
+        seed in prop::u64s(0..u64::MAX)
+    ) {
+        let mut rng = lttf_testkit::Xoshiro256PlusPlus::seed_from_u64(seed);
+        let h3 = 3 * hs;
+        let mut tensor = |dims: &[usize], scale: f32| {
+            let data = values(&mut rng, dims.iter().product());
+            Tensor::from_vec(data, dims).mul_scalar(scale)
+        };
+        let x = tensor(&[b, len, input], 0.1);
+        let w_ih = tensor(&[input, h3], 0.03);
+        let w_hh = tensor(&[hs, h3], 0.03);
+        let b_ih = tensor(&[h3], 0.03);
+        let b_hh = tensor(&[h3], 0.03);
+        let go = tensor(&[b, len, hs], 0.1);
+        check_both(|| {
+            let (out, stash) = crate::gru_layer_forward(&x, &w_ih, &w_hh, &b_ih, &b_hh, true);
+            let stash = stash.expect("stash requested");
+            let got = crate::gru_layer_backward(&go, &x, &w_ih, &w_hh, &out, &stash);
+            let want = crate::gru::reference_layer_backward(&go, &x, &w_ih, &w_hh, &out, &stash);
+            same_bits("dx", &got.dx, &want.dx)?;
+            same_bits("dw_ih", &got.dw_ih, &want.dw_ih)?;
+            same_bits("dw_hh", &got.dw_hh, &want.dw_hh)?;
+            same_bits("db_ih", &got.db_ih, &want.db_ih)?;
+            same_bits("db_hh", &got.db_hh, &want.db_hh)
+        })?;
+    }
+}
+
 /// Outputs past the parallel threshold are filled in chunks on the worker
 /// pool, and a chunk boundary can split a row; the bits must not move.
 #[test]

@@ -28,6 +28,27 @@ impl Tensor {
         }
     }
 
+    /// [`Tensor::reshape`] that keeps the buffer instead of copying it.
+    ///
+    /// # Panics
+    /// Panics if the element counts differ.
+    pub fn into_reshape(self, shape: &[usize]) -> Tensor {
+        let s = Shape::new(shape);
+        assert_eq!(
+            s.numel(),
+            self.numel(),
+            "cannot reshape {} ({} elements) to {} ({} elements)",
+            self.shape,
+            self.numel(),
+            s,
+            s.numel()
+        );
+        Tensor {
+            data: self.data,
+            shape: s,
+        }
+    }
+
     /// Insert a new axis of extent 1 at `axis` (may equal `ndim` to append).
     pub fn unsqueeze(&self, axis: usize) -> Tensor {
         assert!(

@@ -156,11 +156,17 @@ pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 /// Register blocking: 4 rows × 16 columns (8 FMA accumulators held in
 /// registers for the whole k-loop), then a 4×8 column tail, then scalar
 /// columns; leftover rows run one at a time with 16/8-wide accumulators.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and every index the strides name
+/// must lie inside its slice: `a` past `(m-1)·lda + (k-1)·acs`, `b` past
+/// `(k-1)·ldb + n - 1`, `out` past `(m-1)·ldo + n - 1`.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn gemm_block(
     a: &[f32],
     lda: usize,
+    acs: usize,
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
@@ -195,16 +201,16 @@ pub unsafe fn gemm_block(
             for p in 0..k {
                 let b0 = _mm256_loadu_ps(pb.add(p * ldb + j));
                 let b1 = _mm256_loadu_ps(pb.add(p * ldb + j + 8));
-                let v0 = _mm256_set1_ps(*a0.add(p));
+                let v0 = _mm256_set1_ps(*a0.add(p * acs));
                 c00 = _mm256_fmadd_ps(v0, b0, c00);
                 c01 = _mm256_fmadd_ps(v0, b1, c01);
-                let v1 = _mm256_set1_ps(*a1.add(p));
+                let v1 = _mm256_set1_ps(*a1.add(p * acs));
                 c10 = _mm256_fmadd_ps(v1, b0, c10);
                 c11 = _mm256_fmadd_ps(v1, b1, c11);
-                let v2 = _mm256_set1_ps(*a2.add(p));
+                let v2 = _mm256_set1_ps(*a2.add(p * acs));
                 c20 = _mm256_fmadd_ps(v2, b0, c20);
                 c21 = _mm256_fmadd_ps(v2, b1, c21);
-                let v3 = _mm256_set1_ps(*a3.add(p));
+                let v3 = _mm256_set1_ps(*a3.add(p * acs));
                 c30 = _mm256_fmadd_ps(v3, b0, c30);
                 c31 = _mm256_fmadd_ps(v3, b1, c31);
             }
@@ -237,10 +243,10 @@ pub unsafe fn gemm_block(
             let mut c3 = _mm256_setzero_ps();
             for p in 0..k {
                 let bv = _mm256_loadu_ps(pb.add(p * ldb + j));
-                c0 = _mm256_fmadd_ps(_mm256_set1_ps(*a0.add(p)), bv, c0);
-                c1 = _mm256_fmadd_ps(_mm256_set1_ps(*a1.add(p)), bv, c1);
-                c2 = _mm256_fmadd_ps(_mm256_set1_ps(*a2.add(p)), bv, c2);
-                c3 = _mm256_fmadd_ps(_mm256_set1_ps(*a3.add(p)), bv, c3);
+                c0 = _mm256_fmadd_ps(_mm256_set1_ps(*a0.add(p * acs)), bv, c0);
+                c1 = _mm256_fmadd_ps(_mm256_set1_ps(*a1.add(p * acs)), bv, c1);
+                c2 = _mm256_fmadd_ps(_mm256_set1_ps(*a2.add(p * acs)), bv, c2);
+                c3 = _mm256_fmadd_ps(_mm256_set1_ps(*a3.add(p * acs)), bv, c3);
             }
             _mm256_storeu_ps(o0.add(j), _mm256_add_ps(_mm256_loadu_ps(o0.add(j)), c0));
             _mm256_storeu_ps(o1.add(j), _mm256_add_ps(_mm256_loadu_ps(o1.add(j)), c1));
@@ -252,10 +258,10 @@ pub unsafe fn gemm_block(
             let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
             for p in 0..k {
                 let bv = *pb.add(p * ldb + j);
-                s0 = (*a0.add(p)).mul_add(bv, s0);
-                s1 = (*a1.add(p)).mul_add(bv, s1);
-                s2 = (*a2.add(p)).mul_add(bv, s2);
-                s3 = (*a3.add(p)).mul_add(bv, s3);
+                s0 = (*a0.add(p * acs)).mul_add(bv, s0);
+                s1 = (*a1.add(p * acs)).mul_add(bv, s1);
+                s2 = (*a2.add(p * acs)).mul_add(bv, s2);
+                s3 = (*a3.add(p * acs)).mul_add(bv, s3);
             }
             *o0.add(j) += s0;
             *o1.add(j) += s1;
@@ -273,7 +279,7 @@ pub unsafe fn gemm_block(
             let mut c0 = _mm256_setzero_ps();
             let mut c1 = _mm256_setzero_ps();
             for p in 0..k {
-                let av = _mm256_set1_ps(*ar.add(p));
+                let av = _mm256_set1_ps(*ar.add(p * acs));
                 c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(pb.add(p * ldb + j)), c0);
                 c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(pb.add(p * ldb + j + 8)), c1);
             }
@@ -288,7 +294,7 @@ pub unsafe fn gemm_block(
             let mut c0 = _mm256_setzero_ps();
             for p in 0..k {
                 c0 = _mm256_fmadd_ps(
-                    _mm256_set1_ps(*ar.add(p)),
+                    _mm256_set1_ps(*ar.add(p * acs)),
                     _mm256_loadu_ps(pb.add(p * ldb + j)),
                     c0,
                 );
@@ -299,7 +305,7 @@ pub unsafe fn gemm_block(
         while j < n {
             let mut s = 0.0f32;
             for p in 0..k {
-                s = (*ar.add(p)).mul_add(*pb.add(p * ldb + j), s);
+                s = (*ar.add(p * acs)).mul_add(*pb.add(p * ldb + j), s);
             }
             *or.add(j) += s;
             j += 1;
@@ -529,5 +535,76 @@ pub unsafe fn gru_gates_row(
             _mm256_storeu_ps(tmp.as_mut_ptr(), ghn);
             sghn[j..].copy_from_slice(&tmp[..t]);
         }
+    }
+}
+
+/// See [`super::gru_gates_row_backward`]. Mul/add/sub only — no FMA
+/// contraction — so every lane matches the scalar backend; the tail runs
+/// the same formulas one lane at a time.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, `go`, `h_prev`, the gate rows and
+/// `dh` must have one length `h`, and `dgi`/`dgh` length `3h`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn gru_gates_row_backward(
+    go: &[f32],
+    h_prev: &[f32],
+    [r, z, n, ghn]: [&[f32]; 4],
+    dh: &mut [f32],
+    dgi: &mut [f32],
+    dgh: &mut [f32],
+) {
+    let hs = dh.len();
+    let one = _mm256_set1_ps(1.0);
+    let (pdi, pdh) = (dgi.as_mut_ptr(), dgh.as_mut_ptr());
+    let mut j = 0;
+    while j + 8 <= hs {
+        let rv = _mm256_loadu_ps(r.as_ptr().add(j));
+        let zv = _mm256_loadu_ps(z.as_ptr().add(j));
+        let nv = _mm256_loadu_ps(n.as_ptr().add(j));
+        let d = _mm256_add_ps(
+            _mm256_loadu_ps(go.as_ptr().add(j)),
+            _mm256_loadu_ps(dh.as_ptr().add(j)),
+        );
+        let dz = _mm256_mul_ps(
+            _mm256_sub_ps(_mm256_loadu_ps(h_prev.as_ptr().add(j)), nv),
+            d,
+        );
+        let dn_pre = _mm256_mul_ps(
+            _mm256_mul_ps(
+                _mm256_sub_ps(one, _mm256_mul_ps(nv, nv)),
+                _mm256_sub_ps(one, zv),
+            ),
+            d,
+        );
+        let dr_pre = _mm256_mul_ps(
+            _mm256_mul_ps(rv, _mm256_sub_ps(one, rv)),
+            _mm256_mul_ps(dn_pre, _mm256_loadu_ps(ghn.as_ptr().add(j))),
+        );
+        let dz_pre = _mm256_mul_ps(_mm256_mul_ps(zv, _mm256_sub_ps(one, zv)), dz);
+        _mm256_storeu_ps(pdi.add(j), dr_pre);
+        _mm256_storeu_ps(pdi.add(hs + j), dz_pre);
+        _mm256_storeu_ps(pdi.add(2 * hs + j), dn_pre);
+        _mm256_storeu_ps(pdh.add(j), dr_pre);
+        _mm256_storeu_ps(pdh.add(hs + j), dz_pre);
+        _mm256_storeu_ps(pdh.add(2 * hs + j), _mm256_mul_ps(dn_pre, rv));
+        _mm256_storeu_ps(dh.as_mut_ptr().add(j), _mm256_mul_ps(zv, d));
+        j += 8;
+    }
+    while j < hs {
+        let (r, z, n) = (r[j], z[j], n[j]);
+        let d = go[j] + dh[j];
+        let dz = (h_prev[j] - n) * d;
+        let dn_pre = (1.0 - n * n) * (1.0 - z) * d;
+        let dr_pre = r * (1.0 - r) * (dn_pre * ghn[j]);
+        let dz_pre = z * (1.0 - z) * dz;
+        dgi[j] = dr_pre;
+        dgi[hs + j] = dz_pre;
+        dgi[2 * hs + j] = dn_pre;
+        dgh[j] = dr_pre;
+        dgh[hs + j] = dz_pre;
+        dgh[2 * hs + j] = dn_pre * r;
+        dh[j] = z * d;
+        j += 1;
     }
 }

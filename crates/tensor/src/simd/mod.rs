@@ -109,10 +109,30 @@ pub fn backend_name() -> &'static str {
 /// Serializes tests that flip [`set_simd_override`] (or compare backends)
 /// within one test binary. Lock poisoning is ignored — a failed test must
 /// not cascade into every later backend test.
-#[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` under the forced-scalar then the forced-AVX2 backend, returning
+/// `(scalar, simd)`: the harness of the workspace's cross-backend property
+/// tests. Holds this crate's override lock for the duration, so two such
+/// runs never interleave, and restores the environment's default even if
+/// `f` panics. On hosts without AVX2 both runs take the scalar path.
+pub fn on_both_backends<T>(f: impl Fn() -> T) -> (T, T) {
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_simd_override(None);
+        }
+    }
+    let _guard = test_lock();
+    let _restore = Restore;
+    set_simd_override(Some(false));
+    let scalar = f();
+    set_simd_override(Some(true));
+    let simd = f();
+    (scalar, simd)
 }
 
 // ---------------------------------------------------------------------------
@@ -164,17 +184,22 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 // ---------------------------------------------------------------------------
 
 /// `out[0..m, 0..n] += a[0..m, 0..k] @ b[0..k, 0..n]` over strided
-/// row-major operands (`lda`/`ldb`/`ldo` are row strides, so callers can
-/// point into larger matrices or a packed panel).
+/// operands: `a[i, p]` is `a[i * lda + p * acs]`, and `b`/`out` are
+/// row-major with row strides `ldb`/`ldo`, so callers can point into
+/// larger matrices or a packed panel, and read `a` transposed in place
+/// (`lda = 1`, `acs` = its row length).
 ///
 /// Dispatches to the AVX2+FMA register-blocked micro-tile when enabled,
 /// else to a portable i-k-j loop. Within each backend the accumulation
-/// order per output element is a pure function of `(m, k, n)`.
+/// order per output element is a pure function of `(k, n)`: neither `m`
+/// nor the strides change it, so a block of rows gives every row the bits
+/// it gets alone.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn gemm_block(
     a: &[f32],
     lda: usize,
+    acs: usize,
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
@@ -186,16 +211,19 @@ pub fn gemm_block(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    debug_assert!(a.len() >= (m - 1) * lda + k);
-    debug_assert!(b.len() >= (k - 1) * ldb + n);
-    debug_assert!(out.len() >= (m - 1) * ldo + n);
+    assert!(
+        a.len() > (m - 1) * lda + (k - 1) * acs,
+        "gemm_block: a too short"
+    );
+    assert!(b.len() >= (k - 1) * ldb + n, "gemm_block: b too short");
+    assert!(out.len() >= (m - 1) * ldo + n, "gemm_block: out too short");
     #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: bounds checked above; `enabled()` implies AVX2+FMA.
-        unsafe { avx2::gemm_block(a, lda, b, ldb, out, ldo, m, k, n) };
+        unsafe { avx2::gemm_block(a, lda, acs, b, ldb, out, ldo, m, k, n) };
         return;
     }
-    scalar::gemm_block(a, lda, b, ldb, out, ldo, m, k, n);
+    scalar::gemm_block(a, lda, acs, b, ldb, out, ldo, m, k, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -302,6 +330,53 @@ pub fn gru_gates_row(
     scalar::gru_gates_row(gi, gh, h, out, stash);
 }
 
+/// Gate backward of [`gru_gates_row`] for one batch row of `h` lanes at
+/// one step of backprop-through-time.
+///
+/// Reads the upstream gradient row `go`, the previous hidden state row
+/// `h_prev`, the stashed `[r, z, n, gh_n]` rows, and the carry `dh`
+/// (∂L/∂h_t from later steps). With `d = go + dh` it writes
+///
+/// ```text
+/// dn = (1 − n²)(1 − z) d          dz = z(1 − z) · (h_prev − n) d
+/// dr = r(1 − r) · (dn ⊙ gh_n)
+/// dgi = [dr | dz | dn]            dgh = [dr | dz | dn ⊙ r]
+/// ```
+///
+/// and overwrites `dh` with the direct carry term `z ⊙ d` (the recurrent
+/// gemm adds `dgh W_hhᵀ` to it). Lane-parallel multiplies, adds and
+/// subtracts with no fused multiply-add, so both backends produce the
+/// same bits.
+pub fn gru_gates_row_backward(
+    go: &[f32],
+    h_prev: &[f32],
+    gates: [&[f32]; 4],
+    dh: &mut [f32],
+    dgi: &mut [f32],
+    dgh: &mut [f32],
+) {
+    let hs = dh.len();
+    assert!(
+        go.len() == hs && h_prev.len() == hs,
+        "gate backward: row length mismatch"
+    );
+    assert!(
+        gates.iter().all(|g| g.len() == hs),
+        "gate backward: stash row length mismatch"
+    );
+    assert!(
+        dgi.len() == 3 * hs && dgh.len() == 3 * hs,
+        "gate backward: gate row length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: lengths checked above; `enabled()` implies AVX2+FMA.
+        unsafe { avx2::gru_gates_row_backward(go, h_prev, gates, dh, dgi, dgh) };
+        return;
+    }
+    scalar::gru_gates_row_backward(go, h_prev, gates, dh, dgi, dgh);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +396,9 @@ mod tests {
     fn binary_ops_bit_identical_across_backends() {
         let _guard = test_lock();
         let a: Vec<f32> = (0..133).map(|i| (i as f32 * 0.37).sin() * 8.0).collect();
-        let b: Vec<f32> = (0..133).map(|i| (i as f32 * 0.53).cos() * 2.0 + 0.5).collect();
+        let b: Vec<f32> = (0..133)
+            .map(|i| (i as f32 * 0.53).cos() * 2.0 + 0.5)
+            .collect();
         for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
             let mut scalar_out = vec![0.0f32; a.len()];
             set_simd_override(Some(false));

@@ -32,6 +32,7 @@ pub(super) fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 pub(super) fn gemm_block(
     a: &[f32],
     lda: usize,
+    acs: usize,
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
@@ -41,9 +42,9 @@ pub(super) fn gemm_block(
     n: usize,
 ) {
     for i in 0..m {
-        let a_row = &a[i * lda..i * lda + k];
         let out_row = &mut out[i * ldo..i * ldo + n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
+        for p in 0..k {
+            let a_ip = a[i * lda + p * acs];
             let b_row = &b[p * ldb..p * ldb + n];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += a_ip * bv;
@@ -113,5 +114,31 @@ pub(super) fn gru_gates_row(
             sn[j] = n;
             sghn[j] = ghn;
         }
+    }
+}
+
+pub(super) fn gru_gates_row_backward(
+    go: &[f32],
+    h_prev: &[f32],
+    [r, z, n, ghn]: [&[f32]; 4],
+    dh: &mut [f32],
+    dgi: &mut [f32],
+    dgh: &mut [f32],
+) {
+    let hs = dh.len();
+    for j in 0..hs {
+        let (r, z, n) = (r[j], z[j], n[j]);
+        let d = go[j] + dh[j];
+        let dz = (h_prev[j] - n) * d;
+        let dn_pre = (1.0 - n * n) * (1.0 - z) * d;
+        let dr_pre = r * (1.0 - r) * (dn_pre * ghn[j]);
+        let dz_pre = z * (1.0 - z) * dz;
+        dgi[j] = dr_pre;
+        dgi[hs + j] = dz_pre;
+        dgi[2 * hs + j] = dn_pre;
+        dgh[j] = dr_pre;
+        dgh[hs + j] = dz_pre;
+        dgh[2 * hs + j] = dn_pre * r;
+        dh[j] = z * d;
     }
 }

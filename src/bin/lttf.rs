@@ -369,16 +369,19 @@ fn cmd_forecast(flags: HashMap<String, String>) {
 /// utilization, and a loss summary, and write a JSONL run log under
 /// `results/runs/`. `--smoke` selects a seconds-scale configuration used
 /// by CI; `--mode fwd` profiles forward+backward passes without training.
+/// The model defaults to the benchmark's canonical one (c_in 3, lx 48,
+/// ly 24, d_model 16), so the table ranks the spans the ledger's
+/// `train_step` pays for.
 fn cmd_profile(flags: HashMap<String, String>) {
     let smoke = flag_set(&flags, "smoke");
     let mode = flags.get("mode").map(String::as_str).unwrap_or("train");
-    let lx = get(&flags, "lx", 96usize);
+    let lx = get(&flags, "lx", 48usize);
     let ly = get(&flags, "ly", 24usize);
-    let d_model = get(&flags, "d-model", 32usize);
+    let d_model = get(&flags, "d-model", 16usize);
     let batch = get(&flags, "batch", 32usize);
     let epochs = get(&flags, "epochs", if smoke { 2 } else { 3 });
     let len = get(&flags, "len", if smoke { 1_200 } else { 2_400 });
-    let dims = get(&flags, "dims", 4usize);
+    let dims = get(&flags, "dims", 3usize);
     let seed = get(&flags, "seed", 7u64);
     // Default to at least two workers so the pool's parallel path (and
     // its utilization gauges) are exercised even on one-core machines —

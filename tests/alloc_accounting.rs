@@ -6,7 +6,9 @@
 use lttf::conformer::ConformerConfig;
 use lttf::data::StandardScaler;
 use lttf::eval::TrainedModel;
-use lttf::serve::{protocol, serve, LoadedModel, Registry, ServeConfig, SessionConfig};
+use lttf::serve::{
+    protocol, serve_with_clock, LoadedModel, Registry, ServeConfig, SessionClock, SessionConfig,
+};
 use lttf::tensor::{Rng, Tensor};
 
 mod common;
@@ -33,7 +35,10 @@ fn allocation_accounting_sees_session_buffers_grow_and_shrink() {
     let fit_on = Tensor::randn(&[64, 8], &mut Rng::seed(10)).mul_scalar(2.0);
     let scaler = StandardScaler::fit(&fit_on);
     let loaded = LoadedModel::from_parts(model, cfg, scaler, "OT".to_string(), 1);
-    let handle = serve(
+    // Sessions age on a manual clock: however long the pushes below take
+    // on a loaded host, none is evicted before the test moves time on.
+    let clock = SessionClock::manual();
+    let handle = serve_with_clock(
         Registry::single("m", loaded),
         "127.0.0.1:0",
         ServeConfig {
@@ -43,6 +48,7 @@ fn allocation_accounting_sees_session_buffers_grow_and_shrink() {
             },
             ..ServeConfig::default()
         },
+        clock.clone(),
     )
     .expect("bind");
     let mut client = SessionClient::connect(handle.addr());
@@ -91,7 +97,7 @@ fn allocation_accounting_sees_session_buffers_grow_and_shrink() {
     // Let every session idle past the TTL, then force a sweep with a
     // table operation: a push against a known-but-idle id runs the sweep
     // before the lookup, so the reply itself proves the eviction.
-    std::thread::sleep(std::time::Duration::from_millis(1_600));
+    clock.advance(1_600);
     let err = client
         .push(9_999, handles[0], &payload[..8])
         .expect_err("an idle session past its TTL must be gone");

@@ -13,55 +13,16 @@
 //! The thread count never changes the bits, so the test passes under every
 //! `LTTF_THREADS`; `scripts/ci.sh` runs it across the SIMD × threads matrix.
 
-use lttf::conformer::ConformerConfig;
-use lttf::data::{Batch, MARK_DIM};
 use lttf::eval::TrainedModel;
 use lttf::tensor::simd::{backend_name, enabled, set_simd_override};
-use lttf::tensor::{Rng, Tensor};
+
+mod digest;
+use digest::{batch, canonical_config, fnv1a};
 
 /// Digests of `[b1, b8]` forecasts on the scalar backend.
 const SCALAR: [u64; 2] = [0xf694_2c50_cd9f_0dba, 0x49c1_54fe_ac92_f384];
 /// Digests of `[b1, b8]` forecasts on the AVX2+FMA backend.
 const AVX2: [u64; 2] = [0xfef9_1e2a_cf75_2a59, 0xf8e2_809b_4e63_e88c];
-
-fn canonical_config() -> ConformerConfig {
-    let mut cfg = ConformerConfig::new(3, 48, 24);
-    cfg.d_model = 16;
-    cfg.n_heads = 4;
-    cfg.multiscale_strides = vec![1, 12];
-    cfg
-}
-
-/// A seeded batch of `b` windows shaped for `cfg`.
-fn batch(cfg: &ConformerConfig, b: usize, seed: u64) -> Batch {
-    let mut rng = Rng::seed(seed);
-    let dec_len = cfg.label_len + cfg.ly;
-    Batch {
-        x: Tensor::randn(&[b, cfg.lx, cfg.c_in], &mut rng),
-        x_mark: Tensor::randn(&[b, cfg.lx, MARK_DIM], &mut rng),
-        dec: Tensor::randn(&[b, dec_len, cfg.c_in], &mut rng),
-        dec_mark: Tensor::randn(&[b, dec_len, MARK_DIM], &mut rng),
-        y: Tensor::zeros(&[b, cfg.ly, cfg.c_out]),
-    }
-}
-
-/// FNV-1a over the shape and the little-endian bits of every value.
-fn fnv1a(t: &Tensor) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &byte in bytes {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &d in t.shape() {
-        eat(&(d as u64).to_le_bytes());
-    }
-    for v in t.data() {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    h
-}
 
 /// `[b1, b8]` forecast digests on the backend selected right now.
 fn digests() -> [u64; 2] {
@@ -71,7 +32,7 @@ fn digests() -> [u64; 2] {
         let out = model.predict_batch(&batch(&cfg, b, seed));
         assert_eq!(out.shape(), &[b, cfg.ly, cfg.c_out]);
         assert!(!out.has_non_finite(), "b{b} forecast is not finite");
-        fnv1a(&out)
+        fnv1a([&out])
     })
 }
 
