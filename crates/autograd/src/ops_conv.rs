@@ -4,9 +4,10 @@ use crate::graph::{Backward, Var};
 use lttf_tensor::Tensor;
 
 impl<'g> Var<'g> {
-    /// 1-D convolution `[b, c_in, L] * [c_out, c_in, k] → [b, c_out, L']`
-    /// with zero padding and stride, differentiable in both input and
-    /// weight (bias, when present, is a separate `add`).
+    /// 1-D convolution over channels-last activations, `[b, L, c_in] *
+    /// [c_out, c_in, k] → [b, L', c_out]`, with zero padding and stride,
+    /// differentiable in both input and weight (bias, when present, is a
+    /// separate `add`).
     pub fn conv1d(self, weight: Var<'g>, padding: usize, stride: usize) -> Var<'g> {
         let v = self.with_value(|x| weight.with_value(|w| x.conv1d(w, None, padding, stride)));
         self.g.push("conv1d", v, || {
@@ -128,7 +129,7 @@ mod tests {
 
     #[test]
     fn conv1d_grads() {
-        let x = sample(&[2, 2, 5], 1);
+        let x = sample(&[2, 5, 2], 1);
         let w = sample(&[3, 2, 3], 2);
         grad_check(
             &[x, w],
@@ -140,7 +141,7 @@ mod tests {
 
     #[test]
     fn conv1d_stride_grads() {
-        let x = sample(&[1, 1, 8], 3);
+        let x = sample(&[1, 8, 1], 3);
         let w = sample(&[2, 1, 2], 4);
         grad_check(
             &[x, w],

@@ -47,7 +47,7 @@ impl LstNet {
     pub fn forward<'g>(&self, cx: &Fwd<'g, '_>, x: Var<'g>) -> Var<'g> {
         let b = x.shape()[0];
         let w = cx.param(self.conv);
-        let feats = x.swap_axes(1, 2).conv1d(w, 0, 1).relu().swap_axes(1, 2); // [b, lx-k+1, conv_channels]
+        let feats = x.conv1d(w, 0, 1).relu(); // [b, lx-k+1, conv_channels]
         debug_assert_eq!(feats.shape()[2], self.conv_channels);
         let out = self.rnn.forward(cx, feats);
         let h = *out.last_hidden.last().expect("layer");

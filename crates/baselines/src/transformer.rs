@@ -222,10 +222,8 @@ impl TransformerForecaster {
                 // Informer's distilling: conv + ELU + stride-2 max-pool.
                 let wv = cx.param(w);
                 e = e
-                    .swap_axes(1, 2)
                     .conv1d(wv, 1, 1)
                     .elu()
-                    .swap_axes(1, 2)
                     .select(1, &(0..e.shape()[1]).step_by(2).collect::<Vec<_>>());
             }
         }

@@ -50,7 +50,7 @@ impl Ts2Vec {
         let mut h = self.input_proj.forward(cx, x);
         for &w in &self.convs {
             let wv = cx.param(w);
-            let c = h.swap_axes(1, 2).conv1d(wv, 1, 1).swap_axes(1, 2).gelu();
+            let c = h.conv1d(wv, 1, 1).gelu();
             h = h.add(c); // residual conv stack
         }
         h

@@ -23,7 +23,7 @@ fn bench_matmul(s: &mut Suite) {
 
 fn bench_conv1d(s: &mut Suite) {
     let mut rng = Rng::seed(2);
-    let x = Tensor::randn(&[8, 16, 96], &mut rng);
+    let x = Tensor::randn(&[8, 96, 16], &mut rng);
     let w = Tensor::randn(&[16, 16, 3], &mut rng);
     s.bench("conv1d_8x16x96_k3", || black_box(x.conv1d(&w, None, 1, 1)));
 }

@@ -43,7 +43,7 @@ fn main() {
     let mut rng = Rng::seed(7);
     let mm_a = Tensor::randn(&[32, 96, 64], &mut rng);
     let mm_b = Tensor::randn(&[32, 64, 96], &mut rng);
-    let conv_x = Tensor::randn(&[16, 32, 256], &mut rng);
+    let conv_x = Tensor::randn(&[16, 256, 32], &mut rng);
     let conv_w = Tensor::randn(&[32, 32, 3], &mut rng);
 
     for &t in &counts {

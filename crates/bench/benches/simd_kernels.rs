@@ -43,9 +43,9 @@ fn workloads() -> Workloads {
         mm_deep_b: Tensor::randn(&[384, 64], &mut rng),
         mm_skinny_a: Tensor::randn(&[3, 96], &mut rng),
         mm_skinny_b: Tensor::randn(&[96, 48], &mut rng),
-        conv_x: Tensor::randn(&[1, 32, 96], &mut rng),
+        conv_x: Tensor::randn(&[1, 96, 32], &mut rng),
         conv_w: Tensor::randn(&[32, 32, 3], &mut rng),
-        conv_go: Tensor::randn(&[1, 32, 96], &mut rng),
+        conv_go: Tensor::randn(&[1, 96, 32], &mut rng),
         red_a: Tensor::randn(&[65_536], &mut rng),
         red_b: Tensor::randn(&[65_536], &mut rng),
         gru_x: Tensor::randn(&[1, 96, 32], &mut rng),
@@ -73,7 +73,7 @@ fn bench_backend(suite: &mut Suite, w: &Workloads, tag: &str) {
         black_box(Tensor::conv1d_backward_input(
             &w.conv_go,
             &w.conv_w,
-            &[1, 32, 96],
+            &[1, 96, 32],
             1,
             1,
         ))

@@ -144,7 +144,7 @@ impl InputRepresentation {
     fn fuse_conv<'g>(&self, cx: &Fwd<'g, '_>, inner: Var<'g>) -> Var<'g> {
         let w = cx.param(self.conv_w);
         let b = cx.param(self.conv_b);
-        inner.swap_axes(1, 2).conv1d(w, 1, 1).swap_axes(1, 2).add(b)
+        inner.conv1d(w, 1, 1).add(b)
     }
 
     /// Temporal mixing matrix `W^Γ = Softmax(Γ̄ Γ̄ᵀ/√d)` for Table VIII.

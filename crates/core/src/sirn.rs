@@ -160,7 +160,7 @@ impl SirnLayer {
         let local_ref = self.self_attn.forward_self(cx, xin);
         let w = cx.param(self.season_conv);
         for _ in 0..self.eta {
-            let conv_s = seasonal.swap_axes(1, 2).conv1d(w, 1, 1).swap_axes(1, 2);
+            let conv_s = seasonal.conv1d(w, 1, 1);
             let (s, t) = self.decomp.forward(conv_s.add(local_ref));
             seasonal = s;
             trend_sum = trend_sum.add(t);

@@ -122,7 +122,7 @@ pub fn attend_folded<'g>(
         AttentionKind::Full => full::full_attention(q, k, v, None),
         AttentionKind::SlidingWindow { w } => window::sliding_window_attention(q, k, v, w),
         AttentionKind::SlidingWindowGlobal { w, n_global } => {
-            window::sliding_window_global_attention(q, k, v, w, n_global)
+            window::sliding_window_global_attention(q, k, v, 1, w, n_global)
         }
         AttentionKind::ProbSparse { factor } => prob::prob_sparse_attention(q, k, v, factor),
         AttentionKind::Lsh { n_buckets } => lsh::lsh_attention(cx, q, k, v, n_buckets),
@@ -134,7 +134,9 @@ pub fn attend_folded<'g>(
 }
 
 /// Multi-head attention: project, fold heads, dispatch to a mechanism,
-/// merge heads, project out (paper Eq. 7).
+/// merge heads, project out (paper Eq. 7). The windowed mechanisms skip
+/// the fold and the merge: their kernel reads each head's columns of the
+/// `[B, L, d]` projections in place.
 pub struct MultiHeadAttention {
     kind: AttentionKind,
     n_heads: usize,
@@ -182,7 +184,8 @@ impl MultiHeadAttention {
         self.kind
     }
 
-    /// `[B, L, d] → [B·N, L, d/N]`.
+    /// `[B, L, d] → [B·N, L, d/N]`, for the mechanisms that take
+    /// head-folded tensors.
     fn split_heads<'g>(&self, x: Var<'g>) -> Var<'g> {
         let s = x.shape();
         let (b, l) = (s[0], s[1]);
@@ -213,11 +216,25 @@ impl MultiHeadAttention {
     ) -> Var<'g> {
         let mark = cx.graph().len();
         let b = query.shape()[0];
-        let q = self.split_heads(self.wq.forward(cx, query));
-        let k = self.split_heads(self.wk.forward(cx, key));
-        let v = self.split_heads(self.wv.forward(cx, value));
-        let ctxt = attend_folded(self.kind, cx, q, k, v);
-        let merged = self.merge_heads(ctxt, b);
+        let q = self.wq.forward(cx, query);
+        let k = self.wk.forward(cx, key);
+        let v = self.wv.forward(cx, value);
+        let merged = match self.kind {
+            AttentionKind::SlidingWindow { w } => {
+                window::sliding_window_global_attention(q, k, v, self.n_heads, w, 0)
+            }
+            AttentionKind::SlidingWindowGlobal { w, n_global } => {
+                window::sliding_window_global_attention(q, k, v, self.n_heads, w, n_global)
+            }
+            kind => {
+                let (q, k, v) = (
+                    self.split_heads(q),
+                    self.split_heads(k),
+                    self.split_heads(v),
+                );
+                self.merge_heads(attend_folded(kind, cx, q, k, v), b)
+            }
+        };
         let out = cx.dropout(self.wo.forward(cx, merged), self.dropout);
         cx.graph().release_since(mark, &[out]);
         out

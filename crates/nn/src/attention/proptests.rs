@@ -1,8 +1,9 @@
 //! Property-based tests for the attention mechanisms: the fused banded
 //! kernel agrees with a dense masked reference for arbitrary window and
 //! global-token configurations, matches its kept reference planes bit for
-//! bit on both kernel backends, and every mechanism preserves the
-//! convex-combination property of softmax attention.
+//! bit on both kernel backends — heads read in place against the head
+//! split, reference planes and merge they replaced — and every mechanism
+//! preserves the convex-combination property of softmax attention.
 
 use crate::attention::window::reference;
 use crate::attention::{
@@ -28,6 +29,23 @@ fn same_bits(what: &str, got: &Tensor, want: &Tensor) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `[b, l, heads·d] → [b·heads, l, d]`, the head split the windowed
+/// kernel no longer needs.
+fn split_heads(x: &Tensor, heads: usize) -> Tensor {
+    let (b, l, d) = (x.shape()[0], x.shape()[1], x.shape()[2] / heads);
+    x.reshape(&[b, l, heads, d])
+        .permute(&[0, 2, 1, 3])
+        .reshape(&[b * heads, l, d])
+}
+
+/// `[b·heads, l, d] → [b, l, heads·d]`, the matching merge.
+fn merge_heads(x: &Tensor, heads: usize) -> Tensor {
+    let (bh, l, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    x.reshape(&[bh / heads, heads, l, d])
+        .permute(&[0, 2, 1, 3])
+        .reshape(&[bh / heads, l, heads * d])
 }
 
 /// Dense reference for the banded+global pattern: full scores with a
@@ -75,7 +93,7 @@ properties! {
         let q = Tensor::randn(&[2, l, 3], &mut rng);
         let k = Tensor::randn(&[2, l, 3], &mut rng);
         let v = Tensor::randn(&[2, l, 3], &mut rng);
-        let fused = window_global_forward(&q, &k, &v, w, n_global);
+        let fused = window_global_forward(&q, &k, &v, 1, w, n_global);
         let reference = masked_reference(&q, &k, &v, w, n_global);
         fused.assert_close(&reference, 1e-3);
     }
@@ -89,7 +107,7 @@ properties! {
         let q = Tensor::randn(&[1, l, 4], &mut rng);
         let k = Tensor::randn(&[1, l, 4], &mut rng);
         let v = Tensor::randn(&[1, l, 4], &mut rng);
-        let out = window_global_forward(&q, &k, &v, w, 0);
+        let out = window_global_forward(&q, &k, &v, 1, w, 0);
         // softmax attention is a convex combination: global bounds hold
         prop_assert!(out.max() <= v.max() + 1e-4);
         prop_assert!(out.min() >= v.min() - 1e-4);
@@ -106,7 +124,7 @@ properties! {
         let q = g.leaf(Tensor::randn(&[1, l, 3], &mut rng));
         let k = g.leaf(Tensor::randn(&[1, l, 3], &mut rng));
         let v = g.leaf(Tensor::randn(&[1, l, 3], &mut rng));
-        let loss = sliding_window_global_attention(q, k, v, w, n_global.min(l))
+        let loss = sliding_window_global_attention(q, k, v, 1, w, n_global.min(l))
             .square()
             .sum_all();
         let grads = g.backward(loss);
@@ -138,13 +156,52 @@ properties! {
         let (scalar, simd) = on_both_backends(|| -> Result<(), String> {
             same_bits(
                 "forward",
-                &window_global_forward(&q, &k, &v, w, n_global),
+                &window_global_forward(&q, &k, &v, 1, w, n_global),
                 &reference::forward(&q, &k, &v, w, n_global),
             )?;
-            let got = window_global_backward(&q, &k, &v, &gout, w, n_global);
+            let got = window_global_backward(&q, &k, &v, &gout, 1, w, n_global);
             let want = reference::backward(&q, &k, &v, &gout, w, n_global);
             for (name, (g, r)) in ["dq", "dk", "dv"].into_iter().zip(got.iter().zip(&want)) {
                 same_bits(name, g, r)?;
+            }
+            Ok(())
+        });
+        scalar.map_err(|e| format!("scalar backend: {e}"))?;
+        simd.map_err(|e| format!("simd backend: {e}"))?;
+    }
+
+    // The multi-head kernel reads each head's columns of `[b, l, heads·d]`
+    // in place; the path it replaced split the heads out, ran the planes
+    // one head-folded batch at a time and merged them back. Head widths
+    // span both sides of 8 lanes; cross-attention lengths and global
+    // tokens included.
+    fn window_heads_match_the_split_merge_reference(
+        b in 1usize..4,
+        heads in 1usize..5,
+        lq in 1usize..14,
+        lk in 1usize..14,
+        dh in 1usize..12,
+        dv in 1usize..12,
+        w in 1usize..6,
+        n_global in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::seed(seed);
+        let q = Tensor::randn(&[b, lq, heads * dh], &mut rng);
+        let k = Tensor::randn(&[b, lk, heads * dh], &mut rng);
+        let v = Tensor::randn(&[b, lk, heads * dv], &mut rng);
+        let gout = Tensor::randn(&[b, lq, heads * dv], &mut rng);
+        let split = |t: &Tensor| split_heads(t, heads);
+        let (scalar, simd) = on_both_backends(|| -> Result<(), String> {
+            same_bits(
+                "forward",
+                &window_global_forward(&q, &k, &v, heads, w, n_global),
+                &merge_heads(&reference::forward(&split(&q), &split(&k), &split(&v), w, n_global), heads),
+            )?;
+            let got = window_global_backward(&q, &k, &v, &gout, heads, w, n_global);
+            let want = reference::backward(&split(&q), &split(&k), &split(&v), &split(&gout), w, n_global);
+            for (name, (g, r)) in ["dq", "dk", "dv"].into_iter().zip(got.iter().zip(&want)) {
+                same_bits(name, g, &merge_heads(r, heads))?;
             }
             Ok(())
         });

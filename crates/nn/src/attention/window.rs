@@ -101,8 +101,13 @@ impl RowOps for SmallFma {
     }
 }
 
-/// Operands and geometry shared by every batch-head plane of one call:
-/// `q` is `[bh, lq, dh]`, `k` is `[bh, lk, dh]`, `v` is `[bh, lk, dv]`.
+/// Operands and geometry shared by every batch-head plane of one call.
+///
+/// `q` is `[b, lq, heads·dh]`, `k` is `[b, lk, heads·dh]` and `v` is `[b,
+/// lk, heads·dv]`: head `h` of a row is the `dh` (or `dv`) contiguous
+/// floats from `h·dh`, read in place at row stride `heads·dh`. One head
+/// over head-folded `[b·heads, l, dh]` tensors is the same layout with
+/// `heads = 1`.
 struct Planes<'a> {
     q: &'a [f32],
     k: &'a [f32],
@@ -111,14 +116,31 @@ struct Planes<'a> {
     lk: usize,
     dh: usize,
     dv: usize,
+    /// Row widths over all heads: `heads·dh` for q/k, `heads·dv` for v.
+    dqt: usize,
+    dvt: usize,
+    heads: usize,
     w: usize,
     n_global: usize,
     scale: f32,
 }
 
 impl<'a> Planes<'a> {
-    fn new(q: &'a Tensor, k: &'a Tensor, v: &'a Tensor, w: usize, n_global: usize) -> Self {
-        let (lq, dh) = (q.shape()[1], q.shape()[2]);
+    fn new(
+        q: &'a Tensor,
+        k: &'a Tensor,
+        v: &'a Tensor,
+        heads: usize,
+        w: usize,
+        n_global: usize,
+    ) -> Self {
+        let (lq, dqt) = (q.shape()[1], q.shape()[2]);
+        let dvt = v.shape()[2];
+        assert!(
+            heads >= 1 && dqt.is_multiple_of(heads) && dvt.is_multiple_of(heads),
+            "{heads} heads must divide the q/k width {dqt} and the v width {dvt}"
+        );
+        let dh = dqt / heads;
         Planes {
             q: q.data(),
             k: k.data(),
@@ -126,7 +148,10 @@ impl<'a> Planes<'a> {
             lq,
             lk: k.shape()[1],
             dh,
-            dv: v.shape()[2],
+            dv: dvt / heads,
+            dqt,
+            dvt,
+            heads,
             w,
             n_global,
             scale: 1.0 / (dh as f32).sqrt(),
@@ -141,23 +166,23 @@ impl<'a> Planes<'a> {
         lttf_tensor::simd::enabled() && self.dh < SMALL_HEAD && self.dv < SMALL_HEAD
     }
 
-    fn q_row(&self, b: usize, i: usize) -> &[f32] {
-        let r = b * self.lq + i;
-        &self.q[r * self.dh..(r + 1) * self.dh]
+    fn q_row(&self, b: usize, h: usize, i: usize) -> &[f32] {
+        let at = (b * self.lq + i) * self.dqt + h * self.dh;
+        &self.q[at..at + self.dh]
     }
 
-    fn k_row(&self, b: usize, j: usize) -> &[f32] {
-        let r = b * self.lk + j;
-        &self.k[r * self.dh..(r + 1) * self.dh]
+    fn k_row(&self, b: usize, h: usize, j: usize) -> &[f32] {
+        let at = (b * self.lk + j) * self.dqt + h * self.dh;
+        &self.k[at..at + self.dh]
     }
 
-    fn v_row(&self, b: usize, j: usize) -> &[f32] {
-        let r = b * self.lk + j;
-        &self.v[r * self.dv..(r + 1) * self.dv]
+    fn v_row(&self, b: usize, h: usize, j: usize) -> &[f32] {
+        let at = (b * self.lk + j) * self.dvt + h * self.dv;
+        &self.v[at..at + self.dv]
     }
 
-    /// Forward of batch-head `b` into its output plane `[lq, dv]`;
-    /// `scores` is scratch.
+    /// Forward of batch `b`, every head, into its output plane `[lq,
+    /// heads·dv]`; `scores` is scratch.
     fn forward(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
         #[cfg(target_arch = "x86_64")]
         if self.small() {
@@ -179,34 +204,37 @@ impl<'a> Planes<'a> {
 
     #[inline(always)]
     fn forward_with<K: RowOps>(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
-        let dv = self.dv;
-        for i in 0..self.lq {
-            let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
-            let keys = || global.clone().chain(band.clone());
-            let qrow = self.q_row(b, i);
-            scores.clear();
-            let mut max = f32::NEG_INFINITY;
-            for j in keys() {
-                let s = K::dot(qrow, self.k_row(b, j)) * self.scale;
-                max = max.max(s);
-                scores.push(s);
-            }
-            let mut z = 0.0;
-            for s in scores.iter_mut() {
-                *s = (*s - max).exp();
-                z += *s;
-            }
-            let inv_z = 1.0 / z;
-            let orow = &mut oplane[i * dv..(i + 1) * dv];
-            for (&s, j) in scores.iter().zip(keys()) {
-                K::axpy(orow, s * inv_z, self.v_row(b, j));
+        let (dv, dvt) = (self.dv, self.dvt);
+        for h in 0..self.heads {
+            for i in 0..self.lq {
+                let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
+                let keys = || global.clone().chain(band.clone());
+                let qrow = self.q_row(b, h, i);
+                scores.clear();
+                let mut max = f32::NEG_INFINITY;
+                for j in keys() {
+                    let s = K::dot(qrow, self.k_row(b, h, j)) * self.scale;
+                    max = max.max(s);
+                    scores.push(s);
+                }
+                let mut z = 0.0;
+                for s in scores.iter_mut() {
+                    *s = (*s - max).exp();
+                    z += *s;
+                }
+                let inv_z = 1.0 / z;
+                let at = i * dvt + h * dv;
+                let orow = &mut oplane[at..at + dv];
+                for (&s, j) in scores.iter().zip(keys()) {
+                    K::axpy(orow, s * inv_z, self.v_row(b, h, j));
+                }
             }
         }
     }
 
-    /// Backward of batch-head `b` into its gradient planes (`gq` `[lq,
-    /// dh]`, `gk` `[lk, dh]`, `gv` `[lk, dv]`); `gout` is the whole output
-    /// gradient, `attn`/`dattn` are scratch.
+    /// Backward of batch `b`, every head, into its gradient planes (`gq`
+    /// `[lq, heads·dh]`, `gk` `[lk, heads·dh]`, `gv` `[lk, heads·dv]`);
+    /// `gout` is the whole output gradient, `attn`/`dattn` are scratch.
     #[allow(clippy::too_many_arguments)]
     fn backward(
         &self,
@@ -257,192 +285,203 @@ impl<'a> Planes<'a> {
         attn: &mut Vec<f32>,
         dattn: &mut Vec<f32>,
     ) {
-        let (dh, dv) = (self.dh, self.dv);
-        for i in 0..self.lq {
-            let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
-            let keys = || global.clone().chain(band.clone());
-            let qrow = self.q_row(b, i);
-            let r = b * self.lq + i;
-            let grow = &gout[r * dv..(r + 1) * dv];
-            // recompute softmax weights
-            attn.clear();
-            let mut max = f32::NEG_INFINITY;
-            for j in keys() {
-                let a = K::dot(qrow, self.k_row(b, j)) * self.scale;
-                max = max.max(a);
-                attn.push(a);
-            }
-            let mut z = 0.0;
-            for a in attn.iter_mut() {
-                *a = (*a - max).exp();
-                z += *a;
-            }
-            for a in attn.iter_mut() {
-                *a /= z;
-            }
-            // dV and dA
-            dattn.clear();
-            let mut dot_sum = 0.0;
-            for (&a, j) in attn.iter().zip(keys()) {
-                let da = K::dot(grow, self.v_row(b, j));
-                dattn.push(da);
-                dot_sum += a * da;
-                K::axpy(&mut gv[j * dv..(j + 1) * dv], a, grow);
-            }
-            // softmax backward → dscores, then dQ/dK
-            let gqrow = &mut gq[i * dh..(i + 1) * dh];
-            for ((&a, &da), j) in attn.iter().zip(dattn.iter()).zip(keys()) {
-                let ds = a * (da - dot_sum) * self.scale;
-                if ds == 0.0 {
-                    continue;
+        let (dh, dv, dqt, dvt) = (self.dh, self.dv, self.dqt, self.dvt);
+        for h in 0..self.heads {
+            let (qh, vh) = (h * dh, h * dv);
+            for i in 0..self.lq {
+                let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
+                let keys = || global.clone().chain(band.clone());
+                let qrow = self.q_row(b, h, i);
+                let at = (b * self.lq + i) * dvt + vh;
+                let grow = &gout[at..at + dv];
+                // recompute softmax weights
+                attn.clear();
+                let mut max = f32::NEG_INFINITY;
+                for j in keys() {
+                    let a = K::dot(qrow, self.k_row(b, h, j)) * self.scale;
+                    max = max.max(a);
+                    attn.push(a);
                 }
-                K::axpy(gqrow, ds, self.k_row(b, j));
-                K::axpy(&mut gk[j * dh..(j + 1) * dh], ds, qrow);
+                let mut z = 0.0;
+                for a in attn.iter_mut() {
+                    *a = (*a - max).exp();
+                    z += *a;
+                }
+                for a in attn.iter_mut() {
+                    *a /= z;
+                }
+                // dV and dA
+                dattn.clear();
+                let mut dot_sum = 0.0;
+                for (&a, j) in attn.iter().zip(keys()) {
+                    let da = K::dot(grow, self.v_row(b, h, j));
+                    dattn.push(da);
+                    dot_sum += a * da;
+                    K::axpy(&mut gv[j * dvt + vh..j * dvt + vh + dv], a, grow);
+                }
+                // softmax backward → dscores, then dQ/dK
+                let gqrow = &mut gq[i * dqt + qh..i * dqt + qh + dh];
+                for ((&a, &da), j) in attn.iter().zip(dattn.iter()).zip(keys()) {
+                    let ds = a * (da - dot_sum) * self.scale;
+                    if ds == 0.0 {
+                        continue;
+                    }
+                    K::axpy(gqrow, ds, self.k_row(b, h, j));
+                    K::axpy(&mut gk[j * dqt + qh..j * dqt + qh + dh], ds, qrow);
+                }
             }
         }
     }
 }
 
-/// Compute softmax attention restricted to a width-`w` band.
+/// Compute softmax attention restricted to a width-`w` band, one head
+/// over head-folded tensors.
 ///
 /// * `q`: `[bh, lq, dh]`, `k`/`v`: `[bh, lk, dh]` → output `[bh, lq, dh]`.
 ///
 /// # Panics
 /// Panics on rank/shape mismatches or `w == 0`.
 pub fn sliding_window_attention<'g>(q: Var<'g>, k: Var<'g>, v: Var<'g>, w: usize) -> Var<'g> {
-    sliding_window_global_attention(q, k, v, w, 0)
+    sliding_window_global_attention(q, k, v, 1, w, 0)
 }
 
-/// Sliding-window attention with `n_global` Longformer-style global
-/// tokens: the first `n_global` positions attend to (and are attended by)
-/// every position, on top of the local band. Complexity
+/// Multi-head sliding-window attention with `n_global` Longformer-style
+/// global tokens: the first `n_global` positions attend to (and are
+/// attended by) every position, on top of the local band. Complexity
 /// O(L·(w + n_global)).
 ///
+/// `q` is `[b, lq, heads·dh]`, `k` `[b, lk, heads·dh]` and `v` `[b, lk,
+/// heads·dv]`, the projections' own layout: each head reads its `dh`
+/// columns in place, and the output `[b, lq, heads·dv]` and the q/k/v
+/// gradients are written the same way, so no head split or merge copies
+/// anything. `heads = 1` is plain attention over head-folded tensors.
+///
 /// # Panics
-/// Panics on rank/shape mismatches or `w == 0`.
+/// Panics on rank/shape mismatches, `w == 0`, or `heads` not dividing the
+/// widths.
 pub fn sliding_window_global_attention<'g>(
     q: Var<'g>,
     k: Var<'g>,
     v: Var<'g>,
+    heads: usize,
     w: usize,
     n_global: usize,
 ) -> Var<'g> {
     assert!(w >= 1, "window size must be >= 1");
     let g = q.graph();
     let out = g.with_values([q, k, v], |[q, k, v]| {
-        window_global_forward(q, k, v, w, n_global)
+        window_global_forward(q, k, v, heads, w, n_global)
     });
     g.custom_named("window_attn", out, &[q, k, v], move |ctx| {
         let (qv, kv, vv) = (ctx.inputs[0], ctx.inputs[1], ctx.inputs[2]);
-        window_global_backward(qv, kv, vv, &ctx.grad, w, n_global)
+        window_global_backward(qv, kv, vv, &ctx.grad, heads, w, n_global)
     })
 }
 
-/// Non-autograd forward (exposed for the Fig. 5 efficiency benchmark).
+/// Non-autograd forward, one head over head-folded tensors (exposed for
+/// the Fig. 5 efficiency benchmark).
 pub fn window_forward(q: &Tensor, k: &Tensor, v: &Tensor, w: usize) -> Tensor {
-    window_global_forward(q, k, v, w, 0)
+    window_global_forward(q, k, v, 1, w, 0)
 }
 
-/// Non-autograd forward with global tokens.
+/// Non-autograd forward with `heads` heads read in place and global
+/// tokens; shapes as in [`sliding_window_global_attention`].
 pub fn window_global_forward(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
+    heads: usize,
     w: usize,
     n_global: usize,
 ) -> Tensor {
-    let (bh, lq, dh) = (q.shape()[0], q.shape()[1], q.shape()[2]);
+    let (b, lq, dqt) = (q.shape()[0], q.shape()[1], q.shape()[2]);
     let lk = k.shape()[1];
-    assert_eq!(k.shape()[0], bh, "batch mismatch between q and k");
+    assert_eq!(k.shape()[0], b, "batch mismatch between q and k");
     assert_eq!(v.shape()[1], lk, "k/v length mismatch");
-    assert_eq!(k.shape()[2], dh, "q/k feature mismatch");
-    let dv = v.shape()[2];
-    let span = lttf_obs::span!(
-        "window_attn_fwd",
-        bh * lq * (w + n_global + 1) * dh >= OBS_MIN_ATTN
-    );
-    span.bytes((q.numel() + k.numel() + v.numel() + bh * lq * dv) * 4);
-    let planes = Planes::new(q, k, v, w, n_global);
-    let mut out = vec![0.0f32; bh * lq * dv];
-    // Each batch-head writes its own output plane, so the heads distribute
+    assert_eq!(k.shape()[2], dqt, "q/k feature mismatch");
+    let dvt = v.shape()[2];
+    // One score per (query, key) per head, each a dh-wide dot.
+    let work = b * lq * (w + n_global + 1) * dqt;
+    let span = lttf_obs::span!("window_attn_fwd", work >= OBS_MIN_ATTN);
+    span.bytes((q.numel() + k.numel() + v.numel() + b * lq * dvt) * 4);
+    let planes = Planes::new(q, k, v, heads, w, n_global);
+    let mut out = vec![0.0f32; b * lq * dvt];
+    // Each batch writes its own output plane, so the batches distribute
     // over the worker pool with bit-identical results at any thread count.
-    let work = bh * lq * (w + n_global + 1) * dh;
-    if bh >= 2 && work >= PAR_MIN_WORK && lttf_parallel::num_threads() > 1 && lq * dv > 0 {
-        par_chunks_mut(&mut out, lq * dv, |b, oplane| {
-            planes.forward(b, oplane, &mut Vec::new())
+    if b >= 2 && work >= PAR_MIN_WORK && lttf_parallel::num_threads() > 1 && lq * dvt > 0 {
+        par_chunks_mut(&mut out, lq * dvt, |bi, oplane| {
+            planes.forward(bi, oplane, &mut Vec::new())
         });
     } else {
         let mut scores = Vec::new();
-        for (b, oplane) in out.chunks_mut((lq * dv).max(1)).enumerate() {
-            planes.forward(b, oplane, &mut scores);
+        for (bi, oplane) in out.chunks_mut((lq * dvt).max(1)).enumerate() {
+            planes.forward(bi, oplane, &mut scores);
         }
     }
-    Tensor::from_vec(out, &[bh, lq, dv])
+    Tensor::from_vec(out, &[b, lq, dvt])
 }
 
 /// Hand-written backward: recomputes the banded softmax and applies the
 /// standard attention gradients within each query's key set. Returns
-/// `[dQ, dK, dV]`. Exposed (like [`window_global_forward`]) for benches
-/// and the determinism suite.
+/// `[dQ, dK, dV]`, shaped like `q`, `k` and `v`. Exposed (like
+/// [`window_global_forward`]) for benches and the determinism suite.
 pub fn window_global_backward(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
     gout: &Tensor,
+    heads: usize,
     w: usize,
     n_global: usize,
 ) -> Vec<Tensor> {
-    let (bh, lq, dh) = (q.shape()[0], q.shape()[1], q.shape()[2]);
+    let (b, lq, dqt) = (q.shape()[0], q.shape()[1], q.shape()[2]);
     let lk = k.shape()[1];
-    let dv = v.shape()[2];
-    let _span = lttf_obs::span!(
-        "window_attn_bwd",
-        bh * lq * (w + n_global + 1) * dh >= OBS_MIN_ATTN
-    );
-    let planes = Planes::new(q, k, v, w, n_global);
+    let dvt = v.shape()[2];
+    let work = b * lq * (w + n_global + 1) * dqt;
+    let _span = lttf_obs::span!("window_attn_bwd", work >= OBS_MIN_ATTN);
+    let planes = Planes::new(q, k, v, heads, w, n_global);
     let gd = gout.data();
-    let mut gq = vec![0.0f32; bh * lq * dh];
-    let mut gk = vec![0.0f32; bh * lk * dh];
-    let mut gv = vec![0.0f32; bh * lk * dv];
-    // Each batch-head scatters only into its own gq/gk/gv planes, so the
-    // three gradient buffers are sliced in lockstep across the pool.
-    let work = bh * lq * (w + n_global + 1) * dh;
-    if bh >= 2
+    let mut gq = vec![0.0f32; b * lq * dqt];
+    let mut gk = vec![0.0f32; b * lk * dqt];
+    let mut gv = vec![0.0f32; b * lk * dvt];
+    // Each batch scatters only into its own gq/gk/gv planes, so the three
+    // gradient buffers are sliced in lockstep across the pool.
+    if b >= 2
         && work >= PAR_MIN_WORK
         && lttf_parallel::num_threads() > 1
-        && lq * dh > 0
-        && lk * dh > 0
-        && lk * dv > 0
+        && lq * dqt > 0
+        && lk * dqt > 0
+        && lk * dvt > 0
     {
         par_chunks_mut_zip3(
             &mut gq,
-            lq * dh,
+            lq * dqt,
             &mut gk,
-            lk * dh,
+            lk * dqt,
             &mut gv,
-            lk * dv,
-            |b, gq_p, gk_p, gv_p| {
-                planes.backward(b, gd, gq_p, gk_p, gv_p, &mut Vec::new(), &mut Vec::new())
+            lk * dvt,
+            |bi, gq_p, gk_p, gv_p| {
+                planes.backward(bi, gd, gq_p, gk_p, gv_p, &mut Vec::new(), &mut Vec::new())
             },
         );
     } else {
         let (mut attn, mut dattn) = (Vec::new(), Vec::new());
-        for b in 0..bh {
+        for bi in 0..b {
             planes.backward(
-                b,
+                bi,
                 gd,
-                &mut gq[b * lq * dh..(b + 1) * lq * dh],
-                &mut gk[b * lk * dh..(b + 1) * lk * dh],
-                &mut gv[b * lk * dv..(b + 1) * lk * dv],
+                &mut gq[bi * lq * dqt..(bi + 1) * lq * dqt],
+                &mut gk[bi * lk * dqt..(bi + 1) * lk * dqt],
+                &mut gv[bi * lk * dvt..(bi + 1) * lk * dvt],
                 &mut attn,
                 &mut dattn,
             );
         }
     }
     vec![
-        Tensor::from_vec(gq, &[bh, lq, dh]),
-        Tensor::from_vec(gk, &[bh, lk, dh]),
-        Tensor::from_vec(gv, &[bh, lk, dv]),
+        Tensor::from_vec(gq, &[b, lq, dqt]),
+        Tensor::from_vec(gk, &[b, lk, dqt]),
+        Tensor::from_vec(gv, &[b, lk, dvt]),
     ]
 }
 
@@ -713,6 +752,7 @@ mod tests {
             g.leaf(k.clone()),
             g.leaf(v.clone()),
             1,
+            1,
             6,
         );
         let full = full_attention(g.leaf(q), g.leaf(k), g.leaf(v), None);
@@ -733,14 +773,14 @@ mod tests {
             let old = v1.at(&[0, 0, f]);
             v1.set(&[0, 0, f], old + 10.0);
         }
-        let local0 = window_global_forward(&q, &k, &v0, 2, 0);
-        let local1 = window_global_forward(&q, &k, &v1, 2, 0);
+        let local0 = window_global_forward(&q, &k, &v0, 1, 2, 0);
+        let local1 = window_global_forward(&q, &k, &v1, 1, 2, 0);
         // last row unaffected without global tokens
         for f in 0..3 {
             assert_eq!(local0.at(&[0, 15, f]), local1.at(&[0, 15, f]));
         }
-        let glob0 = window_global_forward(&q, &k, &v0, 2, 1);
-        let glob1 = window_global_forward(&q, &k, &v1, 2, 1);
+        let glob0 = window_global_forward(&q, &k, &v0, 1, 2, 1);
+        let glob1 = window_global_forward(&q, &k, &v1, 1, 2, 1);
         let mut moved = false;
         for f in 0..3 {
             moved |= (glob0.at(&[0, 15, f]) - glob1.at(&[0, 15, f])).abs() > 1e-6;
@@ -757,7 +797,7 @@ mod tests {
         grad_check(
             &[q, k, v],
             |_, xs| {
-                sliding_window_global_attention(xs[0], xs[1], xs[2], 2, 2)
+                sliding_window_global_attention(xs[0], xs[1], xs[2], 1, 2, 2)
                     .square()
                     .sum_all()
             },

@@ -54,9 +54,7 @@ impl TokenEmbedding {
             "token embedding expects {} channels, got {:?}",
             self.c_in, shape
         );
-        let w = cx.param(self.weight);
-        // conv1d wants [b, c, len]
-        x.swap_axes(1, 2).conv1d(w, 1, 1).swap_axes(1, 2)
+        x.conv1d(cx.param(self.weight), 1, 1)
     }
 
     /// Output width.

@@ -76,10 +76,15 @@ impl<'a> Mat<'a> {
     /// The first `rows × cols` block copied out row-major.
     fn to_rows(self, rows: usize, cols: usize) -> Vec<f32> {
         let mut out = Vec::with_capacity(rows * cols);
+        self.pack_into(&mut out, rows, cols);
+        out
+    }
+
+    /// The first `rows × cols` block appended to `out` row-major.
+    fn pack_into(self, out: &mut Vec<f32>, rows: usize, cols: usize) {
         for i in 0..rows {
             out.extend((0..cols).map(|j| self.at(i, j)));
         }
-        out
     }
 }
 
@@ -277,15 +282,69 @@ pub(crate) fn gemm_par_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k:
     });
 }
 
-/// Batched gemm over `bt` independent problems, parallelized across batches.
+/// A [`Tensor::matmul`] operand: a row-major `[rows, cols]` matrix or
+/// `[batch, rows, cols]` stack, read as itself or transposed in its last
+/// two axes.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    batch: Option<usize>,
+    rows: usize,
+    cols: usize,
+    transposed: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// `t` as an operand, or `None` unless it is rank 2 or 3.
+    fn of(t: &'a Tensor, transposed: bool) -> Option<Self> {
+        let (batch, rows, cols) = match *t.shape() {
+            [rows, cols] => (None, rows, cols),
+            [b, rows, cols] => (Some(b), rows, cols),
+            _ => return None,
+        };
+        Some(Operand {
+            data: &t.data,
+            batch,
+            rows,
+            cols,
+            transposed,
+        })
+    }
+
+    /// `(rows, cols)` as read.
+    fn dims(&self) -> (usize, usize) {
+        if self.transposed {
+            (self.cols, self.rows)
+        } else {
+            (self.rows, self.cols)
+        }
+    }
+
+    /// Batch `bi`'s matrix (the only one when unbatched), read in place.
+    fn mat(&self, bi: usize) -> Mat<'a> {
+        let plane = self.rows * self.cols;
+        let data = match self.batch {
+            Some(_) => &self.data[bi * plane..(bi + 1) * plane],
+            None => self.data,
+        };
+        if self.transposed {
+            Mat::transposed(data, self.cols)
+        } else {
+            Mat::rows(data, self.cols)
+        }
+    }
+}
+
+/// Batched gemm over `bt` independent problems, parallelized across
+/// batches. An unbatched operand is shared by every batch without a copy.
 ///
-/// `a_of`/`b_of` map a batch index to its operand slice (so shared operands
-/// broadcast without copies). Batches are grouped so each task carries
-/// ~`PAR_GRAIN` multiply-adds; a single batch degrades to row-parallel
-/// [`gemm_par`].
-fn gemm_batched<'a>(
-    a_of: impl Fn(usize) -> &'a [f32] + Sync,
-    b_of: impl Fn(usize) -> &'a [f32] + Sync,
+/// Batches are grouped so each task carries ~`PAR_GRAIN` multiply-adds; a
+/// single batch degrades to row-parallel [`gemm_par_mat`]. A right operand
+/// read by columns is packed row-major first: once when shared, else one
+/// batch panel at a time in each task's buffer.
+fn gemm_batched(
+    a: Operand<'_>,
+    b: Operand<'_>,
     out: &mut [f32],
     bt: usize,
     m: usize,
@@ -293,16 +352,77 @@ fn gemm_batched<'a>(
     n: usize,
 ) {
     if bt == 1 {
-        gemm_par(a_of(0), b_of(0), out, m, k, n);
+        gemm_par_mat(a.mat(0), b.mat(0), out, m, k, n);
         return;
     }
+    let shared = (b.batch.is_none() && b.transposed).then(|| b.mat(0).to_rows(k, n));
+    let per_batch = b.batch.is_some() && b.transposed;
     let per = lttf_parallel::items_per_task(m * k * n, PAR_GRAIN);
     par_chunks_mut(out, per * m * n, |ci, chunk| {
+        let mut panel = Vec::with_capacity(if per_batch { k * n } else { 0 });
         for (j, o) in chunk.chunks_mut(m * n).enumerate() {
             let bi = ci * per + j;
-            gemm(a_of(bi), b_of(bi), o, m, k, n);
+            let bm = match &shared {
+                Some(packed) => Mat::rows(packed, n),
+                None if per_batch => {
+                    panel.clear();
+                    b.mat(bi).pack_into(&mut panel, k, n);
+                    Mat::rows(&panel, n)
+                }
+                None => b.mat(bi),
+            };
+            gemm_mat(a.mat(bi), bm, o, m, k, n);
         }
     });
+}
+
+/// The product of `x` and `y`, each read transposed in its last two axes
+/// when its flag says so. A transposed left operand is read in place, a
+/// transposed right one packed as [`gemm_batched`] describes; no tensor is
+/// copied whole. Every output element gets the bits the product of
+/// materialized transposes gives it: the gemm's accumulation order depends
+/// only on the shape.
+fn matmul_read(x: &Tensor, xt: bool, y: &Tensor, yt: bool) -> Tensor {
+    let (Some(a), Some(b)) = (Operand::of(x, xt), Operand::of(y, yt)) else {
+        panic!(
+            "matmul supports rank (2|3)x(2|3) operands, got rank {} {} and rank {} {}",
+            x.ndim(),
+            x.shape,
+            y.ndim(),
+            y.shape
+        );
+    };
+    let batch = match (a.batch, b.batch) {
+        (Some(ba), Some(bb)) => {
+            assert_eq!(
+                ba, bb,
+                "batched matmul batch mismatch: {} vs {}",
+                x.shape, y.shape
+            );
+            Some(ba)
+        }
+        (ba, bb) => ba.or(bb),
+    };
+    let ((m, k), (k2, n)) = (a.dims(), b.dims());
+    assert_eq!(
+        k, k2,
+        "matmul inner dimension mismatch: {} vs {}",
+        x.shape, y.shape
+    );
+    let bt = batch.unwrap_or(1);
+    let span = lttf_obs::span!("matmul", bt * m * k * n >= crate::obs_min_work());
+    span.bytes((x.numel() + y.numel()) * 4);
+    let mut out = vec![0.0; bt * m * n];
+    match batch {
+        Some(bt) => {
+            gemm_batched(a, b, &mut out, bt, m, k, n);
+            Tensor::from_vec(out, &[bt, m, n])
+        }
+        None => {
+            gemm_par_mat(a.mat(0), b.mat(0), &mut out, m, k, n);
+            Tensor::from_vec(out, &[m, n])
+        }
+    }
 }
 
 impl Tensor {
@@ -317,93 +437,27 @@ impl Tensor {
     /// # Panics
     /// Panics on unsupported ranks or mismatched inner/batch dimensions.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        // ~b*m*k*n madds for every supported rank combination.
-        let work = self.numel() * other.shape().last().copied().unwrap_or(0);
-        let span = lttf_obs::span!("matmul", work >= crate::obs_min_work());
-        span.bytes((self.numel() + other.numel()) * 4);
-        match (self.ndim(), other.ndim()) {
-            (2, 2) => {
-                let (m, k) = (self.shape()[0], self.shape()[1]);
-                let (k2, n) = (other.shape()[0], other.shape()[1]);
-                assert_eq!(
-                    k, k2,
-                    "matmul inner dimension mismatch: {} vs {}",
-                    self.shape, other.shape
-                );
-                let mut out = vec![0.0; m * n];
-                gemm_par(&self.data, &other.data, &mut out, m, k, n);
-                Tensor::from_vec(out, &[m, n])
-            }
-            (3, 2) => {
-                let (b, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-                let (k2, n) = (other.shape()[0], other.shape()[1]);
-                assert_eq!(
-                    k, k2,
-                    "matmul inner dimension mismatch: {} vs {}",
-                    self.shape, other.shape
-                );
-                let mut out = vec![0.0; b * m * n];
-                gemm_batched(
-                    |bi| &self.data[bi * m * k..(bi + 1) * m * k],
-                    |_| &other.data[..],
-                    &mut out,
-                    b,
-                    m,
-                    k,
-                    n,
-                );
-                Tensor::from_vec(out, &[b, m, n])
-            }
-            (3, 3) => {
-                let (b, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-                let (b2, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
-                assert_eq!(
-                    b, b2,
-                    "batched matmul batch mismatch: {} vs {}",
-                    self.shape, other.shape
-                );
-                assert_eq!(
-                    k, k2,
-                    "matmul inner dimension mismatch: {} vs {}",
-                    self.shape, other.shape
-                );
-                let mut out = vec![0.0; b * m * n];
-                gemm_batched(
-                    |bi| &self.data[bi * m * k..(bi + 1) * m * k],
-                    |bi| &other.data[bi * k * n..(bi + 1) * k * n],
-                    &mut out,
-                    b,
-                    m,
-                    k,
-                    n,
-                );
-                Tensor::from_vec(out, &[b, m, n])
-            }
-            (2, 3) => {
-                let (m, k) = (self.shape()[0], self.shape()[1]);
-                let (b, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
-                assert_eq!(
-                    k, k2,
-                    "matmul inner dimension mismatch: {} vs {}",
-                    self.shape, other.shape
-                );
-                let mut out = vec![0.0; b * m * n];
-                gemm_batched(
-                    |_| &self.data[..],
-                    |bi| &other.data[bi * k * n..(bi + 1) * k * n],
-                    &mut out,
-                    b,
-                    m,
-                    k,
-                    n,
-                );
-                Tensor::from_vec(out, &[b, m, n])
-            }
-            (ra, rb) => panic!(
-                "matmul supports rank (2|3)x(2|3) operands, got rank {ra} {} and rank {rb} {}",
-                self.shape, other.shape
-            ),
-        }
+        matmul_read(self, false, other, false)
+    }
+
+    /// `self @ otherᵀ`, with `other`'s last two axes transposed: bit for
+    /// bit the [`Tensor::matmul`] of `other.swap_axes(-1, -2)`, read in
+    /// place instead of copied (the gradient `dA = dC·Bᵀ`).
+    ///
+    /// # Panics
+    /// As [`Tensor::matmul`].
+    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        matmul_read(self, false, other, true)
+    }
+
+    /// `selfᵀ @ other`, with `self`'s last two axes transposed: bit for
+    /// bit the [`Tensor::matmul`] of `self.swap_axes(-1, -2)`, read in
+    /// place instead of copied (the gradient `dB = Aᵀ·dC`).
+    ///
+    /// # Panics
+    /// As [`Tensor::matmul`].
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        matmul_read(self, true, other, false)
     }
 
     /// Dot product of two 1-D tensors, accumulated with chunked pairwise

@@ -164,17 +164,17 @@ properties! {
         seed in prop::usizes(0..10_000)
     ) {
         let mut rng = Rng::seed(seed as u64 + 2);
-        let x = Tensor::randn(&[b, cin, len], &mut rng);
+        let x = Tensor::randn(&[b, len, cin], &mut rng);
         let w = Tensor::randn(&[cout, cin, ksize], &mut rng);
         let out_len = (len + 2 * padding).saturating_sub(ksize - 1);
         if out_len == 0 {
             return Ok(());
         }
-        let go = Tensor::randn(&[b, cout, out_len], &mut rng);
+        let go = Tensor::randn(&[b, out_len, cout], &mut rng);
         let (s, v) = on_both_backends(|| {
             (
                 x.conv1d(&w, None, padding, 1),
-                Tensor::conv1d_backward_input(&go, &w, &[b, cin, len], padding, 1),
+                Tensor::conv1d_backward_input(&go, &w, &[b, len, cin], padding, 1),
                 Tensor::conv1d_backward_weight(&go, &x, &[cout, cin, ksize], padding, 1),
             )
         });

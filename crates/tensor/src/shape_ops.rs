@@ -22,6 +22,8 @@ impl Tensor {
             s,
             s.numel()
         );
+        let span = lttf_obs::span!("reshape", self.numel() >= crate::obs_min_work());
+        span.bytes(self.numel() * 8);
         Tensor {
             data: self.data.clone(),
             shape: s,
@@ -104,6 +106,14 @@ impl Tensor {
     /// # Panics
     /// Panics if `order` is not a permutation of the axes.
     pub fn permute(&self, order: &[usize]) -> Tensor {
+        let span = lttf_obs::span!("permute", self.numel() >= crate::obs_min_work());
+        span.bytes(self.numel() * 8);
+        self.permuted(order)
+    }
+
+    /// [`Tensor::permute`] without its telemetry span, for callers that
+    /// open their own.
+    fn permuted(&self, order: &[usize]) -> Tensor {
         let n = self.ndim();
         assert_eq!(
             order.len(),
@@ -146,7 +156,9 @@ impl Tensor {
             *o = i;
         }
         order.swap(a, b);
-        self.permute(&order)
+        let span = lttf_obs::span!("swap_axes", self.numel() >= crate::obs_min_work());
+        span.bytes(self.numel() * 8);
+        self.permuted(&order)
     }
 
     /// Take the half-open range `[start, start+len)` along `axis`.

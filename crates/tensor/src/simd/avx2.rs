@@ -148,6 +148,262 @@ pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 }
 
 // ---------------------------------------------------------------------------
+// Channels-last convolution
+// ---------------------------------------------------------------------------
+
+/// Rows of a channels-last convolution with every tap fused. Output row
+/// `r < rows` (`n = out.len() / rows` lanes at `out[r·n..]`) is `init`
+/// (or `+0.0`), then for each channel `c` and tap `t < taps` in order,
+/// `out[r·n + j] = fma(src[first + r·rstep + t·step + c], w[(c·k + kk0 +
+/// t)·n + j], out[r·n + j])`.
+///
+/// Up to four rows advance together, each with its own accumulators, so
+/// every weight load serves four independent FMA chains. Lanes go sixteen
+/// to a block in registers, then eight at a time with a lane mask for the
+/// last `n % 8`: a masked lane is neither read nor written, and each live
+/// lane runs the same FMA chain a scalar `mul_add` loop would.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, every `first + r·rstep + t·step + c`
+/// must index `src`, `w` must hold `n_ch·k·n`, `kk0 + taps <= k`, and
+/// `init`, when given, `n`.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn conv_rows_fma(
+    src: &[f32],
+    first: usize,
+    rstep: usize,
+    step: isize,
+    taps: usize,
+    n_ch: usize,
+    w: &[f32],
+    k: usize,
+    kk0: usize,
+    init: Option<&[f32]>,
+    out: &mut [f32],
+    rows: usize,
+) {
+    let n = out.len() / rows.max(1);
+    let g = ConvGeom {
+        rstep,
+        step,
+        taps,
+        n_ch,
+        w: w.as_ptr(),
+        k,
+        kk0,
+        init: init.map(|b| b.as_ptr()),
+        n,
+    };
+    let mut r = 0;
+    while r < rows {
+        // Not dereferenced when there are no taps, so it may point past
+        // `src` then; `wrapping_add` keeps forming it defined.
+        let x = src.as_ptr().wrapping_add(first + r * rstep);
+        let o = out.as_mut_ptr().add(r * n);
+        match rows - r {
+            1 => conv_block::<1>(&g, x, o),
+            2 => conv_block::<2>(&g, x, o),
+            3 => conv_block::<3>(&g, x, o),
+            _ => conv_block::<4>(&g, x, o),
+        }
+        r += 4;
+    }
+}
+
+/// The geometry [`conv_rows_fma`] shares across its row blocks.
+struct ConvGeom {
+    rstep: usize,
+    step: isize,
+    taps: usize,
+    n_ch: usize,
+    w: *const f32,
+    k: usize,
+    kk0: usize,
+    init: Option<*const f32>,
+    n: usize,
+}
+
+impl ConvGeom {
+    /// Offset of row `r`'s tap `t`, channel `c` from the block's first
+    /// source row.
+    #[inline(always)]
+    fn tap(&self, r: usize, t: usize, c: usize) -> isize {
+        (r * self.rstep) as isize + t as isize * self.step + c as isize
+    }
+}
+
+/// `-1` lanes then `0` lanes: eight from `8 - m` mask the first `m`.
+static LANE_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// `R` consecutive output rows of [`conv_rows_fma`]: row `r`'s source row
+/// starts at `x + r·rstep`, its output at `o + r·n`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv_block<const R: usize>(g: &ConvGeom, x: *const f32, o: *mut f32) {
+    let n = g.n;
+    let mut j = 0;
+    while j + 16 <= n {
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        if let Some(b) = g.init {
+            for a in acc.iter_mut() {
+                *a = [_mm256_loadu_ps(b.add(j)), _mm256_loadu_ps(b.add(j + 8))];
+            }
+        }
+        for c in 0..g.n_ch {
+            let wc = g.w.add((c * g.k + g.kk0) * n + j);
+            for t in 0..g.taps {
+                let w0 = _mm256_loadu_ps(wc.add(t * n));
+                let w1 = _mm256_loadu_ps(wc.add(t * n + 8));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let xv = _mm256_set1_ps(*x.offset(g.tap(r, t, c)));
+                    a[0] = _mm256_fmadd_ps(xv, w0, a[0]);
+                    a[1] = _mm256_fmadd_ps(xv, w1, a[1]);
+                }
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(o.add(r * n + j), a[0]);
+            _mm256_storeu_ps(o.add(r * n + j + 8), a[1]);
+        }
+        j += 16;
+    }
+    while j < n {
+        let live = (n - j).min(8);
+        let mask = _mm256_loadu_si256(LANE_MASK.as_ptr().add(8 - live) as *const __m256i);
+        let mut acc = [_mm256_setzero_ps(); R];
+        if let Some(b) = g.init {
+            for a in acc.iter_mut() {
+                *a = _mm256_maskload_ps(b.add(j), mask);
+            }
+        }
+        for c in 0..g.n_ch {
+            let wc = g.w.add((c * g.k + g.kk0) * n + j);
+            for t in 0..g.taps {
+                let w0 = _mm256_maskload_ps(wc.add(t * n), mask);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_fmadd_ps(_mm256_set1_ps(*x.offset(g.tap(r, t, c))), w0, *a);
+                }
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            _mm256_maskstore_ps(o.add(r * n + j), mask, *a);
+        }
+        j += 8;
+    }
+}
+
+/// `acc + a[i·sa] · b[i·sb..i·sb + 8]`, fused, per lane; with `FULL`
+/// false only the lanes `mask` selects read `b`, the rest read zero.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn fma_term<const FULL: bool>(
+    a: *const f32,
+    sa: usize,
+    b: *const f32,
+    sb: usize,
+    mask: __m256i,
+    i: usize,
+    acc: __m256,
+) -> __m256 {
+    let bv = if FULL {
+        _mm256_loadu_ps(b.add(i * sb))
+    } else {
+        _mm256_maskload_ps(b.add(i * sb), mask)
+    };
+    _mm256_fmadd_ps(_mm256_set1_ps(*a.add(i * sa)), bv, acc)
+}
+
+/// Eight [`dot`]s at once, one per lane: lane `l` is the dot of the
+/// `n`-element sequences `a[i·sa]` and `b[i·sb + l]`, with [`dot`]'s exact
+/// schedule — pairwise halving above [`PAIRWISE_BASE`], and in each base
+/// block the 4×8 FMA accumulator bank, its `(a0+a1)+(a2+a3)` fold, the
+/// 8-element blocks, the horizontal-sum tree and the scalar FMA tail. Each
+/// of those steps is per dot, so running them with the eight dots in the
+/// eight lanes of a register gives every lane the bits [`dot`] gives it.
+///
+/// With `FULL` false only the lanes `mask` selects read `b`; the others
+/// compute on zeros and are to be ignored.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA; `a` must be readable at `(n-1)·sa`
+/// and `b` at `(n-1)·sb + l` for every selected lane `l`.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dot_lanes<const FULL: bool>(
+    a: *const f32,
+    sa: usize,
+    b: *const f32,
+    sb: usize,
+    mask: __m256i,
+    n: usize,
+) -> __m256 {
+    if n > PAIRWISE_BASE {
+        let mid = n / 2;
+        let lo = dot_lanes::<FULL>(a, sa, b, sb, mask, mid);
+        let hi = dot_lanes::<FULL>(a.add(mid * sa), sa, b.add(mid * sb), sb, mask, n - mid);
+        return _mm256_add_ps(lo, hi);
+    }
+    // `acc[l]` holds dot-lane `l` of `dot_base`'s folded accumulator, one
+    // register lane per dot. Dot-lane `l` of bank register `a_j` sums the
+    // elements `32·t + 8·j + l` in order of `t`: four independent chains,
+    // folded `(a0+a1)+(a2+a3)` as `dot_base` folds them.
+    let blocks = n / 32;
+    let mut acc = [_mm256_setzero_ps(); 8];
+    if blocks > 0 {
+        for (l, v) in acc.iter_mut().enumerate() {
+            let mut bank = [_mm256_setzero_ps(); 4];
+            for t in 0..blocks {
+                for (j, c) in bank.iter_mut().enumerate() {
+                    *c = fma_term::<FULL>(a, sa, b, sb, mask, 32 * t + 8 * j + l, *c);
+                }
+            }
+            *v = _mm256_add_ps(
+                _mm256_add_ps(bank[0], bank[1]),
+                _mm256_add_ps(bank[2], bank[3]),
+            );
+        }
+    }
+    let mut i = blocks * 32;
+    while i + 8 <= n {
+        for (l, v) in acc.iter_mut().enumerate() {
+            *v = fma_term::<FULL>(a, sa, b, sb, mask, i + l, *v);
+        }
+        i += 8;
+    }
+    // `hsum`'s tree: ((v0+v4) + (v2+v6)) + ((v1+v5) + (v3+v7)).
+    let t0 = _mm256_add_ps(acc[0], acc[4]);
+    let t1 = _mm256_add_ps(acc[1], acc[5]);
+    let t2 = _mm256_add_ps(acc[2], acc[6]);
+    let t3 = _mm256_add_ps(acc[3], acc[7]);
+    let mut s = _mm256_add_ps(_mm256_add_ps(t0, t2), _mm256_add_ps(t1, t3));
+    while i < n {
+        s = fma_term::<FULL>(a, sa, b, sb, mask, i, s);
+        i += 1;
+    }
+    s
+}
+
+/// `out[l] += ` lane `l` of [`dot_lanes`] over `a` and `b`, for the
+/// `out.len()` (at most eight) lanes from `b`'s first.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, `out.len() <= 8`, and `a` must be
+/// readable at `(n-1)·sa` and `b` at `(n-1)·sb + out.len() - 1`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn dot_lanes_acc(a: &[f32], sa: usize, b: &[f32], sb: usize, n: usize, out: &mut [f32]) {
+    let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    let live = out.len();
+    let mask = _mm256_loadu_si256(LANE_MASK.as_ptr().add(8 - live) as *const __m256i);
+    if live == 8 {
+        let d = dot_lanes::<true>(pa, sa, pb, sb, mask, n);
+        _mm256_storeu_ps(po, _mm256_add_ps(_mm256_loadu_ps(po), d));
+    } else {
+        let d = dot_lanes::<false>(pa, sa, pb, sb, mask, n);
+        _mm256_maskstore_ps(po, mask, _mm256_add_ps(_mm256_maskload_ps(po, mask), d));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // gemm micro-tile
 // ---------------------------------------------------------------------------
 

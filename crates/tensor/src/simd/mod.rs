@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD microkernels with scalar fallbacks.
 //!
-//! Every hot inner loop in this crate (gemm micro-tiles, conv axpy ranges,
-//! block reductions, transcendental maps, the fused GRU gate math) funnels
-//! through the free functions in this module. Each function picks a
-//! **backend** once per call:
+//! Every hot inner loop in this crate (gemm micro-tiles, conv rows and
+//! strided dots, block reductions, transcendental maps, the fused GRU
+//! gate math) funnels through the free functions in this module. Each
+//! function picks a **backend** once per call:
 //!
 //! - `avx2+fma` — explicit `std::arch` intrinsics, used when the CPU
 //!   supports AVX2 and FMA (detected once per process via
@@ -177,6 +177,111 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
         return;
     }
     scalar::axpy(y, a, x);
+}
+
+// ---------------------------------------------------------------------------
+// Channels-last convolution
+// ---------------------------------------------------------------------------
+
+/// Consecutive output rows of a channels-last convolution (or of its
+/// input gradient). Each of the `rows` rows of `out` (`n = out.len() /
+/// rows` lanes apiece) starts as `init` (or `+0.0`); then for each source
+/// channel `c < n_ch` and each tap `t < taps` in that order, row `r` adds
+/// `src[s_rt + c] · w[(c·k + kk0 + t)·n + j]` to lane `j`. Tap `t` of row
+/// `r` reads the source row at `s_rt = first + r·rstep + t·step` (`step`
+/// is negative when the taps walk the source backwards), and `w` is packed
+/// `[n_ch, k, n]` so a tap's weights are one contiguous row.
+///
+/// Each output lane accumulates its taps in the same order as an [`axpy`]
+/// per tap would. With `fused` on the AVX2 backend each step is one FMA,
+/// as [`axpy`] does it; otherwise, and on the scalar backend, multiply
+/// then add.
+///
+/// # Panics
+/// Panics if `out` does not split into `rows` rows, or a tap row, a weight
+/// row or `init` falls outside its slice.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn conv_rows(
+    src: &[f32],
+    first: usize,
+    rstep: usize,
+    step: isize,
+    taps: usize,
+    n_ch: usize,
+    w: &[f32],
+    k: usize,
+    kk0: usize,
+    init: Option<&[f32]>,
+    out: &mut [f32],
+    rows: usize,
+    fused: bool,
+) {
+    if rows == 0 {
+        return;
+    }
+    assert_eq!(out.len() % rows, 0, "conv_rows: ragged rows");
+    let n = out.len() / rows;
+    if taps > 0 && n_ch > 0 {
+        let span = (taps - 1) as isize * step;
+        let last_row = first + (rows - 1) * rstep;
+        assert!(
+            first as isize + span.min(0) >= 0
+                && (last_row as isize + span.max(0)) as usize + n_ch <= src.len(),
+            "conv_rows: tap row out of range"
+        );
+    }
+    assert!(
+        kk0 + taps <= k && w.len() >= n_ch * k * n,
+        "conv_rows: weights too short"
+    );
+    assert!(init.is_none_or(|b| b.len() == n), "conv_rows: init length");
+    #[cfg(target_arch = "x86_64")]
+    if fused && enabled() {
+        // SAFETY: bounds checked above; `enabled()` implies AVX2+FMA.
+        unsafe {
+            avx2::conv_rows_fma(
+                src, first, rstep, step, taps, n_ch, w, k, kk0, init, out, rows,
+            )
+        };
+        return;
+    }
+    scalar::conv_rows(
+        src, first, rstep, step, taps, n_ch, w, k, kk0, init, out, rows,
+    );
+}
+
+/// Strided [`dot`]s added to `out`, bit-identical to adding [`dot`] of
+/// gathered copies: `out[l] += dot(a_s, b_l)` for each lane `l <
+/// out.len()`, with `a_s[i] = a[i·sa]` and `b_l[i] = b[i·sb + l]` for `i <
+/// n`.
+///
+/// On the AVX2 backend up to eight lanes run [`dot`]'s schedule side by
+/// side in one register, reading both operands in place. The scalar
+/// backend walks [`dot`]'s pairwise tree over the strided operands
+/// directly, its lanes side by side.
+///
+/// # Panics
+/// Panics if more than eight lanes are asked for or an operand is too
+/// short.
+pub(crate) fn dot_strided(a: &[f32], sa: usize, b: &[f32], sb: usize, n: usize, out: &mut [f32]) {
+    let lanes = out.len();
+    assert!(lanes <= 8, "dot_strided: at most 8 lanes");
+    if n == 0 || lanes == 0 {
+        return;
+    }
+    assert!(a.len() > (n - 1) * sa, "dot_strided: a too short");
+    assert!(b.len() >= (n - 1) * sb + lanes, "dot_strided: b too short");
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: bounds checked above; `enabled()` implies AVX2+FMA.
+        unsafe { avx2::dot_lanes_acc(a, sa, b, sb, n, out) };
+        return;
+    }
+    let d = scalar::dot_lanes(a, sa, b, sb, n, lanes);
+    for (o, d) in out.iter_mut().zip(d) {
+        *o += d;
+    }
 }
 
 // ---------------------------------------------------------------------------

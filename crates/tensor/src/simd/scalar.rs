@@ -26,6 +26,87 @@ pub(super) fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
+/// Rows of a channels-last convolution, multiply-then-add: each of the
+/// `rows` rows of `out` (`n = out.len() / rows` lanes) starts as `init`
+/// (or `+0.0`); then for each channel `c` and tap `t < taps` in order,
+/// row `r` adds `src[first + r·rstep + t·step + c] * w[(c·k + kk0 + t)·n +
+/// j]` to lane `j`. All rows take a tap before the next, so its weight
+/// row is sliced once per block. The AVX2 backend also takes this path
+/// when the fused schedule would move bits (strided convolutions).
+#[allow(clippy::too_many_arguments)]
+pub(super) fn conv_rows(
+    src: &[f32],
+    first: usize,
+    rstep: usize,
+    step: isize,
+    taps: usize,
+    n_ch: usize,
+    w: &[f32],
+    k: usize,
+    kk0: usize,
+    init: Option<&[f32]>,
+    out: &mut [f32],
+    rows: usize,
+) {
+    let n = out.len() / rows;
+    if n == 0 {
+        return;
+    }
+    for row in out.chunks_mut(n) {
+        match init {
+            Some(b) => row.copy_from_slice(b),
+            None => row.fill(0.0),
+        }
+    }
+    for c in 0..n_ch {
+        for t in 0..taps {
+            let wrow = &w[(c * k + kk0 + t) * n..][..n];
+            let tap = (first as isize + t as isize * step) as usize + c;
+            for (r, row) in out.chunks_mut(n).enumerate() {
+                let xv = src[tap + r * rstep];
+                for (o, &wv) in row.iter_mut().zip(wrow) {
+                    *o += xv * wv;
+                }
+            }
+        }
+    }
+}
+
+/// [`dot`] over strided sequences, one per lane: lane `l` is the dot of
+/// `a[i·sa]` and `b[i·sb + l]` for `i < n`, on the exact tree of
+/// `crate::reduce::pairwise_dot` (halving above 32, a sequential `Sum`
+/// fold below). The lanes' folds run side by side.
+pub(super) fn dot_lanes(
+    a: &[f32],
+    sa: usize,
+    b: &[f32],
+    sb: usize,
+    n: usize,
+    lanes: usize,
+) -> [f32; 8] {
+    if n > 32 {
+        let mid = n / 2;
+        let lo = dot_lanes(a, sa, b, sb, mid, lanes);
+        let hi = dot_lanes(&a[mid * sa..], sa, &b[mid * sb..], sb, n - mid, lanes);
+        return std::array::from_fn(|l| lo[l] + hi[l]);
+    }
+    // `Sum` for floats is a left fold from its own start value.
+    let mut acc = [std::iter::empty::<f32>().sum::<f32>(); 8];
+    for i in 0..n {
+        let av = a[i * sa];
+        if let Ok(bv) = <&[f32; 8]>::try_from(&b[i * sb..i * sb + lanes]) {
+            for (s, &bv) in acc.iter_mut().zip(bv) {
+                *s += av * bv;
+            }
+        } else {
+            for (s, &bv) in acc.iter_mut().zip(&b[i * sb..i * sb + lanes]) {
+                *s += av * bv;
+            }
+        }
+    }
+    acc
+}
+
 /// Strided `out += a @ b` with the i-k-j order of the historical scalar
 /// gemm: for each `p`, every output row accumulates `a[i,p] * b[p,j]`.
 #[allow(clippy::too_many_arguments)]

@@ -41,16 +41,18 @@ LTTF_QUIET=1 LTTF_THREADS=4 LTTF_SIMD=1 cargo test -q --offline
 echo "==> ledger unit tests + --smoke run  (the benchmark package has its own workspace)"
 LTTF_QUIET=1 cargo test -q --offline --manifest-path ledger/Cargo.toml
 
-echo "==> determinism + forward/train digests + serve e2e under the full LTTF_SIMD x LTTF_THREADS matrix"
+echo "==> determinism + forward/train/baseline digests + serve e2e under the full LTTF_SIMD x LTTF_THREADS matrix"
 # The scalar fallback must never rot, and neither backend may depend on
 # the thread count (DESIGN.md §8) — sweep the suites over all four cells.
 # forward_digest pins the canonical model's forecast bits per backend,
-# train_digest its parameter bits after seeded Adam steps.
+# train_digest its parameter bits after seeded Adam steps, baseline_digest
+# the convolutional and windowed baselines' forecast and gradient bits.
 for simd in 0 1; do
     for threads in 1 4; do
         echo "    LTTF_SIMD=$simd LTTF_THREADS=$threads"
         LTTF_QUIET=1 LTTF_SIMD=$simd LTTF_THREADS=$threads \
-            cargo test -q --offline --test determinism --test forward_digest --test train_digest --test serve_e2e
+            cargo test -q --offline --test determinism --test forward_digest --test train_digest \
+                --test baseline_digest --test serve_e2e
     done
 done
 

@@ -80,13 +80,13 @@ fn batched_matmul_is_thread_count_invariant() {
 fn conv1d_is_thread_count_invariant() {
     let _g = exclusive();
     let mut rng = Rng::seed(103);
-    let x = Tensor::randn(&[8, 16, 96], &mut rng);
+    let x = Tensor::randn(&[8, 96, 16], &mut rng);
     let w = Tensor::randn(&[16, 16, 3], &mut rng);
     let bias = Tensor::randn(&[16], &mut rng);
     assert_bit_identical("conv1d", || vec![x.conv1d(&w, Some(&bias), 1, 1)]);
-    let go = Tensor::randn(&[8, 16, 96], &mut rng);
+    let go = Tensor::randn(&[8, 96, 16], &mut rng);
     assert_bit_identical("conv1d_backward_input", || {
-        vec![Tensor::conv1d_backward_input(&go, &w, &[8, 16, 96], 1, 1)]
+        vec![Tensor::conv1d_backward_input(&go, &w, &[8, 96, 16], 1, 1)]
     });
 }
 
@@ -98,11 +98,11 @@ fn window_attention_is_thread_count_invariant() {
     let k = Tensor::randn(&[8, 64, 16], &mut rng);
     let v = Tensor::randn(&[8, 64, 16], &mut rng);
     assert_bit_identical("window_forward", || {
-        vec![window_global_forward(&q, &k, &v, 8, 2)]
+        vec![window_global_forward(&q, &k, &v, 4, 8, 2)]
     });
     let gout = Tensor::randn(&[8, 64, 16], &mut rng);
     assert_bit_identical("window_backward", || {
-        window_global_backward(&q, &k, &v, &gout, 8, 2)
+        window_global_backward(&q, &k, &v, &gout, 4, 8, 2)
     });
 }
 
@@ -139,9 +139,9 @@ fn kernels_are_thread_count_invariant_on_both_simd_backends() {
     let mut rng = Rng::seed(106);
     let a = Tensor::randn(&[66, 300], &mut rng);
     let b = Tensor::randn(&[300, 48], &mut rng);
-    let x = Tensor::randn(&[4, 8, 96], &mut rng);
+    let x = Tensor::randn(&[4, 96, 8], &mut rng);
     let w = Tensor::randn(&[8, 8, 3], &mut rng);
-    let go = Tensor::randn(&[4, 8, 96], &mut rng);
+    let go = Tensor::randn(&[4, 96, 8], &mut rng);
     let big = Tensor::randn(&[200_000], &mut rng);
     let other = Tensor::randn(&[200_000], &mut rng);
     let gx = Tensor::randn(&[2, 12, 6], &mut rng);
@@ -165,7 +165,7 @@ fn kernels_are_thread_count_invariant_on_both_simd_backends() {
             vec![
                 a.matmul(&b),
                 x.conv1d(&w, None, 1, 1),
-                Tensor::conv1d_backward_input(&go, &w, &[4, 8, 96], 1, 1),
+                Tensor::conv1d_backward_input(&go, &w, &[4, 96, 8], 1, 1),
                 Tensor::conv1d_backward_weight(&go, &x, &[8, 8, 3], 1, 1),
                 Tensor::from_vec(vec![big.sum()], &[1]),
                 Tensor::from_vec(vec![big.dot(&other)], &[1]),

@@ -42,7 +42,7 @@ fn span_counts_match_known_workload() {
     for _ in 0..5 {
         std::hint::black_box(a.matmul(&b));
     }
-    let x = Tensor::randn(&[4, 8, 96], &mut rng);
+    let x = Tensor::randn(&[4, 96, 8], &mut rng);
     let w = Tensor::randn(&[8, 8, 3], &mut rng);
     for _ in 0..3 {
         std::hint::black_box(x.conv1d(&w, None, 1, 1));
@@ -52,7 +52,7 @@ fn span_counts_match_known_workload() {
         std::hint::black_box(wide.moving_avg(1, 7));
     }
     let q = Tensor::randn(&[8, 64, 16], &mut rng);
-    std::hint::black_box(window_global_forward(&q, &q, &q, 4, 2));
+    std::hint::black_box(window_global_forward(&q, &q, &q, 1, 4, 2));
 
     let snap = obs::snapshot();
     assert_eq!(span_calls(&snap, "matmul"), 5, "snapshot: {snap:?}");
@@ -65,6 +65,32 @@ fn span_counts_match_known_workload() {
         assert!(s.total_ns > 0, "{name} recorded no time");
         assert!(s.bytes > 0, "{name} recorded no bytes");
         assert!(s.min_ns <= s.max_ns);
+    }
+}
+
+#[test]
+fn forward_layout_copies_record_spans() {
+    let _g = exclusive();
+    obs::reset();
+    let mut rng = Rng::seed(13);
+    // 8192 elements, over the work threshold; the small tensor is under it.
+    let big = Tensor::randn(&[8, 64, 16], &mut rng);
+    let small = Tensor::randn(&[2, 3, 4], &mut rng);
+    for t in [&big, &small] {
+        std::hint::black_box(t.permute(&[2, 0, 1]));
+        std::hint::black_box(t.swap_axes(1, 2));
+        std::hint::black_box(t.swap_axes(0, 2));
+        std::hint::black_box(t.reshape(&[t.numel()]));
+    }
+
+    let snap = obs::snapshot();
+    // `swap_axes` is its own span, not a nested `permute`.
+    assert_eq!(span_calls(&snap, "permute"), 1, "snapshot: {snap:?}");
+    assert_eq!(span_calls(&snap, "swap_axes"), 2);
+    assert_eq!(span_calls(&snap, "reshape"), 1);
+    for name in ["permute", "swap_axes", "reshape"] {
+        let s = snap.iter().find(|s| s.name == name).unwrap();
+        assert!(s.bytes > 0, "{name} recorded no bytes");
     }
 }
 
