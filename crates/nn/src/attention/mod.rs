@@ -13,10 +13,13 @@
 //! | [`AttentionKind::LogSparse`] | LogTrans | O(L log L) scores on a full mask |
 //! | [`AttentionKind::AutoCorrelation`] | Autoformer | O(L log L) |
 //!
-//! All mechanisms share one calling convention: head-folded tensors of
-//! shape `[batch·heads, len, d_head]` go in, the same shape comes out.
-//! [`MultiHeadAttention`] wraps projection, head folding, dispatch, and the
-//! output projection.
+//! Every mechanism runs on head-folded tensors through [`attend_folded`]:
+//! `[batch·heads, len, d_head]` goes in, the same shape comes out, and
+//! that is how [`MultiHeadAttention`] calls the Table VI competitors. The
+//! two windowed kinds also take the projections' own `[batch, len,
+//! heads·d_head]` layout and read each head's columns in place
+//! ([`sliding_window_global_attention`]), which is how
+//! [`MultiHeadAttention`] calls them: no head fold or merge is copied.
 //!
 //! ### Faithfulness notes (documented deviations)
 //!

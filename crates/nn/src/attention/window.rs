@@ -5,9 +5,17 @@
 //! `w` around its (length-aligned) centre, so both time and memory are
 //! O(L·w) — this is the op that Fig. 5 benchmarks against the O(L²) and
 //! O(L log L) alternatives.
+//!
+//! Two kernels compute it, with the same bits. Self-attention without
+//! global tokens, on the AVX2 backend with heads narrower than 8 floats
+//! (every Conformer call), runs eight queries to a register
+//! (`simd::band_attention_forward`/`_backward`). Everything else runs the
+//! per-query planes here, one query's keys at a time through the
+//! dispatched `simd::dot` and `simd::axpy`.
 
 use lttf_autograd::Var;
 use lttf_parallel::{par_chunks_mut, par_chunks_mut_zip3};
+use lttf_tensor::simd::{self, Band};
 use lttf_tensor::Tensor;
 use std::ops::Range;
 
@@ -53,51 +61,17 @@ fn key_ranges(
     (0..g, lo.max(g)..hi)
 }
 
-/// Head widths below one AVX2 vector take the inlined [`SmallFma`] planes.
-#[cfg(target_arch = "x86_64")]
-const SMALL_HEAD: usize = 8;
+/// Work floats a call takes from the stack (the canonical lane backward
+/// needs about 1300); larger calls allocate.
+const STACK_WORK: usize = 2048;
 
-/// The per-(query, key) row primitives of an attention plane.
-trait RowOps {
-    fn dot(a: &[f32], b: &[f32]) -> f32;
-    fn axpy(y: &mut [f32], a: f32, x: &[f32]);
-}
-
-/// The dispatched `lttf_tensor::simd` kernels: any head width, either
-/// backend.
-struct Dispatched;
-
-impl RowOps for Dispatched {
-    #[inline(always)]
-    fn dot(a: &[f32], b: &[f32]) -> f32 {
-        lttf_tensor::simd::dot(a, b)
-    }
-    #[inline(always)]
-    fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        lttf_tensor::simd::axpy(y, a, x)
-    }
-}
-
-/// Inline FMA chains with the AVX2 backend's bits. Below 8 lanes its `dot`
-/// is a sequential FMA chain from zero, and its `axpy` is one FMA per
-/// element at any length, so these loops reproduce both exactly for heads
-/// narrower than [`SMALL_HEAD`]. At 4 lanes a dispatched call costs more
-/// than its arithmetic; inlined into a plane compiled with the `fma`
-/// feature, each `mul_add` is one instruction.
-#[cfg(target_arch = "x86_64")]
-struct SmallFma;
-
-#[cfg(target_arch = "x86_64")]
-impl RowOps for SmallFma {
-    #[inline(always)]
-    fn dot(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b).fold(0.0, |s, (&x, &y)| x.mul_add(y, s))
-    }
-    #[inline(always)]
-    fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        for (o, &v) in y.iter_mut().zip(x) {
-            *o = a.mul_add(v, *o);
-        }
+/// Run `f` on `n` zeroed work floats.
+fn with_work<R>(n: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    let mut stack = [0.0f32; STACK_WORK];
+    if n <= STACK_WORK {
+        f(&mut stack[..n])
+    } else {
+        f(&mut vec![0.0; n])
     }
 }
 
@@ -123,6 +97,11 @@ struct Planes<'a> {
     w: usize,
     n_global: usize,
     scale: f32,
+    /// The lane kernels' geometry, when this call runs them: self-attention
+    /// without global tokens, on the AVX2 backend, with heads narrower
+    /// than one vector (every Conformer call). Anything else takes the
+    /// per-query planes.
+    band: Option<Band>,
 }
 
 impl<'a> Planes<'a> {
@@ -135,35 +114,38 @@ impl<'a> Planes<'a> {
         n_global: usize,
     ) -> Self {
         let (lq, dqt) = (q.shape()[1], q.shape()[2]);
-        let dvt = v.shape()[2];
+        let (lk, dvt) = (k.shape()[1], v.shape()[2]);
         assert!(
             heads >= 1 && dqt.is_multiple_of(heads) && dvt.is_multiple_of(heads),
             "{heads} heads must divide the q/k width {dqt} and the v width {dvt}"
         );
-        let dh = dqt / heads;
+        let (dh, dv) = (dqt / heads, dvt / heads);
+        let scale = 1.0 / (dh as f32).sqrt();
+        // A reach past the sequence only adds masked keys.
+        let band = Band {
+            len: lq,
+            half: (w / 2).min(lq),
+            heads,
+            dh,
+            dv,
+            scale,
+        };
         Planes {
             q: q.data(),
             k: k.data(),
             v: v.data(),
             lq,
-            lk: k.shape()[1],
+            lk,
             dh,
-            dv: dvt / heads,
+            dv,
             dqt,
             dvt,
             heads,
             w,
             n_global,
-            scale: 1.0 / (dh as f32).sqrt(),
+            scale,
+            band: (lq == lk && n_global == 0 && band.lanes()).then_some(band),
         }
-    }
-
-    /// True when this call runs the inlined [`SmallFma`] planes: the AVX2
-    /// backend and heads narrower than one vector. Wider heads and the
-    /// scalar backend keep the dispatched calls.
-    #[cfg(target_arch = "x86_64")]
-    fn small(&self) -> bool {
-        lttf_tensor::simd::enabled() && self.dh < SMALL_HEAD && self.dv < SMALL_HEAD
     }
 
     fn q_row(&self, b: usize, h: usize, i: usize) -> &[f32] {
@@ -181,41 +163,44 @@ impl<'a> Planes<'a> {
         &self.v[at..at + self.dv]
     }
 
+    /// Work floats [`Planes::forward`] needs: the lane kernel's, or one
+    /// score per key (a query has at most `lk`).
+    fn forward_work(&self) -> usize {
+        self.band.map_or(self.lk, |band| band.forward_work())
+    }
+
+    /// Work floats [`Planes::backward`] needs: the lane kernel's, or a
+    /// weight and its gradient per key.
+    fn backward_work(&self) -> usize {
+        self.band.map_or(2 * self.lk, |band| band.backward_work())
+    }
+
     /// Forward of batch `b`, every head, into its output plane `[lq,
-    /// heads·dv]`; `scores` is scratch.
-    fn forward(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
-        #[cfg(target_arch = "x86_64")]
-        if self.small() {
-            // SAFETY: `small()` implies `simd::enabled()`, which implies
-            // AVX2+FMA were detected at runtime.
-            unsafe { self.forward_fma(b, oplane, scores) };
+    /// heads·dv]`; `work` holds [`Planes::forward_work`] floats.
+    fn forward(&self, b: usize, oplane: &mut [f32], work: &mut [f32]) {
+        if let Some(band) = &self.band {
+            let (q, k) = (b * self.lq * self.dqt, b * self.lk * self.dqt);
+            let v = b * self.lk * self.dvt;
+            simd::band_attention_forward(
+                band,
+                &self.q[q..],
+                &self.k[k..],
+                &self.v[v..],
+                work,
+                oplane,
+            );
             return;
         }
-        self.forward_with::<Dispatched>(b, oplane, scores);
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn forward_fma(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
-        self.forward_with::<SmallFma>(b, oplane, scores);
-    }
-
-    #[inline(always)]
-    fn forward_with<K: RowOps>(&self, b: usize, oplane: &mut [f32], scores: &mut Vec<f32>) {
-        let (dv, dvt) = (self.dv, self.dvt);
         for h in 0..self.heads {
             for i in 0..self.lq {
                 let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
                 let keys = || global.clone().chain(band.clone());
                 let qrow = self.q_row(b, h, i);
-                scores.clear();
+                let scores = &mut work[..global.len() + band.len()];
                 let mut max = f32::NEG_INFINITY;
-                for j in keys() {
-                    let s = K::dot(qrow, self.k_row(b, h, j)) * self.scale;
-                    max = max.max(s);
-                    scores.push(s);
+                for (s, j) in scores.iter_mut().zip(keys()) {
+                    *s = simd::dot(qrow, self.k_row(b, h, j)) * self.scale;
+                    max = max.max(*s);
                 }
                 let mut z = 0.0;
                 for s in scores.iter_mut() {
@@ -223,10 +208,10 @@ impl<'a> Planes<'a> {
                     z += *s;
                 }
                 let inv_z = 1.0 / z;
-                let at = i * dvt + h * dv;
-                let orow = &mut oplane[at..at + dv];
+                let at = i * self.dvt + h * self.dv;
+                let orow = &mut oplane[at..at + self.dv];
                 for (&s, j) in scores.iter().zip(keys()) {
-                    K::axpy(orow, s * inv_z, self.v_row(b, h, j));
+                    simd::axpy(orow, s * inv_z, self.v_row(b, h, j));
                 }
             }
         }
@@ -234,73 +219,48 @@ impl<'a> Planes<'a> {
 
     /// Backward of batch `b`, every head, into its gradient planes (`gq`
     /// `[lq, heads·dh]`, `gk` `[lk, heads·dh]`, `gv` `[lk, heads·dv]`);
-    /// `gout` is the whole output gradient, `attn`/`dattn` are scratch.
-    #[allow(clippy::too_many_arguments)]
+    /// `gout` is the whole output gradient, and `work` holds
+    /// [`Planes::backward_work`] floats.
     fn backward(
         &self,
         b: usize,
         gout: &[f32],
-        gq: &mut [f32],
-        gk: &mut [f32],
-        gv: &mut [f32],
-        attn: &mut Vec<f32>,
-        dattn: &mut Vec<f32>,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if self.small() {
-            // SAFETY: as in `forward`.
-            unsafe { self.backward_fma(b, gout, gq, gk, gv, attn, dattn) };
-            return;
-        }
-        self.backward_with::<Dispatched>(b, gout, gq, gk, gv, attn, dattn);
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn backward_fma(
-        &self,
-        b: usize,
-        gout: &[f32],
-        gq: &mut [f32],
-        gk: &mut [f32],
-        gv: &mut [f32],
-        attn: &mut Vec<f32>,
-        dattn: &mut Vec<f32>,
-    ) {
-        self.backward_with::<SmallFma>(b, gout, gq, gk, gv, attn, dattn);
-    }
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn backward_with<K: RowOps>(
-        &self,
-        b: usize,
-        gout: &[f32],
-        gq: &mut [f32],
-        gk: &mut [f32],
-        gv: &mut [f32],
-        attn: &mut Vec<f32>,
-        dattn: &mut Vec<f32>,
+        (gq, gk, gv): (&mut [f32], &mut [f32], &mut [f32]),
+        work: &mut [f32],
     ) {
         let (dh, dv, dqt, dvt) = (self.dh, self.dv, self.dqt, self.dvt);
+        if let Some(band) = &self.band {
+            let (q, k) = (b * self.lq * dqt, b * self.lk * dqt);
+            let (v, g) = (b * self.lk * dvt, b * self.lq * dvt);
+            simd::band_attention_backward(
+                band,
+                &self.q[q..],
+                &self.k[k..],
+                &self.v[v..],
+                &gout[g..],
+                work,
+                gq,
+                gk,
+                gv,
+            );
+            return;
+        }
+        let (attn, dattn) = work.split_at_mut(self.lk);
         for h in 0..self.heads {
             let (qh, vh) = (h * dh, h * dv);
             for i in 0..self.lq {
                 let (global, band) = key_ranges(i, self.lq, self.lk, self.w, self.n_global);
                 let keys = || global.clone().chain(band.clone());
+                let n = global.len() + band.len();
+                let (attn, dattn) = (&mut attn[..n], &mut dattn[..n]);
                 let qrow = self.q_row(b, h, i);
                 let at = (b * self.lq + i) * dvt + vh;
                 let grow = &gout[at..at + dv];
                 // recompute softmax weights
-                attn.clear();
                 let mut max = f32::NEG_INFINITY;
-                for j in keys() {
-                    let a = K::dot(qrow, self.k_row(b, h, j)) * self.scale;
-                    max = max.max(a);
-                    attn.push(a);
+                for (a, j) in attn.iter_mut().zip(keys()) {
+                    *a = simd::dot(qrow, self.k_row(b, h, j)) * self.scale;
+                    max = max.max(*a);
                 }
                 let mut z = 0.0;
                 for a in attn.iter_mut() {
@@ -311,13 +271,11 @@ impl<'a> Planes<'a> {
                     *a /= z;
                 }
                 // dV and dA
-                dattn.clear();
                 let mut dot_sum = 0.0;
-                for (&a, j) in attn.iter().zip(keys()) {
-                    let da = K::dot(grow, self.v_row(b, h, j));
-                    dattn.push(da);
-                    dot_sum += a * da;
-                    K::axpy(&mut gv[j * dvt + vh..j * dvt + vh + dv], a, grow);
+                for ((&a, da), j) in attn.iter().zip(dattn.iter_mut()).zip(keys()) {
+                    *da = simd::dot(grow, self.v_row(b, h, j));
+                    dot_sum += a * *da;
+                    simd::axpy(&mut gv[j * dvt + vh..j * dvt + vh + dv], a, grow);
                 }
                 // softmax backward → dscores, then dQ/dK
                 let gqrow = &mut gq[i * dqt + qh..i * dqt + qh + dh];
@@ -326,8 +284,8 @@ impl<'a> Planes<'a> {
                     if ds == 0.0 {
                         continue;
                     }
-                    K::axpy(gqrow, ds, self.k_row(b, h, j));
-                    K::axpy(&mut gk[j * dqt + qh..j * dqt + qh + dh], ds, qrow);
+                    simd::axpy(gqrow, ds, self.k_row(b, h, j));
+                    simd::axpy(&mut gk[j * dqt + qh..j * dqt + qh + dh], ds, qrow);
                 }
             }
         }
@@ -405,18 +363,20 @@ pub fn window_global_forward(
     let span = lttf_obs::span!("window_attn_fwd", work >= OBS_MIN_ATTN);
     span.bytes((q.numel() + k.numel() + v.numel() + b * lq * dvt) * 4);
     let planes = Planes::new(q, k, v, heads, w, n_global);
+    let work_len = planes.forward_work();
     let mut out = vec![0.0f32; b * lq * dvt];
     // Each batch writes its own output plane, so the batches distribute
     // over the worker pool with bit-identical results at any thread count.
     if b >= 2 && work >= PAR_MIN_WORK && lttf_parallel::num_threads() > 1 && lq * dvt > 0 {
         par_chunks_mut(&mut out, lq * dvt, |bi, oplane| {
-            planes.forward(bi, oplane, &mut Vec::new())
+            with_work(work_len, |wk| planes.forward(bi, oplane, wk))
         });
     } else {
-        let mut scores = Vec::new();
-        for (bi, oplane) in out.chunks_mut((lq * dvt).max(1)).enumerate() {
-            planes.forward(bi, oplane, &mut scores);
-        }
+        with_work(work_len, |wk| {
+            for (bi, oplane) in out.chunks_mut((lq * dvt).max(1)).enumerate() {
+                planes.forward(bi, oplane, wk);
+            }
+        });
     }
     Tensor::from_vec(out, &[b, lq, dvt])
 }
@@ -438,8 +398,11 @@ pub fn window_global_backward(
     let lk = k.shape()[1];
     let dvt = v.shape()[2];
     let work = b * lq * (w + n_global + 1) * dqt;
-    let _span = lttf_obs::span!("window_attn_bwd", work >= OBS_MIN_ATTN);
+    let span = lttf_obs::span!("window_attn_bwd", work >= OBS_MIN_ATTN);
+    // Reads q, k, v and the output gradient, writes a gradient per input.
+    span.bytes((2 * (q.numel() + k.numel() + v.numel()) + gout.numel()) * 4);
     let planes = Planes::new(q, k, v, heads, w, n_global);
+    let work_len = planes.backward_work();
     let gd = gout.data();
     let mut gq = vec![0.0f32; b * lq * dqt];
     let mut gk = vec![0.0f32; b * lk * dqt];
@@ -461,22 +424,20 @@ pub fn window_global_backward(
             &mut gv,
             lk * dvt,
             |bi, gq_p, gk_p, gv_p| {
-                planes.backward(bi, gd, gq_p, gk_p, gv_p, &mut Vec::new(), &mut Vec::new())
+                with_work(work_len, |wk| planes.backward(bi, gd, (gq_p, gk_p, gv_p), wk))
             },
         );
     } else {
-        let (mut attn, mut dattn) = (Vec::new(), Vec::new());
-        for bi in 0..b {
-            planes.backward(
-                bi,
-                gd,
-                &mut gq[bi * lq * dqt..(bi + 1) * lq * dqt],
-                &mut gk[bi * lk * dqt..(bi + 1) * lk * dqt],
-                &mut gv[bi * lk * dvt..(bi + 1) * lk * dvt],
-                &mut attn,
-                &mut dattn,
-            );
-        }
+        with_work(work_len, |wk| {
+            for bi in 0..b {
+                let grads = (
+                    &mut gq[bi * lq * dqt..(bi + 1) * lq * dqt],
+                    &mut gk[bi * lk * dqt..(bi + 1) * lk * dqt],
+                    &mut gv[bi * lk * dvt..(bi + 1) * lk * dvt],
+                );
+                planes.backward(bi, gd, grads, wk);
+            }
+        });
     }
     vec![
         Tensor::from_vec(gq, &[b, lq, dqt]),
@@ -485,7 +446,7 @@ pub fn window_global_backward(
     ]
 }
 
-/// The planes as they were before [`SmallFma`] and [`key_ranges`]: a
+/// The planes as they were before the lane kernels and [`key_ranges`]: a
 /// `positions` list per query and the dispatched `dot`/`axpy` at every
 /// width. Kept so the property tests can pin today's kernels to them bit
 /// for bit on both backends.

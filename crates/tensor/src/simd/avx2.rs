@@ -14,7 +14,7 @@
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use super::{BinOp, UnOp};
+use super::{Band, BinOp, UnOp};
 use core::arch::x86_64::*;
 
 /// Recursion base for the pairwise reductions. Larger than the scalar
@@ -609,6 +609,72 @@ unsafe fn exp8(x: __m256) -> __m256 {
     _mm256_mul_ps(y, pow2)
 }
 
+/// glibc's `expf` table (`e_exp2f_data.c`, `N = 32`): the bits of
+/// `2^(i/32)` minus `i << 47`, so that adding `k << 47` to entry `k & 31`
+/// gives the bits of `2^(k/32)`.
+static EXPF_TAB: [u64; 32] = [
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+];
+
+/// Four lanes of [`expf8`], in double precision as glibc computes them.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn expf4(x: __m128) -> __m128 {
+    let inv_ln2_n = _mm256_set1_pd(f64::from_bits(0x40471547652b82fe)); // 0x1.71547652b82fep+5
+    let shift = _mm256_set1_pd(f64::from_bits(0x4338000000000000)); // 0x1.8p+52
+    let c0 = _mm256_set1_pd(f64::from_bits(0x3ebc6af84b912394)); // 0x1.c6af84b912394p-20
+    let c1 = _mm256_set1_pd(f64::from_bits(0x3f2ebfce50fac4f3)); // 0x1.ebfce50fac4f3p-13
+    let c2 = _mm256_set1_pd(f64::from_bits(0x3f962e42ff0c52d6)); // 0x1.62e42ff0c52d6p-6
+    let xd = _mm256_cvtps_pd(x);
+    // x·N/ln2 = k + r: k rounded to nearest through the shift, r fused.
+    let kd = _mm256_add_pd(_mm256_mul_pd(inv_ln2_n, xd), shift);
+    let ki = _mm256_castpd_si256(kd);
+    let kd = _mm256_sub_pd(kd, shift);
+    let r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
+    // s = 2^(k/N): the table entry for k mod N, with k/N added to its exponent.
+    let t = _mm256_i64gather_epi64::<8>(
+        EXPF_TAB.as_ptr() as *const i64,
+        _mm256_and_si256(ki, _mm256_set1_epi64x(31)),
+    );
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let y = _mm256_fmadd_pd(
+        _mm256_fmadd_pd(c0, r, c1),
+        _mm256_mul_pd(r, r),
+        _mm256_fmadd_pd(c2, r, _mm256_set1_pd(1.0)),
+    );
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+}
+
+/// Vector `e^x` with `f32::exp`'s bits for `x ≤ 0` and NaN: a port of
+/// glibc 2.36's `expf` as its FMA build computes it (the `r` reduction is
+/// one fused multiply-subtract). Inputs below `log(2^-150)`, `−∞`
+/// included, give `+0`; a NaN gives `x + x`, as glibc does. Positive
+/// inputs are outside its contract (no overflow handling).
+///
+/// [`exp8`] is a different function on purpose: `Tensor::exp`, `sigmoid`
+/// and `tanh` have gone through its polynomial since the SIMD backend
+/// landed, and the pinned forecast and training digests hold its bits.
+/// The window-attention softmax has always called `f32::exp`, so its lane
+/// kernel needs this one.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn expf8(x: __m256) -> __m256 {
+    let y = _mm256_set_m128(
+        expf4(_mm256_extractf128_ps(x, 1)),
+        expf4(_mm256_castps256_ps128(x)),
+    );
+    let under = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(f32::from_bits(0xc2cff1b4)));
+    let y = _mm256_andnot_ps(under, y);
+    _mm256_blendv_ps(y, _mm256_add_ps(x, x), _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+}
+
 /// Vector sigmoid `1 / (1 + e^{-x})`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -862,5 +928,403 @@ pub unsafe fn gru_gates_row_backward(
         dgh[2 * hs + j] = dn_pre * r;
         dh[j] = z * d;
         j += 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Banded softmax attention in lanes
+// ---------------------------------------------------------------------------
+
+/// A [`Band`] head staged channel-major in a work buffer: channel `c` of a
+/// staged operand is one row of `stride` floats, position `x ∈ [−half,
+/// len8 + half)` at `x + half`, zero outside `[0, len)`. Lane `l` of a
+/// block of queries `[i0, i0 + 8)` then finds its key at slot `o`, `j = i
+/// − half + o`, at `i0 + o + l`: one unaligned load per slot and channel.
+///
+/// Each operand stages `D` channels, its own followed by zero rows. A zero
+/// channel adds `fma(0, 0, acc) = acc` to every chain, which starts at
+/// `+0` and so is never `−0`, and its outputs are not stored; with `D` a
+/// constant the channel loops unroll into registers. The padding and the
+/// zero rows are the same for every head, so a call zeroes its work once
+/// and each head rewrites only the positions it reads back.
+struct Staged {
+    stride: usize,
+    slots: usize,
+    len8: usize,
+}
+
+impl Staged {
+    fn new(b: &Band) -> Self {
+        Staged {
+            stride: b.stride(),
+            slots: 2 * b.half + 1,
+            len8: b.len.next_multiple_of(8),
+        }
+    }
+}
+
+/// Copy columns `[col, col + d)` of `len` rows of `src` at row stride
+/// `ld` into the first `d` staged channel rows at `dst`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn stage<const D: usize>(
+    b: &Band,
+    st: &Staged,
+    src: &[f32],
+    ld: usize,
+    col: usize,
+    d: usize,
+    dst: *mut f32,
+) {
+    let (p, h, len) = (st.stride, b.half, b.len);
+    let src = src.as_ptr().add(col);
+    let mut x = 0;
+    if D == 4 && d == 4 {
+        while x + 8 <= len {
+            let rows = |r: usize| _mm_loadu_ps(src.add((x + r) * ld));
+            let ch = transpose_4x4x2([
+                _mm256_set_m128(rows(4), rows(0)),
+                _mm256_set_m128(rows(5), rows(1)),
+                _mm256_set_m128(rows(6), rows(2)),
+                _mm256_set_m128(rows(7), rows(3)),
+            ]);
+            for (c, v) in ch.into_iter().enumerate() {
+                _mm256_storeu_ps(dst.add(c * p + h + x), v);
+            }
+            x += 8;
+        }
+    }
+    for c in 0..d {
+        for x in x..len {
+            *dst.add(c * p + h + x) = *src.add(x * ld + c);
+        }
+    }
+}
+
+/// Transpose the 4×4 block in each 128-bit half of four registers: half
+/// `k` of output `c` holds element `c` of half `k` of every input. Eight
+/// rows of four channels (rows `r` and `r + 4` in input `r`) become four
+/// channel registers over the eight rows, and back.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn transpose_4x4x2(a: [__m256; 4]) -> [__m256; 4] {
+    let t0 = _mm256_unpacklo_ps(a[0], a[1]);
+    let t1 = _mm256_unpackhi_ps(a[0], a[1]);
+    let t2 = _mm256_unpacklo_ps(a[2], a[3]);
+    let t3 = _mm256_unpackhi_ps(a[2], a[3]);
+    [
+        _mm256_shuffle_ps::<0x44>(t0, t2),
+        _mm256_shuffle_ps::<0xEE>(t0, t2),
+        _mm256_shuffle_ps::<0x44>(t1, t3),
+        _mm256_shuffle_ps::<0xEE>(t1, t3),
+    ]
+}
+
+/// All-ones in the lanes `l` where `first + l ∈ [0, len)`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn in_range(first: isize, len: usize) -> __m256 {
+    let idx = _mm256_add_epi32(
+        _mm256_set1_epi32(first as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    let ge0 = _mm256_cmpgt_epi32(idx, _mm256_set1_epi32(-1));
+    let below = _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), idx);
+    _mm256_castsi256_ps(_mm256_and_si256(ge0, below))
+}
+
+/// Write lanes `[0, n)` of the first `d` accumulators to `out[(i0 + l)·ld
+/// + c]`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn store_rows<const D: usize>(
+    acc: &[__m256; D],
+    d: usize,
+    out: *mut f32,
+    ld: usize,
+    i0: usize,
+    n: usize,
+) {
+    let out = out.add(i0 * ld);
+    if D == 4 && d == 4 && n == 8 {
+        let rows = transpose_4x4x2([acc[0], acc[1], acc[2], acc[3]]);
+        for (r, v) in rows.into_iter().enumerate() {
+            _mm_storeu_ps(out.add(r * ld), _mm256_castps256_ps128(v));
+            _mm_storeu_ps(out.add((r + 4) * ld), _mm256_extractf128_ps(v, 1));
+        }
+        return;
+    }
+    let mut t = [[0.0f32; 8]; D];
+    for (row, &a) in t.iter_mut().zip(acc) {
+        _mm256_storeu_ps(row.as_mut_ptr(), a);
+    }
+    for l in 0..n {
+        for (c, row) in t[..d].iter().enumerate() {
+            *out.add(l * ld + c) = row[l];
+        }
+    }
+}
+
+/// `D` staged channel rows at `at`, one register each.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn load_channels<const D: usize>(rows: *const f32, stride: usize, at: usize) -> [__m256; D] {
+    let mut r = [_mm256_setzero_ps(); D];
+    for (c, v) in r.iter_mut().enumerate() {
+        *v = _mm256_loadu_ps(rows.add(c * stride + at));
+    }
+    r
+}
+
+/// `acc[c] = fma(a, rows[c][at..], acc[c])` for every channel.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn fma_channels<const D: usize>(
+    acc: &mut [__m256; D],
+    a: __m256,
+    rows: *const f32,
+    stride: usize,
+    at: usize,
+) {
+    for (c, r) in acc.iter_mut().enumerate() {
+        *r = _mm256_fmadd_ps(a, _mm256_loadu_ps(rows.add(c * stride + at)), *r);
+    }
+}
+
+/// As [`fma_channels`], but a lane whose `a` is `±0` keeps its
+/// accumulators: the pair is skipped, not added as `0·x`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn fma_channels_live<const D: usize>(
+    acc: &mut [__m256; D],
+    a: __m256,
+    rows: *const f32,
+    stride: usize,
+    at: usize,
+) {
+    let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(a, _mm256_setzero_ps());
+    for (c, r) in acc.iter_mut().enumerate() {
+        let f = _mm256_fmadd_ps(a, _mm256_loadu_ps(rows.add(c * stride + at)), *r);
+        *r = _mm256_blendv_ps(*r, f, live);
+    }
+}
+
+/// The dot of each lane's channels with the staged rows at `at`: an FMA
+/// chain from `+0` in channel order.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dot_channels<const D: usize>(
+    x: &[__m256; D],
+    rows: *const f32,
+    stride: usize,
+    at: usize,
+) -> __m256 {
+    let mut s = _mm256_setzero_ps();
+    for (c, &xv) in x.iter().enumerate() {
+        s = _mm256_fmadd_ps(xv, _mm256_loadu_ps(rows.add(c * stride + at)), s);
+    }
+    s
+}
+
+/// Softmax numerators of queries `[i0, i0 + 8)` into `e` (8 floats per
+/// slot); returns their sums `z`. Each lane runs the per-query sequence:
+/// the dot as an FMA chain from `+0` then `· scale`, the running max, and
+/// `e = exp(s − max)` summed in key order. A key outside `[0, len)`
+/// scores `−∞`, so it adds `exp(−∞) = +0` to `z`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn band_softmax<const D: usize>(
+    b: &Band,
+    st: &Staged,
+    q: *const f32,
+    k: *const f32,
+    i0: usize,
+    e: *mut f32,
+) -> __m256 {
+    let qc = load_channels::<D>(q, st.stride, i0 + b.half);
+    let scale = _mm256_set1_ps(b.scale);
+    let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut max = neg_inf;
+    for o in 0..st.slots {
+        let s = _mm256_mul_ps(dot_channels(&qc, k, st.stride, i0 + o), scale);
+        let valid = in_range(i0 as isize - b.half as isize + o as isize, b.len);
+        let s = _mm256_blendv_ps(neg_inf, s, valid);
+        // `f32::max` ignores a NaN score; `max_ps` returns its second operand.
+        max = _mm256_max_ps(s, max);
+        _mm256_storeu_ps(e.add(8 * o), s);
+    }
+    let mut z = _mm256_setzero_ps();
+    for o in 0..st.slots {
+        let x = expf8(_mm256_sub_ps(_mm256_loadu_ps(e.add(8 * o)), max));
+        _mm256_storeu_ps(e.add(8 * o), x);
+        z = _mm256_add_ps(z, x);
+    }
+    z
+}
+
+/// See [`super::band_attention_forward`].
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn band_attention_forward(
+    b: &Band,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    work: &mut [f32],
+    out: &mut [f32],
+) {
+    if b.width() == 4 {
+        band_forward::<4>(b, q, k, v, work, out)
+    } else {
+        band_forward::<8>(b, q, k, v, work, out)
+    }
+}
+
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn band_forward<const D: usize>(
+    b: &Band,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    work: &mut [f32],
+    out: &mut [f32],
+) {
+    let st = Staged::new(b);
+    let p = st.stride;
+    let (ldk, ldv) = (b.heads * b.dh, b.heads * b.dv);
+    let w = work.as_mut_ptr();
+    let (qs, ks, vs, e) = (w, w.add(D * p), w.add(2 * D * p), w.add(3 * D * p));
+    std::ptr::write_bytes(w, 0, 3 * D * p);
+    let one = _mm256_set1_ps(1.0);
+    for h in 0..b.heads {
+        stage::<D>(b, &st, q, ldk, h * b.dh, b.dh, qs);
+        stage::<D>(b, &st, k, ldk, h * b.dh, b.dh, ks);
+        stage::<D>(b, &st, v, ldv, h * b.dv, b.dv, vs);
+        let o = out.as_mut_ptr().add(h * b.dv);
+        for i0 in (0..st.len8).step_by(8) {
+            let inv = _mm256_div_ps(one, band_softmax::<D>(b, &st, qs, ks, i0, e));
+            let mut acc = [_mm256_setzero_ps(); D];
+            for o in 0..st.slots {
+                let a = _mm256_mul_ps(_mm256_loadu_ps(e.add(8 * o)), inv);
+                fma_channels(&mut acc, a, vs, p, i0 + o);
+            }
+            store_rows(&acc, b.dv, o, ldv, i0, (b.len - i0).min(8));
+        }
+    }
+}
+
+/// See [`super::band_attention_backward`].
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn band_attention_backward(
+    b: &Band,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    g: &[f32],
+    work: &mut [f32],
+    gq: &mut [f32],
+    gk: &mut [f32],
+    gv: &mut [f32],
+) {
+    if b.width() == 4 {
+        band_backward::<4>(b, q, k, v, g, work, gq, gk, gv)
+    } else {
+        band_backward::<8>(b, q, k, v, g, work, gq, gk, gv)
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn band_backward<const D: usize>(
+    b: &Band,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    g: &[f32],
+    work: &mut [f32],
+    gq: &mut [f32],
+    gk: &mut [f32],
+    gv: &mut [f32],
+) {
+    let st = Staged::new(b);
+    let (p, slots) = (st.stride, st.slots);
+    let (ldk, ldv) = (b.heads * b.dh, b.heads * b.dv);
+    let w = work.as_mut_ptr();
+    let (qs, ks, vs, gs) = (w, w.add(D * p), w.add(2 * D * p), w.add(3 * D * p));
+    // Per (slot, query) weights `a` and score gradients `ds`, staged like
+    // the queries so the key pass reads them with the same loads. A head
+    // rewrites every column of them that holds a query, `[half, half +
+    // len8)`, so their padding stays zero from head to head too.
+    let at = w.add(4 * D * p);
+    let dst = at.add(slots * p);
+    let e = dst.add(slots * p);
+    let da = e.add(8 * slots);
+    std::ptr::write_bytes(w, 0, (4 * D + 2 * slots) * p);
+    let scale = _mm256_set1_ps(b.scale);
+    let zero = _mm256_setzero_ps();
+    for h in 0..b.heads {
+        let (ch, cv) = (h * b.dh, h * b.dv);
+        stage::<D>(b, &st, q, ldk, ch, b.dh, qs);
+        stage::<D>(b, &st, k, ldk, ch, b.dh, ks);
+        stage::<D>(b, &st, v, ldv, cv, b.dv, vs);
+        stage::<D>(b, &st, g, ldv, cv, b.dv, gs);
+
+        // Query pass, lanes over queries: the softmax and its gradient,
+        // and dQ.
+        for i0 in (0..st.len8).step_by(8) {
+            let z = band_softmax::<D>(b, &st, qs, ks, i0, e);
+            let gc = load_channels::<D>(gs, p, i0 + b.half);
+            let mut dot_sum = zero;
+            for o in 0..slots {
+                let a = _mm256_div_ps(_mm256_loadu_ps(e.add(8 * o)), z);
+                let d = dot_channels(&gc, vs, p, i0 + o);
+                dot_sum = _mm256_add_ps(dot_sum, _mm256_mul_ps(a, d));
+                _mm256_storeu_ps(e.add(8 * o), a);
+                _mm256_storeu_ps(da.add(8 * o), d);
+            }
+            let query = in_range(i0 as isize, b.len);
+            let mut acc = [zero; D];
+            for o in 0..slots {
+                let a = _mm256_loadu_ps(e.add(8 * o));
+                let d = _mm256_loadu_ps(da.add(8 * o));
+                let ds = _mm256_mul_ps(_mm256_mul_ps(a, _mm256_sub_ps(d, dot_sum)), scale);
+                fma_channels_live(&mut acc, ds, ks, p, i0 + o);
+                let col = o * p + i0 + b.half;
+                _mm256_storeu_ps(at.add(col), _mm256_and_ps(a, query));
+                _mm256_storeu_ps(dst.add(col), _mm256_and_ps(ds, query));
+            }
+            let n = (b.len - i0).min(8);
+            store_rows(&acc, b.dh, gq.as_mut_ptr().add(ch), ldk, i0, n);
+        }
+
+        // Key pass, lanes over keys: key `j`'s queries `i = j − half + o`
+        // in ascending order, reading query `i`'s slot `j − i + half`.
+        // Queries outside `[0, len)` staged `a = ds = 0` and zero rows.
+        for j0 in (0..st.len8).step_by(8) {
+            let mut acc_v = [zero; D];
+            let mut acc_k = [zero; D];
+            for o in 0..slots {
+                let col = (slots - 1 - o) * p + j0 + o;
+                fma_channels(&mut acc_v, _mm256_loadu_ps(at.add(col)), gs, p, j0 + o);
+                fma_channels_live(&mut acc_k, _mm256_loadu_ps(dst.add(col)), qs, p, j0 + o);
+            }
+            let n = (b.len - j0).min(8);
+            store_rows(&acc_k, b.dh, gk.as_mut_ptr().add(ch), ldk, j0, n);
+            store_rows(&acc_v, b.dv, gv.as_mut_ptr().add(cv), ldv, j0, n);
+        }
+    }
+}
+
+/// See [`super::libm_exp`]: [`expf8`] over a slice, the tail through a
+/// zero-padded block.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn libm_exp(x: &[f32], out: &mut [f32]) {
+    for (xs, ys) in x.chunks(8).zip(out.chunks_mut(8)) {
+        let mut buf = [0.0f32; 8];
+        buf[..xs.len()].copy_from_slice(xs);
+        _mm256_storeu_ps(buf.as_mut_ptr(), expf8(_mm256_loadu_ps(buf.as_ptr())));
+        ys.copy_from_slice(&buf[..ys.len()]);
     }
 }

@@ -482,6 +482,191 @@ pub fn gru_gates_row_backward(
     scalar::gru_gates_row_backward(go, h_prev, gates, dh, dgi, dgh);
 }
 
+// ---------------------------------------------------------------------------
+// Banded softmax attention
+// ---------------------------------------------------------------------------
+
+/// Banded softmax self-attention over one batch row of the window
+/// attention: `len` queries over the same `len` keys in each of `heads`
+/// heads, query `i` attending to keys `[i − half, i + half]` clipped to
+/// `[0, len)`.
+///
+/// The operands are `[len, heads·dh]` (q, k and their gradients) and
+/// `[len, heads·dv]` (v, the output gradient, the output and dV) rows:
+/// head `h` is the `dh` (or `dv`) columns from `h·dh` (or `h·dv`).
+#[derive(Clone, Copy, Debug)]
+pub struct Band {
+    /// Queries, and keys.
+    pub len: usize,
+    /// Keys on each side of a query: `w / 2`.
+    pub half: usize,
+    /// Heads per row.
+    pub heads: usize,
+    /// Width of a head's q/k columns.
+    pub dh: usize,
+    /// Width of a head's v columns.
+    pub dv: usize,
+    /// Score scale, `1/√dh`.
+    pub scale: f32,
+}
+
+impl Band {
+    /// True when [`band_attention_forward`] and [`band_attention_backward`]
+    /// run: the AVX2 backend, and heads narrower than one vector, where
+    /// [`dot`] is a sequential FMA chain and [`axpy`] one FMA per element.
+    pub fn lanes(&self) -> bool {
+        enabled() && self.narrow()
+    }
+
+    fn narrow(&self) -> bool {
+        (1..8).contains(&self.dh) && (1..8).contains(&self.dv)
+    }
+
+    /// Floats per staged channel: the length rounded up to 8, plus a
+    /// window's reach on each side.
+    fn stride(&self) -> usize {
+        self.len.next_multiple_of(8) + 2 * self.half
+    }
+
+    /// Channels staged per operand: the wider head, zero-padded to 4 or 8.
+    fn width(&self) -> usize {
+        if self.dh.max(self.dv) <= 4 {
+            4
+        } else {
+            8
+        }
+    }
+
+    /// Work floats [`band_attention_forward`] needs: one head's staged q,
+    /// k and v, and one block's softmax numerators.
+    pub fn forward_work(&self) -> usize {
+        3 * self.width() * self.stride() + 8 * (2 * self.half + 1)
+    }
+
+    /// Work floats [`band_attention_backward`] needs: one head's staged q,
+    /// k, v and output gradient, its per-(slot, query) weights and score
+    /// gradients, and one block's scratch.
+    pub fn backward_work(&self) -> usize {
+        let slots = 2 * self.half + 1;
+        (4 * self.width() + 2 * slots) * self.stride() + 16 * slots
+    }
+
+    fn check(&self, work: usize, need: usize, operands: &[(&str, usize, usize)]) {
+        // The hardware, not the backend: a call keeps the kernel it chose
+        // even if a test flips the override meanwhile.
+        assert!(
+            hw_supported() && self.narrow(),
+            "band attention: needs AVX2+FMA and heads of 1 to 7 floats"
+        );
+        assert!(work >= need, "band attention: work too short");
+        for &(what, len, d) in operands {
+            assert!(
+                len >= self.len * self.heads * d,
+                "band attention: {what} too short"
+            );
+        }
+    }
+}
+
+/// `out[i] = x[i].exp()` bit for bit, for `x[i] ≤ 0` and NaN: the
+/// softmax `exp` of [`band_attention_forward`] and its backward, over a
+/// slice. The AVX2 backend runs the vector port of glibc 2.36's `expf`
+/// eight lanes at a time; it matches `f32::exp` only where the platform
+/// libm is that algorithm, which `tests/libm_exp.rs` checks. The scalar
+/// backend calls `f32::exp`. Positive inputs are outside the port's
+/// contract.
+pub fn libm_exp(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len(), "libm_exp: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: `enabled()` implies AVX2+FMA were detected at runtime.
+        unsafe { avx2::libm_exp(x, out) };
+        return;
+    }
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v.exp();
+    }
+}
+
+/// Banded softmax attention of one [`Band`] batch row, 8 queries to a
+/// register: head `h` of `out` row `i` gets `Σ_j softmax_j(q_i·k_j ·
+/// scale) v_j` over query `i`'s keys, from head `h` of each operand. Each
+/// lane repeats the per-query loop of a [`dot`]/[`axpy`] kernel bit for
+/// bit, with `f32::exp`'s bits for the softmax `exp` (see DESIGN.md §8,
+/// "Window attention in lanes"). `work` is scratch for one head.
+///
+/// # Panics
+/// Panics unless the CPU has AVX2+FMA and both head widths are 1 to 7
+/// floats (which [`Band::lanes`] checks, with the backend), or if `work`
+/// is shorter than [`Band::forward_work`] or an operand than its rows.
+pub fn band_attention_forward(
+    band: &Band,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    work: &mut [f32],
+    out: &mut [f32],
+) {
+    let (dh, dv) = (band.dh, band.dv);
+    band.check(
+        work.len(),
+        band.forward_work(),
+        &[
+            ("q", q.len(), dh),
+            ("k", k.len(), dh),
+            ("v", v.len(), dv),
+            ("out", out.len(), dv),
+        ],
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `check` bounds every operand and implies AVX2+FMA.
+    unsafe {
+        avx2::band_attention_forward(band, q, k, v, work, out)
+    };
+}
+
+/// Gradients of [`band_attention_forward`] for the output gradient `g`:
+/// `gq`, `gk` and `gv` are overwritten with dQ, dK and dV. Per head the
+/// softmax is recomputed, then two passes run: lanes over queries for the
+/// weights, the score gradients and dQ, then lanes over keys for dK and
+/// dV, each key summing its queries in ascending order. A pair whose
+/// score gradient is `±0` adds nothing to dQ or dK.
+///
+/// # Panics
+/// As [`band_attention_forward`], with [`Band::backward_work`].
+#[allow(clippy::too_many_arguments)]
+pub fn band_attention_backward(
+    band: &Band,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    g: &[f32],
+    work: &mut [f32],
+    gq: &mut [f32],
+    gk: &mut [f32],
+    gv: &mut [f32],
+) {
+    let (dh, dv) = (band.dh, band.dv);
+    band.check(
+        work.len(),
+        band.backward_work(),
+        &[
+            ("q", q.len(), dh),
+            ("k", k.len(), dh),
+            ("v", v.len(), dv),
+            ("g", g.len(), dv),
+            ("gq", gq.len(), dh),
+            ("gk", gk.len(), dh),
+            ("gv", gv.len(), dv),
+        ],
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `check` bounds every operand and implies AVX2+FMA.
+    unsafe {
+        avx2::band_attention_backward(band, q, k, v, g, work, gq, gk, gv)
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,6 +38,11 @@ LTTF_QUIET=1 LTTF_THREADS=1 LTTF_SIMD=0 cargo test -q --offline
 echo "==> cargo test -q --offline  (LTTF_THREADS=4 LTTF_SIMD=1, pooled + SIMD dispatch)"
 LTTF_QUIET=1 LTTF_THREADS=4 LTTF_SIMD=1 cargo test -q --offline
 
+echo "==> libm_exp == f32::exp on every non-positive float  (release; tier-1 runs a sample)"
+# The window attention's lane kernel ports glibc's expf; this pins the
+# port to the platform libm bit for bit over all 2^31 inputs.
+cargo test --release -q --offline --test libm_exp -- --ignored
+
 echo "==> ledger unit tests + --smoke run  (the benchmark package has its own workspace)"
 LTTF_QUIET=1 cargo test -q --offline --manifest-path ledger/Cargo.toml
 

@@ -8,7 +8,7 @@
 use lttf::data::synth::{Dataset, SynthSpec};
 use lttf::data::{Split, WindowDataset};
 use lttf::eval::{train_logged, HealthConfig, ModelKind, StopReason, TrainOptions, TrainedModel};
-use lttf::nn::attention::window_global_forward;
+use lttf::nn::attention::{window_global_backward, window_global_forward};
 use lttf::obs;
 use lttf::tensor::{Rng, Tensor};
 use lttf_parallel::set_threads_override;
@@ -53,19 +53,26 @@ fn span_counts_match_known_workload() {
     }
     let q = Tensor::randn(&[8, 64, 16], &mut rng);
     std::hint::black_box(window_global_forward(&q, &q, &q, 1, 4, 2));
+    let gout = Tensor::randn(&[8, 64, 16], &mut rng);
+    std::hint::black_box(window_global_backward(&q, &q, &q, &gout, 1, 4, 2));
 
     let snap = obs::snapshot();
     assert_eq!(span_calls(&snap, "matmul"), 5, "snapshot: {snap:?}");
     assert_eq!(span_calls(&snap, "conv1d"), 3);
     assert_eq!(span_calls(&snap, "moving_avg"), 2);
     assert_eq!(span_calls(&snap, "window_attn_fwd"), 1);
+    assert_eq!(span_calls(&snap, "window_attn_bwd"), 1);
     // Timing and byte totals are live for all of them.
-    for name in ["matmul", "conv1d", "moving_avg", "window_attn_fwd"] {
+    for name in ["matmul", "conv1d", "moving_avg", "window_attn_fwd", "window_attn_bwd"] {
         let s = snap.iter().find(|s| s.name == name).unwrap();
         assert!(s.total_ns > 0, "{name} recorded no time");
         assert!(s.bytes > 0, "{name} recorded no bytes");
         assert!(s.min_ns <= s.max_ns);
     }
+    // The backward reads q, k, v and the output gradient and writes a
+    // gradient per input: seven tensors of the same size here.
+    let bwd = snap.iter().find(|s| s.name == "window_attn_bwd").unwrap();
+    assert_eq!(bwd.bytes, 7 * q.numel() as u64 * 4);
 }
 
 #[test]
