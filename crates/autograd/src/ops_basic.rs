@@ -276,22 +276,22 @@ impl<'g> Var<'g> {
     }
 
     /// Multiply by a constant mask tensor (used for dropout). The mask is
-    /// treated as non-differentiable.
-    pub fn mul_mask(self, mask: &Tensor) -> Var<'g> {
+    /// treated as non-differentiable, and moves into the backward rather
+    /// than being copied.
+    pub fn mul_mask(self, mask: Tensor) -> Var<'g> {
         assert_eq!(
             broadcast_shapes(&self.shape(), mask.shape()),
             self.shape(),
             "mask must broadcast to the variable's shape without growing it"
         );
-        let v = self.with_value(|a| a.mul(mask));
+        let v = self.with_value(|a| a.mul(&mask));
         self.g.push("mul_mask", v, || {
-            let m = mask.clone();
             let shape = self.shape();
             Backward::new(vec![self.id], move |ctx, pg| {
-                let g = if m.shape() == ctx.grad.shape() {
-                    times(ctx.grad, &m)
+                let g = if mask.shape() == ctx.grad.shape() {
+                    times(ctx.grad, &mask)
                 } else {
-                    ctx.grad.mul(&m)
+                    ctx.grad.mul(&mask)
                 };
                 pg.add(0, reduce_to_shape(g, &shape))
             })
@@ -433,7 +433,7 @@ mod tests {
         let mask = Tensor::from_slice(&[1.0, 0.0, 1.0, 1.0, 0.0, 1.0]);
         grad_check(
             std::slice::from_ref(&x),
-            move |_, xs| xs[0].mul_mask(&mask).sum_all(),
+            move |_, xs| xs[0].mul_mask(mask.clone()).sum_all(),
             1e-2,
         )
         .unwrap_or_else(|e| panic!("{e}"));

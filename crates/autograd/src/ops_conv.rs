@@ -35,7 +35,7 @@ impl<'g> Var<'g> {
         self.g.push("moving_avg", v, || {
             let shape = self.shape();
             Backward::new(vec![self.id], move |ctx, pg| {
-                pg.add(0, moving_avg_backward(&ctx.grad, &shape, axis, k))
+                pg.add(0, moving_avg_backward(ctx.grad, &shape, axis, k))
             })
         })
     }
@@ -57,9 +57,13 @@ fn split_axis(shape: &[usize], axis: isize) -> (usize, usize, usize) {
 ///
 /// Output position `t` averaged the padded positions `t..t+k`; padded
 /// position `p` reads input `clamp(p - before, 0, extent-1)`. Every
-/// `(t, kk)` pair adds `grad[t] / k` into its input row, in `(t, kk)`
-/// order, one `inner`-wide row slice at a time.
-fn moving_avg_backward(grad: &Tensor, shape: &[usize], axis: isize, k: usize) -> Tensor {
+/// `(t, kk)` pair adds `grad[t] / k` into its input row. Each input row
+/// gathers its pairs in `(t, kk)` order, [`COLS`] columns at a time in a
+/// register accumulator: an interior row takes one `kk` from each `t` of
+/// its window, an edge row every `kk` that clamps onto it, added once per
+/// pair rather than multiplied by a count. Each element so sees the
+/// additions the scatter over `(t, kk)` made, in the same order.
+fn moving_avg_backward(mut grad: Tensor, shape: &[usize], axis: isize, k: usize) -> Tensor {
     let (_, extent, inner) = split_axis(shape, axis);
     let before = (k - 1) / 2;
     let inv = 1.0 / k as f32;
@@ -68,26 +72,76 @@ fn moving_avg_backward(grad: &Tensor, shape: &[usize], axis: isize, k: usize) ->
     if plane == 0 {
         return out;
     }
-    let mut scaled = vec![0.0f32; inner];
+    for g in grad.data_mut() {
+        *g *= inv;
+    }
+    // The `(t, kk)` pairs that land on each input row, in `(t, kk)` order,
+    // as offsets of row `t`: an interior row takes the one `kk` of each
+    // `t` in its window, the first row every `kk` at or below position 0
+    // and the last every `kk` at or past it, so an edge row repeats a `t`.
+    let last = extent - 1;
+    let mut rows = Vec::with_capacity(extent * k);
+    let mut starts = Vec::with_capacity(extent + 1);
+    for src in 0..extent {
+        starts.push(rows.len());
+        let lo = if src == 0 {
+            0
+        } else {
+            (src + before).saturating_sub(k - 1)
+        };
+        let hi = if src == last {
+            extent
+        } else {
+            (src + before + 1).min(extent)
+        };
+        for t in lo..hi {
+            let p0 = t as isize - before as isize;
+            let count = match (src == 0, src == last) {
+                (true, true) => k,
+                (true, false) => (1 - p0).clamp(0, k as isize) as usize,
+                (false, true) => (p0 + k as isize - last as isize).clamp(0, k as isize) as usize,
+                (false, false) => 1,
+            };
+            rows.extend(std::iter::repeat_n(t * inner, count));
+        }
+    }
+    starts.push(rows.len());
     for (gp, op) in grad
         .data()
         .chunks(plane)
         .zip(out.data_mut().chunks_mut(plane))
     {
-        for (t, grow) in gp.chunks(inner).enumerate() {
-            for (s, &g) in scaled.iter_mut().zip(grow) {
-                *s = g * inv;
-            }
-            for kk in 0..k {
-                let src = (t + kk).saturating_sub(before).min(extent - 1);
-                for (o, &s) in op[src * inner..(src + 1) * inner].iter_mut().zip(&scaled) {
-                    *o += s;
+        for (src, orow) in op.chunks_mut(inner).enumerate() {
+            let rows = &rows[starts[src]..starts[src + 1]];
+            for (c0, o) in (0..inner).step_by(COLS).zip(orow.chunks_mut(COLS)) {
+                let mut acc = [0.0f32; COLS];
+                if let Ok(o) = <&mut [f32; COLS]>::try_from(&mut *o) {
+                    for &at in rows {
+                        let g: &[f32; COLS] = gp[at + c0..at + c0 + COLS]
+                            .try_into()
+                            .expect("a full column block");
+                        for (a, &g) in acc.iter_mut().zip(g) {
+                            *a += g;
+                        }
+                    }
+                    *o = acc;
+                } else {
+                    let w = o.len();
+                    for &at in rows {
+                        for (a, &g) in acc.iter_mut().zip(&gp[at + c0..at + c0 + w]) {
+                            *a += g;
+                        }
+                    }
+                    o.copy_from_slice(&acc[..w]);
                 }
             }
         }
     }
     out
 }
+
+/// Columns of a [`moving_avg_backward`] accumulator.
+const COLS: usize = 16;
 
 /// The moving-average backward as it was: one bounds-checked scatter per
 /// element. Kept so a property test can pin [`moving_avg_backward`] to it
@@ -184,30 +238,37 @@ mod tests {
         .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// A rank-1–4 shape with extents 0–9, an axis of it, and a window.
+    /// A rank-1–4 shape with extents 0–9, an axis of it, and a window of
+    /// 1–26; half the time the axis is cut to at most the window, so both
+    /// edges of a short axis gather from one `t`.
     fn arb_case() -> Gen<(Vec<usize>, isize, usize, u64)> {
         Gen::new(|rng| {
             let rank = rng.usize_in(1, 5);
-            let dims: Vec<usize> = (0..rank).map(|_| rng.usize_in(0, 10)).collect();
-            let mut axis = rng.usize_in(0, rank) as isize;
+            let mut dims: Vec<usize> = (0..rank).map(|_| rng.usize_in(0, 10)).collect();
+            let ax = rng.usize_in(0, rank);
+            let k = rng.usize_in(1, 27);
+            if rng.usize_in(0, 2) == 0 {
+                dims[ax] = rng.usize_in(0, k + 1);
+            }
+            let mut axis = ax as isize;
             if rng.usize_in(0, 2) == 0 {
                 axis -= rank as isize;
             }
-            let k = rng.usize_in(1, 13);
             (dims, axis, k, rng.next_u64())
         })
     }
 
     properties! {
-        cases = 64;
+        cases = 128;
 
         // Even and odd windows, windows wider than the axis (every input
-        // position clamps to an edge), negative axes and empty extents.
+        // position clamps to an edge), negative axes, empty extents, and
+        // rows wider than one column block with and without a tail.
         fn moving_avg_backward_matches_reference(case in arb_case()) {
             let (dims, axis, k, seed) = case;
             let grad = Tensor::randn(&dims, &mut Rng::seed(seed));
             let (scalar, simd) = on_both_backends(|| -> Result<(), String> {
-                let got = moving_avg_backward(&grad, &dims, axis, k);
+                let got = moving_avg_backward(grad.clone(), &dims, axis, k);
                 let want = reference_moving_avg_backward(&grad, &dims, axis, k);
                 for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
                     if x.to_bits() != y.to_bits() {

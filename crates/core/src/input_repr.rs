@@ -17,7 +17,7 @@
 
 use crate::config::InputReprMode;
 use lttf_autograd::Var;
-use lttf_fft::autocorrelation;
+use lttf_fft::autocorrelations;
 use lttf_nn::{kaiming_uniform, Fwd, Linear, ParamId, ParamSet};
 use lttf_tensor::{Rng, Tensor};
 
@@ -94,26 +94,27 @@ impl InputRepresentation {
     }
 
     /// Per-variable correlation weights `W^R` (Eq. 1–2) for a batch:
-    /// `[b, 1, c_in]`, softmaxed across variables, rescaled by `c_in`.
+    /// `[b, 1, c_in]`, softmaxed across variables, rescaled by `c_in`. A
+    /// series shorter than 2 has no non-zero lag, so every variable scores
+    /// 0 and the weights are uniform.
     fn correlation_weights(x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 3, "correlation weights expect [b, len, c_in]");
         let (b, len, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let mut scores = Vec::with_capacity(b * d);
-        let mut series = Vec::with_capacity(len);
-        for window in x.data().chunks_exact(len * d) {
-            for di in 0..d {
-                // Variable `di` of this window: every `d`-th value.
-                series.clear();
-                series.extend(window[di..].iter().step_by(d));
-                let r = autocorrelation(&series);
-                let r0 = r[0].max(1e-6);
-                let peak = r[1..len.div_ceil(2).max(2)]
-                    .iter()
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max);
-                scores.push(peak / r0);
-            }
-        }
+        let scores = if len < 2 {
+            vec![0.0; b * d]
+        } else {
+            autocorrelations(x.data(), len, d)
+                .chunks_exact(len)
+                .map(|r| {
+                    let r0 = r[0].max(1e-6);
+                    let peak = r[1..len.div_ceil(2).max(2)]
+                        .iter()
+                        .cloned()
+                        .fold(f32::NEG_INFINITY, f32::max);
+                    peak / r0
+                })
+                .collect()
+        };
         Tensor::from_vec(scores, &[b, 1, d])
             .softmax(-1)
             .mul_scalar(d as f32)

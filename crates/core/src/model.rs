@@ -305,6 +305,40 @@ mod tests {
         assert!(!pred.has_non_finite());
     }
 
+    /// `label_len = 0, ly = 1` passes `validate()` and gives a decoder
+    /// input one step long, whose `W^R` has no non-zero lag to score.
+    #[test]
+    fn one_step_decoder_without_label_builds_and_trains() {
+        let mut cfg = ConformerConfig::tiny(3, 12, 1);
+        cfg.label_len = 0;
+        cfg.validate();
+        assert_eq!(cfg.dec_len(), 1);
+        let mut ps = ParamSet::new();
+        let model = Conformer::new(&mut ps, &cfg, &mut Rng::seed(0));
+        let (x, xm, d, dm, y) = inputs(&cfg, 2, 5);
+        let pred = model.predict(&ps, &x, &xm, &d, &dm);
+        assert_eq!(pred.shape(), &[2, 1, 3]);
+        assert!(!pred.has_non_finite());
+        let g = Graph::new();
+        let cx = Fwd::new(&g, &ps, true, 0);
+        let loss = model.loss(
+            &cx,
+            g.leaf(x),
+            Some(g.leaf(xm)),
+            g.leaf(d),
+            Some(g.leaf(dm)),
+            &y,
+        );
+        assert!(loss.value().item().is_finite());
+        let grads = g.backward(loss);
+        let collected = cx.collect_grads(&grads);
+        ps.zero_grad();
+        ps.apply_grads(collected);
+        for id in ps.ids() {
+            assert!(!ps.grad(id).has_non_finite(), "{} grad", ps.name(id));
+        }
+    }
+
     #[test]
     fn loss_is_finite_and_positive() {
         let cfg = ConformerConfig::tiny(2, 10, 4);

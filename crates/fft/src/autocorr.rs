@@ -1,8 +1,39 @@
 //! Circular autocorrelation via FFT (paper Eq. 1) and period detection.
 
-use crate::complex::Complex;
-use crate::transform::{fft, ifft};
+use crate::transform::{dft, Lanes};
 use lttf_tensor::Tensor;
+
+/// Series run side by side by [`autocorrelations`].
+const LANES: usize = 4;
+
+/// Circular autocorrelations of `L` series of length `buf.len()` at once:
+/// `value(l, t)` is element `t` of series `l`, and `out(l, τ, r)` receives
+/// its `r[τ]`. `buf` and `work` are scratch.
+fn autocorrelate<const L: usize>(
+    value: impl Fn(usize, usize) -> f32,
+    buf: &mut [Lanes<L>],
+    work: &mut Vec<Lanes<L>>,
+    mut out: impl FnMut(usize, usize, f32),
+) {
+    let n = buf.len();
+    let means: [f32; L] =
+        std::array::from_fn(|l| (0..n).map(|t| value(l, t)).sum::<f32>() / n as f32);
+    for (t, slot) in buf.iter_mut().enumerate() {
+        *slot = Lanes::from_re(std::array::from_fn(|l| (value(l, t) - means[l]) as f64));
+    }
+    dft(buf, -1.0, work);
+    for c in buf.iter_mut() {
+        *c = c.power();
+    }
+    dft(buf, 1.0, work);
+    let scale = 1.0 / n as f64;
+    for (lag, c) in buf.iter().enumerate() {
+        let c = c.scale(scale);
+        for (l, &re) in c.re.iter().enumerate() {
+            out(l, lag, (re / n as f64) as f32);
+        }
+    }
+}
 
 /// Circular autocorrelation of a real series:
 /// `r[τ] = iFFT(FFT(x) · conj(FFT(x)))[τ] / n` — the Wiener–Khinchin route
@@ -12,21 +43,60 @@ use lttf_tensor::Tensor;
 /// swamp the lag structure. Output has the same length as the input;
 /// `r[0]` is the (biased) variance times `n / n = ` variance.
 pub fn autocorrelation(x: &[f32]) -> Vec<f32> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
+    let mut r = vec![0.0f32; x.len()];
+    let mut buf = vec![Lanes::<1>::ZERO; x.len()];
+    autocorrelate(
+        |_, t| x[t],
+        &mut buf,
+        &mut Vec::new(),
+        |_, lag, v| r[lag] = v,
+    );
+    r
+}
+
+/// The [`autocorrelation`] of every variable of every window: `x` holds
+/// `[windows, len, d]` values, and row `w·d + v` of the `[windows·d, len]`
+/// result is variable `v` of window `w`.
+///
+/// The series run four at a time through one transform, each with the
+/// bits [`autocorrelation`] gives it alone; a last group short of four is
+/// padded with zero series.
+///
+/// # Panics
+/// Panics unless `x.len()` is a multiple of `len · d`.
+pub fn autocorrelations(x: &[f32], len: usize, d: usize) -> Vec<f32> {
+    let per_window = len * d;
+    let count = match per_window {
+        0 => 0,
+        _ => {
+            assert!(
+                x.len().is_multiple_of(per_window),
+                "autocorrelations: {} values are not whole [{len}, {d}] windows",
+                x.len()
+            );
+            x.len() / per_window * d
+        }
+    };
+    let span = lttf_obs::span!("autocorr");
+    span.bytes((x.len() + count * len) * 4);
+    let mut r = vec![0.0f32; count * len];
+    let mut buf = vec![Lanes::<LANES>::ZERO; len];
+    let mut work = Vec::new();
+    for first in (0..count).step_by(LANES) {
+        // Series `s` is variable `s mod d` of window `s / d`, its element
+        // `t` at `start + t·d`; past the last series, zeros.
+        let start: [Option<usize>; LANES] = std::array::from_fn(|l| {
+            let s = first + l;
+            (s < count).then(|| s / d * per_window + s % d)
+        });
+        let value = |l: usize, t: usize| start[l].map_or(0.0, |at| x[at + t * d]);
+        autocorrelate(value, &mut buf, &mut work, |l, lag, v| {
+            if start[l].is_some() {
+                r[(first + l) * len + lag] = v;
+            }
+        });
     }
-    let mean = x.iter().sum::<f32>() / n as f32;
-    let buf: Vec<Complex> = x
-        .iter()
-        .map(|&v| Complex::from_re((v - mean) as f64))
-        .collect();
-    let mut power = fft(&buf);
-    for c in power.iter_mut() {
-        *c = *c * c.conj();
-    }
-    let corr = ifft(&power);
-    corr.iter().map(|c| (c.re / n as f64) as f32).collect()
+    r
 }
 
 /// Per-variable autocorrelation of a multivariate series.
@@ -42,14 +112,7 @@ pub fn autocorrelation(x: &[f32]) -> Vec<f32> {
 pub fn autocorrelation_matrix(x: &Tensor) -> Tensor {
     assert_eq!(x.ndim(), 2, "autocorrelation_matrix expects [len, dims]");
     let (len, dims) = (x.shape()[0], x.shape()[1]);
-    let mut out = Vec::with_capacity(dims * len);
-    let mut series = Vec::with_capacity(len);
-    for d in 0..dims {
-        series.clear();
-        series.extend(x.data().iter().skip(d).step_by(dims));
-        out.extend(autocorrelation(&series));
-    }
-    Tensor::from_vec(out, &[dims, len])
+    Tensor::from_vec(autocorrelations(x.data(), len, dims), &[dims, len])
 }
 
 /// Return the `k` lags (in `1..=len/2`) with the highest autocorrelation,

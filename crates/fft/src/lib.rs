@@ -15,7 +15,9 @@
 //! - Bluestein's algorithm for arbitrary lengths (so series of length 96,
 //!   336, … need no padding),
 //! - forward/inverse transforms, real-input convenience wrappers,
-//! - circular autocorrelation and top-k period detection.
+//! - circular autocorrelation and top-k period detection, with the
+//!   transform core running four series side by side for a batch
+//!   ([`autocorrelations`]).
 //!
 //! ```
 //! use lttf_fft::{autocorrelation, top_k_periods};
@@ -35,7 +37,7 @@ mod autocorr;
 mod complex;
 mod transform;
 
-pub use autocorr::{autocorrelation, autocorrelation_matrix, top_k_periods};
+pub use autocorr::{autocorrelation, autocorrelation_matrix, autocorrelations, top_k_periods};
 pub use complex::Complex;
 pub use transform::{fft, ifft, next_pow2, rfft_magnitudes};
 

@@ -143,3 +143,74 @@ fn cached_transforms_match_reference_on_every_length() {
     }
     lttf_tensor::simd::set_simd_override(None);
 }
+
+/// The four-lane core against the scalar reference, lane by lane: each
+/// lane's transform in `f64` bits (an `f32` autocorrelation rounds most
+/// `f64` differences away), then the batched autocorrelation series by
+/// series: nine series (two full groups and one padded), random,
+/// constant, all `+0`, all `−0` and mixed signed zeros, laid out as three
+/// `[n, 3]` windows.
+#[test]
+fn lane_autocorrelations_match_reference() {
+    use crate::transform::{dft, Lanes};
+    let mut rng = lttf_testkit::Xoshiro256PlusPlus::seed_from_u64(21);
+    for n in [1usize, 2, 48, 96, 128, 336] {
+        let lanes: [Vec<Complex>; 4] = [
+            (0..n)
+                .map(|_| Complex::new(rng.next_f64() * 20.0 - 10.0, rng.next_f64() - 0.5))
+                .collect(),
+            (0..n)
+                .map(|_| Complex::from_re(rng.next_f64() - 0.5))
+                .collect(),
+            vec![Complex::new(-0.0, 0.0); n],
+            vec![Complex::from_re(2.5); n],
+        ];
+        for sign in [-1.0, 1.0] {
+            let mut buf: Vec<Lanes<4>> = (0..n)
+                .map(|t| Lanes {
+                    re: std::array::from_fn(|l| lanes[l][t].re),
+                    im: std::array::from_fn(|l| lanes[l][t].im),
+                })
+                .collect();
+            dft(&mut buf, sign, &mut Vec::new());
+            for (l, x) in lanes.iter().enumerate() {
+                let got: Vec<Complex> =
+                    buf.iter().map(|v| Complex::new(v.re[l], v.im[l])).collect();
+                assert_same_bits("lane dft", n, &got, &transform(x, sign));
+            }
+        }
+        let mut series: Vec<Vec<f32>> = vec![
+            vec![0.0; n],
+            vec![-0.0; n],
+            vec![3.5; n],
+            (0..n)
+                .map(|t| if t % 3 == 0 { -0.0 } else { 0.0 })
+                .collect(),
+            (0..n)
+                .map(|_| rng.next_f32() * 8.0 - 4.0 + 1000.0)
+                .collect(),
+        ];
+        while series.len() < 9 {
+            series.push((0..n).map(|_| rng.next_f32() * 8.0 - 4.0).collect());
+        }
+        let (windows, d) = (3, 3);
+        let mut x = vec![0.0f32; windows * n * d];
+        for (s, values) in series.iter().enumerate() {
+            for (t, &v) in values.iter().enumerate() {
+                x[(s / d) * n * d + t * d + s % d] = v;
+            }
+        }
+        let got = crate::autocorrelations(&x, n, d);
+        assert_eq!(got.len(), series.len() * n);
+        for (s, values) in series.iter().enumerate() {
+            let want = ref_autocorrelation(values);
+            for (lag, (g, w)) in got[s * n..(s + 1) * n].iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "n={n} series {s} lag {lag}: {g} vs reference {w}"
+                );
+            }
+        }
+    }
+}

@@ -84,14 +84,100 @@ fn twiddles(n: usize, sign: f64) -> Rc<[Complex]> {
     })
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT.
+/// `L` complex numbers side by side, lane `l` belonging to series `l`:
+/// the operand of the one transform core, which runs `L` series at once.
+///
+/// Every operation spells its `f64` arithmetic exactly as [`Complex`]
+/// does, lane by lane — the same operations on the same operands in the
+/// same association, with no fused multiply-add — so each lane gets the
+/// bits a [`Complex`] transform of its series would. A single series is
+/// `L = 1`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lanes<const L: usize> {
+    pub(crate) re: [f64; L],
+    pub(crate) im: [f64; L],
+}
+
+impl<const L: usize> Lanes<L> {
+    pub(crate) const ZERO: Self = Lanes {
+        re: [0.0; L],
+        im: [0.0; L],
+    };
+
+    /// Lane `l` is `re[l] + 0i`, as [`Complex::from_re`].
+    pub(crate) fn from_re(re: [f64; L]) -> Self {
+        Lanes { re, im: [0.0; L] }
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] + o.re[l]),
+            im: std::array::from_fn(|l| self.im[l] + o.im[l]),
+        }
+    }
+
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] - o.re[l]),
+            im: std::array::from_fn(|l| self.im[l] - o.im[l]),
+        }
+    }
+
+    /// `self · w` for one `w` in every lane, as `Complex * Complex`.
+    #[inline(always)]
+    fn mul_by(self, w: Complex) -> Self {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] * w.re - self.im[l] * w.im),
+            im: std::array::from_fn(|l| self.re[l] * w.im + self.im[l] * w.re),
+        }
+    }
+
+    /// `z · conj(z)` in every lane, as `c * c.conj()`.
+    #[inline(always)]
+    pub(crate) fn power(self) -> Self {
+        let im: [f64; L] = std::array::from_fn(|l| -self.im[l]);
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] * self.re[l] - self.im[l] * im[l]),
+            im: std::array::from_fn(|l| self.re[l] * im[l] + self.im[l] * self.re[l]),
+        }
+    }
+
+    /// As [`Complex::scale`].
+    #[inline(always)]
+    pub(crate) fn scale(self, s: f64) -> Self {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] * s),
+            im: std::array::from_fn(|l| self.im[l] * s),
+        }
+    }
+}
+
+impl From<Complex> for Lanes<1> {
+    fn from(c: Complex) -> Self {
+        Lanes {
+            re: [c.re],
+            im: [c.im],
+        }
+    }
+}
+
+impl From<Lanes<1>> for Complex {
+    fn from(v: Lanes<1>) -> Self {
+        Complex::new(v.re[0], v.im[0])
+    }
+}
+
+/// In-place iterative radix-2 Cooley–Tukey FFT of `L` series at once.
 ///
 /// `sign = -1.0` gives the forward transform, `+1.0` the (unscaled) inverse.
 /// Twiddles come from this thread's table for `(n, sign)`.
 ///
 /// # Panics
 /// Panics unless `buf.len()` is a power of two.
-fn fft_pow2(buf: &mut [Complex], sign: f64) {
+#[inline(always)]
+fn fft_pow2<const L: usize>(buf: &mut [Lanes<L>], sign: f64) {
     let n = buf.len();
     assert!(
         n.is_power_of_two(),
@@ -123,9 +209,9 @@ fn fft_pow2(buf: &mut [Complex], sign: f64) {
             let (lo, hi) = block.split_at_mut(half);
             for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(w) {
                 let a = *u;
-                let b = *v * w;
-                *u = a + b;
-                *v = a - b;
+                let b = v.mul_by(w);
+                *u = a.add(b);
+                *v = a.sub(b);
             }
         }
         len <<= 1;
@@ -150,37 +236,57 @@ fn bluestein_plan(n: usize, sign: f64) -> Rc<Bluestein> {
                 Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
             })
             .collect();
-        let mut kernel = vec![Complex::zero(); m];
-        kernel[0] = chirp[0].conj();
+        let mut kernel = vec![Lanes::<1>::ZERO; m];
+        kernel[0] = chirp[0].conj().into();
         for k in 1..n {
-            let c = chirp[k].conj();
+            let c = chirp[k].conj().into();
             kernel[k] = c;
             kernel[m - k] = c;
         }
         fft_pow2(&mut kernel, -1.0);
+        let kernel = kernel.into_iter().map(Complex::from).collect();
         Rc::new(Bluestein { chirp, kernel })
     })
 }
 
-/// Forward DFT of arbitrary length via Bluestein's chirp-z transform.
-fn bluestein(x: &[Complex], sign: f64) -> Vec<Complex> {
-    let n = x.len();
+/// The DFT of `L` series of length `buf.len()` in place, unscaled:
+/// `sign = -1.0` forward, `+1.0` inverse. Powers of two use radix-2
+/// Cooley–Tukey, other lengths Bluestein's chirp-z transform through the
+/// scratch `work`, which is resized as needed so a caller running many
+/// groups allocates it once.
+#[inline(always)]
+pub(crate) fn dft<const L: usize>(buf: &mut [Lanes<L>], sign: f64, work: &mut Vec<Lanes<L>>) {
+    let n = buf.len();
+    if n == 0 {
+        return;
+    }
+    if n.is_power_of_two() {
+        fft_pow2(buf, sign);
+        return;
+    }
     let plan = bluestein_plan(n, sign);
     let m = plan.kernel.len();
-    let mut a = vec![Complex::zero(); m];
-    for ((a, &x), &c) in a.iter_mut().zip(x).zip(&plan.chirp) {
-        *a = x * c;
+    work.clear();
+    work.resize(m, Lanes::ZERO);
+    for ((a, x), &c) in work.iter_mut().zip(buf.iter()).zip(&plan.chirp) {
+        *a = x.mul_by(c);
     }
-    fft_pow2(&mut a, -1.0);
-    for (av, bv) in a.iter_mut().zip(&plan.kernel) {
-        *av = *av * *bv;
+    fft_pow2(work, -1.0);
+    for (a, &k) in work.iter_mut().zip(&plan.kernel) {
+        *a = a.mul_by(k);
     }
-    fft_pow2(&mut a, 1.0);
+    fft_pow2(work, 1.0);
     let scale = 1.0 / m as f64;
-    a.iter()
-        .zip(&plan.chirp)
-        .map(|(&a, &c)| (a * c).scale(scale))
-        .collect()
+    for ((x, a), &c) in buf.iter_mut().zip(work.iter()).zip(&plan.chirp) {
+        *x = a.mul_by(c).scale(scale);
+    }
+}
+
+/// `x` through [`dft`] as one lane.
+fn transform(x: &[Complex], sign: f64) -> Vec<Lanes<1>> {
+    let mut buf: Vec<Lanes<1>> = x.iter().map(|&c| c.into()).collect();
+    dft(&mut buf, sign, &mut Vec::new());
+    buf
 }
 
 /// Forward DFT: `X[k] = Σ_t x[t] e^{-2πi kt / n}`.
@@ -188,37 +294,16 @@ fn bluestein(x: &[Complex], sign: f64) -> Vec<Complex> {
 /// Accepts any length: powers of two use radix-2 Cooley–Tukey, other
 /// lengths use Bluestein's algorithm. An empty input returns empty.
 pub fn fft(x: &[Complex]) -> Vec<Complex> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n.is_power_of_two() {
-        let mut buf = x.to_vec();
-        fft_pow2(&mut buf, -1.0);
-        buf
-    } else {
-        bluestein(x, -1.0)
-    }
+    transform(x, -1.0).into_iter().map(Complex::from).collect()
 }
 
 /// Inverse DFT with `1/n` normalization: `ifft(fft(x)) == x`.
 pub fn ifft(x: &[Complex]) -> Vec<Complex> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out = if n.is_power_of_two() {
-        let mut buf = x.to_vec();
-        fft_pow2(&mut buf, 1.0);
-        buf
-    } else {
-        bluestein(x, 1.0)
-    };
-    let scale = 1.0 / n as f64;
-    for v in out.iter_mut() {
-        *v = v.scale(scale);
-    }
-    out
+    let scale = 1.0 / x.len() as f64;
+    transform(x, 1.0)
+        .into_iter()
+        .map(|v| v.scale(scale).into())
+        .collect()
 }
 
 /// Magnitudes of the positive-frequency half of the DFT of a real signal.

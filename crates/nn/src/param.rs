@@ -248,10 +248,15 @@ impl<'g, 'p> Fwd<'g, 'p> {
         if !self.train || p == 0.0 {
             return x;
         }
-        let shape = x.shape();
-        let mask = Tensor::bernoulli_mask(&shape, 1.0 - p, &mut self.rng.borrow_mut())
-            .mul_scalar(1.0 / (1.0 - p));
-        x.mul_mask(&mask)
+        // The scaled mask in one pass: a kept element is `1/(1-p)`, which
+        // is `1.0 · (1/(1-p))` bit for bit, a dropped one `0.0`.
+        let mask = Tensor::bernoulli_mask(
+            &x.shape(),
+            1.0 - p,
+            1.0 / (1.0 - p),
+            &mut self.rng.borrow_mut(),
+        );
+        x.mul_mask(mask)
     }
 
     /// A standard-normal noise tensor from the pass's RNG (used by the

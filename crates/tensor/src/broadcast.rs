@@ -86,7 +86,10 @@ impl Tensor {
     /// go through the [`crate::simd::binary`] lane kernel when `op` names
     /// the operation (bit-identical to `f` — the lane kernels apply the same
     /// IEEE operation); every other element is `f(a, b)`. Same-shaped
-    /// operands coalesce into a single row. Large outputs are filled in
+    /// operands coalesce into a single row. When `op` is named, one operand
+    /// has the output's shape and the other is one repeated trailing row
+    /// (`[w]`, `[1, w]`, …), a single [`crate::simd::binary_rows`] call
+    /// covers every row of a chunk instead. Large outputs are filled in
     /// fixed-size chunks on the worker pool (bit-identical at any count).
     pub(crate) fn broadcast_zip(
         &self,
@@ -95,6 +98,24 @@ impl Tensor {
         f: impl Fn(f32, f32) -> f32 + Sync,
     ) -> Tensor {
         let target = broadcast_shapes(self.shape(), other.shape());
+        if let Some(op) = op {
+            let (full, row, row_left) = if is_row_of(other.shape(), &target) {
+                (self, other, false)
+            } else {
+                (other, self, true)
+            };
+            if full.shape() == target.as_slice() && is_row_of(row.shape(), &target) {
+                let (full, row, w) = (&full.data, &row.data, row.numel());
+                let data = fill_chunked(full.len(), |s, out| {
+                    let full = &full[s..s + out.len()];
+                    crate::simd::binary_rows(op, full, row, s % w, row_left, out)
+                });
+                return Tensor {
+                    data,
+                    shape: Shape(target),
+                };
+            }
+        }
         let rows = Rows::broadcast(&target, [self.shape(), other.shape()]);
         let (step_a, step_b) = (rows.row_stride(0), rows.row_stride(1));
         let (a, b) = (&self.data, &other.data);
@@ -133,6 +154,16 @@ impl Tensor {
             shape: Shape(target),
         }
     }
+}
+
+/// True when `shape` is one row of `target`'s trailing axis, `w ≥ 2` wide,
+/// with every other axis 1: broadcasting repeats it along the leading
+/// axes. (A width-1 row is a scalar, which the walker runs as one row.)
+fn is_row_of(shape: &[usize], target: &[usize]) -> bool {
+    matches!(
+        (shape.split_last(), target.last()),
+        (Some((&w, rest)), Some(&tw)) if w == tw && w >= 2 && rest.iter().all(|&d| d == 1)
+    )
 }
 
 /// Axes kept inline by [`AxisVec`]; every tensor the models build fits.
@@ -343,15 +374,23 @@ pub(crate) fn fill_rows<const K: usize>(
     n: usize,
     row: impl Fn(&mut [f32], [usize; K]) + Sync,
 ) -> Vec<f32> {
+    fill_chunked(n, |s, chunk| {
+        rows.walk(s..s + chunk.len(), |dst, offs| {
+            row(&mut chunk[dst.start - s..dst.end - s], offs)
+        });
+    })
+}
+
+/// A fresh `n`-element buffer written by `fill(start, chunk)`, `chunk`
+/// being the elements from `start` on: the whole buffer at once, or for
+/// large outputs fixed-size chunks on the worker pool.
+fn fill_chunked(n: usize, fill: impl Fn(usize, &mut [f32]) + Sync) -> Vec<f32> {
     let mut out = vec![0.0f32; n];
     if n < PAR_MAP_MIN || lttf_parallel::num_threads() <= 1 {
-        rows.walk(0..n, |dst, offs| row(&mut out[dst], offs));
+        fill(0, &mut out);
     } else {
         lttf_parallel::par_chunks_mut(&mut out, PAR_MAP_CHUNK, |ci, chunk| {
-            let (s, e) = lttf_parallel::chunk_bounds(n, PAR_MAP_CHUNK, ci);
-            rows.walk(s..e, |dst, offs| {
-                row(&mut chunk[dst.start - s..dst.end - s], offs)
-            });
+            fill(ci * PAR_MAP_CHUNK, chunk);
         });
     }
     out

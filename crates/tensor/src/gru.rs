@@ -3,21 +3,26 @@
 //! A GRU layer unrolled op-by-op on the autograd tape costs ~20 tape nodes
 //! per timestep; at the paper's sequence lengths the tape bookkeeping
 //! dominates the arithmetic. These kernels run the whole layer as **one**
-//! node: the forward issues a single `[b·len, in] @ [in, 3h]` gemm for the
-//! input-side gates, then walks the sequence with one small hidden-side
-//! gemm plus the fused gate row kernel ([`crate::simd::gru_gates_row`])
-//! per step. The backward is hand-written backprop-through-time whose
-//! weight/input gradients are again whole-sequence gemms.
+//! node: the forward walks the sequence time-major, each step one small
+//! gemm per gate side for all `b` rows plus one call of the fused gate
+//! kernel ([`crate::simd::gru_gates_rows`]). The backward is hand-written
+//! backprop-through-time with the same per-step shape, and whole-sequence
+//! gemms for the weight gradients.
 //!
 //! Layout follows the PyTorch convention used by `lttf-nn`'s `GruCell`:
 //! weights are `[in, 3h]` / `[h, 3h]`, gate order `[r | z | n]`, and the
 //! initial hidden state is zero.
 
-use crate::matmul::{gemm, gemm_par, gemm_par_mat, Mat};
+#[cfg(test)]
+use crate::matmul::gemm_par;
+use crate::matmul::{gemm, gemm_mat, gemm_par_mat, Mat};
+use crate::simd::prefetch_rows;
 use crate::tensor::Tensor;
 
 /// Gate activations recorded by [`gru_layer_forward`] for the backward
-/// pass. All fields are `[batch, len, hidden]`.
+/// pass. All fields are time-major, `[len, batch, hidden]`: one step's
+/// `batch` rows are contiguous, so each step of the scan writes, and each
+/// step of the backward reads, one block.
 pub struct GruStash {
     /// Reset gate `r = σ(gi_r + gh_r)`.
     pub r: Tensor,
@@ -54,6 +59,30 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     out
 }
 
+/// `acc[j] += row[j]`.
+fn add_into(acc: &mut [f32], row: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a += v;
+    }
+}
+
+/// `b` rows of `bias` repeated, `[b, bias.len()]`, into `buf`.
+fn fill_bias(buf: &mut [f32], bias: &[f32]) {
+    for row in buf.chunks_exact_mut(bias.len()) {
+        row.copy_from_slice(bias);
+    }
+}
+
+/// Steps the scan walks: none for an empty batch, whose operands have
+/// no step's rows to slice.
+fn steps(b: usize, len: usize) -> usize {
+    if b == 0 {
+        0
+    } else {
+        len
+    }
+}
+
 /// Run one GRU layer over a sequence from a zero initial hidden state.
 ///
 /// * `x`: input `[batch, len, in]`
@@ -63,7 +92,13 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 ///   [`gru_layer_backward`] (skip during inference)
 ///
 /// Returns the per-step hidden states `[batch, len, hidden]` and, when
-/// requested, the stash.
+/// requested, the time-major stash.
+///
+/// Each step computes `gi_t = b_ih + x_t W_ih` over the step's `b` rows,
+/// read from `x` at a row stride of `len·in`, then `gh = b_hh + h W_hh`,
+/// then the gate rows. A gemm gives each output element the same
+/// operations whatever its row count and strides, so this has the bits of
+/// one `[b·len, in] @ [in, 3h]` product for every step at once.
 ///
 /// # Panics
 /// Panics on rank or dimension mismatches between `x` and the weights.
@@ -104,61 +139,37 @@ pub fn gru_layer_forward(
     );
     span.bytes((x.numel() + w_ih.numel() + w_hh.numel() + b * len * hs) * 4);
 
-    // Input-side gates for every step at once: gi = x W_ih + b_ih.
-    let mut gi_all = vec![0.0f32; b * len * h3];
-    for row in gi_all.chunks_mut(h3) {
-        row.copy_from_slice(b_ih.data());
-    }
-    gemm_par(x.data(), w_ih.data(), &mut gi_all, b * len, input, h3);
-
     let mut outputs = vec![0.0f32; b * len * hs];
-    let mut stash = if want_stash {
-        Some((
-            vec![0.0f32; b * len * hs],
-            vec![0.0f32; b * len * hs],
-            vec![0.0f32; b * len * hs],
-            vec![0.0f32; b * len * hs],
-        ))
-    } else {
-        None
-    };
-
-    // Sequential scan: gh_t = h_{t-1} W_hh + b_hh, then the fused gate row.
+    let mut stash: Option<[Vec<f32>; 4]> =
+        want_stash.then(|| std::array::from_fn(|_| vec![0.0f32; len * b * hs]));
     let mut h = vec![0.0f32; b * hs];
+    let mut gi = vec![0.0f32; b * h3];
     let mut gh = vec![0.0f32; b * h3];
-    for t in 0..len {
-        for row in gh.chunks_mut(h3) {
-            row.copy_from_slice(b_hh.data());
-        }
+    for t in 0..steps(b, len) {
+        fill_bias(&mut gi, b_ih.data());
+        let x_t = Mat::new(&x.data()[t * input..], len * input, 1);
+        gemm_mat(x_t, Mat::rows(w_ih.data(), h3), (&mut gi, h3), b, input, h3);
+        fill_bias(&mut gh, b_hh.data());
         gemm(&h, w_hh.data(), &mut gh, b, hs, h3);
-        for bi in 0..b {
-            let o = (bi * len + t) * hs;
-            let (out_row, h_row) = (o..o + hs, bi * hs..(bi + 1) * hs);
-            let stash_rows = stash.as_mut().map(|(r, z, n, ghn)| {
-                (
-                    &mut r[o..o + hs],
-                    &mut z[o..o + hs],
-                    &mut n[o..o + hs],
-                    &mut ghn[o..o + hs],
-                )
-            });
-            crate::simd::gru_gates_row(
-                &gi_all[(bi * len + t) * h3..(bi * len + t + 1) * h3],
-                &gh[bi * h3..(bi + 1) * h3],
-                &h[h_row.clone()],
-                &mut outputs[out_row.clone()],
-                stash_rows,
-            );
-            h[h_row].copy_from_slice(&outputs[out_row]);
-        }
+        let step = t * b * hs..(t + 1) * b * hs;
+        crate::simd::gru_gates_rows(
+            hs,
+            &mut gi,
+            &gh,
+            &mut h,
+            (&mut outputs[t * hs..], len * hs),
+            stash
+                .as_mut()
+                .map(|s| s.each_mut().map(|g| &mut g[step.clone()])),
+        );
     }
 
     let out = Tensor::from_vec(outputs, &[b, len, hs]);
-    let stash = stash.map(|(r, z, n, ghn)| GruStash {
-        r: Tensor::from_vec(r, &[b, len, hs]),
-        z: Tensor::from_vec(z, &[b, len, hs]),
-        n: Tensor::from_vec(n, &[b, len, hs]),
-        ghn: Tensor::from_vec(ghn, &[b, len, hs]),
+    let stash = stash.map(|[r, z, n, ghn]| GruStash {
+        r: Tensor::from_vec(r, &[len, b, hs]),
+        z: Tensor::from_vec(z, &[len, b, hs]),
+        n: Tensor::from_vec(n, &[len, b, hs]),
+        ghn: Tensor::from_vec(ghn, &[len, b, hs]),
     });
     (out, stash)
 }
@@ -170,15 +181,16 @@ pub fn gru_layer_forward(
 /// * `outputs`: the forward result (the per-step hidden states)
 /// * `stash`: gate activations from the forward pass
 ///
-/// The per-step gate backward is the lane-parallel row kernel
-/// [`crate::simd::gru_gates_row_backward`]; everything matrix-shaped runs
-/// as gemms on the same dispatched kernels as the forward. Each step's
-/// hidden-side gate rows are staged time-major, so the step's recurrent
-/// product is one `b`-row gemm, and `dx`, `dW_ih`, `dW_hh` read `W_ihᵀ`,
-/// `xᵀ` and `h_prevᵀ` as transposed operands rather than transposed
-/// copies. Every gradient keeps the bits of the row-at-a-time formulation:
-/// a gemm gives each output element the same operations whatever its row
-/// count, operand strides and neighbouring columns.
+/// Each step, `t` descending, runs the gate backward for all `b` rows in
+/// one [`crate::simd::gru_gates_rows_backward`] call, writing the step's
+/// rows of the batch-major `dgi` and `dgh_n` at their row strides; then
+/// the recurrent product `dgh_t W_hhᵀ` and the step's `dx` rows,
+/// `dgi_t W_ihᵀ`, each one `b`-row gemm reading and writing strided rows.
+/// The weight gradients and bias sums then run over all `b·len` rows as
+/// whole-sequence products. Every gradient keeps the bits of the
+/// row-at-a-time formulation: a gemm gives each output element the same
+/// operations whatever its row count, operand strides and neighbouring
+/// columns.
 pub fn gru_layer_backward(
     go: &Tensor,
     x: &Tensor,
@@ -196,55 +208,68 @@ pub fn gru_layer_backward(
     );
     span.bytes((x.numel() + 2 * outputs.numel()) * 4);
 
-    let (rs, zs, ns, ghns) = (stash.r.data(), stash.z.data(), stash.n.data(), stash.ghn.data());
+    let gates = [&stash.r, &stash.z, &stash.n, &stash.ghn].map(Tensor::data);
     let (gd, out) = (go.data(), outputs.data());
-    // Packed once: the recurrence reads it at every step.
+    // Packed once: every step reads them.
     let whh_t = transpose(w_hh.data(), hs, h3);
+    let wih_t = transpose(w_ih.data(), input, h3);
 
-    // Pre-activation gate gradients for every step, `[b, len, 3h]`. The
+    // Pre-activation gate gradients for every step, batch-major `[b, len,
+    // 3h]`: each step writes its `b` rows at a row stride of `len·3h`. The
     // hidden-side row `dgh` differs from `dgi` only in its candidate slot
     // (`dn` reaches `gh_n` through the reset gate), so only that slot is
-    // kept for `dW_hh`; the whole row is staged time-major, one step's `b`
-    // rows at a time, for the step's recurrent product.
+    // kept for `dW_hh`; the step's whole rows are staged for its
+    // recurrent product.
     let mut dgi_all = vec![0.0f32; b * len * h3];
     let mut dghn_all = vec![0.0f32; b * len * hs];
     let mut dgh_t = vec![0.0f32; b * h3];
     let mut dh = vec![0.0f32; b * hs]; // carry: ∂L/∂h_t flowing backwards
+    let mut dx = vec![0.0f32; b * len * input];
     let h0 = vec![0.0f32; hs];
-    for t in (0..len).rev() {
-        for (bi, dgh) in dgh_t.chunks_mut(h3).enumerate() {
-            let o = (bi * len + t) * hs;
-            let gbase = (bi * len + t) * h3;
-            let h_prev = if t == 0 { &h0[..] } else { &out[o - hs..o] };
-            crate::simd::gru_gates_row_backward(
-                &gd[o..o + hs],
-                h_prev,
-                [
-                    &rs[o..o + hs],
-                    &zs[o..o + hs],
-                    &ns[o..o + hs],
-                    &ghns[o..o + hs],
-                ],
-                &mut dh[bi * hs..(bi + 1) * hs],
-                &mut dgi_all[gbase..gbase + h3],
-                dgh,
-            );
-            dghn_all[o..o + hs].copy_from_slice(&dgh[2 * hs..]);
+    for t in (0..steps(b, len)).rev() {
+        // The next step's operands, cold since the forward wrote them.
+        if t > 0 {
+            let prev = (t - 1) * b * hs..t * b * hs;
+            for g in gates {
+                prefetch_rows(&g[prev.clone()], 0, 1, b * hs);
+            }
+            prefetch_rows(&gd[(t - 1) * hs..], len * hs, b, hs);
+            if t > 1 {
+                prefetch_rows(&out[(t - 2) * hs..], len * hs, b, hs);
+            }
+        }
+        let step = t * b * hs..(t + 1) * b * hs;
+        let h_prev = if t == 0 {
+            (&h0[..], 0)
+        } else {
+            (&out[(t - 1) * hs..], len * hs)
+        };
+        crate::simd::gru_gates_rows_backward(
+            hs,
+            (&gd[t * hs..], len * hs),
+            h_prev,
+            gates.map(|g| &g[step.clone()]),
+            &mut dh,
+            (&mut dgi_all[t * h3..], len * h3),
+            &mut dgh_t,
+        );
+        for (n, dgh) in dghn_all[t * hs..]
+            .chunks_mut(len * hs)
+            .zip(dgh_t.chunks_exact(h3))
+        {
+            n[..hs].copy_from_slice(&dgh[2 * hs..]);
         }
         // dh_{t-1} = z ⊙ dh_t + dgh_t W_hhᵀ over all b rows at once.
         gemm(&dgh_t, &whh_t, &mut dh, b, h3, hs);
+        gemm_mat(
+            Mat::new(&dgi_all[t * h3..], len * h3, 1),
+            Mat::rows(&wih_t, input),
+            (&mut dx[t * input..], len * input),
+            b,
+            h3,
+            input,
+        );
     }
-
-    // Whole-sequence weight/input gradients.
-    let mut dx = vec![0.0f32; b * len * input];
-    gemm_par_mat(
-        Mat::rows(&dgi_all, h3),
-        Mat::transposed(w_ih.data(), h3),
-        &mut dx,
-        b * len,
-        h3,
-        input,
-    );
 
     let mut dw_ih = vec![0.0f32; input * h3];
     gemm_par_mat(
@@ -293,17 +318,16 @@ pub fn gru_layer_backward(
         dw_hh.extend_from_slice(n);
     }
 
-    // Column sums; the `[r | z]` slots of `db_hh` sum the same rows as
-    // `db_ih`'s.
+    // Column sums, one plain add per element and row (what `axpy` with
+    // `a = 1` computes on either backend); the `[r | z]` slots of `db_hh`
+    // sum the same rows as `db_ih`'s.
     let mut db_ih = vec![0.0f32; h3];
-    for row in dgi_all.chunks(h3) {
-        crate::simd::axpy(&mut db_ih, 1.0, row);
+    let mut db_hh = vec![0.0f32; h3];
+    for (gi, n) in dgi_all.chunks_exact(h3).zip(dghn_all.chunks_exact(hs)) {
+        add_into(&mut db_ih, gi);
+        add_into(&mut db_hh[2 * hs..], n);
     }
-    let mut db_hh = db_ih.clone();
-    db_hh[2 * hs..].fill(0.0);
-    for row in dghn_all.chunks(hs) {
-        crate::simd::axpy(&mut db_hh[2 * hs..], 1.0, row);
-    }
+    db_hh[..2 * hs].copy_from_slice(&db_ih[..2 * hs]);
 
     GruGrads {
         dx: Tensor::from_vec(dx, &[b, len, input]),
@@ -314,10 +338,56 @@ pub fn gru_layer_backward(
     }
 }
 
+/// [`gru_layer_forward`] as it was before the time-major scan: one
+/// `[b·len, in] @ [in, 3h]` gemm for every input-side gate row, then per
+/// step and batch row a one-row gate call, with the stash batch-major,
+/// `[batch, len, hidden]`. Kept so the property tests can pin the scan to
+/// it bit for bit on both backends.
+#[cfg(test)]
+pub(crate) fn reference_layer_forward(
+    x: &Tensor,
+    w_ih: &Tensor,
+    w_hh: &Tensor,
+    b_ih: &Tensor,
+    b_hh: &Tensor,
+) -> (Tensor, GruStash) {
+    let (b, len, input) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let hs = w_hh.shape()[0];
+    let h3 = 3 * hs;
+    let mut gi_all = vec![0.0f32; b * len * h3];
+    fill_bias(&mut gi_all, b_ih.data());
+    gemm_par(x.data(), w_ih.data(), &mut gi_all, b * len, input, h3);
+    let mut outputs = vec![0.0f32; b * len * hs];
+    let mut stash: [Vec<f32>; 4] = std::array::from_fn(|_| vec![0.0f32; b * len * hs]);
+    let mut h = vec![0.0f32; b * hs];
+    let mut gh = vec![0.0f32; b * h3];
+    for t in 0..len {
+        fill_bias(&mut gh, b_hh.data());
+        gemm(&h, w_hh.data(), &mut gh, b, hs, h3);
+        for bi in 0..b {
+            let o = (bi * len + t) * hs;
+            crate::simd::gru_gates_rows(
+                hs,
+                &mut gi_all[(bi * len + t) * h3..(bi * len + t + 1) * h3],
+                &gh[bi * h3..(bi + 1) * h3],
+                &mut h[bi * hs..(bi + 1) * hs],
+                (&mut outputs[o..o + hs], 0),
+                Some(stash.each_mut().map(|g| &mut g[o..o + hs])),
+            );
+        }
+    }
+    let [r, z, n, ghn] = stash.map(|g| Tensor::from_vec(g, &[b, len, hs]));
+    (
+        Tensor::from_vec(outputs, &[b, len, hs]),
+        GruStash { r, z, n, ghn },
+    )
+}
+
 /// [`gru_layer_backward`] as it was before the row kernel and the strided
 /// gemms: a scalar gate loop, `b` one-row recurrent gemms per step, and
-/// transposed copies. Kept so the property tests can pin the kernel to it
-/// bit for bit on both backends.
+/// transposed copies, reading a batch-major stash (as
+/// [`reference_layer_forward`] records it). Kept so the property tests
+/// can pin the kernel to it bit for bit on both backends.
 #[cfg(test)]
 pub(crate) fn reference_layer_backward(
     go: &Tensor,

@@ -93,37 +93,44 @@ impl<'a> Mat<'a> {
 pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    gemm_mat(Mat::rows(a, k), Mat::rows(b, n), out, m, k, n);
+    gemm_mat(Mat::rows(a, k), Mat::rows(b, n), (out, n), m, k, n);
 }
 
 /// [`gemm`] over strided operands: `out[m×n] += a[m×k] @ b[k×n]`, with
 /// `a` at any strides, `b` row-major at any row stride ([`gemm_par_mat`]
-/// packs any other), and `out` row-major.
+/// packs any other), and `out` row-major at row stride `ldo`.
 ///
 /// `k <= KC` (every matmul this codebase actually issues) takes the lean
 /// path that accumulates straight into `out`; larger `k` goes through the
 /// k/n-tiled stack accumulator. The path depends only on the shape, never
 /// on the thread count or the strides: each output element sees the same
 /// operations in the same order whichever way its operands are laid out.
-fn gemm_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
+pub(crate) fn gemm_mat(
+    a: Mat<'_>,
+    b: Mat<'_>,
+    (out, ldo): (&mut [f32], usize),
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     if m == 0 || k == 0 || n == 0 {
         return;
     }
+    debug_assert!(out.len() >= (m - 1) * ldo + n);
     debug_assert!(a.data.len() > (m - 1) * a.rs + (k - 1) * a.cs);
     debug_assert_eq!(b.cs, 1, "right operand read by columns is not packed");
     let (b, ldb) = (b.data, b.rs);
     debug_assert!(b.len() >= (k - 1) * ldb + n);
     if k <= KC {
         if crate::simd::enabled() {
-            crate::simd::gemm_block(a.data, a.rs, a.cs, b, ldb, out, n, m, k, n);
+            crate::simd::gemm_block(a.data, a.rs, a.cs, b, ldb, out, ldo, m, k, n);
         } else {
-            gemm_single_ktile(a, b, ldb, out, m, k, n);
+            gemm_single_ktile(a, b, ldb, (out, ldo), m, k, n);
         }
         return;
     }
     if crate::simd::enabled() {
-        gemm_tiled_packed(a, b, ldb, out, m, k, n);
+        gemm_tiled_packed(a, b, ldb, (out, ldo), m, k, n);
         return;
     }
     for ks in (0..k).step_by(KC) {
@@ -145,7 +152,7 @@ fn gemm_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k: usize, n: usiz
                     }
                 }
                 for (r, acc_r) in acc.iter().enumerate().take(mr) {
-                    let row = (i + r) * n;
+                    let row = (i + r) * ldo;
                     let out_row = &mut out[row + ns..row + ne];
                     for (o, &v) in out_row.iter_mut().zip(&acc_r[..nb]) {
                         *o += v;
@@ -165,7 +172,7 @@ fn gemm_tiled_packed(
     a: Mat<'_>,
     b: &[f32],
     ldb: usize,
-    out: &mut [f32],
+    (out, ldo): (&mut [f32], usize),
     m: usize,
     k: usize,
     n: usize,
@@ -194,7 +201,7 @@ fn gemm_tiled_packed(
                 &pack[..kc * nb],
                 nb,
                 &mut out[ns..],
-                n,
+                ldo,
                 m,
                 kc,
                 nb,
@@ -211,17 +218,17 @@ fn gemm_single_ktile(
     a: Mat<'_>,
     b: &[f32],
     ldb: usize,
-    out: &mut [f32],
+    (out, ldo): (&mut [f32], usize),
     m: usize,
     k: usize,
     n: usize,
 ) {
     let mut i = 0;
     while i + MR <= m {
-        let rows = &mut out[i * n..(i + MR) * n];
-        let (o0, rest) = rows.split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, o3) = rest.split_at_mut(n);
+        let rows = &mut out[i * ldo..];
+        let (o0, rest) = rows.split_at_mut(ldo);
+        let (o1, rest) = rest.split_at_mut(ldo);
+        let (o2, o3) = rest.split_at_mut(ldo);
         for p in 0..k {
             let b_row = &b[p * ldb..p * ldb + n];
             let a0 = a.at(i, p);
@@ -239,7 +246,7 @@ fn gemm_single_ktile(
         i += MR;
     }
     for r in i..m {
-        let out_row = &mut out[r * n..(r + 1) * n];
+        let out_row = &mut out[r * ldo..r * ldo + n];
         for p in 0..k {
             let a_ip = a.at(r, p);
             let b_row = &b[p * ldb..p * ldb + n];
@@ -251,6 +258,7 @@ fn gemm_single_ktile(
 }
 
 /// `gemm` parallelized over row blocks of `a`/`out`.
+#[cfg(test)]
 pub(crate) fn gemm_par(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     gemm_par_mat(Mat::rows(a, k), Mat::rows(b, n), out, m, k, n);
@@ -263,6 +271,7 @@ pub(crate) fn gemm_par(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 /// crosses a block boundary and the result is bit-identical to the serial
 /// kernel. Block size is a pure function of the problem shape.
 pub(crate) fn gemm_par_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(out.len(), m * n);
     if b.cs != 1 {
         let packed = b.to_rows(k, n);
         gemm_par_mat(a, Mat::rows(&packed, n), out, m, k, n);
@@ -270,7 +279,7 @@ pub(crate) fn gemm_par_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k:
     }
     let work = m * k * n;
     if work < 2 * PAR_GRAIN || lttf_parallel::num_threads() <= 1 {
-        gemm_mat(a, b, out, m, k, n);
+        gemm_mat(a, b, (out, n), m, k, n);
         return;
     }
     // Rows per chunk sized to ~PAR_GRAIN multiply-adds, rounded up to a
@@ -278,7 +287,7 @@ pub(crate) fn gemm_par_mat(a: Mat<'_>, b: Mat<'_>, out: &mut [f32], m: usize, k:
     let rows = lttf_parallel::rows_per_block(k * n, PAR_GRAIN, MR);
     par_chunks_mut(out, rows * n, |ci, chunk| {
         let mb = chunk.len() / n;
-        gemm_mat(a.rows_from(ci * rows), b, chunk, mb, k, n);
+        gemm_mat(a.rows_from(ci * rows), b, (chunk, n), mb, k, n);
     });
 }
 
@@ -371,7 +380,7 @@ fn gemm_batched(
                 }
                 None => b.mat(bi),
             };
-            gemm_mat(a.mat(bi), bm, o, m, k, n);
+            gemm_mat(a.mat(bi), bm, (o, n), m, k, n);
         }
     });
 }

@@ -106,12 +106,12 @@ impl Tensor {
         Tensor::from_vec((0..n).map(|_| rng.uniform(lo, hi)).collect(), shape)
     }
 
-    /// A 0/1 Bernoulli mask with keep-probability `p`.
-    pub fn bernoulli_mask(shape: &[usize], p: f32, rng: &mut Rng) -> Tensor {
+    /// A Bernoulli mask: `keep` with probability `p`, else `0.0`.
+    pub fn bernoulli_mask(shape: &[usize], p: f32, keep: f32, rng: &mut Rng) -> Tensor {
         let n: usize = shape.iter().product();
         Tensor::from_vec(
             (0..n)
-                .map(|_| if rng.bernoulli(p) { 1.0 } else { 0.0 })
+                .map(|_| if rng.bernoulli(p) { keep } else { 0.0 })
                 .collect(),
             shape,
         )
@@ -147,8 +147,8 @@ mod tests {
         for (x, y) in u1.data().iter().zip(u2.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        let m1 = Tensor::bernoulli_mask(&[64], 0.4, &mut r1);
-        let m2 = Tensor::bernoulli_mask(&[64], 0.4, &mut r2);
+        let m1 = Tensor::bernoulli_mask(&[64], 0.4, 1.0, &mut r1);
+        let m2 = Tensor::bernoulli_mask(&[64], 0.4, 1.0, &mut r2);
         assert_eq!(m1.data(), m2.data());
         assert_eq!(r1.next_seed(), r2.next_seed());
     }
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn bernoulli_mask_rate() {
         let mut rng = Rng::seed(9);
-        let m = Tensor::bernoulli_mask(&[10_000], 0.3, &mut rng);
+        let m = Tensor::bernoulli_mask(&[10_000], 0.3, 1.0, &mut rng);
         let rate = m.mean();
         assert!((rate - 0.3).abs() < 0.03, "rate {rate}");
         assert!(m.data().iter().all(|&v| v == 0.0 || v == 1.0));

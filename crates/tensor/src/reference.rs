@@ -260,42 +260,136 @@ properties! {
     }
 }
 
+/// A GRU layer's operands: `x`, `w_ih`, `w_hh`, `b_ih`, `b_hh` and an
+/// output gradient.
+fn gru_case(b: usize, len: usize, input: usize, hs: usize, seed: u64) -> [Tensor; 6] {
+    let mut rng = lttf_testkit::Xoshiro256PlusPlus::seed_from_u64(seed);
+    let h3 = 3 * hs;
+    let mut tensor = |dims: &[usize], scale: f32| {
+        let data = values(&mut rng, dims.iter().product());
+        Tensor::from_vec(data, dims).mul_scalar(scale)
+    };
+    [
+        tensor(&[b, len, input], 0.1),
+        tensor(&[input, h3], 0.03),
+        tensor(&[hs, h3], 0.03),
+        tensor(&[h3], 0.03),
+        tensor(&[h3], 0.03),
+        tensor(&[b, len, hs], 0.1),
+    ]
+}
+
+/// The time-major stash in the reference's batch-major layout.
+fn batch_major(stash: &crate::GruStash) -> crate::GruStash {
+    let swap = |t: &Tensor| t.swap_axes(0, 1);
+    crate::GruStash {
+        r: swap(&stash.r),
+        z: swap(&stash.z),
+        n: swap(&stash.n),
+        ghn: swap(&stash.ghn),
+    }
+}
+
 properties! {
     cases = 32;
 
     // Hidden sizes straddle the 8-lane gate kernel, `b·len` crosses the
     // gemm's 256-deep k-tile on the weight gradients, and `hs = 90` puts
-    // the recurrent product (`k = 3h = 270`) on the tiled path too.
-    fn gru_backward_matches_reference(
-        b in 1usize..5,
+    // the recurrent product and each step's `dx` (`k = 3h = 270`) on the
+    // tiled path too.
+    fn gru_forward_matches_reference(
+        b in 0usize..5,
         len in 1usize..70,
         input in 1usize..12,
         hs in prop::select(vec![1usize, 3, 4, 7, 8, 9, 15, 16, 17, 90]),
         seed in prop::u64s(0..u64::MAX)
     ) {
-        let mut rng = lttf_testkit::Xoshiro256PlusPlus::seed_from_u64(seed);
-        let h3 = 3 * hs;
-        let mut tensor = |dims: &[usize], scale: f32| {
-            let data = values(&mut rng, dims.iter().product());
-            Tensor::from_vec(data, dims).mul_scalar(scale)
-        };
-        let x = tensor(&[b, len, input], 0.1);
-        let w_ih = tensor(&[input, h3], 0.03);
-        let w_hh = tensor(&[hs, h3], 0.03);
-        let b_ih = tensor(&[h3], 0.03);
-        let b_hh = tensor(&[h3], 0.03);
-        let go = tensor(&[b, len, hs], 0.1);
+        let [x, w_ih, w_hh, b_ih, b_hh, _] = gru_case(b, len, input, hs, seed);
+        check_both(|| {
+            let (out, stash) = crate::gru_layer_forward(&x, &w_ih, &w_hh, &b_ih, &b_hh, true);
+            let got = batch_major(&stash.expect("stash requested"));
+            let (want, want_stash) = crate::gru::reference_layer_forward(&x, &w_ih, &w_hh, &b_ih, &b_hh);
+            same_bits("out", &out, &want)?;
+            same_bits("r", &got.r, &want_stash.r)?;
+            same_bits("z", &got.z, &want_stash.z)?;
+            same_bits("n", &got.n, &want_stash.n)?;
+            same_bits("ghn", &got.ghn, &want_stash.ghn)?;
+            let (lean, none) = crate::gru_layer_forward(&x, &w_ih, &w_hh, &b_ih, &b_hh, false);
+            if none.is_some() {
+                return Err("stash recorded unasked".into());
+            }
+            same_bits("out without stash", &lean, &want)
+        })?;
+    }
+
+    fn gru_backward_matches_reference(
+        b in 0usize..5,
+        len in 1usize..70,
+        input in 1usize..12,
+        hs in prop::select(vec![1usize, 3, 4, 7, 8, 9, 15, 16, 17, 90]),
+        seed in prop::u64s(0..u64::MAX)
+    ) {
+        let [x, w_ih, w_hh, b_ih, b_hh, go] = gru_case(b, len, input, hs, seed);
         check_both(|| {
             let (out, stash) = crate::gru_layer_forward(&x, &w_ih, &w_hh, &b_ih, &b_hh, true);
             let stash = stash.expect("stash requested");
             let got = crate::gru_layer_backward(&go, &x, &w_ih, &w_hh, &out, &stash);
-            let want = crate::gru::reference_layer_backward(&go, &x, &w_ih, &w_hh, &out, &stash);
+            let want = crate::gru::reference_layer_backward(
+                &go, &x, &w_ih, &w_hh, &out, &batch_major(&stash),
+            );
             same_bits("dx", &got.dx, &want.dx)?;
             same_bits("dw_ih", &got.dw_ih, &want.dw_ih)?;
             same_bits("dw_hh", &got.dw_hh, &want.dw_hh)?;
             same_bits("db_ih", &got.db_ih, &want.db_ih)?;
             same_bits("db_hh", &got.db_hh, &want.db_hh)
         })?;
+    }
+}
+
+/// A full operand against a repeated trailing row, either side, for every
+/// [`BinOp`]: row widths below, at and past one 8-lane vector, the row as
+/// `[w]`, `[1, w]` and `[1, 1, w]`, and outputs large enough for the pool
+/// to fill in chunks that split rows (at 4 threads, for widths that do not
+/// divide the chunk).
+#[test]
+fn broadcast_rows_match_reference() {
+    let mut rng = lttf_testkit::Xoshiro256PlusPlus::seed_from_u64(16);
+    for w in [1usize, 7, 8, 16, 17] {
+        for lead in [vec![3], vec![2, 5], vec![10_000]] {
+            let full_dims: Vec<usize> = lead.iter().copied().chain([w]).collect();
+            let full = Tensor::from_vec(values(&mut rng, full_dims.iter().product()), &full_dims);
+            let row_data = values(&mut rng, w);
+            for row_dims in [vec![w], vec![1, w], vec![1, 1, w]] {
+                let row = Tensor::from_vec(row_data.clone(), &row_dims);
+                for threads in [Some(1), Some(4)] {
+                    lttf_parallel::set_threads_override(threads);
+                    let result = check_both(|| {
+                        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+                            let f: fn(f32, f32) -> f32 = match op {
+                                BinOp::Add => |x, y| x + y,
+                                BinOp::Sub => |x, y| x - y,
+                                BinOp::Mul => |x, y| x * y,
+                                BinOp::Div => |x, y| x / y,
+                            };
+                            let what = format!("{op:?} w {w} full {full_dims:?} row {row_dims:?}");
+                            same_bits(
+                                &format!("{what}, row right"),
+                                &full.broadcast_zip(&row, Some(op), f),
+                                &zip(&full, &row, Some(op), f),
+                            )?;
+                            same_bits(
+                                &format!("{what}, row left"),
+                                &row.broadcast_zip(&full, Some(op), f),
+                                &zip(&row, &full, Some(op), f),
+                            )?;
+                        }
+                        Ok(())
+                    });
+                    lttf_parallel::set_threads_override(None);
+                    result.unwrap_or_else(|e| panic!("threads {threads:?}: {e}"));
+                }
+            }
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use super::{Band, BinOp, UnOp};
+use super::{Band, BinOp, Strided, UnOp};
 use core::arch::x86_64::*;
 
 /// Recursion base for the pairwise reductions. Larger than the scalar
@@ -748,8 +748,34 @@ pub unsafe fn unary(op: UnOp, x: &[f32], out: &mut [f32]) {
     }
 }
 
+/// See [`super::binary_rows`]: [`binary`] over each piece of a row.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, `full` and `out` must have one
+/// length, and `phase < row.len()`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn binary_rows(
+    op: BinOp,
+    full: &[f32],
+    row: &[f32],
+    phase: usize,
+    row_left: bool,
+    out: &mut [f32],
+) {
+    super::row_pieces(full, row, phase, row_left, out, |a, b, o| {
+        // SAFETY: AVX2 and FMA as this function requires; each piece's
+        // operands have its length.
+        unsafe { binary(op, a, b, o) }
+    });
+}
+
 /// Lane-wise binary arithmetic; same IEEE ops as the scalar backend, so
 /// the results are bit-identical — only the stride differs.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and `a` and `b` must be at least as
+/// long as `out`.
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = out.len();
@@ -783,92 +809,207 @@ pub unsafe fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
 // Fused GRU gates
 // ---------------------------------------------------------------------------
 
-/// See [`super::gru_gates_row`]. Lanes shorter than one vector are staged
-/// through zero-padded buffers so every gate goes through the same
-/// pipeline.
+/// See [`super::gru_gates_rows`]: one call for every row of a step.
+///
+/// The full 8-lane vectors of every row go through the gate math in three
+/// passes: `r` and `z` for every vector, then `n`, then `h'`, each pass
+/// leaving its results in `gi`'s slots for the next. A pass's vectors are
+/// independent, so the processor overlaps their `σ`/`tanh` chains instead
+/// of waiting out one vector's chain at a time. A row's last `hs mod 8`
+/// lanes are staged through zero-padded buffers and go through the same
+/// passes one vector at a time. Each lane sees the same operations either
+/// way.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and the operands must hold `rows`
+/// rows as [`super::gru_gates_rows`] checks.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gru_gates_row(
-    gi: &[f32],
+pub unsafe fn gru_gates_rows(
+    hs: usize,
+    gi: &mut [f32],
     gh: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-    mut stash: Option<(&mut [f32], &mut [f32], &mut [f32], &mut [f32])>,
+    h: &mut [f32],
+    (out, out_stride): (&mut [f32], usize),
+    mut stash: Option<[&mut [f32]; 4]>,
 ) {
-    let hs = h.len();
-    let (pgi, pgh, ph) = (gi.as_ptr(), gh.as_ptr(), h.as_ptr());
-    let po = out.as_mut_ptr();
-    let mut j = 0;
-    while j + 8 <= hs {
-        let r = sigmoid8(_mm256_add_ps(
-            _mm256_loadu_ps(pgi.add(j)),
-            _mm256_loadu_ps(pgh.add(j)),
-        ));
-        let z = sigmoid8(_mm256_add_ps(
-            _mm256_loadu_ps(pgi.add(hs + j)),
-            _mm256_loadu_ps(pgh.add(hs + j)),
-        ));
-        let ghn = _mm256_loadu_ps(pgh.add(2 * hs + j));
-        let n = tanh8(_mm256_fmadd_ps(r, ghn, _mm256_loadu_ps(pgi.add(2 * hs + j))));
-        let hv = _mm256_loadu_ps(ph.add(j));
-        // h' = n + z*(h - n)
-        let hp = _mm256_fmadd_ps(z, _mm256_sub_ps(hv, n), n);
-        _mm256_storeu_ps(po.add(j), hp);
-        if let Some((sr, sz, sn, sghn)) = &mut stash {
-            _mm256_storeu_ps(sr.as_mut_ptr().add(j), r);
-            _mm256_storeu_ps(sz.as_mut_ptr().add(j), z);
-            _mm256_storeu_ps(sn.as_mut_ptr().add(j), n);
-            _mm256_storeu_ps(sghn.as_mut_ptr().add(j), ghn);
+    let rows = h.len() / hs;
+    let full = hs / 8 * 8;
+    let at = |row: usize, j: usize| GateLanes {
+        gate: row * 3 * hs + j,
+        hs,
+        h: row * hs + j,
+        out: row * out_stride + j,
+    };
+    let (pgi, pgh) = (gi.as_mut_ptr(), gh.as_ptr());
+    let (ph, po) = (h.as_mut_ptr(), out.as_mut_ptr());
+    let pstash = stash.as_mut().map(|s| s.each_mut().map(|g| g.as_mut_ptr()));
+    for row in 0..rows {
+        for j in (0..full).step_by(8) {
+            gates_rz(pgi, pgh, at(row, j));
         }
-        j += 8;
     }
-    if j < hs {
-        let t = hs - j;
-        let mut bgi = [[0.0f32; 8]; 3];
-        let mut bgh = [[0.0f32; 8]; 3];
-        let mut bh = [0.0f32; 8];
-        for g in 0..3 {
-            bgi[g][..t].copy_from_slice(&gi[g * hs + j..g * hs + hs]);
-            bgh[g][..t].copy_from_slice(&gh[g * hs + j..g * hs + hs]);
+    for row in 0..rows {
+        for j in (0..full).step_by(8) {
+            gates_n(pgi, pgh, at(row, j));
         }
-        bh[..t].copy_from_slice(&h[j..]);
-        let r = sigmoid8(_mm256_add_ps(
-            _mm256_loadu_ps(bgi[0].as_ptr()),
-            _mm256_loadu_ps(bgh[0].as_ptr()),
-        ));
-        let z = sigmoid8(_mm256_add_ps(
-            _mm256_loadu_ps(bgi[1].as_ptr()),
-            _mm256_loadu_ps(bgh[1].as_ptr()),
-        ));
-        let ghn = _mm256_loadu_ps(bgh[2].as_ptr());
-        let n = tanh8(_mm256_fmadd_ps(r, ghn, _mm256_loadu_ps(bgi[2].as_ptr())));
-        let hv = _mm256_loadu_ps(bh.as_ptr());
-        let hp = _mm256_fmadd_ps(z, _mm256_sub_ps(hv, n), n);
-        let mut bout = [0.0f32; 8];
-        _mm256_storeu_ps(bout.as_mut_ptr(), hp);
-        out[j..].copy_from_slice(&bout[..t]);
-        if let Some((sr, sz, sn, sghn)) = &mut stash {
-            let mut tmp = [0.0f32; 8];
-            _mm256_storeu_ps(tmp.as_mut_ptr(), r);
-            sr[j..].copy_from_slice(&tmp[..t]);
-            _mm256_storeu_ps(tmp.as_mut_ptr(), z);
-            sz[j..].copy_from_slice(&tmp[..t]);
-            _mm256_storeu_ps(tmp.as_mut_ptr(), n);
-            sn[j..].copy_from_slice(&tmp[..t]);
-            _mm256_storeu_ps(tmp.as_mut_ptr(), ghn);
-            sghn[j..].copy_from_slice(&tmp[..t]);
+    }
+    for row in 0..rows {
+        for j in (0..full).step_by(8) {
+            gates_h(pgi, pgh, (ph, po, pstash), at(row, j));
+        }
+    }
+    if full == hs {
+        return;
+    }
+    // The tails: lanes `full..hs` of each row, staged.
+    let t = hs - full;
+    for row in 0..rows {
+        let (lanes, gates) = (row * hs + full..(row + 1) * hs, row * 3 * hs + full);
+        let mut bgi = [0.0f32; 24];
+        let mut bgh = [0.0f32; 24];
+        for g in 0..3 {
+            let from = gates + g * hs;
+            bgi[8 * g..8 * g + t].copy_from_slice(&gi[from..from + t]);
+            bgh[8 * g..8 * g + t].copy_from_slice(&gh[from..from + t]);
+        }
+        let mut bh = [0.0f32; 8];
+        bh[..t].copy_from_slice(&h[lanes.clone()]);
+        let (mut bout, mut bstash) = ([0.0f32; 8], [[0.0f32; 8]; 4]);
+        let v = GateLanes {
+            gate: 0,
+            hs: 8,
+            h: 0,
+            out: 0,
+        };
+        let (pgi, pgh) = (bgi.as_mut_ptr(), bgh.as_ptr());
+        gates_rz(pgi, pgh, v);
+        gates_n(pgi, pgh, v);
+        let bstash_ptr = stash
+            .is_some()
+            .then(|| bstash.each_mut().map(|b| b.as_mut_ptr()));
+        gates_h(
+            pgi,
+            pgh,
+            (bh.as_mut_ptr(), bout.as_mut_ptr(), bstash_ptr),
+            v,
+        );
+        let o = row * out_stride + full;
+        out[o..o + t].copy_from_slice(&bout[..t]);
+        h[lanes.clone()].copy_from_slice(&bout[..t]);
+        if let Some(s) = &mut stash {
+            for (g, b) in s.iter_mut().zip(&bstash) {
+                g[lanes.clone()].copy_from_slice(&b[..t]);
+            }
         }
     }
 }
 
-/// See [`super::gru_gates_row_backward`]. Mul/add/sub only — no FMA
+/// Where one 8-lane vector of [`gru_gates_rows`] sits: its `r` slot at
+/// `gate` in `gi` and `gh` (the `z` and `n` slots `hs` and `2·hs` on), and
+/// its lanes at `h` in the hidden state and the stash and at `out` in the
+/// output.
+#[derive(Clone, Copy)]
+struct GateLanes {
+    gate: usize,
+    hs: usize,
+    h: usize,
+    out: usize,
+}
+
+/// `r = σ(gi_r + gh_r)` and `z = σ(gi_z + gh_z)`, written over `gi_r` and
+/// `gi_z`.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and `gi` and `gh` must hold the
+/// vector's three slots.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gates_rz(gi: *mut f32, gh: *const f32, v: GateLanes) {
+    for slot in [v.gate, v.gate + v.hs] {
+        let pre = _mm256_add_ps(_mm256_loadu_ps(gi.add(slot)), _mm256_loadu_ps(gh.add(slot)));
+        _mm256_storeu_ps(gi.add(slot), sigmoid8(pre));
+    }
+}
+
+/// `n = tanh(gi_n + r ⊙ gh_n)`, written over `gi_n`.
+///
+/// # Safety
+/// As [`gates_rz`], after it.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gates_n(gi: *mut f32, gh: *const f32, v: GateLanes) {
+    let n = gi.add(v.gate + 2 * v.hs);
+    let r = _mm256_loadu_ps(gi.add(v.gate));
+    let ghn = _mm256_loadu_ps(gh.add(v.gate + 2 * v.hs));
+    _mm256_storeu_ps(n, tanh8(_mm256_fmadd_ps(r, ghn, _mm256_loadu_ps(n))));
+}
+
+/// `h' = n + z·(h − n)` to `h` and `out`, and `(r, z, n, gh_n)` to the
+/// stash when there is one.
+///
+/// # Safety
+/// As [`gates_n`], after it; `h`, `out` and the stash must hold the
+/// vector's lanes.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gates_h(
+    gi: *const f32,
+    gh: *const f32,
+    (h, out, stash): (*mut f32, *mut f32, Option<[*mut f32; 4]>),
+    v: GateLanes,
+) {
+    let z = _mm256_loadu_ps(gi.add(v.gate + v.hs));
+    let n = _mm256_loadu_ps(gi.add(v.gate + 2 * v.hs));
+    let hp = _mm256_fmadd_ps(z, _mm256_sub_ps(_mm256_loadu_ps(h.add(v.h)), n), n);
+    _mm256_storeu_ps(out.add(v.out), hp);
+    _mm256_storeu_ps(h.add(v.h), hp);
+    if let Some([sr, sz, sn, sghn]) = stash {
+        _mm256_storeu_ps(sr.add(v.h), _mm256_loadu_ps(gi.add(v.gate)));
+        _mm256_storeu_ps(sz.add(v.h), z);
+        _mm256_storeu_ps(sn.add(v.h), n);
+        _mm256_storeu_ps(sghn.add(v.h), _mm256_loadu_ps(gh.add(v.gate + 2 * v.hs)));
+    }
+}
+
+/// See [`super::gru_gates_rows_backward`]: one call for every row of a
+/// step.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and the operands must hold `rows`
+/// rows as [`super::gru_gates_rows_backward`] checks.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn gru_gates_rows_backward(
+    hs: usize,
+    (go, go_stride): Strided<'_>,
+    (h_prev, h_stride): Strided<'_>,
+    gates: [&[f32]; 4],
+    dh: &mut [f32],
+    (dgi, dgi_stride): (&mut [f32], usize),
+    dgh: &mut [f32],
+) {
+    let rows = dh.chunks_exact_mut(hs).zip(dgi.chunks_mut(dgi_stride));
+    for (i, ((dh, dgi), dgh)) in rows.zip(dgh.chunks_exact_mut(3 * hs)).enumerate() {
+        gru_gates_row_backward(
+            &go[i * go_stride..i * go_stride + hs],
+            &h_prev[i * h_stride..i * h_stride + hs],
+            gates.map(|g| &g[i * hs..(i + 1) * hs]),
+            dh,
+            &mut dgi[..3 * hs],
+            dgh,
+        );
+    }
+}
+
+/// One row of [`gru_gates_rows_backward`]. Mul/add/sub only — no FMA
 /// contraction — so every lane matches the scalar backend; the tail runs
 /// the same formulas one lane at a time.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA, `go`, `h_prev`, the gate rows and
 /// `dh` must have one length `h`, and `dgi`/`dgh` length `3h`.
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gru_gates_row_backward(
+unsafe fn gru_gates_row_backward(
     go: &[f32],
     h_prev: &[f32],
     [r, z, n, ghn]: [&[f32]; 4],

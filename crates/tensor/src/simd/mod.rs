@@ -363,6 +363,60 @@ pub fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
     scalar::binary(op, a, b, out);
 }
 
+/// [`binary`] of a full operand and a repeated row: `out[i] = full[i] op
+/// row[(phase + i) mod w]`, or `row[…] op full[i]` when `row_left`, for
+/// `w = row.len()`. One call covers a run of rows that may start and end
+/// mid-row; each element gets the bits [`binary`] gives it.
+///
+/// # Panics
+/// Panics if `row` is empty or `phase` is not inside it, or if `full` and
+/// `out` differ in length.
+pub fn binary_rows(
+    op: BinOp,
+    full: &[f32],
+    row: &[f32],
+    phase: usize,
+    row_left: bool,
+    out: &mut [f32],
+) {
+    assert!(phase < row.len(), "binary rows: phase outside the row");
+    assert_eq!(full.len(), out.len(), "binary rows: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: `enabled()` implies AVX2+FMA were detected at runtime.
+        unsafe { avx2::binary_rows(op, full, row, phase, row_left, out) };
+        return;
+    }
+    row_pieces(full, row, phase, row_left, out, |a, b, o| {
+        scalar::binary(op, a, b, o)
+    });
+}
+
+/// The walk of [`binary_rows`], for both backends: `piece(a, b, out)` on
+/// each run of `out` that stays inside one row, with `a` and `b` in the
+/// operation's order.
+#[inline(always)]
+fn row_pieces(
+    full: &[f32],
+    row: &[f32],
+    phase: usize,
+    row_left: bool,
+    out: &mut [f32],
+    mut piece: impl FnMut(&[f32], &[f32], &mut [f32]),
+) {
+    let (mut i, mut c) = (0, phase);
+    while i < out.len() {
+        let w = (row.len() - c).min(out.len() - i);
+        let (x, r, o) = (&full[i..i + w], &row[c..c + w], &mut out[i..i + w]);
+        if row_left {
+            piece(r, x, o);
+        } else {
+            piece(x, r, o);
+        }
+        (i, c) = (i + w, 0);
+    }
+}
+
 /// Which transcendental map [`unary`] applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnOp {
@@ -397,11 +451,39 @@ pub fn unary(op: UnOp, x: &[f32], out: &mut [f32]) {
 // Fused GRU gates
 // ---------------------------------------------------------------------------
 
-/// Fused GRU gate math for one batch row of `h` lanes.
+/// A strided run of rows: row `i` starts at `data[i * stride]`. Stride 0
+/// reads one row for every index.
+pub type Strided<'a> = (&'a [f32], usize);
+
+/// Ask the cache for `rows` rows of `width` floats, row `i` from
+/// `data[i * stride..]`, ahead of their use. A hint only: it reads and
+/// changes nothing, and rows past the end of `data` are skipped.
+pub(crate) fn prefetch_rows(data: &[f32], stride: usize, rows: usize, width: usize) {
+    #[cfg(target_arch = "x86_64")]
+    for i in 0..rows {
+        let Some(row) = data.get(i * stride..i * stride + width) else {
+            return;
+        };
+        for line in row.chunks(16) {
+            // SAFETY: a prefetch of an address inside a live slice; SSE is
+            // part of the x86-64 baseline.
+            unsafe {
+                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                    line.as_ptr().cast(),
+                )
+            };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (data, stride, rows, width);
+}
+
+/// Fused GRU gate math for one step of `rows` batch rows of `hs` lanes.
 ///
-/// Inputs are the pre-activation gate rows `gi = x_t W_ih + b_ih` and
-/// `gh = h_{t-1} W_hh + b_hh`, both laid out `[r | z | n]` (PyTorch
-/// order), plus the previous hidden state row. Computes
+/// Inputs are the step's pre-activation gate rows `gi = x_t W_ih + b_ih`
+/// and `gh = h_{t-1} W_hh + b_hh`, `[rows, 3·hs]` with each row laid out
+/// `[r | z | n]` (PyTorch order), and the hidden state `h`, `[rows, hs]`.
+/// Per row it computes
 ///
 /// ```text
 /// r = σ(gi_r + gh_r)    z = σ(gi_z + gh_z)
@@ -409,38 +491,56 @@ pub fn unary(op: UnOp, x: &[f32], out: &mut [f32]) {
 /// h' = (1 − z) ⊙ n + z ⊙ h
 /// ```
 ///
+/// and writes `h'` over `h` and to row `i` of `out`, at `out[i ·
+/// out_stride..]`. `gi` is scratch: the kernel may leave anything in it.
 /// When `stash` is given, the gate activations `(r, z, n, gh_n)` are
-/// recorded for the hand-written backward pass
+/// recorded, `[rows, hs]` each, for the hand-written backward pass
 /// ([`crate::gru_layer_backward`]).
-pub fn gru_gates_row(
-    gi: &[f32],
+///
+/// # Panics
+/// Panics if an operand is shorter than its rows.
+pub fn gru_gates_rows(
+    hs: usize,
+    gi: &mut [f32],
     gh: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-    stash: Option<(&mut [f32], &mut [f32], &mut [f32], &mut [f32])>,
+    h: &mut [f32],
+    (out, out_stride): (&mut [f32], usize),
+    stash: Option<[&mut [f32]; 4]>,
 ) {
-    let hs = h.len();
-    debug_assert_eq!(gi.len(), 3 * hs);
-    debug_assert_eq!(gh.len(), 3 * hs);
-    debug_assert_eq!(out.len(), hs);
-    if let Some((r, z, n, ghn)) = &stash {
-        debug_assert!(r.len() == hs && z.len() == hs && n.len() == hs && ghn.len() == hs);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2+FMA were detected at runtime.
-        unsafe { avx2::gru_gates_row(gi, gh, h, out, stash) };
+    if hs == 0 {
         return;
     }
-    scalar::gru_gates_row(gi, gh, h, out, stash);
+    let rows = h.len() / hs;
+    assert!(
+        h.len() == rows * hs && gi.len() == 3 * h.len() && gh.len() == 3 * h.len(),
+        "gate rows: operand length mismatch"
+    );
+    assert!(
+        rows == 0 || out.len() >= (rows - 1) * out_stride + hs,
+        "gate rows: out too short"
+    );
+    assert!(
+        stash
+            .as_ref()
+            .is_none_or(|s| s.iter().all(|s| s.len() == h.len())),
+        "gate rows: stash length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: lengths checked above; `enabled()` implies AVX2+FMA.
+        unsafe { avx2::gru_gates_rows(hs, gi, gh, h, (out, out_stride), stash) };
+        return;
+    }
+    scalar::gru_gates_rows(hs, gi, gh, h, (out, out_stride), stash);
 }
 
-/// Gate backward of [`gru_gates_row`] for one batch row of `h` lanes at
-/// one step of backprop-through-time.
+/// Gate backward of [`gru_gates_rows`] for one step of backprop-through-
+/// time over `rows` batch rows of `hs` lanes.
 ///
-/// Reads the upstream gradient row `go`, the previous hidden state row
-/// `h_prev`, the stashed `[r, z, n, gh_n]` rows, and the carry `dh`
-/// (∂L/∂h_t from later steps). With `d = go + dh` it writes
+/// Reads row `i` of the upstream gradient `go` and of the previous hidden
+/// state `h_prev` from their strided runs, the step's stashed `[r, z, n,
+/// gh_n]` rows and the carry `dh` (∂L/∂h_t from later steps), `[rows,
+/// hs]` each. With `d = go + dh` it writes, per row,
 ///
 /// ```text
 /// dn = (1 − n²)(1 − z) d          dz = z(1 − z) · (h_prev − n) d
@@ -448,38 +548,52 @@ pub fn gru_gates_row(
 /// dgi = [dr | dz | dn]            dgh = [dr | dz | dn ⊙ r]
 /// ```
 ///
-/// and overwrites `dh` with the direct carry term `z ⊙ d` (the recurrent
-/// gemm adds `dgh W_hhᵀ` to it). Lane-parallel multiplies, adds and
-/// subtracts with no fused multiply-add, so both backends produce the
-/// same bits.
-pub fn gru_gates_row_backward(
-    go: &[f32],
-    h_prev: &[f32],
+/// into row `i` of `dgi`, at `dgi[i · dgi_stride..]`, and of the
+/// `[rows, 3·hs]` `dgh`, and overwrites `dh` with the direct carry term
+/// `z ⊙ d` (the recurrent gemm adds `dgh W_hhᵀ` to it).
+/// Lane-parallel multiplies, adds and subtracts with no fused
+/// multiply-add, so both backends produce the same bits.
+///
+/// # Panics
+/// Panics if an operand is shorter than its rows.
+pub fn gru_gates_rows_backward(
+    hs: usize,
+    go: Strided<'_>,
+    h_prev: Strided<'_>,
     gates: [&[f32]; 4],
     dh: &mut [f32],
-    dgi: &mut [f32],
+    (dgi, dgi_stride): (&mut [f32], usize),
     dgh: &mut [f32],
 ) {
-    let hs = dh.len();
+    if hs == 0 {
+        return;
+    }
+    let rows = dh.len() / hs;
     assert!(
-        go.len() == hs && h_prev.len() == hs,
-        "gate backward: row length mismatch"
+        dh.len() == rows * hs && dgh.len() == 3 * dh.len(),
+        "gate rows backward: gradient length mismatch"
     );
     assert!(
-        gates.iter().all(|g| g.len() == hs),
-        "gate backward: stash row length mismatch"
+        dgi_stride >= 3 * hs && (rows == 0 || dgi.len() >= (rows - 1) * dgi_stride + 3 * hs),
+        "gate rows backward: dgi too short"
     );
     assert!(
-        dgi.len() == 3 * hs && dgh.len() == 3 * hs,
-        "gate backward: gate row length mismatch"
+        gates.iter().all(|g| g.len() == dh.len()),
+        "gate rows backward: stash length mismatch"
     );
+    for (what, (data, stride)) in [("go", go), ("h_prev", h_prev)] {
+        assert!(
+            rows == 0 || data.len() >= (rows - 1) * stride + hs,
+            "gate rows backward: {what} too short"
+        );
+    }
     #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: lengths checked above; `enabled()` implies AVX2+FMA.
-        unsafe { avx2::gru_gates_row_backward(go, h_prev, gates, dh, dgi, dgh) };
+        unsafe { avx2::gru_gates_rows_backward(hs, go, h_prev, gates, dh, (dgi, dgi_stride), dgh) };
         return;
     }
-    scalar::gru_gates_row_backward(go, h_prev, gates, dh, dgi, dgh);
+    scalar::gru_gates_rows_backward(hs, go, h_prev, gates, dh, (dgi, dgi_stride), dgh);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! `mul_add` — the scalar backend must not depend on whether the target
 //! fuses), `f32::exp`/`f32::tanh` from `libm`.
 
-use super::{BinOp, UnOp};
+use super::{BinOp, Strided, UnOp};
 
 /// Pairwise sum (recursive halving, 32-element sequential base) — the
 /// exact tree `crate::reduce::pairwise_sum` always used.
@@ -174,12 +174,34 @@ pub(super) fn unary(op: UnOp, x: &[f32], out: &mut [f32]) {
     }
 }
 
-pub(super) fn gru_gates_row(
+pub(super) fn gru_gates_rows(
+    hs: usize,
+    gi: &mut [f32],
+    gh: &[f32],
+    h: &mut [f32],
+    (out, out_stride): (&mut [f32], usize),
+    mut stash: Option<[&mut [f32]; 4]>,
+) {
+    let rows = gi.chunks_exact(3 * hs).zip(gh.chunks_exact(3 * hs));
+    for (i, ((gi, gh), h)) in rows.zip(h.chunks_exact_mut(hs)).enumerate() {
+        gru_gates_row(
+            gi,
+            gh,
+            h,
+            &mut out[i * out_stride..i * out_stride + hs],
+            stash
+                .as_mut()
+                .map(|s| s.each_mut().map(|g| &mut g[i * hs..(i + 1) * hs])),
+        );
+    }
+}
+
+fn gru_gates_row(
     gi: &[f32],
     gh: &[f32],
-    h: &[f32],
+    h: &mut [f32],
     out: &mut [f32],
-    mut stash: Option<(&mut [f32], &mut [f32], &mut [f32], &mut [f32])>,
+    mut stash: Option<[&mut [f32]; 4]>,
 ) {
     let hs = h.len();
     let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
@@ -189,7 +211,8 @@ pub(super) fn gru_gates_row(
         let ghn = gh[2 * hs + j];
         let n = (gi[2 * hs + j] + r * ghn).tanh();
         out[j] = (1.0 - z) * n + z * h[j];
-        if let Some((sr, sz, sn, sghn)) = &mut stash {
+        h[j] = out[j];
+        if let Some([sr, sz, sn, sghn]) = &mut stash {
             sr[j] = r;
             sz[j] = z;
             sn[j] = n;
@@ -198,7 +221,29 @@ pub(super) fn gru_gates_row(
     }
 }
 
-pub(super) fn gru_gates_row_backward(
+pub(super) fn gru_gates_rows_backward(
+    hs: usize,
+    (go, go_stride): Strided<'_>,
+    (h_prev, h_stride): Strided<'_>,
+    gates: [&[f32]; 4],
+    dh: &mut [f32],
+    (dgi, dgi_stride): (&mut [f32], usize),
+    dgh: &mut [f32],
+) {
+    let rows = dh.chunks_exact_mut(hs).zip(dgi.chunks_mut(dgi_stride));
+    for (i, ((dh, dgi), dgh)) in rows.zip(dgh.chunks_exact_mut(3 * hs)).enumerate() {
+        gru_gates_row_backward(
+            &go[i * go_stride..i * go_stride + hs],
+            &h_prev[i * h_stride..i * h_stride + hs],
+            gates.map(|g| &g[i * hs..(i + 1) * hs]),
+            dh,
+            &mut dgi[..3 * hs],
+            dgh,
+        );
+    }
+}
+
+fn gru_gates_row_backward(
     go: &[f32],
     h_prev: &[f32],
     [r, z, n, ghn]: [&[f32]; 4],

@@ -133,6 +133,7 @@ fn profile_smoke_prints_span_table_and_run_log() {
         "conv1d",
         "window_attn_fwd",
         "window_attn_bwd",
+        "autocorr",
         "backward",
         "pool utilization",
         "loss curve",

@@ -55,6 +55,11 @@ fn span_counts_match_known_workload() {
     std::hint::black_box(window_global_forward(&q, &q, &q, 1, 4, 2));
     let gout = Tensor::randn(&[8, 64, 16], &mut rng);
     std::hint::black_box(window_global_backward(&q, &q, &q, &gout, 1, 4, 2));
+    // W^R's batched autocorrelation: 32 windows of 48 steps, 3 variables.
+    let windows = Tensor::randn(&[32, 48, 3], &mut rng);
+    for _ in 0..2 {
+        std::hint::black_box(lttf::fft::autocorrelations(windows.data(), 48, 3));
+    }
 
     let snap = obs::snapshot();
     assert_eq!(span_calls(&snap, "matmul"), 5, "snapshot: {snap:?}");
@@ -62,8 +67,16 @@ fn span_counts_match_known_workload() {
     assert_eq!(span_calls(&snap, "moving_avg"), 2);
     assert_eq!(span_calls(&snap, "window_attn_fwd"), 1);
     assert_eq!(span_calls(&snap, "window_attn_bwd"), 1);
+    assert_eq!(span_calls(&snap, "autocorr"), 2);
     // Timing and byte totals are live for all of them.
-    for name in ["matmul", "conv1d", "moving_avg", "window_attn_fwd", "window_attn_bwd"] {
+    for name in [
+        "matmul",
+        "conv1d",
+        "moving_avg",
+        "window_attn_fwd",
+        "window_attn_bwd",
+        "autocorr",
+    ] {
         let s = snap.iter().find(|s| s.name == name).unwrap();
         assert!(s.total_ns > 0, "{name} recorded no time");
         assert!(s.bytes > 0, "{name} recorded no bytes");
@@ -73,6 +86,10 @@ fn span_counts_match_known_workload() {
     // gradient per input: seven tensors of the same size here.
     let bwd = snap.iter().find(|s| s.name == "window_attn_bwd").unwrap();
     assert_eq!(bwd.bytes, 7 * q.numel() as u64 * 4);
+    // Each call reads the windows and writes one autocorrelation per
+    // series, as many values again.
+    let acorr = snap.iter().find(|s| s.name == "autocorr").unwrap();
+    assert_eq!(acorr.bytes, 2 * 2 * windows.numel() as u64 * 4);
 }
 
 #[test]
