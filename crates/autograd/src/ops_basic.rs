@@ -13,11 +13,12 @@ pub fn reduce_to_shape(grad: Tensor, shape: &[usize]) -> Tensor {
     if grad.shape() == shape {
         return grad;
     }
-    reduced(&grad, shape)
+    reduce_to_shape_ref(&grad, shape)
 }
 
-/// [`reduce_to_shape`] of a borrowed gradient whose shape is not `shape`.
-fn reduced(grad: &Tensor, shape: &[usize]) -> Tensor {
+/// [`reduce_to_shape`] of a borrowed gradient (copied when no axis is
+/// reduced).
+pub(crate) fn reduce_to_shape_ref(grad: &Tensor, shape: &[usize]) -> Tensor {
     let mut g = Cow::Borrowed(grad);
     // Sum away leading axes added by broadcasting.
     while g.ndim() > shape.len() {
@@ -44,8 +45,15 @@ fn add_reduced(pg: &mut ParentGrads<'_>, i: usize, grad: &Tensor, shape: &[usize
     if grad.shape() == shape {
         pg.add_ref(i, grad);
     } else {
-        pg.add(i, reduced(grad, shape));
+        pg.add(i, reduce_to_shape_ref(grad, shape));
     }
+}
+
+/// True when the first operand takes the gradient whole and the second
+/// is broadcast: the second's reduction is read from a borrow, then the
+/// gradient moves into the first without a copy.
+fn whole_then_broadcast(grad: &Tensor, sa: &[usize], sb: &[usize]) -> bool {
+    grad.shape() == sa && grad.shape() != sb
 }
 
 /// `grad ⊙ d` for same-shaped operands, in `grad`'s buffer.
@@ -61,6 +69,12 @@ impl<'g> Var<'g> {
         self.g.push("add", v, || {
             let (sa, sb) = (self.shape(), other.shape());
             Backward::new(vec![self.id, other.id], move |ctx, pg| {
+                if whole_then_broadcast(&ctx.grad, &sa, &sb) {
+                    let gb = reduce_to_shape_ref(&ctx.grad, &sb);
+                    pg.add(0, ctx.grad);
+                    pg.add(1, gb);
+                    return;
+                }
                 add_reduced(pg, 0, &ctx.grad, &sa);
                 pg.add(1, reduce_to_shape(ctx.grad, &sb));
             })
@@ -73,6 +87,15 @@ impl<'g> Var<'g> {
         self.g.push("sub", v, || {
             let (sa, sb) = (self.shape(), other.shape());
             Backward::new(vec![self.id, other.id], move |ctx, pg| {
+                if whole_then_broadcast(&ctx.grad, &sa, &sb) {
+                    // `−Σg` is `Σ(−g)` bit for bit (rounding is symmetric),
+                    // except that a sum from +0 is never −0: a zero stays +0.
+                    let mut gb = reduce_to_shape_ref(&ctx.grad, &sb);
+                    gb.map_assign(|v| if v == 0.0 { 0.0 } else { -v });
+                    pg.add(0, ctx.grad);
+                    pg.add(1, gb);
+                    return;
+                }
                 add_reduced(pg, 0, &ctx.grad, &sa);
                 let mut neg = ctx.grad;
                 neg.map_assign(|v| -v);
@@ -324,6 +347,47 @@ mod tests {
         let b = sample(&[1, 3], 2);
         grad_check(&[a, b], |_, xs| xs[0].add(xs[1]).sum_all(), 1e-2)
             .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// With a whole first operand and a broadcast second one, `add` and
+    /// `sub` move the gradient into the first and reduce the second from a
+    /// borrow (`sub` negating the reduced tensor); the bits must be those
+    /// of reducing the (negated) gradient itself, zero sums included.
+    #[test]
+    fn broadcast_add_and_sub_gradients_match_the_reduced_gradient() {
+        use super::reduce_to_shape;
+        let mut seed = sample(&[3, 4, 5], 20);
+        for (i, v) in seed.data_mut().iter_mut().enumerate() {
+            match i % 5 {
+                0 => *v = -0.0, // a column of −0: its sums are exact zeros
+                1 if i % 2 == 0 => *v = 0.0,
+                _ => {}
+            }
+        }
+        for b_shape in [vec![5], vec![4, 1], vec![1, 4, 5], vec![3, 1, 1]] {
+            for sub in [false, true] {
+                let g = Graph::new();
+                let a = g.leaf(sample(&[3, 4, 5], 21));
+                let b = g.leaf(Tensor::zeros(&b_shape));
+                let y = if sub { a.sub(b) } else { a.add(b) };
+                let grads = g.backward_with_seed(y, seed.clone());
+                let signed = if sub { seed.neg() } else { seed.clone() };
+                let want_b = reduce_to_shape(signed, &b_shape);
+                for (got, want) in [
+                    (grads.get(a).unwrap(), &seed),
+                    (grads.get(b).unwrap(), &want_b),
+                ] {
+                    assert_eq!(got.shape(), want.shape());
+                    for (x, y) in got.data().iter().zip(want.data()) {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "sub {sub}, b {b_shape:?}: {x:e} vs {y:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

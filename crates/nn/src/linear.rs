@@ -81,11 +81,11 @@ impl Linear {
             shape
         );
         let w = cx.param(self.w);
-        let mut y = x.matmul(w);
-        if let Some(b) = self.b {
-            y = y.add(cx.param(b));
+        match self.b {
+            // One tape node: the bias rows go into the product's buffer.
+            Some(b) => x.linear(w, cx.param(b)),
+            None => x.matmul(w),
         }
-        y
     }
 }
 

@@ -1,17 +1,29 @@
 //! Allocation accounting: an instrumented [`std::alloc::System`] wrapper
 //! counting allocations, frees, bytes, live bytes, and the high-water
-//! mark — plus per-span attribution of allocation churn.
+//! mark — plus per-span attribution of allocation churn — and the heap
+//! policy every build of the program runs on.
 //!
 //! [`CountingAlloc`] is *exported*, not installed: Rust allows exactly one
 //! `#[global_allocator]` per program, so the leaf crate that owns the
-//! binary installs it (the workspace root `lttf` lib does, behind its
-//! `telemetry` feature, covering the CLI and the e2e tests). When the
-//! `telemetry` feature is off the wrapper forwards straight to
-//! [`std::alloc::System`] and every counter here compiles out, so a
-//! `--no-default-features` build carries no accounting at all.
+//! binary installs it (the workspace root `lttf` lib does, in every
+//! build, covering the CLI and the e2e tests). When the `telemetry`
+//! feature is off every counter here compiles out and the wrapper only
+//! applies the heap policy before forwarding to [`std::alloc::System`],
+//! so a `--no-default-features` build carries no accounting at all but
+//! manages its heap exactly as the instrumented build does.
 //! All counters are relaxed atomics: the hook adds a handful of
 //! `fetch_add`s to every heap operation and never allocates itself, so
 //! it is re-entrancy-free by construction.
+//!
+//! **Heap policy.** A training step frees most of what its forward made.
+//! glibc's default thresholds keep only a small free top of the heap
+//! (128 KiB, raised to twice the largest block it has had to map) and
+//! hand the rest back to the kernel, so the next step faults the same
+//! pages in again: hundreds of minor faults a step. Before serving its first
+//! block the allocator raises both thresholds ([`TRIM_THRESHOLD`],
+//! [`MMAP_THRESHOLD`]), so freed memory stays mapped and the next step
+//! reuses it. The resident set stays at its high-water mark between
+//! steps; the live-byte counters are unaffected.
 //!
 //! Per-span attribution rides on the innermost open span of the
 //! allocating thread (see [`crate::registry`]): every allocation's size
@@ -29,18 +41,75 @@ use std::alloc::{GlobalAlloc, Layout, System};
 
 /// The instrumented system allocator. Every heap operation updates the
 /// global counters and charges the allocating thread's innermost open
-/// span; none of the bookkeeping can allocate or lock. Install it in the
-/// crate that owns the binary:
+/// span; none of the bookkeeping can allocate or lock. The first
+/// allocation also applies the heap policy (see the module docs). Install
+/// it in the crate that owns the binary, in every build:
 ///
 /// ```ignore
-/// #[cfg(feature = "telemetry")]
 /// #[global_allocator]
 /// static GLOBAL: lttf_obs::alloc::CountingAlloc = lttf_obs::alloc::CountingAlloc;
 /// ```
 ///
-/// With the `telemetry` feature off it degenerates to a transparent
-/// forwarder around [`std::alloc::System`].
+/// With the `telemetry` feature off it degenerates to the heap policy and
+/// a transparent forwarder around [`std::alloc::System`].
 pub struct CountingAlloc;
+
+/// Free bytes glibc may keep at the top of the heap before it returns
+/// them to the kernel (`M_TRIM_THRESHOLD`; glibc starts at 128 KiB).
+/// A canonical training step at batch 32 frees the ~14 MB its tape held
+/// and allocates it again in the next forward; below this bound those pages
+/// stay mapped instead of being trimmed and faulted back in. 64 MiB keeps
+/// every workload the program runs, and a process that frees more than
+/// that still returns the excess.
+pub const TRIM_THRESHOLD: usize = 64 << 20;
+
+/// Smallest block glibc serves with its own `mmap` when the heap has no
+/// free space for it (`M_MMAP_THRESHOLD`). Setting the trim threshold
+/// switches off glibc's dynamic mmap threshold and pins it at its 128 KiB
+/// default, so an activation of a few hundred KB that arrives while the
+/// heap is full would be mapped on allocation and unmapped on free, and
+/// fault its pages in again at every step; it is raised with the trim
+/// threshold. 32 MiB is the largest value glibc accepts on 64-bit
+/// targets.
+pub const MMAP_THRESHOLD: usize = 32 << 20;
+
+/// Applies the heap policy once, before the allocator serves its first
+/// block: one relaxed load per allocation after that.
+mod policy {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    static APPLIED: AtomicBool = AtomicBool::new(false);
+
+    #[inline(always)]
+    pub fn ensure() {
+        if !APPLIED.load(Ordering::Relaxed) {
+            apply();
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn apply() {
+        if APPLIED.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        {
+            // glibc's `<malloc.h>` parameter numbers.
+            const M_TRIM_THRESHOLD: i32 = -1;
+            const M_MMAP_THRESHOLD: i32 = -3;
+            extern "C" {
+                fn mallopt(param: i32, value: i32) -> i32;
+            }
+            // SAFETY: `mallopt` takes plain integers and allocates
+            // nothing; glibc serializes it against the arenas itself.
+            unsafe {
+                mallopt(M_TRIM_THRESHOLD, super::TRIM_THRESHOLD as i32);
+                mallopt(M_MMAP_THRESHOLD, super::MMAP_THRESHOLD as i32);
+            }
+        }
+    }
+}
 
 #[cfg(feature = "telemetry")]
 mod imp {
@@ -85,6 +154,7 @@ mod imp {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        policy::ensure();
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             imp::on_alloc(layout.size());
@@ -98,6 +168,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        policy::ensure();
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             imp::on_alloc(layout.size());

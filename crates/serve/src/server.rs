@@ -35,19 +35,21 @@
 //!   (the buffer is never grown without bound);
 //! * error replies to unparseable lines carry the client's `id` when one
 //!   can be textually extracted ([`crate::protocol::extract_id`]);
-//! * the accept loop reaps finished connection threads on a periodic
-//!   tick, not just when a new connection happens to arrive.
+//! * connection threads are detached and counted, not kept as join
+//!   handles: a finished thread releases its resources at once, however
+//!   long the server stays idle.
 //!
-//! Shutdown is graceful by construction: stop accepting, join connection
-//! threads (each finishes the request it is waiting on), then drain
-//! every pool so the batchers answer everything still queued before
-//! exiting.
+//! Shutdown is graceful by construction: stop accepting (the accept loop
+//! blocks in `accept`, and shutdown wakes it with a connection to the
+//! server's own address), wait until every connection thread has
+//! finished the request it is waiting on, then drain every pool so the
+//! batchers answer everything still queued before exiting.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -68,9 +70,6 @@ use crate::stats::{FlowStats, LatencySummary};
 
 /// How often blocked connection reads wake up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// How often the accept loop reaps finished connection threads.
-const REAP_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Hard cap on one request line (bytes, newline included). A client that
 /// exceeds it gets a protocol error and the connection closes; nothing
@@ -147,6 +146,8 @@ struct Shared {
     table: RwLock<HashMap<String, Arc<ModelEntry>>>,
     default: String,
     stop: AtomicBool,
+    /// Connection threads still running; shutdown waits for zero.
+    conns: LiveCount,
     cfg: ServeConfig,
     admission: Admission,
     /// Windowed shed / queue-full / resubmit counters — the flows that
@@ -244,9 +245,6 @@ pub fn serve_with_clock(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    // Nonblocking accepts let the loop poll the stop flag and reap
-    // finished connection threads on its own clock.
-    listener.set_nonblocking(true)?;
     let pool_cfg = cfg.pool_cfg();
     let mut table = HashMap::new();
     for name in registry.names() {
@@ -260,6 +258,7 @@ pub fn serve_with_clock(
         table: RwLock::new(table),
         default: registry.default_name().to_string(),
         stop: AtomicBool::new(false),
+        conns: LiveCount::default(),
         cfg,
         admission: Admission::new(cfg.admission),
         flow: FlowStats::new(),
@@ -297,8 +296,11 @@ impl ServerHandle {
     /// retired by reload reported their counts in the reload response).
     pub fn shutdown(self) -> Vec<(String, LatencySummary)> {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // The nonblocking accept loop sees the flag within one poll tick
-        // and joins every connection thread before returning.
+        // The accept loop blocks in `accept`: a connection of our own
+        // wakes it to see the flag. It then waits for every connection
+        // thread before returning. (If the connect fails, the listener is
+        // already broken and the loop has stopped accepting.)
+        let _ = TcpStream::connect(wake_addr(self.addr));
         self.accept.join().expect("accept thread panicked");
         // The adapter must stop before the pools drain: a publish racing
         // the final drain would start a pool nobody shuts down.
@@ -313,45 +315,95 @@ impl ServerHandle {
     }
 }
 
+/// The address shutdown connects to: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// A count of running connection threads that can be waited down to zero.
+#[derive(Default)]
+struct LiveCount {
+    n: Mutex<usize>,
+    zero: Condvar,
+}
+
+impl LiveCount {
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.n.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn exit(&self) {
+        let mut n = self.lock();
+        *n -= 1;
+        if *n == 0 {
+            self.zero.notify_all();
+        }
+    }
+
+    fn wait_zero(&self) {
+        let mut n = self.lock();
+        while *n > 0 {
+            n = self.zero.wait(n).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// One counted connection thread: counted in when made, out when dropped
+/// at the thread's end, panicking or not.
+struct Leave(Arc<Shared>);
+
+impl Leave {
+    fn enter(shared: &Arc<Shared>) -> Leave {
+        *shared.conns.lock() += 1;
+        Leave(Arc::clone(shared))
+    }
+}
+
+impl Drop for Leave {
+    fn drop(&mut self) {
+        self.0.conns.exit();
+    }
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut last_reap = Instant::now();
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 lttf_obs::counter!("serve.connections", 1);
-                // The listener is nonblocking; accepted streams must not
-                // inherit that, their reads use timeouts instead.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
+                let leave = Leave::enter(&shared);
                 let shared = Arc::clone(&shared);
-                match thread::Builder::new()
+                let conn = move || {
+                    let _leave = leave;
+                    handle_conn(stream, shared)
+                };
+                // Detached: the live count, not a join handle, is what
+                // shutdown waits on.
+                let spawned = thread::Builder::new()
                     .name("lttf-conn".to_string())
-                    .spawn(move || handle_conn(stream, shared))
-                {
-                    Ok(h) => conns.push(h),
-                    Err(e) => eprintln!("serve: cannot spawn connection thread: {e}"),
+                    .spawn(conn);
+                if let Err(e) = spawned {
+                    // The closure, and with it `leave`, is dropped: the
+                    // count is already back.
+                    eprintln!("serve: cannot spawn connection thread: {e}");
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors or a similar transient error: back off
+            // instead of spinning on it.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
-        // Reap on a clock, not on connection arrival: an idle server
-        // with long-lived clients must still release finished threads.
-        if last_reap.elapsed() >= REAP_INTERVAL {
-            conns.retain(|h| !h.is_finished());
-            last_reap = Instant::now();
-        }
     }
-    for h in conns {
-        let _ = h.join();
-    }
+    shared.conns.wait_zero();
 }
 
 fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
@@ -868,6 +920,53 @@ mod tests {
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].0, "demo");
         assert_eq!(summaries[0].1.count, 1);
+    }
+
+    /// Connection threads are counted out as they end, with no new
+    /// connection to prompt it, and shutdown waits for an open client's
+    /// thread while the accept loop, blocked in `accept`, is woken.
+    #[test]
+    fn connection_threads_are_counted_out_and_shutdown_waits_for_them() {
+        let model = tiny_model();
+        let raw = Tensor::randn(&[model.window_len()], &mut Rng::seed(12))
+            .data()
+            .to_vec();
+        let handle = serve(
+            Registry::single("demo", model),
+            "127.0.0.1:0",
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let live = |h: &ServerHandle| *h.shared.conns.lock();
+        roundtrip(handle.addr(), &[request_line(1, &raw)]);
+        // The client closed: its thread ends within a read poll.
+        let t0 = Instant::now();
+        while live(&handle) > 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "finished thread still counted"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        // An idle client holds its thread until shutdown stops it.
+        let idle = TcpStream::connect(handle.addr()).unwrap();
+        let t0 = Instant::now();
+        while live(&handle) == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "connection never accepted"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        let shared = Arc::clone(&handle.shared);
+        let summaries = handle.shutdown();
+        assert_eq!(
+            *shared.conns.lock(),
+            0,
+            "shutdown returned before its connections ended"
+        );
+        assert_eq!(summaries[0].1.count, 1);
+        drop(idle);
     }
 
     #[test]

@@ -200,6 +200,45 @@ impl Tensor {
         }
     }
 
+    /// In-place `self += row` for a 1-D `row` as wide as `self`'s last
+    /// axis, repeated over every leading index: the bits of
+    /// `self.add(row)` (each element is `self + row`, in that order)
+    /// without a new buffer.
+    ///
+    /// # Panics
+    /// Panics unless `row` is 1-D and as wide as the last axis.
+    pub fn add_row_assign(&mut self, row: &Tensor) {
+        let w = row.numel();
+        assert!(
+            row.ndim() == 1 && self.shape.dims().last() == Some(&w),
+            "add_row_assign: row {} does not match the last axis of {}",
+            row.shape,
+            self.shape
+        );
+        if w == 0 {
+            return;
+        }
+        let (n, row) = (self.data.len(), &row.data);
+        let add = |ci: usize, chunk: &mut [f32]| {
+            let (s, _) = chunk_bounds(n, PAR_MAP_CHUNK, ci);
+            // A chunk may start mid-row: its first piece ends the row.
+            let (mut c, mut rest) = (s % w, chunk);
+            while !rest.is_empty() {
+                let len = (w - c).min(rest.len());
+                let (piece, tail) = rest.split_at_mut(len);
+                for (v, &b) in piece.iter_mut().zip(&row[c..c + len]) {
+                    *v += b;
+                }
+                (c, rest) = (0, tail);
+            }
+        };
+        if n < PAR_MAP_MIN || lttf_parallel::num_threads() <= 1 {
+            add(0, &mut self.data);
+        } else {
+            par_chunks_mut(&mut self.data, PAR_MAP_CHUNK, add);
+        }
+    }
+
     /// In-place `self *= other` for identically shaped tensors (no
     /// broadcast): the bits of `self.mul(other)` without a new buffer.
     ///
@@ -254,6 +293,27 @@ mod tests {
 
     fn t(v: &[f32]) -> Tensor {
         Tensor::from_slice(v)
+    }
+
+    /// `add_row_assign` gives `add`'s bits, serially and on the pool,
+    /// where chunks start mid-row.
+    #[test]
+    fn add_row_assign_matches_broadcast_add() {
+        let mut rng = crate::Rng::seed(5);
+        for shape in [vec![7, 1], vec![5, 16], vec![3, 9, 17], vec![3, 97, 251]] {
+            let x = Tensor::randn(&shape, &mut rng);
+            let row = Tensor::randn(&[*shape.last().unwrap()], &mut rng);
+            for threads in [1, 4] {
+                lttf_parallel::set_thread_threads_override(Some(threads));
+                let want = x.add(&row);
+                let mut got = x.clone();
+                got.add_row_assign(&row);
+                lttf_parallel::set_thread_threads_override(None);
+                for (a, b) in got.data().iter().zip(want.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{shape:?} at {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]

@@ -385,13 +385,63 @@ fn gemm_batched(
     });
 }
 
+/// `out[m×n] = Σ_b a_b @ b_b` over `bt` batched problems: the gradient of
+/// an operand every batch shared, with no `[bt, m, n]` stack.
+///
+/// Each batch's product is computed into one zeroed `m×n` scratch, as
+/// [`gemm_batched`] computes it into its slice of the stack, and the
+/// scratch is added into `out` (zeroed by the caller) in batch order, as
+/// `sum_axis(0)` folds the stack: every element gets the bits of the
+/// summed stack. On the pool, tasks own blocks of output rows (multiples
+/// of `MR`, so each row sees the kernel it sees serially) and walk the
+/// batches in order. A transposed right operand is packed one batch panel
+/// at a time in each task's buffer.
+fn gemm_batched_sum(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f32],
+    bt: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let sum_rows = |r0: usize, mb: usize, out: &mut [f32]| {
+        let mut scratch = vec![0.0f32; out.len()];
+        let mut panel = Vec::with_capacity(if b.transposed { k * n } else { 0 });
+        for bi in 0..bt {
+            let bm = if b.transposed {
+                panel.clear();
+                b.mat(bi).pack_into(&mut panel, k, n);
+                Mat::rows(&panel, n)
+            } else {
+                b.mat(bi)
+            };
+            scratch.fill(0.0);
+            gemm_mat(a.mat(bi).rows_from(r0), bm, (&mut scratch, n), mb, k, n);
+            for (o, &p) in out.iter_mut().zip(&scratch) {
+                *o += p;
+            }
+        }
+    };
+    if bt * m * k * n < 2 * PAR_GRAIN || lttf_parallel::num_threads() <= 1 {
+        sum_rows(0, m, out);
+        return;
+    }
+    let rows = lttf_parallel::rows_per_block(bt * k * n, PAR_GRAIN, MR);
+    par_chunks_mut(out, rows * n, |ci, chunk| {
+        sum_rows(ci * rows, chunk.len() / n, chunk)
+    });
+}
+
 /// The product of `x` and `y`, each read transposed in its last two axes
 /// when its flag says so. A transposed left operand is read in place, a
 /// transposed right one packed as [`gemm_batched`] describes; no tensor is
 /// copied whole. Every output element gets the bits the product of
 /// materialized transposes gives it: the gemm's accumulation order depends
-/// only on the shape.
-fn matmul_read(x: &Tensor, xt: bool, y: &Tensor, yt: bool) -> Tensor {
+/// only on the shape. With `sum_batches`, two batched operands give the
+/// `[m, n]` sum over the batch axis ([`gemm_batched_sum`]) instead of the
+/// `[b, m, n]` stack.
+fn matmul_read(x: &Tensor, xt: bool, y: &Tensor, yt: bool, sum_batches: bool) -> Tensor {
     let (Some(a), Some(b)) = (Operand::of(x, xt), Operand::of(y, yt)) else {
         panic!(
             "matmul supports rank (2|3)x(2|3) operands, got rank {} {} and rank {} {}",
@@ -421,6 +471,17 @@ fn matmul_read(x: &Tensor, xt: bool, y: &Tensor, yt: bool) -> Tensor {
     let bt = batch.unwrap_or(1);
     let span = lttf_obs::span!("matmul", bt * m * k * n >= crate::obs_min_work());
     span.bytes((x.numel() + y.numel()) * 4);
+    if sum_batches {
+        assert!(
+            a.batch.is_some() && b.batch.is_some(),
+            "a batch-summed matmul needs two batched operands, got {} and {}",
+            x.shape,
+            y.shape
+        );
+        let mut out = vec![0.0; m * n];
+        gemm_batched_sum(a, b, &mut out, bt, m, k, n);
+        return Tensor::from_vec(out, &[m, n]);
+    }
     let mut out = vec![0.0; bt * m * n];
     match batch {
         Some(bt) => {
@@ -446,7 +507,7 @@ impl Tensor {
     /// # Panics
     /// Panics on unsupported ranks or mismatched inner/batch dimensions.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        matmul_read(self, false, other, false)
+        matmul_read(self, false, other, false, false)
     }
 
     /// `self @ otherᵀ`, with `other`'s last two axes transposed: bit for
@@ -456,7 +517,7 @@ impl Tensor {
     /// # Panics
     /// As [`Tensor::matmul`].
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        matmul_read(self, false, other, true)
+        matmul_read(self, false, other, true, false)
     }
 
     /// `selfᵀ @ other`, with `self`'s last two axes transposed: bit for
@@ -466,7 +527,29 @@ impl Tensor {
     /// # Panics
     /// As [`Tensor::matmul`].
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        matmul_read(self, true, other, false)
+        matmul_read(self, true, other, false, false)
+    }
+
+    /// `Σ_b self_b @ other_bᵀ` over the batch axis of two `[b, ·, ·]`
+    /// stacks: bit for bit `self.matmul_nt(other).sum_axis(0)`, without
+    /// the `[b, m, n]` stack (the gradient `dA = Σ_b dC_b·B_bᵀ` of a left
+    /// operand every batch shared).
+    ///
+    /// # Panics
+    /// As [`Tensor::matmul`], and unless both operands are rank 3.
+    pub fn matmul_nt_sum(&self, other: &Tensor) -> Tensor {
+        matmul_read(self, false, other, true, true)
+    }
+
+    /// `Σ_b self_bᵀ @ other_b` over the batch axis of two `[b, ·, ·]`
+    /// stacks: bit for bit `self.matmul_tn(other).sum_axis(0)`, without
+    /// the `[b, m, n]` stack (the gradient `dB = Σ_b A_bᵀ·dC_b` of a right
+    /// operand every batch shared, such as a Linear weight).
+    ///
+    /// # Panics
+    /// As [`Tensor::matmul`], and unless both operands are rank 3.
+    pub fn matmul_tn_sum(&self, other: &Tensor) -> Tensor {
+        matmul_read(self, true, other, false, true)
     }
 
     /// Dot product of two 1-D tensors, accumulated with chunked pairwise

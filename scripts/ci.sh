@@ -13,14 +13,19 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline --locked --no-default-features  (telemetry compiled out)"
 cargo build --release --offline --locked --no-default-features
 
-# Prove the compile-out is real: the stripped binary must report zeroed
-# allocator counters (no #[global_allocator] installed) and refuse to
-# start the sampling profiler rather than silently measuring nothing.
-echo "==> compile-out proof  (stripped binary: allocator reads 0, sampler unavailable)"
+# Prove the compile-out is real. The stripped binary still installs
+# the #[global_allocator] (src/lib.rs: its heap policy is not telemetry),
+# but every allocator counter must compile out and read zero, and the
+# sampling profiler must refuse to start rather than silently measuring
+# nothing.
+echo "==> compile-out proof  (stripped binary: allocator installed, counters read 0, sampler unavailable)"
+grep -B1 -A1 '^#\[global_allocator\]' src/lib.rs | grep -q 'cfg(feature' \
+    && { echo "FAIL: the allocator (and its heap policy) is gated on a feature" >&2; exit 1; }
 STRIPPED_OUT=$(mktemp -d)
 target/release/lttf bench-serve --mode memory --threads 2 --requests 2 \
     --out-dir "$STRIPPED_OUT" | tee /tmp/lttf_stripped_mem.out
 grep -q "allocator accounting compiled out" /tmp/lttf_stripped_mem.out \
+    && grep -Fq "| 0 allocs/req, - per request" /tmp/lttf_stripped_mem.out \
     || { echo "FAIL: no-default-features build still counts allocations" >&2; exit 1; }
 LTTF_PROFILE_HZ=97 target/release/lttf flame --flame-out "$STRIPPED_OUT/flame.txt" \
     bench-serve --mode memory --threads 1 --requests 1 --out-dir "$STRIPPED_OUT" \

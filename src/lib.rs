@@ -39,9 +39,10 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 // Install the instrumented allocator for every binary and test that
 // links this umbrella crate. Exactly one `#[global_allocator]` may exist
 // per program, so the leaf crate owns the installation (see
-// `lttf_obs::alloc`); with `--no-default-features` nothing is installed
-// and the plain system allocator remains.
-#[cfg(feature = "telemetry")]
+// `lttf_obs::alloc`). It is installed in every build: its heap policy
+// (freed pages stay mapped across training steps) is not telemetry, and
+// both builds must manage the heap alike for the telemetry-overhead gate
+// to compare them. With `--no-default-features` its counters compile out.
 #[global_allocator]
 static GLOBAL_ALLOC: lttf_obs::alloc::CountingAlloc = lttf_obs::alloc::CountingAlloc;
 

@@ -24,8 +24,9 @@ fn allocation_accounting_sees_session_buffers_grow_and_shrink() {
     // process-global: this binary holds this one test, so no other test
     // allocates or frees while it measures.
     if lttf::obs::alloc::snapshot().allocs == 0 {
-        // Telemetry compiled out: no #[global_allocator] is installed
-        // and every counter reads zero — nothing to measure.
+        // Telemetry compiled out: the allocator is installed for its
+        // heap policy only, and every counter reads zero — nothing to
+        // measure.
         return;
     }
     // lx=2048 windows of 8 features: each session buffers up to 64 KiB
