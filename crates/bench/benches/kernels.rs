@@ -12,6 +12,13 @@ use lttf_tensor::{Rng, Tensor};
 use lttf_testkit::bench::Suite;
 use std::hint::black_box;
 
+// The program's allocator, in both builds: `scripts/bench_check.sh`
+// compares this suite with telemetry on and off, and only with it
+// installed does that comparison include the allocation hook and its
+// per-span charge.
+#[global_allocator]
+static GLOBAL: lttf_obs::alloc::CountingAlloc = lttf_obs::alloc::CountingAlloc;
+
 fn bench_matmul(s: &mut Suite) {
     for n in [32usize, 64, 128] {
         let mut rng = Rng::seed(1);

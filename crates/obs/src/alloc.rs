@@ -6,7 +6,8 @@
 //! [`CountingAlloc`] is *exported*, not installed: Rust allows exactly one
 //! `#[global_allocator]` per program, so the leaf crate that owns the
 //! binary installs it (the workspace root `lttf` lib does, in every
-//! build, covering the CLI and the e2e tests). When the `telemetry`
+//! build, covering the CLI and the e2e tests; so does the kernels bench
+//! suite behind the telemetry-overhead gate). When the `telemetry`
 //! feature is off every counter here compiles out and the wrapper only
 //! applies the heap policy before forwarding to [`std::alloc::System`],
 //! so a `--no-default-features` build carries no accounting at all but

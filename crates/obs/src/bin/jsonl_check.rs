@@ -6,8 +6,8 @@
 //! checked as bench-record lines (every line a flat JSON object);
 //! `--trace` files are checked as Chrome `trace_event` JSON produced by
 //! `lttf trace` (framing, per-line strict parse, B/E nesting); `--flame`
-//! files are checked as collapsed-stack text produced by `lttf flame` /
-//! `lttf profile --flame` (one `frame;frame count` line per stack); all
+//! files are checked as collapsed-stack text produced by `lttf flame`
+//! (one `frame;frame count` line per stack); all
 //! other files are validated against the training run-log schema in
 //! `lttf_obs::runlog`. Every mode requires a trailing newline at EOF.
 //! Exits non-zero on the first invalid file.

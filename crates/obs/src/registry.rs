@@ -1,4 +1,4 @@
-//! Global span/counter registry.
+//! Global span/counter registry and the per-thread span stack.
 //!
 //! A [`SpanStats`] is a leaked, never-freed bundle of atomics keyed by a
 //! `(group, name)` pair of `&'static str`s. Call sites cache the pointer in
@@ -7,19 +7,35 @@
 //! registry mutex is only touched on first use of each site and when
 //! snapshotting.
 //!
-//! Self-time is tracked with a thread-local span stack: when a guard drops,
-//! it subtracts the time attributed to spans it directly nested and credits
-//! its own elapsed time to its parent's child-accumulator. Spans opened on
-//! pool worker threads have no parent on that thread's stack, so their time
-//! is *not* subtracted from the dispatching span — utilization numbers come
-//! from the pool gauges instead.
+//! Every thread that opens a span owns one span stack: the open spans'
+//! registry entries, innermost last, in a fixed array of [`MAX_DEPTH`]
+//! frames published through a seqlock. Three readers share it:
+//!
+//! - **Self-time.** Each thread keeps a running total of the self-time it
+//!   has credited. A guard records the total when it opens; when it
+//!   closes, everything credited since then is the elapsed time of its
+//!   direct children (their descendants' self-times add up to exactly
+//!   that), so `self = elapsed − (total_now − total_at_entry)`, and the
+//!   total grows by `self`.
+//! - **The allocation hook** ([`crate::alloc`]) charges each allocation to
+//!   the top frame. It finds the stack through a destructor-free
+//!   const-initialised `Cell`, so it never allocates, locks or re-enters.
+//! - **The sampling profiler** ([`crate::sampler`]) copies every thread's
+//!   stack under the lock that registers and unregisters them.
+//!
+//! The stack is created by the thread's first [`SpanGuard::enter`] and
+//! freed when the thread exits. Spans nested deeper than [`MAX_DEPTH`]
+//! are timed and counted in the depth but not stored: their allocations
+//! charge the deepest stored frame and sampled stacks stop there. Spans
+//! opened on pool worker threads have no parent on that thread's stack,
+//! so their time is *not* subtracted from the dispatching span —
+//! utilization numbers come from the pool gauges instead.
 
-use std::cell::RefCell;
-#[cfg(feature = "telemetry")]
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::trace;
@@ -167,78 +183,202 @@ pub fn register(group: &'static str, name: &'static str, kind: Kind) -> &'static
         .or_insert_with(|| &*Box::leak(Box::new(SpanStats::new(group, name, kind))))
 }
 
-thread_local! {
-    /// Stack of (span, ns attributed to direct children so far).
-    static SPAN_STACK: RefCell<Vec<(*const SpanStats, u64)>> = const { RefCell::new(Vec::new()) };
+/// Deepest span nesting a span stack stores (see the module docs for
+/// what happens past it).
+pub const MAX_DEPTH: usize = 32;
+
+/// One thread's open spans. Only the owning thread writes; the sampler
+/// reads through the seqlock: the owner makes `seq` odd, writes, and makes
+/// it even again, so a reader that sees the same even `seq` before and
+/// after copying saw a consistent stack.
+struct SpanStack {
+    seq: AtomicU64,
+    /// Open spans, counted past [`MAX_DEPTH`]; frames `0..depth` (capped
+    /// at [`MAX_DEPTH`]) are valid.
+    depth: AtomicUsize,
+    frames: [AtomicPtr<SpanStats>; MAX_DEPTH],
+    /// Self-time credited on this thread so far, ns (owner only).
+    credited_ns: AtomicU64,
+    /// Owner's thread name, fixed at creation.
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    name: String,
 }
 
-#[cfg(feature = "telemetry")]
+impl SpanStack {
+    /// Set `depth` to `f(depth)` (which may also store frames) as one
+    /// seqlock write. The release fence keeps the odd `seq` ahead of the
+    /// stores and the release store keeps them ahead of the even `seq`;
+    /// they pair with the reader's acquire load and acquire fence in
+    /// [`for_each_stack`].
+    fn write(&self, f: impl FnOnce(usize) -> usize) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        let depth = self.depth.load(Ordering::Relaxed);
+        self.depth.store(f(depth), Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+    }
+
+    fn push(&self, site: &'static SpanStats) {
+        self.write(|d| {
+            if d < MAX_DEPTH {
+                self.frames[d].store(std::ptr::from_ref(site).cast_mut(), Ordering::Relaxed);
+            }
+            d + 1
+        });
+    }
+
+    /// Pop the span opened when `credited_ns` read `at_entry` and return
+    /// its self-time.
+    fn pop(&self, at_entry: u64, elapsed: u64) -> u64 {
+        self.write(|d| d.saturating_sub(1));
+        let credited = self.credited_ns.load(Ordering::Relaxed);
+        let self_ns = elapsed.saturating_sub(credited.saturating_sub(at_entry));
+        self.credited_ns
+            .store(credited + self_ns, Ordering::Relaxed);
+        self_ns
+    }
+
+    /// The innermost stored frame (owner thread only: no seqlock).
+    #[cfg(feature = "telemetry")]
+    fn top(&self) -> Option<&'static SpanStats> {
+        let d = self.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
+        let p = self.frames[d.checked_sub(1)?].load(Ordering::Relaxed);
+        // SAFETY: frames hold leaked 'static registry entries.
+        Some(unsafe { &*p })
+    }
+}
+
+/// Every live thread's span stack. Each is boxed, so the owner's pointer
+/// to it stays valid until its thread exits and removes it here.
+#[allow(clippy::vec_box)]
+fn stacks() -> MutexGuard<'static, Vec<Box<SpanStack>>> {
+    static STACKS: Mutex<Vec<Box<SpanStack>>> = Mutex::new(Vec::new());
+    STACKS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Frees the thread's span stack at thread exit.
+struct Release;
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        let mine = STACK.with(|s| s.replace(std::ptr::null()));
+        stacks().retain(|st| !std::ptr::eq(&**st, mine));
+    }
+}
+
 thread_local! {
-    /// The innermost open span, read by the allocation hook. A dedicated
-    /// `Cell` (not [`SPAN_STACK`]): the hook must never touch the
-    /// `RefCell` — pushing onto its `Vec` can itself allocate, and the
-    /// hook would then re-enter a borrowed cell. Reading a const-init
-    /// `Cell` allocates nothing, so the hook cannot recurse.
-    static CURRENT_SPAN: Cell<*const SpanStats> =
-        const { Cell::new(std::ptr::null()) };
+    /// This thread's span stack, null until its first span. Const and
+    /// destructor-free, so the allocation hook can read it without
+    /// allocating or registering anything.
+    static STACK: Cell<*const SpanStack> = const { Cell::new(std::ptr::null()) };
+    /// Registered by the first span, never by the allocation hook.
+    static RELEASE: Release = const { Release };
+}
+
+/// Run `f` on this thread's span stack, if it has one.
+fn with_stack<R>(f: impl FnOnce(&SpanStack) -> R) -> Option<R> {
+    let p = STACK.with(Cell::get);
+    // SAFETY: a non-null `STACK` points into `stacks()`, and only this
+    // thread's `Release` removes it, after nulling the cell.
+    unsafe { p.as_ref() }.map(f)
+}
+
+/// Create this thread's span stack; none once the thread's exit has
+/// begun, so spans opened by later destructors are timed without nesting.
+#[cold]
+fn create_stack() {
+    static UNNAMED: AtomicUsize = AtomicUsize::new(0);
+    if RELEASE.try_with(|_| ()).is_err() {
+        return;
+    }
+    let name = match std::thread::current().name() {
+        Some(n) => n.to_string(),
+        None => format!("thread-{}", UNNAMED.fetch_add(1, Ordering::Relaxed)),
+    };
+    let st = Box::new(SpanStack {
+        seq: AtomicU64::new(0),
+        depth: AtomicUsize::new(0),
+        frames: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_DEPTH],
+        credited_ns: AtomicU64::new(0),
+        name,
+    });
+    STACK.with(|s| s.set(&*st));
+    stacks().push(st);
+}
+
+/// Call `f(thread name, frames outermost first)` for every thread with
+/// open spans. A stack caught mid-write is skipped. Holds the lock that
+/// frees exiting threads' stacks, so none is freed while read.
+#[cfg(feature = "telemetry")]
+pub(crate) fn for_each_stack(mut f: impl FnMut(&str, &[&'static SpanStats])) {
+    let (mut raw, mut frames) = (Vec::with_capacity(MAX_DEPTH), Vec::with_capacity(MAX_DEPTH));
+    for st in stacks().iter() {
+        let seq = st.seq.load(Ordering::Acquire);
+        let depth = st.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
+        raw.clear();
+        raw.extend(st.frames[..depth].iter().map(|p| p.load(Ordering::Relaxed)));
+        fence(Ordering::Acquire);
+        if seq % 2 == 1 || st.seq.load(Ordering::Relaxed) != seq || depth == 0 {
+            continue;
+        }
+        frames.clear();
+        // SAFETY: a consistent copy holds only leaked 'static registry entries.
+        frames.extend(raw.iter().map(|&p| unsafe { &*p }));
+        f(&st.name, &frames);
+    }
 }
 
 /// Charge one allocation of `size` bytes to the calling thread's
 /// innermost open span, if any. Called from the global-allocator hook:
-/// must not allocate, lock, or panic (`try_with` covers TLS teardown).
+/// must not allocate, lock, or panic.
 #[cfg(feature = "telemetry")]
 #[inline]
 pub(crate) fn charge_alloc(size: usize) {
-    let _ = CURRENT_SPAN.try_with(|c| {
-        let p = c.get();
-        if !p.is_null() {
-            // SAFETY: the cell only ever holds pointers to leaked
-            // 'static registry entries (or null).
-            let site = unsafe { &*p };
-            site.alloc_bytes.fetch_add(size as u64, Ordering::Relaxed);
-            site.allocs.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    if let Some(site) = with_stack(SpanStack::top).flatten() {
+        site.alloc_bytes.fetch_add(size as u64, Ordering::Relaxed);
+        site.allocs.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 struct ActiveSpan {
     site: &'static SpanStats,
     start: Instant,
-    /// The span this one nested inside, restored on drop.
-    #[cfg(feature = "telemetry")]
-    prev: *const SpanStats,
-    /// Whether this span published a sampler shadow-stack frame (the
-    /// sampler may start or stop mid-span; push/pop must stay balanced).
-    #[cfg(feature = "telemetry")]
-    published: bool,
+    /// The thread's credited self-time when this span opened.
+    credited_at_entry: u64,
+    /// Not `Send`: the guard must pop the span stack it pushed.
+    _not_send: PhantomData<*const ()>,
 }
 
 /// RAII timer for one span activation. Obtain via [`crate::span!`] or
 /// [`scoped`]; an [`SpanGuard::inactive`] guard costs nothing to drop.
+/// A guard stays on the thread that opened it:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(lttf_obs::SpanGuard::inactive());
+/// ```
 pub struct SpanGuard(Option<ActiveSpan>);
 
 impl SpanGuard {
     /// Start timing `site` on the current thread.
     pub fn enter(site: &'static SpanStats) -> SpanGuard {
-        SPAN_STACK.with(|s| s.borrow_mut().push((site as *const SpanStats, 0)));
         if trace::enabled() {
             trace::begin(site.trace_idx());
         }
-        #[cfg(feature = "telemetry")]
-        let prev = CURRENT_SPAN.with(|c| c.replace(site as *const SpanStats));
-        #[cfg(feature = "telemetry")]
-        let published = crate::sampler::publishing();
-        #[cfg(feature = "telemetry")]
-        if published {
-            crate::sampler::push_frame(site);
+        if STACK.with(Cell::get).is_null() {
+            create_stack();
         }
+        let credited_at_entry = with_stack(|st| {
+            st.push(site);
+            st.credited_ns.load(Ordering::Relaxed)
+        })
+        .unwrap_or(0);
         SpanGuard(Some(ActiveSpan {
             site,
             start: Instant::now(),
-            #[cfg(feature = "telemetry")]
-            prev,
-            #[cfg(feature = "telemetry")]
-            published,
+            credited_at_entry,
+            _not_send: PhantomData,
         }))
     }
 
@@ -263,23 +403,8 @@ impl Drop for SpanGuard {
         if trace::enabled() {
             trace::end(a.site.trace_idx());
         }
-        #[cfg(feature = "telemetry")]
-        {
-            if a.published {
-                crate::sampler::pop_frame();
-            }
-            let _ = CURRENT_SPAN.try_with(|c| c.set(a.prev));
-        }
-        let child_ns = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            // Guards are strictly scoped per thread, so the top entry is ours.
-            let child = stack.pop().map(|(_, c)| c).unwrap_or(0);
-            if let Some(top) = stack.last_mut() {
-                top.1 = top.1.saturating_add(elapsed);
-            }
-            child
-        });
-        let self_ns = elapsed.saturating_sub(child_ns);
+        // Guards are strictly scoped per thread, so the top frame is ours.
+        let self_ns = with_stack(|st| st.pop(a.credited_at_entry, elapsed)).unwrap_or(elapsed);
         a.site.calls.fetch_add(1, Ordering::Relaxed);
         a.site.total_ns.fetch_add(elapsed, Ordering::Relaxed);
         a.site.self_ns.fetch_add(self_ns, Ordering::Relaxed);
@@ -440,4 +565,117 @@ macro_rules! gauge {
                 .record_value($value as u64);
         }
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exclusive;
+    use std::hint::black_box;
+    use std::sync::{Arc, Barrier};
+
+    fn load(a: &AtomicU64) -> u64 {
+        a.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn allocations_charge_the_innermost_open_span() {
+        let _g = exclusive();
+        let outer = register("", "obs_test_alloc_outer", Kind::Span);
+        let inner = register("", "obs_test_alloc_inner", Kind::Span);
+        let (outer0, inner0) = (load(&outer.alloc_bytes), load(&inner.alloc_bytes));
+        {
+            let _outer = SpanGuard::enter(outer);
+            {
+                let _inner = SpanGuard::enter(inner);
+                black_box(Vec::<u8>::with_capacity(1 << 16));
+            }
+            black_box(Vec::<u8>::with_capacity(1 << 17));
+        }
+        let outer_bytes = load(&outer.alloc_bytes) - outer0;
+        let inner_bytes = load(&inner.alloc_bytes) - inner0;
+        if cfg!(feature = "telemetry") {
+            assert!(
+                (1 << 16..1 << 17).contains(&inner_bytes),
+                "inner charged {inner_bytes}"
+            );
+            assert!(
+                (1 << 17..3 << 16).contains(&outer_bytes),
+                "outer charged {outer_bytes}"
+            );
+        } else {
+            assert_eq!((outer_bytes, inner_bytes), (0, 0), "the hook compiles out");
+        }
+    }
+
+    #[test]
+    fn self_times_sum_exactly_to_the_root_total() {
+        let _g = exclusive();
+        let [root, a, grandchild, b] =
+            ["root", "a", "grandchild", "b"].map(|n| register("obs_test_tree", n, Kind::Span));
+        let before = [root, a, grandchild, b].map(|s| load(&s.self_ns));
+        let root_total0 = load(&root.total_ns);
+        let nap = || std::thread::sleep(std::time::Duration::from_micros(300));
+        {
+            let _root = SpanGuard::enter(root);
+            nap();
+            {
+                let _a = SpanGuard::enter(a);
+                nap();
+                let _grandchild = SpanGuard::enter(grandchild);
+                nap();
+            }
+            let _b = SpanGuard::enter(b);
+            nap();
+        }
+        let self_sum: u64 = [root, a, grandchild, b]
+            .iter()
+            .zip(before)
+            .map(|(s, b)| load(&s.self_ns) - b)
+            .sum();
+        assert_eq!(self_sum, load(&root.total_ns) - root_total0);
+        assert!(load(&grandchild.self_ns) - before[2] > 0);
+    }
+
+    #[test]
+    fn exited_threads_release_their_stacks() {
+        const THREADS: usize = 64;
+        let _g = exclusive();
+        let ours = || {
+            stacks()
+                .iter()
+                .filter(|s| s.name.starts_with("obs-stack-exit-"))
+                .count()
+        };
+        for sampling in [true, false] {
+            let sampler_on = sampling && crate::sampler::start(1_000).is_ok();
+            assert_eq!(sampler_on, sampling && cfg!(feature = "telemetry"));
+            let open = Arc::new(Barrier::new(THREADS + 1));
+            let close = Arc::new(Barrier::new(THREADS + 1));
+            let threads: Vec<_> = (0..THREADS)
+                .map(|i| {
+                    let (open, close) = (open.clone(), close.clone());
+                    std::thread::Builder::new()
+                        .name(format!("obs-stack-exit-{i}"))
+                        .spawn(move || {
+                            let _s = scoped("", "obs_test_thread_exit");
+                            open.wait();
+                            close.wait();
+                        })
+                        .unwrap()
+                })
+                .collect();
+            open.wait();
+            let registered = ours();
+            close.wait();
+            for t in threads {
+                t.join().unwrap();
+            }
+            let left = ours();
+            if sampler_on {
+                crate::sampler::stop();
+            }
+            assert_eq!((registered, left), (THREADS, 0), "sampler on: {sampler_on}");
+        }
+    }
 }

@@ -2,145 +2,27 @@
 //! thread's live span stack, exported as flamegraph-compatible
 //! collapsed-stack text.
 //!
-//! Each thread publishes a fixed-depth **shadow stack** of its currently
-//! open spans through a seqlock (the same writer protocol as the
-//! [`crate::trace`] rings): the writer bumps a sequence counter to odd,
-//! stores the frames, and bumps it back to even, so a reader that sees
-//! the same even value before and after copying observed a consistent
-//! stack. Frames hold pointers to the leaked [`crate::SpanStats`]
-//! registry entries, so a cross-thread deref is always sound.
-//!
-//! Publication is gated on a single relaxed [`AtomicBool`] that is only
-//! set while a sampler runs (`LTTF_PROFILE_HZ` / `lttf flame`), so the
-//! default-off cost added to every span enter/exit is one relaxed load —
-//! the <3% telemetry-overhead budget (DESIGN.md §12) is unaffected.
-//!
-//! The sampler itself is one background thread: sleep `1/hz`, snapshot
-//! every registered shadow stack, and count identical stacks. [`stop`]
-//! renders the counts as collapsed-stack text (`thread;span;... count`
-//! lines), the format `flamegraph.pl` and speedscope ingest directly.
-//! [`validate_collapsed`] is the strict in-repo parser CI runs on every
-//! export. Everything here compiles out with the `telemetry` feature:
-//! [`start`] then fails and span enter/exit carries no hook at all.
+//! The sampler is one background thread: sleep `1/hz`, copy every
+//! thread's span stack (the one [`crate::registry`] keeps for self-time
+//! and allocation charging; a copy caught mid-write is skipped, not
+//! retried), and count identical stacks. Sampling is wait-free for the
+//! instrumented threads. [`stop`] renders the counts as collapsed-stack
+//! text (`thread;span;... count` lines), the format `flamegraph.pl` and
+//! speedscope ingest directly. [`validate_collapsed`] is the strict
+//! in-repo parser CI runs on every export. The sampler compiles out with
+//! the `telemetry` feature: [`start`] then fails.
 
 use std::collections::BTreeMap;
 
-/// Deepest span nesting a shadow stack records; deeper frames are
-/// dropped (the sample still counts, truncated at this depth).
-pub const MAX_DEPTH: usize = 32;
-
 #[cfg(feature = "telemetry")]
 mod imp {
-    use super::MAX_DEPTH;
-    use crate::registry::SpanStats;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
     use std::sync::{Mutex, OnceLock};
-
-    /// One thread's published span stack, leaked on first use so the
-    /// sampler thread can read it for the rest of the process lifetime
-    /// (mirrors the trace ring registration).
-    pub struct ShadowStack {
-        /// Seqlock: odd while the owner is writing.
-        seq: AtomicU64,
-        /// Current nesting depth (frames beyond [`MAX_DEPTH`] are not
-        /// stored but still counted here).
-        depth: AtomicU64,
-        /// Span pointers, innermost last; valid entries are `0..depth`.
-        frames: [AtomicU64; MAX_DEPTH],
-        /// Owner's thread name, fixed at registration.
-        name: String,
-    }
-
-    pub static PUBLISH: AtomicBool = AtomicBool::new(false);
-
-    fn stacks() -> &'static Mutex<Vec<&'static ShadowStack>> {
-        static STACKS: OnceLock<Mutex<Vec<&'static ShadowStack>>> = OnceLock::new();
-        STACKS.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    thread_local! {
-        static MY_STACK: &'static ShadowStack = register_stack();
-    }
-
-    fn register_stack() -> &'static ShadowStack {
-        let seq = std::thread::current()
-            .name()
-            .map(str::to_string)
-            .unwrap_or_default();
-        let mut all = stacks().lock().unwrap_or_else(|e| e.into_inner());
-        let name = if seq.is_empty() {
-            format!("thread-{}", all.len())
-        } else {
-            seq
-        };
-        let stack: &'static ShadowStack = Box::leak(Box::new(ShadowStack {
-            seq: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            frames: [const { AtomicU64::new(0) }; MAX_DEPTH],
-            name,
-        }));
-        all.push(stack);
-        stack
-    }
-
-    /// Publish `site` as the new innermost frame of this thread's stack.
-    #[inline]
-    pub fn push_frame(site: &'static SpanStats) {
-        MY_STACK.with(|st| {
-            let seq = st.seq.load(Ordering::Relaxed);
-            st.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
-            fence(Ordering::Release);
-            let d = st.depth.load(Ordering::Relaxed);
-            if (d as usize) < MAX_DEPTH {
-                st.frames[d as usize]
-                    .store(site as *const SpanStats as usize as u64, Ordering::Relaxed);
-            }
-            st.depth.store(d + 1, Ordering::Relaxed);
-            st.seq.store(seq.wrapping_add(2), Ordering::Release);
-        });
-    }
-
-    /// Retract this thread's innermost frame.
-    #[inline]
-    pub fn pop_frame() {
-        MY_STACK.with(|st| {
-            let seq = st.seq.load(Ordering::Relaxed);
-            st.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
-            fence(Ordering::Release);
-            let d = st.depth.load(Ordering::Relaxed);
-            st.depth.store(d.saturating_sub(1), Ordering::Relaxed);
-            st.seq.store(seq.wrapping_add(2), Ordering::Release);
-        });
-    }
-
-    /// One consistent copy of a shadow stack, or `None` when the owner
-    /// was mid-write (the sample is simply skipped — at sampling rates
-    /// of ~100 Hz a retry is not worth the complexity).
-    fn read_stack(st: &ShadowStack) -> Option<(String, Vec<*const SpanStats>)> {
-        let seq0 = st.seq.load(Ordering::Acquire);
-        if seq0 % 2 == 1 {
-            return None;
-        }
-        let depth = st.depth.load(Ordering::Relaxed) as usize;
-        if depth == 0 {
-            return None;
-        }
-        let frames: Vec<*const SpanStats> = st.frames[..depth.min(MAX_DEPTH)]
-            .iter()
-            .map(|f| f.load(Ordering::Relaxed) as usize as *const SpanStats)
-            .collect();
-        fence(Ordering::Acquire);
-        if st.seq.load(Ordering::Relaxed) != seq0 {
-            return None;
-        }
-        Some((st.name.clone(), frames))
-    }
 
     struct Running {
         stop: std::sync::mpsc::Sender<()>,
-        join: std::thread::JoinHandle<()>,
-        counts: std::sync::Arc<Mutex<BTreeMap<String, u64>>>,
+        /// The sampler thread returns its stack counts when stopped.
+        join: std::thread::JoinHandle<BTreeMap<String, u64>>,
     }
 
     fn state() -> &'static Mutex<Option<Running>> {
@@ -156,44 +38,31 @@ mod imp {
         if slot.is_some() {
             return Err("sampler already running".to_string());
         }
-        let counts = std::sync::Arc::new(Mutex::new(BTreeMap::new()));
-        let shared = counts.clone();
         let (stop, stopped) = std::sync::mpsc::channel::<()>();
         let period = std::time::Duration::from_nanos(1_000_000_000 / hz.min(10_000));
-        PUBLISH.store(true, Ordering::Relaxed);
         let join = std::thread::Builder::new()
             .name("lttf-sampler".to_string())
-            .spawn(move || loop {
-                match stopped.recv_timeout(period) {
-                    Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                }
-                let all = stacks().lock().unwrap_or_else(|e| e.into_inner());
-                let mut tick: Vec<(String, Vec<*const SpanStats>)> = Vec::new();
-                for st in all.iter() {
-                    if let Some(s) = read_stack(st) {
-                        tick.push(s);
+            .spawn(move || {
+                let mut counts = BTreeMap::new();
+                loop {
+                    match stopped.recv_timeout(period) {
+                        Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                            return counts
+                        }
+                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
                     }
-                }
-                drop(all);
-                if tick.is_empty() {
-                    continue;
-                }
-                let mut counts = shared.lock().unwrap_or_else(|e| e.into_inner());
-                for (name, frames) in tick {
-                    let mut key = name;
-                    for f in frames {
-                        // SAFETY: frames hold pointers to leaked 'static
-                        // registry entries; they are valid forever.
-                        let site = unsafe { &*f };
-                        key.push(';');
-                        key.push_str(&site.display_name());
-                    }
-                    *counts.entry(key).or_insert(0) += 1;
+                    crate::registry::for_each_stack(|name, frames| {
+                        let mut key = name.to_string();
+                        for site in frames {
+                            key.push(';');
+                            key.push_str(&site.display_name());
+                        }
+                        *counts.entry(key).or_insert(0) += 1;
+                    });
                 }
             })
             .map_err(|e| format!("cannot spawn sampler thread: {e}"))?;
-        *slot = Some(Running { stop, join, counts });
+        *slot = Some(Running { stop, join });
         Ok(())
     }
 
@@ -202,34 +71,13 @@ mod imp {
             let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
             slot.take()
         };
-        PUBLISH.store(false, Ordering::Relaxed);
         let Some(r) = running else {
             return BTreeMap::new();
         };
         let _ = r.stop.send(());
-        let _ = r.join.join();
-        let counts = r.counts.lock().unwrap_or_else(|e| e.into_inner());
-        counts.clone()
+        r.join.join().unwrap_or_default()
     }
 }
-
-/// Whether span enter/exit should publish shadow-stack frames right now.
-/// A single relaxed load; false whenever no sampler is running or the
-/// `telemetry` feature is compiled out.
-#[inline]
-pub fn publishing() -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        imp::PUBLISH.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        false
-    }
-}
-
-#[cfg(feature = "telemetry")]
-pub(crate) use imp::{pop_frame, push_frame};
 
 /// Start the background sampler at `hz` samples per second (clamped to
 /// 10 kHz). Errors when a sampler is already running, `hz` is zero, or
@@ -388,7 +236,6 @@ mod tests {
     fn sampler_catches_a_long_running_span() {
         let _guard = crate::exclusive();
         start(2_000).expect("start sampler");
-        assert!(publishing());
         assert!(start(100).is_err(), "double start must fail");
         {
             let _span = crate::span!("sampler_test_outer");
@@ -396,7 +243,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(60));
         }
         let report = stop();
-        assert!(!publishing());
         let summary = validate_collapsed(&report.collapsed).expect("collapsed validates");
         assert_eq!(summary.samples, report.samples);
         assert!(

@@ -34,6 +34,12 @@ grep -q "flame sampling unavailable" /tmp/lttf_stripped_flame.out \
     || { echo "FAIL: no-default-features build did not report the sampler as compiled out" >&2; exit 1; }
 rm -rf "$STRIPPED_OUT"
 
+echo "==> cargo test -q --offline -p lttf-obs --no-default-features  (obs's own tests, compiled out)"
+# Each span/counter test asserts that the stripped build records nothing,
+# and the compile-out tests (sampler refuses to start, allocator counters
+# read zero) run only in this build.
+cargo test -q --offline -p lttf-obs --no-default-features
+
 echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 

@@ -36,7 +36,7 @@ fn usage() -> ! {
          lttf forecast --data FILE.csv --model MODEL [--samples N] [--coverage P]\n  \
          lttf profile [--smoke] [--mode train|fwd] [--epochs N] [--lx N] [--ly N] \
          [--d-model N] [--batch N] [--len N] [--dims N] [--seed N] [--threads N] \
-         [--name NAME] [--out-dir DIR] [--flame FILE.txt]\n  \
+         [--name NAME] [--out-dir DIR]\n  \
          lttf serve --model MODEL [--port N] [--max-batch N] [--max-wait-ms N] \
          [--queue-cap N] [--replicas N] [--policy rr|lqd] [--threads-per-replica N] \
          [--seed N] [--rate RPS] [--burst N] [--shed-depth N] \
@@ -422,15 +422,6 @@ fn cmd_profile(flags: HashMap<String, String>) {
 
     // Profile only what runs below, not process warm-up.
     lttf::obs::reset();
-    // `--flame OUT` also runs the continuous stack sampler over the
-    // workload and writes collapsed stacks (flamegraph.pl input).
-    let flame_out = flags.get("flame").cloned();
-    if flame_out.is_some() {
-        let hz = lttf::obs::env::profile_hz().unwrap_or(99) as u64;
-        if let Err(e) = lttf::obs::sampler::start(hz) {
-            eprintln!("warning: flame sampling unavailable: {e}");
-        }
-    }
     let mut log = RunLog::create(format!("{out_dir}/{name}.jsonl")).unwrap_or_else(|e| {
         eprintln!("cannot create run log: {e}");
         exit(1);
@@ -496,14 +487,11 @@ fn cmd_profile(flags: HashMap<String, String>) {
     print!("{}", lttf::obs::report::render(&lttf::obs::snapshot()));
     println!();
     println!("run log: {}", log.path().display());
-    if let Some(path) = flame_out {
-        write_flame(&path);
-    }
 }
 
 /// Stop the stack sampler, validate its collapsed output against the
-/// strict in-repo parser, and write it to `path`. Shared by
-/// `lttf profile --flame` and the `lttf flame` wrapper.
+/// strict in-repo parser, and write it to `path` (the `lttf flame`
+/// wrapper).
 fn write_flame(path: &str) {
     let report = lttf::obs::sampler::stop();
     let summary = lttf::obs::sampler::validate_collapsed(&report.collapsed).unwrap_or_else(|e| {
