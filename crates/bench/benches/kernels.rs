@@ -3,6 +3,7 @@
 //!
 //! Run with `cargo bench --bench kernels`; emits JSON-lines records to
 //! stdout and `results/BENCH_kernels.json` (see `lttf_testkit::bench`).
+//! `LTTF_SIMD=0` times the scalar side of the same kernels.
 
 use lttf_autograd::Graph;
 use lttf_data::synth::{Dataset, SynthSpec};

@@ -36,7 +36,8 @@ fn usage() -> ! {
          lttf forecast --data FILE.csv --model MODEL [--samples N] [--coverage P]\n  \
          lttf profile [--smoke] [--mode train|fwd] [--epochs N] [--lx N] [--ly N] \
          [--d-model N] [--batch N] [--len N] [--dims N] [--seed N] [--threads N] \
-         [--name NAME] [--out-dir DIR]\n  \
+         [--name NAME] [--out-dir DIR] [--health-every N] [--health-acts] \
+         [--health-warn-only] [--health-max-grad-norm X]\n  \
          lttf serve --model MODEL [--port N] [--max-batch N] [--max-wait-ms N] \
          [--queue-cap N] [--replicas N] [--policy rr|lqd] [--threads-per-replica N] \
          [--seed N] [--rate RPS] [--burst N] [--shed-depth N] \
@@ -46,11 +47,8 @@ fn usage() -> ! {
          [--adapt-interval-ms N]\n  \
          lttf watch [--port N] [--host H] [--interval-ms N] [--iters N] [--model NAME] \
          [--scrape-out FILE.prom] [--no-clear]\n  \
-         lttf bench-serve [--mode closed|open|scaling|stream|memory|all] [--threads N] [--requests N] \
-         [--max-batch N] [--max-wait-ms N] [--lx N] [--d-model N] [--clients N] \
-         [--rate RPS] [--duration-ms N] [--pattern uniform|bursty|diurnal] \
-         [--service-floor-ms X] [--replicas N] [--seed N] [--out-dir DIR] \
-         [--stream-len N] [--stream-shift X] [--stream-lx N] [--stream-ly N]\n  \
+         lttf bench-serve [--mode scaling|stream|memory|all] [--threads N] [--requests N] \
+         [--out-dir DIR]   (--threads/--requests size the memory burst)\n  \
          lttf trace [--trace-out FILE.json] <subcommand …>   \
          (record a Chrome trace of any subcommand; open in chrome://tracing)\n  \
          lttf flame [--flame-out FILE.txt] <subcommand …>   \
@@ -61,8 +59,10 @@ fn usage() -> ! {
 }
 
 /// `--key value` pairs, plus valueless boolean flags (`--smoke`): a flag
-/// followed by another `--flag` or by nothing parses as `"true"`.
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// followed by another `--flag` or by nothing parses as `"true"`. A key
+/// outside `keys`, the flags `lttf <cmd>` reads, exits 2: a mistyped or
+/// retired flag must not be silently ignored.
+fn parse_flags(cmd: &str, keys: &[&str], args: &[String]) -> HashMap<String, String> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -70,6 +70,10 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument '{}'", args[i]);
             usage();
         };
+        if !keys.contains(&key) {
+            eprintln!("unknown flag --{key} for lttf {cmd}");
+            exit(2);
+        }
         if i + 1 >= args.len() || args[i + 1].starts_with("--") {
             map.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -894,71 +898,25 @@ fn bench_request(window: &[f32]) -> lttf::serve::protocol::Request {
     }
 }
 
-/// Arrival-rate envelope for the open-loop generator: a multiplier on
-/// the base rate as a function of time into the run.
-#[derive(Clone, Copy, PartialEq)]
-enum Pattern {
-    /// Constant rate.
-    Uniform,
-    /// 400 ms square wave: 1.75x for 200 ms, then 0.25x — a burst train.
-    Bursty,
-    /// One sinusoidal "day" over the run: 1 + 0.75 sin(2πt/T).
-    Diurnal,
-}
+/// Peak of [`bursty_envelope`], the thinning bound of [`arrival_schedule`].
+const BURSTY_PEAK: f64 = 1.75;
 
-impl Pattern {
-    fn parse(s: &str) -> Pattern {
-        match s {
-            "uniform" => Pattern::Uniform,
-            "bursty" => Pattern::Bursty,
-            "diurnal" => Pattern::Diurnal,
-            other => {
-                eprintln!("unknown pattern '{other}' (expected uniform|bursty|diurnal)");
-                exit(2);
-            }
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Pattern::Uniform => "uniform",
-            Pattern::Bursty => "bursty",
-            Pattern::Diurnal => "diurnal",
-        }
-    }
-
-    /// Rate multiplier at `t` seconds into a `duration`-second run.
-    fn envelope(self, t: f64, duration: f64) -> f64 {
-        match self {
-            Pattern::Uniform => 1.0,
-            Pattern::Bursty => {
-                if (t / 0.4).fract() < 0.5 {
-                    1.75
-                } else {
-                    0.25
-                }
-            }
-            Pattern::Diurnal => {
-                1.0 + 0.75 * (2.0 * std::f64::consts::PI * t / duration.max(1e-9)).sin()
-            }
-        }
-    }
-
-    /// Upper bound of [`Pattern::envelope`], for Poisson thinning.
-    fn peak(self) -> f64 {
-        match self {
-            Pattern::Uniform => 1.0,
-            Pattern::Bursty | Pattern::Diurnal => 1.75,
-        }
+/// Arrival-rate multiplier `t` seconds into an open-loop run: a 400 ms
+/// square wave, 1.75x for 200 ms, then 0.25x — a burst train.
+fn bursty_envelope(t: f64) -> f64 {
+    if (t / 0.4).fract() < 0.5 {
+        BURSTY_PEAK
+    } else {
+        0.25
     }
 }
 
 /// One client's deterministic arrival schedule (seconds from run start):
-/// a Poisson process at `rate` req/s shaped by `pattern` via thinning.
-/// The same seed always yields the same offered traffic.
-fn arrival_schedule(seed: u64, rate: f64, pattern: Pattern, duration: f64) -> Vec<f64> {
+/// a Poisson process at `rate` req/s shaped by [`bursty_envelope`] via
+/// thinning. The same seed always yields the same offered traffic.
+fn arrival_schedule(seed: u64, rate: f64, duration: f64) -> Vec<f64> {
     let mut rng = Rng::seed(seed);
-    let lam_max = (rate * pattern.peak()).max(1e-9);
+    let lam_max = (rate * BURSTY_PEAK).max(1e-9);
     let mut t = 0.0f64;
     let mut out = Vec::new();
     loop {
@@ -966,7 +924,7 @@ fn arrival_schedule(seed: u64, rate: f64, pattern: Pattern, duration: f64) -> Ve
         if t >= duration {
             return out;
         }
-        let keep = pattern.envelope(t, duration) * rate / lam_max;
+        let keep = bursty_envelope(t) * rate / lam_max;
         if (rng.uniform(0.0, 1.0) as f64) < keep {
             out.push(t);
         }
@@ -986,7 +944,7 @@ struct OpenLoopOutcome {
 
 /// Open-loop load generation: `clients` independent connections, each
 /// firing requests on a precomputed seeded schedule totalling `rate`
-/// req/s across the fleet, shaped by `pattern`. Arrivals are paced by the
+/// req/s across the fleet, in bursts. Arrivals are paced by the
 /// schedule, not by responses (a lagging client sends its overdue
 /// requests back-to-back), so offered load keeps pressing a saturated
 /// server — exactly what distinguishes open- from closed-loop load.
@@ -997,7 +955,6 @@ fn open_loop_run(
     addr: std::net::SocketAddr,
     clients: usize,
     rate: f64,
-    pattern: Pattern,
     duration: f64,
     seed: u64,
     window: &[f32],
@@ -1010,7 +967,6 @@ fn open_loop_run(
             let sched = arrival_schedule(
                 seed.wrapping_mul(0x9e37_79b9).wrapping_add(c as u64),
                 per_client,
-                pattern,
                 duration,
             );
             let mut req = bench_request(window);
@@ -1233,318 +1189,167 @@ fn stream_series(
     out
 }
 
-/// `lttf bench-serve`: serving-tier benchmarks, three modes.
+/// Start a bench server for `model` on an ephemeral loopback port.
+fn bench_server(
+    model: lttf::serve::LoadedModel,
+    cfg: lttf::serve::ServeConfig,
+) -> lttf::serve::ServerHandle {
+    let registry = lttf::serve::Registry::single("bench", model);
+    lttf::serve::serve(registry, "127.0.0.1:0", cfg).unwrap_or_else(|e| {
+        eprintln!("cannot start server: {e}");
+        exit(1);
+    })
+}
+
+/// `lttf bench-serve`: the serving-tier runs that `scripts/bench_check.sh`
+/// and `scripts/ci.sh` gate on.
 ///
-/// * `--mode closed` — the original closed-loop batching comparison
-///   (`max_batch` 1 vs N, client threads in lock-step).
-/// * `--mode open` — one open-loop run against a replicated server with
-///   seeded bursty/diurnal/uniform arrivals; prints and records offered
-///   vs completed throughput and the shed count.
-/// * `--mode scaling` — the replica-scaling curve: the same open-loop
-///   traffic against 1, 2, and 4 replicas.
+/// * `--mode scaling` — the replica-scaling curve: seeded bursty
+///   open-loop traffic against 1, 2, and 4 replicas
+///   (`open_loop_bursty/replicas_N` and `replica_speedup` rows).
 /// * `--mode stream` — the regime-shift streaming comparison: train a
 ///   small Conformer on the pre-shift half of a synthetic series with an
 ///   abrupt 5σ level shift, stream the whole series through a session
 ///   (`open`/`push`/`close`) against a frozen server and against one
 ///   with drift-triggered online adaptation, and record pre/post-shift
 ///   MSE for both (`stream_frozen` / `stream_adapted` rows).
-/// * `--mode all` (default) — `closed` + `scaling` + `stream`, the
-///   committed `results/BENCH_serve.json` set.
+/// * `--mode memory` — peak bytes and allocations per request over a
+///   closed-loop burst of `--threads` clients x `--requests` each
+///   (`BENCH_memory.json`).
+/// * `--mode all` (default) — all three: scaling and stream rows go to
+///   `BENCH_serve.json`, the memory row to `BENCH_memory.json`.
 ///
-/// Scaling runs give the model a **service-time floor**
-/// (`--service-floor-ms`): each batch forward takes at least that long,
-/// sleeping out the remainder. This calibrates the bench to a realistic
-/// model service time and — crucially on small CI hosts — isolates the
-/// serving tier being measured (dispatch, queues, batching) from raw
-/// model compute, which would otherwise serialize every replica onto
-/// however few cores the host has. The floor and the host's core count
-/// are recorded in every affected entry.
+/// The workloads are the constants below, the values every committed
+/// row was recorded at. Scaling runs give the model a **service-time
+/// floor**: each batch forward takes at least that long, sleeping out the
+/// remainder. This calibrates the bench to a realistic model service time
+/// and — crucially on small CI hosts — isolates the serving tier being
+/// measured (dispatch, queues, batching) from raw model compute, which
+/// would otherwise serialize every replica onto however few cores the
+/// host has. The floor and the host's core count are recorded in every
+/// affected entry.
 fn cmd_bench_serve(flags: HashMap<String, String>) {
     use lttf::obs::JsonObj;
+    use lttf::serve::{AdaptConfig, BatchConfig, DriftConfig, LoadedModel, ServeConfig};
+    const SEED: u64 = 42;
+    // Scaling: open-loop clients, aggregate offered req/s, run length.
+    const CLIENTS: usize = 160;
+    const RATE: f64 = 900.0;
+    const DURATION_S: f64 = 4.0;
+    const SERVICE_FLOOR_MS: f64 = 40.0;
+    // Stream: series rows, level shift in train stds, model window.
+    const STREAM_LEN: usize = 640;
+    const STREAM_SHIFT: f32 = 5.0;
+    const STREAM_LX: usize = 24;
+    const STREAM_LY: usize = 8;
+    // Memory: the model and batching the burst runs against.
+    const LX: usize = 48;
+    const D_MODEL: usize = 16;
+    const MAX_BATCH: usize = 8;
+    const MAX_WAIT_MS: u64 = 2;
+
     let mode = flags.get("mode").map(String::as_str).unwrap_or("all");
+    if !matches!(mode, "scaling" | "stream" | "memory" | "all") {
+        eprintln!("unknown mode '{mode}' (expected scaling|stream|memory|all)");
+        exit(2);
+    }
+    let runs = |m: &str| mode == m || mode == "all";
     let threads = get(&flags, "threads", 8usize);
     let requests = get(&flags, "requests", 40usize); // per thread
-    let max_batch = get(&flags, "max-batch", 8usize);
-    let max_wait_ms = get(&flags, "max-wait-ms", 2u64);
-    let lx = get(&flags, "lx", 48usize);
-    let d_model = get(&flags, "d-model", 16usize);
-    let clients = get(&flags, "clients", 160usize);
-    let rate = get(&flags, "rate", 900.0f64);
-    let duration = get(&flags, "duration-ms", 4000u64) as f64 / 1e3;
-    let pattern = Pattern::parse(flags.get("pattern").map(String::as_str).unwrap_or("bursty"));
-    let service_floor_ms = get(&flags, "service-floor-ms", 40.0f64);
-    let open_replicas = get(&flags, "replicas", 2usize);
-    let seed = get(&flags, "seed", 42u64);
     let out_dir = flags
         .get("out-dir")
         .map(String::as_str)
         .unwrap_or("results");
 
-    // Closed-loop model: dims=3, lx 48 — heavy enough that batching shows.
-    let mut cfg = ConformerConfig::new(3, lx, lx / 2);
-    cfg.d_model = d_model;
-    cfg.n_heads = if d_model.is_multiple_of(4) { 4 } else { 2 };
-    cfg.multiscale_strides = vec![1, (lx / 4).max(2)];
-    let window_len = cfg.lx * cfg.c_in;
-    let make_model = || {
-        let model = TrainedModel::from_conformer(&cfg, 7);
-        let fit_on = Tensor::randn(&[256, cfg.c_in], &mut Rng::seed(5))
-            .mul_scalar(2.0)
-            .add_scalar(1.0);
-        let scaler = lttf::data::StandardScaler::fit(&fit_on);
-        lttf::serve::LoadedModel::from_parts(model, cfg.clone(), scaler, "y".to_string(), 0)
-    };
-    let window = Tensor::randn(&[window_len], &mut Rng::seed(6)).data().to_vec();
-
-    // Open-loop model: the smallest architecture in the repo plus the
-    // service-time floor, so the serving tier — not the forward pass — is
-    // what the replica curve measures.
-    let open_cfg = ConformerConfig::tiny(2, 8, 4);
-    let open_window_len = open_cfg.lx * open_cfg.c_in;
-    let make_open_model = || {
-        let model = TrainedModel::from_conformer(&open_cfg, 3);
-        let fit_on = Tensor::randn(&[64, open_cfg.c_in], &mut Rng::seed(9))
-            .mul_scalar(3.0)
-            .add_scalar(5.0);
-        let scaler = lttf::data::StandardScaler::fit(&fit_on);
-        let mut m = lttf::serve::LoadedModel::from_parts(
-            model,
-            open_cfg.clone(),
-            scaler,
-            "OT".to_string(),
-            1,
-        );
-        m.set_service_floor_ms(service_floor_ms);
-        m
-    };
-    let open_window = Tensor::randn(&[open_window_len], &mut Rng::seed(8)).data().to_vec();
-    let open_serve_cfg = |replicas: usize| lttf::serve::ServeConfig {
-        batch: lttf::serve::BatchConfig {
-            max_batch: 8,
-            max_wait_ms: 5,
-            queue_cap: 16,
-        },
-        replicas,
-        policy: lttf::serve::Policy::RoundRobin,
-        threads_per_replica: Some(1),
-        seed,
-        ..lttf::serve::ServeConfig::default()
-    };
-
     let mut lines = Vec::new();
 
-    let open_entry = |label: &str,
-                      replicas: usize,
-                      out: &OpenLoopOutcome,
-                      summary: &lttf::serve::LatencySummary| {
-        let offered = out.sent as f64 / out.elapsed.as_secs_f64();
-        let rps = out.completed as f64 / out.elapsed.as_secs_f64();
-        JsonObj::new()
-            .str("suite", "serve")
-            .str("bench", label)
-            .int("clients", clients as u64)
-            .int("replicas", replicas as u64)
-            .str("pattern", pattern.name())
-            .num("service_floor_ms", service_floor_ms)
-            .int("host_cores", host_cores())
-            .num("offered_rps", offered)
-            .num("rps", rps)
-            .int("sent", out.sent)
-            .int("completed", out.completed)
-            .int("shed", out.shed)
-            .int("failed", out.failed)
-            .int("min_ns", summary.min_ns)
-            .int("mean_ns", summary.mean_ns)
-            .int("median_ns", summary.p50_ns)
-            .int("p95_ns", summary.p95_ns)
-            .int("p99_ns", summary.p99_ns)
-            .int("max_ns", summary.max_ns)
-            .finish()
-    };
-
-    let run_open = |replicas: usize, lines: &mut Vec<String>| -> f64 {
-        let registry = lttf::serve::Registry::single("bench", make_open_model());
-        let handle = lttf::serve::serve(registry, "127.0.0.1:0", open_serve_cfg(replicas))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot start server: {e}");
-                exit(1);
-            });
-        let out = open_loop_run(
-            handle.addr(),
-            clients,
-            rate,
-            pattern,
-            duration,
-            seed,
-            &open_window,
-        );
-        handle.shutdown();
-        let summary = lttf::serve::LatencySummary::from(&out.stats);
-        let offered = out.sent as f64 / out.elapsed.as_secs_f64();
-        let rps = out.completed as f64 / out.elapsed.as_secs_f64();
+    if runs("scaling") {
         println!(
-            "open/{} replicas {replicas}: offered {offered:.0} rps, completed {rps:.0} rps, \
-             shed {}, failed {}, {}",
-            pattern.name(),
-            out.shed,
-            out.failed,
-            summary.render()
+            "bench-serve replica scaling: {CLIENTS} clients, {RATE:.0} rps offered, bursty \
+             arrivals, floor {SERVICE_FLOOR_MS} ms, replicas 1/2/4"
         );
-        if out.failed > 0 {
-            if let Some(e) = &out.first_error {
-                eprintln!("warning: {} hard failures (first: {e})", out.failed);
-            }
-        }
-        lines.push(open_entry(
-            &format!("open_loop_{}/replicas_{replicas}", pattern.name()),
-            replicas,
-            &out,
-            &summary,
-        ));
-        rps
-    };
-
-    if mode == "closed" || mode == "all" {
-        // Single-client row first: one connection issuing requests
-        // back-to-back, so every request is a batch=1 forward pass with no
-        // queueing — the committed p50/p95 here tracks the kernel-level
-        // single-request latency across PRs (the SIMD work moves this row).
-        {
-            let n = threads * requests; // same total as one matrix cell
-            println!("bench-serve closed loop, single client: {n} sequential batch=1 requests");
-            let registry = lttf::serve::Registry::single("bench", make_model());
-            let handle = lttf::serve::serve(
-                registry,
-                "127.0.0.1:0",
-                lttf::serve::ServeConfig {
-                    batch: lttf::serve::BatchConfig {
-                        max_batch: 1,
-                        max_wait_ms,
-                        queue_cap: 32,
-                    },
-                    ..lttf::serve::ServeConfig::default()
-                },
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot start server: {e}");
-                exit(1);
-            });
-            let (elapsed, summary) = bench_serve_run(handle.addr(), 1, n, &window);
-            handle.shutdown();
-            let throughput = n as f64 / elapsed.as_secs_f64();
-            println!("single client: {throughput:.1} req/s, {}", summary.render());
-            lines.push(
-                JsonObj::new()
-                    .str("suite", "serve")
-                    .str("bench", "closed_loop_single_client/max_batch_1")
-                    .int("threads", 1)
-                    .int("requests", n as u64)
-                    .int("max_batch", 1)
-                    .num("rps", throughput)
-                    .int("min_ns", summary.min_ns)
-                    .int("mean_ns", summary.mean_ns)
-                    .int("median_ns", summary.p50_ns)
-                    .int("p95_ns", summary.p95_ns)
-                    .int("p99_ns", summary.p99_ns)
-                    .int("max_ns", summary.max_ns)
-                    .finish(),
-            );
-        }
-
-        println!(
-            "bench-serve closed loop: {threads} client threads x {requests} requests, lx {lx}, \
-             d_model {d_model}, max_batch 1 vs {max_batch}"
-        );
-        let mut rps = Vec::new();
-        for batch in [1usize, max_batch] {
-            let registry = lttf::serve::Registry::single("bench", make_model());
-            let handle = lttf::serve::serve(
-                registry,
-                "127.0.0.1:0",
-                lttf::serve::ServeConfig {
-                    batch: lttf::serve::BatchConfig {
-                        max_batch: batch,
-                        max_wait_ms,
-                        queue_cap: (threads * 4).max(32),
-                    },
-                    ..lttf::serve::ServeConfig::default()
-                },
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot start server: {e}");
-                exit(1);
-            });
-            let (elapsed, summary) = bench_serve_run(handle.addr(), threads, requests, &window);
-            handle.shutdown();
-            let total = threads * requests;
-            let throughput = total as f64 / elapsed.as_secs_f64();
-            println!(
-                "max_batch {batch}: {throughput:.1} req/s, {}",
-                summary.render()
-            );
-            rps.push(throughput);
-            lines.push(
-                JsonObj::new()
-                    .str("suite", "serve")
-                    .str("bench", &format!("closed_loop/max_batch_{batch}"))
-                    .int("threads", threads as u64)
-                    .int("requests", total as u64)
-                    .int("max_batch", batch as u64)
-                    .num("rps", throughput)
-                    .int("min_ns", summary.min_ns)
-                    .int("mean_ns", summary.mean_ns)
-                    .int("median_ns", summary.p50_ns)
-                    .int("p95_ns", summary.p95_ns)
-                    .int("p99_ns", summary.p99_ns)
-                    .int("max_ns", summary.max_ns)
-                    .finish(),
-            );
-        }
-        let speedup = rps[1] / rps[0].max(1e-9);
-        println!("batching speedup: {speedup:.2}x over max_batch=1");
-        lines.push(
-            JsonObj::new()
-                .str("suite", "serve")
-                .str("bench", "batching_speedup")
-                .int("threads", threads as u64)
-                .int("max_batch", max_batch as u64)
-                .num("speedup", speedup)
-                .int("min_ns", 0)
-                .int("mean_ns", 0)
-                .int("median_ns", 0)
-                .finish(),
-        );
-    }
-
-    if mode == "open" {
-        println!(
-            "bench-serve open loop: {clients} clients, {rate:.0} rps offered, {} arrivals, \
-             {open_replicas} replica(s), floor {service_floor_ms} ms",
-            pattern.name()
-        );
-        run_open(open_replicas, &mut lines);
-    }
-
-    if mode == "scaling" || mode == "all" {
-        println!(
-            "bench-serve replica scaling: {clients} clients, {rate:.0} rps offered, {} arrivals, \
-             floor {service_floor_ms} ms, replicas 1/2/4",
-            pattern.name()
-        );
+        // The smallest architecture in the repo plus the service-time
+        // floor, so the serving tier — not the forward pass — is what the
+        // replica curve measures.
+        let cfg = ConformerConfig::tiny(2, 8, 4);
+        let window = Tensor::randn(&[cfg.lx * cfg.c_in], &mut Rng::seed(8))
+            .data()
+            .to_vec();
         let mut by_replicas = Vec::new();
         for replicas in [1usize, 2, 4] {
-            by_replicas.push((replicas, run_open(replicas, &mut lines)));
+            let fit_on = Tensor::randn(&[64, cfg.c_in], &mut Rng::seed(9))
+                .mul_scalar(3.0)
+                .add_scalar(5.0);
+            let scaler = lttf::data::StandardScaler::fit(&fit_on);
+            let model = TrainedModel::from_conformer(&cfg, 3);
+            let mut model = LoadedModel::from_parts(model, cfg.clone(), scaler, "OT".into(), 1);
+            model.set_service_floor_ms(SERVICE_FLOOR_MS);
+            let handle = bench_server(
+                model,
+                ServeConfig {
+                    batch: BatchConfig {
+                        max_batch: 8,
+                        max_wait_ms: 5,
+                        queue_cap: 16,
+                    },
+                    replicas,
+                    policy: lttf::serve::Policy::RoundRobin,
+                    threads_per_replica: Some(1),
+                    seed: SEED,
+                    ..ServeConfig::default()
+                },
+            );
+            let out = open_loop_run(handle.addr(), CLIENTS, RATE, DURATION_S, SEED, &window);
+            handle.shutdown();
+            let summary = lttf::serve::LatencySummary::from(&out.stats);
+            let offered = out.sent as f64 / out.elapsed.as_secs_f64();
+            let rps = out.completed as f64 / out.elapsed.as_secs_f64();
+            println!(
+                "open/bursty replicas {replicas}: offered {offered:.0} rps, completed {rps:.0} \
+                 rps, shed {}, failed {}, {}",
+                out.shed,
+                out.failed,
+                summary.render()
+            );
+            if out.failed > 0 {
+                if let Some(e) = &out.first_error {
+                    eprintln!("warning: {} hard failures (first: {e})", out.failed);
+                }
+            }
+            lines.push(
+                JsonObj::new()
+                    .str("suite", "serve")
+                    .str("bench", &format!("open_loop_bursty/replicas_{replicas}"))
+                    .int("clients", CLIENTS as u64)
+                    .int("replicas", replicas as u64)
+                    .str("pattern", "bursty")
+                    .num("service_floor_ms", SERVICE_FLOOR_MS)
+                    .int("host_cores", host_cores())
+                    .num("offered_rps", offered)
+                    .num("rps", rps)
+                    .int("sent", out.sent)
+                    .int("completed", out.completed)
+                    .int("shed", out.shed)
+                    .int("failed", out.failed)
+                    .int("min_ns", summary.min_ns)
+                    .int("mean_ns", summary.mean_ns)
+                    .int("median_ns", summary.p50_ns)
+                    .int("p95_ns", summary.p95_ns)
+                    .int("p99_ns", summary.p99_ns)
+                    .int("max_ns", summary.max_ns)
+                    .finish(),
+            );
+            by_replicas.push(rps);
         }
-        let r1 = by_replicas[0].1.max(1e-9);
-        let speedup = by_replicas.last().unwrap().1 / r1;
+        let speedup = by_replicas[2] / by_replicas[0].max(1e-9);
         println!("replica speedup: {speedup:.2}x at 4 replicas over 1");
         lines.push(
             JsonObj::new()
                 .str("suite", "serve")
                 .str("bench", "replica_speedup")
-                .int("clients", clients as u64)
-                .str("pattern", pattern.name())
-                .num("service_floor_ms", service_floor_ms)
+                .int("clients", CLIENTS as u64)
+                .str("pattern", "bursty")
+                .num("service_floor_ms", SERVICE_FLOOR_MS)
                 .int("host_cores", host_cores())
                 .num("speedup", speedup)
                 .int("min_ns", 0)
@@ -1554,18 +1359,14 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         );
     }
 
-    if mode == "stream" || mode == "all" {
-        let stream_len = get(&flags, "stream-len", 640usize);
-        let stream_shift = get(&flags, "stream-shift", 5.0f32);
-        let stream_lx = get(&flags, "stream-lx", 24usize);
-        let stream_ly = get(&flags, "stream-ly", 8usize);
-        let shift_at = stream_len / 2;
+    if runs("stream") {
+        let shift_at = STREAM_LEN / 2;
         let spec = lttf::eval::RegimeSpec {
-            len: stream_len,
+            len: STREAM_LEN,
             dims: 2,
             shift_at,
-            shift: stream_shift,
-            seed,
+            shift: STREAM_SHIFT,
+            seed: SEED,
         };
         let series = lttf::eval::generate_regime(&spec);
         let (t0, dt) = (1_700_000_000i64, 3600i64);
@@ -1580,19 +1381,19 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
             1,
             lttf::data::Freq::Irregular,
         );
-        let mut scfg = ConformerConfig::new(2, stream_lx, stream_ly);
+        let mut scfg = ConformerConfig::new(2, STREAM_LX, STREAM_LY);
         scfg.d_model = 8;
         scfg.n_heads = 2;
-        scfg.multiscale_strides = vec![1, (stream_lx / 4).max(2)];
+        scfg.multiscale_strides = vec![1, STREAM_LX / 4];
         let train_set = WindowDataset::new(
             &ts,
             Split::Train,
             (0.9, 0.05),
-            stream_lx,
-            stream_ly,
-            stream_lx / 2,
+            STREAM_LX,
+            STREAM_LY,
+            STREAM_LX / 2,
         );
-        let mut trained = TrainedModel::from_conformer(&scfg, seed);
+        let mut trained = TrainedModel::from_conformer(&scfg, SEED);
         println!(
             "bench-serve stream: training on {} pre-shift rows ({} params)…",
             shift_at,
@@ -1610,9 +1411,9 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 lr_decay: 0.7,
                 max_batches: 60,
                 clip: 5.0,
-                seed,
+                seed: SEED,
                 val_max_windows: usize::MAX,
-                health: health_flags(&flags),
+                health: HealthConfig::default(),
             },
         );
         let snapshot = trained.params().snapshot();
@@ -1622,25 +1423,25 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         // Frozen vs adapting: same checkpoint, same traffic, same seed —
         // the only difference is the background adapter.
         let make_stream_model = || {
-            let mut m = TrainedModel::from_conformer(&scfg, seed);
+            let mut m = TrainedModel::from_conformer(&scfg, SEED);
             m.params_mut().restore(&snapshot);
-            lttf::serve::LoadedModel::from_parts(m, scfg.clone(), scaler.clone(), "y".into(), 1)
+            LoadedModel::from_parts(m, scfg.clone(), scaler.clone(), "y".into(), 1)
                 .with_profile(profile.clone())
         };
-        let stream_serve_cfg = |adapt_on: bool| lttf::serve::ServeConfig {
-            batch: lttf::serve::BatchConfig {
+        let stream_serve_cfg = |adapt_on: bool| ServeConfig {
+            batch: BatchConfig {
                 max_batch: 4,
                 max_wait_ms: 2,
                 queue_cap: 64,
             },
             replicas: 1,
-            seed,
-            drift: lttf::serve::DriftConfig {
+            seed: SEED,
+            drift: DriftConfig {
                 window_ms: 60_000,
                 threshold: 1.0,
                 min_count: 32,
             },
-            adapt: lttf::serve::AdaptConfig {
+            adapt: AdaptConfig {
                 enabled: adapt_on,
                 lr: 2e-2,
                 steps: 10,
@@ -1648,21 +1449,16 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 buffer: 64,
                 min_examples: 8,
                 interval_ms: 50,
-                ..lttf::serve::AdaptConfig::default()
+                ..AdaptConfig::default()
             },
-            ..lttf::serve::ServeConfig::default()
+            ..ServeConfig::default()
         };
         let run_stream = |label: &str, adapt_on: bool, lines: &mut Vec<String>| -> f64 {
-            let registry = lttf::serve::Registry::single("bench", make_stream_model());
-            let handle = lttf::serve::serve(registry, "127.0.0.1:0", stream_serve_cfg(adapt_on))
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot start server: {e}");
-                    exit(1);
-                });
+            let handle = bench_server(make_stream_model(), stream_serve_cfg(adapt_on));
             let out = stream_series(
                 handle.addr(),
                 &series,
-                stream_ly,
+                STREAM_LY,
                 shift_at,
                 1,
                 t0,
@@ -1691,11 +1487,11 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 JsonObj::new()
                     .str("suite", "serve")
                     .str("bench", label)
-                    .int("rows", stream_len as u64)
+                    .int("rows", STREAM_LEN as u64)
                     .int("shift_at", shift_at as u64)
-                    .num("shift", stream_shift as f64)
-                    .int("lx", stream_lx as u64)
-                    .int("ly", stream_ly as u64)
+                    .num("shift", STREAM_SHIFT as f64)
+                    .int("lx", STREAM_LX as u64)
+                    .int("ly", STREAM_LY as u64)
                     .int("pushes", out.pushes)
                     .int("forecasts", out.forecasts)
                     .int("adapted_forecasts", out.adapted_forecasts)
@@ -1721,7 +1517,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
     }
 
     let mut mem_lines = Vec::new();
-    if mode == "memory" || mode == "all" {
+    if runs("memory") {
         // Peak-memory and allocation-rate bench: one closed-loop burst
         // against a batching server, bracketed by allocator snapshots so
         // the per-request allocation rate and process peak are attributed
@@ -1731,25 +1527,32 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         let n = threads * requests;
         println!(
             "bench-serve memory: {threads} client threads x {requests} requests, \
-             lx {lx}, d_model {d_model}, max_batch {max_batch}"
+             lx {LX}, d_model {D_MODEL}, max_batch {MAX_BATCH}"
         );
-        let registry = lttf::serve::Registry::single("bench", make_model());
-        let handle = lttf::serve::serve(
-            registry,
-            "127.0.0.1:0",
-            lttf::serve::ServeConfig {
-                batch: lttf::serve::BatchConfig {
-                    max_batch,
-                    max_wait_ms,
+        // dims 3, lx 48: the canonical model, heavy enough that batching shows.
+        let mut cfg = ConformerConfig::new(3, LX, LX / 2);
+        cfg.d_model = D_MODEL;
+        cfg.n_heads = 4;
+        cfg.multiscale_strides = vec![1, LX / 4];
+        let window = Tensor::randn(&[cfg.lx * cfg.c_in], &mut Rng::seed(6))
+            .data()
+            .to_vec();
+        let fit_on = Tensor::randn(&[256, cfg.c_in], &mut Rng::seed(5))
+            .mul_scalar(2.0)
+            .add_scalar(1.0);
+        let scaler = lttf::data::StandardScaler::fit(&fit_on);
+        let model = TrainedModel::from_conformer(&cfg, 7);
+        let handle = bench_server(
+            LoadedModel::from_parts(model, cfg, scaler, "y".to_string(), 0),
+            ServeConfig {
+                batch: BatchConfig {
+                    max_batch: MAX_BATCH,
+                    max_wait_ms: MAX_WAIT_MS,
                     queue_cap: (threads * 4).max(32),
                 },
-                ..lttf::serve::ServeConfig::default()
+                ..ServeConfig::default()
             },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot start server: {e}");
-            exit(1);
-        });
+        );
         // Warm-up burst: one-time lazy allocations (pool threads, pack
         // buffers, connection scratch) must not count against the
         // steady-state per-request rate.
@@ -1781,7 +1584,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 .str("bench", "memory/closed_loop")
                 .int("threads", threads as u64)
                 .int("requests", n as u64)
-                .int("max_batch", max_batch as u64)
+                .int("max_batch", MAX_BATCH as u64)
                 .int("peak_bytes", peak_bytes)
                 .int("live_bytes", live_bytes)
                 .int("allocs_per_request", allocs_per_request)
@@ -1794,10 +1597,6 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         );
     }
 
-    if !matches!(mode, "closed" | "open" | "scaling" | "stream" | "memory" | "all") {
-        eprintln!("unknown mode '{mode}' (expected closed|open|scaling|stream|memory|all)");
-        exit(2);
-    }
     let write = |path: &str, lines: &[String]| {
         let io = || -> std::io::Result<()> {
             std::fs::create_dir_all(out_dir)?;
@@ -1878,17 +1677,44 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let flags = parse_flags(rest);
-    match cmd.as_str() {
-        "generate" => cmd_generate(flags),
-        "train" => cmd_train(flags),
-        "forecast" => cmd_forecast(flags),
-        "profile" => cmd_profile(flags),
-        "serve" => cmd_serve(flags),
-        "watch" => cmd_watch(flags),
-        "bench-serve" => cmd_bench_serve(flags),
+    // Each subcommand with the flags it reads.
+    type Run = fn(HashMap<String, String>);
+    let (run, keys): (Run, &[&str]) = match cmd.as_str() {
+        "generate" => (cmd_generate, &["dataset", "len", "dims", "seed", "out"]),
+        "train" => (
+            cmd_train,
+            &[
+                "data", "target", "lx", "ly", "d-model", "epochs", "seed", "log", "out",
+                "health-every", "health-acts", "health-warn-only", "health-max-grad-norm",
+            ],
+        ),
+        "forecast" => (cmd_forecast, &["data", "model", "samples", "coverage"]),
+        "profile" => (
+            cmd_profile,
+            &[
+                "smoke", "mode", "lx", "ly", "d-model", "batch", "epochs", "len", "dims", "seed",
+                "threads", "name", "out-dir", "health-every", "health-acts", "health-warn-only",
+                "health-max-grad-norm",
+            ],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                "model", "port", "policy", "threads-per-replica", "rate", "shed-depth",
+                "max-batch", "max-wait-ms", "queue-cap", "replicas", "seed", "burst",
+                "drift-threshold", "drift-min-count", "sessions", "session-ttl-ms", "adapt",
+                "adapt-lr", "adapt-steps", "adapt-batch", "adapt-buffer", "adapt-min-examples",
+                "adapt-interval-ms",
+            ],
+        ),
+        "watch" => (
+            cmd_watch,
+            &["host", "port", "interval-ms", "iters", "model", "scrape-out", "no-clear"],
+        ),
+        "bench-serve" => (cmd_bench_serve, &["mode", "threads", "requests", "out-dir"]),
         _ => usage(),
-    }
+    };
+    run(parse_flags(cmd, keys, rest));
 
     if let Some(path) = flame_out {
         write_flame(&path);

@@ -194,6 +194,31 @@ fn unknown_subcommand_fails() {
     assert!(!out.status.success());
 }
 
+/// `lttf <args>` must fail before doing any work, naming `needle` on
+/// stderr.
+fn refused(args: &[&str], needle: &str) {
+    let dir = workdir().join("refused");
+    let out = Command::new(env!("CARGO_BIN_EXE_lttf"))
+        .args(args)
+        .args(["--out-dir"])
+        .arg(&dir)
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} exited 0");
+    assert!(stderr.contains(needle), "{args:?}: stderr lacks '{needle}':\n{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.is_empty(), "{args:?} ran work first:\n{stdout}");
+    assert!(!dir.exists(), "{args:?} wrote {}", dir.display());
+}
+
+#[test]
+fn unknown_flags_and_modes_fail_before_any_work() {
+    refused(&["profile", "--flame", "x"], "unknown flag --flame for lttf profile");
+    refused(&["bench-serve", "--rate", "5"], "unknown flag --rate for lttf bench-serve");
+    refused(&["bench-serve", "--mode", "closed"], "unknown mode 'closed'");
+}
+
 #[test]
 fn missing_required_flag_fails() {
     let out = Command::new(env!("CARGO_BIN_EXE_lttf"))
