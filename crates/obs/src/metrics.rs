@@ -12,6 +12,8 @@
 //!
 //! [Prometheus text format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
+use std::collections::btree_map::{BTreeMap, Entry};
+
 use crate::registry::{Kind, SpanSnapshot};
 
 /// Rewrite an arbitrary registry name into a legal metric-name chunk:
@@ -167,14 +169,50 @@ impl MetricsText {
 // Strict exposition validation (the `metrics_check` binary's engine)
 // ---------------------------------------------------------------------------
 
-/// What [`validate`] accepted: series/line counts for the `ok` summary.
-pub struct ExpositionSummary {
+/// A document [`validate`] accepted: its counts for the `ok` summary
+/// line, and every sample for [`Exposition::get`] to look up.
+pub struct Exposition {
     /// Sample lines (comments excluded).
     pub samples: usize,
     /// Distinct metric names.
     pub names: usize,
     /// Histogram families checked for `le` monotonicity.
     pub histograms: usize,
+    /// Every sample, keyed by name and sorted labels.
+    series: BTreeMap<Series, f64>,
+}
+
+/// A sample's identity: its metric name and its labels, sorted by name.
+type Series = (String, Vec<(String, String)>);
+
+impl Exposition {
+    /// The value of the sample `name{labels}`, labels in any order;
+    /// `None` when the document has no such series.
+    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        labels.sort();
+        self.series.get(&(name.to_string(), labels)).copied()
+    }
+
+    /// Every value the label `label` takes across the samples named
+    /// `name`, in series order.
+    pub fn label_values(&self, name: &str, label: &str) -> Vec<&str> {
+        self.series
+            .range((name.to_string(), Vec::new())..)
+            .take_while(|((n, _), _)| n == name)
+            .filter_map(|((_, labels), _)| labels.iter().find(|(k, _)| k == label))
+            .map(|(_, v)| v.as_str())
+            .collect()
+    }
+}
+
+/// `name{k="v",...}`, the form a series takes in error messages.
+fn display(name: &str, labels: &[(String, String)]) -> String {
+    let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+    format!("{name}{{{}}}", labels.join(","))
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -192,8 +230,8 @@ fn valid_label_name(name: &str) -> bool {
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Parse one sample line into `(name, sorted labels, value)`.
-fn parse_sample(line: &str) -> Result<(String, Vec<(String, String)>, f64), String> {
+/// Parse one sample line into `((name, sorted labels), value)`.
+fn parse_sample(line: &str) -> Result<(Series, f64), String> {
     let name_end = line
         .find(|c| c == '{' || c == ' ')
         .ok_or("missing value (no space)")?;
@@ -261,7 +299,7 @@ fn parse_sample(line: &str) -> Result<(String, Vec<(String, String)>, f64), Stri
     if bytes.get(i) != Some(&b' ') {
         return Err("expected space before value".into());
     }
-    Ok((name.to_string(), labels, parse_value(&line[i + 1..])?))
+    Ok(((name.to_string(), labels), parse_value(&line[i + 1..])?))
 }
 
 fn parse_value(tok: &str) -> Result<f64, String> {
@@ -288,19 +326,16 @@ fn parse_value(tok: &str) -> Result<f64, String> {
 /// matching `_count` series equal to the `+Inf` bucket, and a matching
 /// `_sum` series; `_total`-suffixed samples must be non-negative.
 /// `#`-prefixed comment lines are skipped; empty lines are rejected.
-pub fn validate(text: &str) -> Result<ExpositionSummary, String> {
+pub fn validate(text: &str) -> Result<Exposition, String> {
     if text.is_empty() {
         return Err("empty document".into());
     }
     if !text.ends_with('\n') {
         return Err("missing trailing newline".into());
     }
-    let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    let mut names: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    // base name + canonical non-le labels -> [(le, cumulative count)]
-    let mut hist_buckets: std::collections::BTreeMap<String, Vec<(f64, f64)>> =
-        std::collections::BTreeMap::new();
-    let mut plain: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
+    let mut series: BTreeMap<Series, f64> = BTreeMap::new();
+    // base name + non-le labels -> [(le, cumulative count)]
+    let mut hist_buckets: BTreeMap<Series, Vec<(f64, f64)>> = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
         let ctx = |e: String| format!("line {}: {e}", lineno + 1);
         if line.starts_with('#') {
@@ -309,47 +344,38 @@ pub fn validate(text: &str) -> Result<ExpositionSummary, String> {
         if line.is_empty() {
             return Err(ctx("empty line".into()));
         }
-        let (name, labels, value) = parse_sample(line).map_err(ctx)?;
-        let key = format!(
-            "{name}{{{}}}",
-            labels
-                .iter()
-                .map(|(k, v)| format!("{k}={v:?}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        if !seen.insert(key.clone()) {
-            return Err(ctx(format!("duplicate series {key}")));
-        }
+        let ((name, labels), value) = parse_sample(line).map_err(ctx)?;
         if name.ends_with("_total") && value < 0.0 {
             return Err(ctx(format!("counter {name} is negative ({value})")));
         }
-        names.insert(name.clone());
         if let Some(base) = name.strip_suffix("_bucket") {
             let le = labels
                 .iter()
                 .find(|(k, _)| k == "le")
                 .ok_or_else(|| ctx(format!("{name} sample without le label")))?;
             let bound = parse_value(&le.1).map_err(|e| ctx(format!("le label: {e}")))?;
-            let others: Vec<_> = labels.iter().filter(|(k, _)| k != "le").collect();
-            let group = format!(
-                "{base}{{{}}}",
-                others
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v:?}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            hist_buckets.entry(group).or_default().push((bound, value));
-        } else {
-            plain.insert(key_for(&name, &labels), value);
+            let others: Vec<_> = labels.iter().filter(|(k, _)| k != "le").cloned().collect();
+            hist_buckets
+                .entry((base.to_string(), others))
+                .or_default()
+                .push((bound, value));
+        }
+        match series.entry((name, labels)) {
+            Entry::Occupied(e) => {
+                let (name, labels) = e.key();
+                return Err(ctx(format!("duplicate series {}", display(name, labels))));
+            }
+            Entry::Vacant(e) => {
+                e.insert(value);
+            }
         }
     }
     let histograms = hist_buckets.len();
-    for (group, buckets) in &hist_buckets {
+    for ((base, labels), buckets) in hist_buckets {
+        let group = display(&base, &labels);
         let mut last_le = f64::NEG_INFINITY;
         let mut last_count = -1.0;
-        for &(le, count) in buckets {
+        for (le, count) in buckets {
             if le.is_nan() || le <= last_le {
                 return Err(format!("{group}: le bounds not strictly ascending"));
             }
@@ -361,12 +387,7 @@ pub fn validate(text: &str) -> Result<ExpositionSummary, String> {
         if last_le != f64::INFINITY {
             return Err(format!("{group}: last bucket is not le=\"+Inf\""));
         }
-        // `group` is `base{k="v",...}`; derive the _count/_sum keys.
-        let (base, label_part) = group.split_once('{').unwrap();
-        let labels = label_part.trim_end_matches('}');
-        let count_key = format!("{base}_count{{{labels}}}");
-        let sum_key = format!("{base}_sum{{{labels}}}");
-        match plain.get(&count_key) {
+        match series.get(&(format!("{base}_count"), labels.clone())) {
             None => return Err(format!("{group}: missing {base}_count series")),
             Some(&c) if c != last_count => {
                 return Err(format!(
@@ -375,27 +396,18 @@ pub fn validate(text: &str) -> Result<ExpositionSummary, String> {
             }
             Some(_) => {}
         }
-        if !plain.contains_key(&sum_key) {
+        if !series.contains_key(&(format!("{base}_sum"), labels)) {
             return Err(format!("{group}: missing {base}_sum series"));
         }
     }
-    Ok(ExpositionSummary {
-        samples: seen.len(),
+    let mut names: Vec<&str> = series.keys().map(|(name, _)| name.as_str()).collect();
+    names.dedup();
+    Ok(Exposition {
+        samples: series.len(),
         names: names.len(),
         histograms,
+        series,
     })
-}
-
-/// Canonical series key used to cross-reference `_count`/`_sum`.
-fn key_for(name: &str, labels: &[(String, String)]) -> String {
-    format!(
-        "{name}{{{}}}",
-        labels
-            .iter()
-            .map(|(k, v)| format!("{k}={v:?}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    )
 }
 
 #[cfg(test)]
@@ -527,6 +539,75 @@ mod tests {
         let doc = "# comment\nlttf_up 1\nlttf_x{a=\"1\",b=\"q\\\"uo\\\\te\\n\"} 2.5\nlttf_neg -3.5\n";
         let s = validate(doc).unwrap();
         assert_eq!((s.samples, s.names, s.histograms), (3, 3, 0));
+    }
+
+    /// A histogram family beside label values that need every escape.
+    const FAMILY: &str = "# HELP lttf_h seconds\n\
+        lttf_up 1\n\
+        lttf_x{model=\"a\\\"b\\\\c\\nd\",gen=\"2\"} 2.5\n\
+        lttf_h_bucket{model=\"m\",le=\"0.1\"} 1\n\
+        lttf_h_bucket{model=\"m\",le=\"+Inf\"} 3\n\
+        lttf_h_sum{model=\"m\"} 0.4\n\
+        lttf_h_count{model=\"m\"} 3\n";
+
+    /// Every lookup the clients make, on a document `validate` accepted.
+    fn look_up(doc: &Exposition) -> [Option<f64>; 3] {
+        [
+            doc.get("lttf_up", &[]),
+            doc.get("lttf_x", &[("gen", "2"), ("model", "a\"b\\c\nd")]),
+            doc.get("lttf_h_count", &[("model", "m")]),
+        ]
+    }
+
+    #[test]
+    fn lookup_reads_samples_by_name_and_labels_in_any_order() {
+        let doc = validate(FAMILY).unwrap();
+        assert_eq!(look_up(&doc), [Some(1.0), Some(2.5), Some(3.0)]);
+        // Label order in the query does not matter; label values unescape.
+        assert_eq!(doc.get("lttf_x", &[("model", "a\"b\\c\nd"), ("gen", "2")]), Some(2.5));
+        assert_eq!(doc.get("lttf_h_bucket", &[("le", "+Inf"), ("model", "m")]), Some(3.0));
+        // A missing label, an extra label or another value finds nothing.
+        assert_eq!(doc.get("lttf_x", &[("gen", "2")]), None);
+        assert_eq!(doc.get("lttf_up", &[("model", "m")]), None);
+        assert_eq!(doc.get("lttf_h_count", &[("model", "n")]), None);
+        assert_eq!(doc.get("lttf_h", &[]), None);
+        assert_eq!(doc.label_values("lttf_h_bucket", "le"), ["+Inf", "0.1"]);
+        assert_eq!(doc.label_values("lttf_x", "model"), ["a\"b\\c\nd"]);
+        assert!(doc.label_values("lttf_up", "model").is_empty());
+        assert!(doc.label_values("lttf_none", "model").is_empty());
+    }
+
+    /// Every truncation and every single-byte XOR flip of [`FAMILY`]
+    /// goes through `validate` and, where it validates, every lookup:
+    /// each returns an error or a value, never a panic. One case per flip
+    /// mask, replayable with `TESTKIT_SEED`.
+    #[test]
+    fn truncated_and_flipped_expositions_never_panic_the_reader() {
+        let read = |text: &str| {
+            if let Ok(doc) = validate(text) {
+                look_up(&doc);
+                doc.label_values("lttf_h_bucket", "le");
+            }
+        };
+        for pos in 0..FAMILY.len() {
+            read(&FAMILY[..pos]);
+        }
+        let name = "metrics::truncated_and_flipped_expositions_never_panic_the_reader";
+        lttf_testkit::prop::check(
+            name,
+            lttf_testkit::prop::cases_or(16),
+            &lttf_testkit::prop::u32s(1..256),
+            |&mask| {
+                for pos in 0..FAMILY.len() {
+                    let mut bytes = FAMILY.as_bytes().to_vec();
+                    bytes[pos] ^= mask as u8;
+                    // A flip can leave invalid UTF-8; the lossy decode keeps
+                    // that input hostile (U+FFFD) instead of skipping it.
+                    read(&String::from_utf8_lossy(&bytes));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

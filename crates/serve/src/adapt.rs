@@ -141,11 +141,12 @@ impl ExampleBuffer {
     }
 }
 
-/// Where the adapter currently is in its cycle; `stats` and the watch
-/// dashboard render the label.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where the adapter currently is in its cycle; the `lttf_adapt_state`
+/// series and the watch dashboard render the label.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdaptState {
     /// Adaptation disabled (no adapter thread exists).
+    #[default]
     Off,
     /// Waiting for a drift alert or for enough examples.
     Idle,
@@ -191,7 +192,7 @@ impl AdaptState {
 }
 
 /// Lock-free adapter telemetry shared between the adapter thread and
-/// the stats/metrics render paths.
+/// the metrics render path.
 #[derive(Default)]
 pub struct AdaptShared {
     state: AtomicU8,

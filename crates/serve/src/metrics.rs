@@ -19,6 +19,8 @@
 //!   dispatch,
 //! * the drift monitor's verdict: per-feature divergence scores against
 //!   the training reference profile and the `lttf_drift_alert` flag,
+//! * session counts and the online adapter's counters and state
+//!   (`lttf_adapt_state{state="off|idle|adapting|published|rolled_back"} 1`),
 //! * the training-health watchdog state and the full observability
 //!   registry snapshot (request/connection counters, admission refusals,
 //!   dispatch spills, batch-size gauges), plus how many trace spans the
@@ -35,6 +37,7 @@ use lttf_obs::hist::LATENCY_LE_NS;
 use lttf_obs::metrics::MetricsText;
 use lttf_obs::{health, registry, trace};
 
+use crate::adapt::AdaptState;
 use crate::dispatch::ModelEntry;
 use crate::stats::FlowRates;
 
@@ -50,6 +53,8 @@ pub struct ServerGauges {
     pub session_evictions: u64,
     /// Whether online adaptation is enabled.
     pub adapt_enabled: bool,
+    /// Where the adapter is in its cycle (`Off` when disabled).
+    pub adapt_state: AdaptState,
     /// Lifetime adapter gradient steps.
     pub adapt_steps: u64,
     /// Lifetime rolled-back adaptation rounds.
@@ -175,6 +180,7 @@ pub fn render(entries: &[Arc<ModelEntry>], flow: &FlowRates, gauges: &ServerGaug
     m.line("lttf_sessions_opened_total", &[], gauges.sessions_opened as f64);
     m.line("lttf_session_evictions_total", &[], gauges.session_evictions as f64);
     m.line("lttf_adapt_enabled", &[], gauges.adapt_enabled as u8 as f64);
+    m.line("lttf_adapt_state", &[("state", gauges.adapt_state.label())], 1.0);
     m.line("lttf_adapt_steps_total", &[], gauges.adapt_steps as f64);
     m.line("lttf_adapt_rollbacks_total", &[], gauges.adapt_rollbacks as f64);
     m.line("lttf_adapt_publishes_total", &[], gauges.adapt_publishes as f64);
@@ -225,6 +231,7 @@ mod tests {
             sessions_opened: 5,
             session_evictions: 1,
             adapt_enabled: true,
+            adapt_state: AdaptState::Published,
             adapt_steps: 8,
             adapt_rollbacks: 1,
             adapt_publishes: 2,
@@ -274,6 +281,7 @@ mod tests {
         assert!(text.contains("lttf_sessions_opened_total 5\n"), "{text}");
         assert!(text.contains("lttf_session_evictions_total 1\n"), "{text}");
         assert!(text.contains("lttf_adapt_enabled 1\n"), "{text}");
+        assert!(text.contains("lttf_adapt_state{state=\"published\"} 1\n"), "{text}");
         assert!(text.contains("lttf_adapt_steps_total 8\n"), "{text}");
         assert!(text.contains("lttf_adapt_rollbacks_total 1\n"), "{text}");
         assert!(text.contains("lttf_adapt_publishes_total 2\n"), "{text}");

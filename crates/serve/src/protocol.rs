@@ -52,13 +52,11 @@
 //!
 //! **Control commands:**
 //!
-//! * `metrics` → `"metrics":"…"`, a Prometheus-style text exposition
-//!   (newlines escaped as `\n`). See [`crate::metrics`].
-//! * `stats` (`model` optional) → one model's live [`StatsReport`]:
-//!   trailing-window latency quantiles (total, queue wait, service time),
-//!   refusal/retry rates, and the drift monitor's verdict.
-//!   Machine-readable where the metrics exposition is scrape-shaped;
-//!   `lttf watch` polls it.
+//! * `metrics` ([`format_metrics_request`]) → `"metrics":"…"`, a
+//!   Prometheus-style text exposition (newlines escaped as `\n`); see
+//!   [`crate::metrics`]. It is the server's one live-telemetry reply:
+//!   clients read it with [`lttf_obs::metrics::validate`] and look up
+//!   the series they need.
 //! * `reload` (`path`, `model` optional) → `"gen":…,"replicas":…,
 //!   "drained":…`: loads the checkpoint at `path` as a new generation,
 //!   swaps it into the routing table, and drains the old generation,
@@ -100,14 +98,6 @@ pub enum Command {
     Metrics {
         /// Client correlation id, echoed back.
         id: u64,
-    },
-    /// `{"id":…,"cmd":"stats"[,"model":…]}` — return one model's live
-    /// [`StatsReport`] as flat JSON.
-    Stats {
-        /// Client correlation id, echoed back.
-        id: u64,
-        /// Registry name to report on (`None` = server default model).
-        model: Option<String>,
     },
     /// `{"id":…,"cmd":"reload","path":…[,"model":…]}` — hot-swap a model
     /// to a new checkpoint generation.
@@ -241,10 +231,6 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             model: f.string("model"),
         }),
         Some("metrics") => Command::Metrics { id },
-        Some("stats") => Command::Stats {
-            id,
-            model: f.string("model"),
-        },
         Some("reload") => Command::Reload {
             id,
             model: f.string("model"),
@@ -513,6 +499,11 @@ pub fn extract_id(line: &str) -> Option<u64> {
     })
 }
 
+/// Format a metrics request line (client side).
+pub fn format_metrics_request(id: u64) -> String {
+    command(id, "metrics").finish()
+}
+
 /// Format a metrics response: the exposition text rides in a JSON string
 /// (its newlines become `\n` escapes, keeping the response one line).
 pub fn format_metrics(id: u64, text: &str) -> String {
@@ -525,191 +516,6 @@ pub fn parse_metrics_response(line: &str) -> Result<(u64, Result<String, String>
     read_reply(line, |f| {
         f.string("metrics")
             .ok_or_else(|| "ok response missing 'metrics'".to_string())
-    })
-}
-
-/// One model's live serving state, as carried by the `"stats"` command.
-/// Latencies are milliseconds; everything windowed describes the last
-/// `window_ms` of traffic, not the process lifetime.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsReport {
-    /// Registry name of the model.
-    pub model: String,
-    /// Serving generation.
-    pub generation: u64,
-    /// Replica count.
-    pub replicas: usize,
-    /// Aggregate queue depth right now.
-    pub queue_depth: usize,
-    /// Requests served since the generation started (lifetime, exact).
-    pub served_total: u64,
-    /// Trailing-window span in milliseconds.
-    pub window_ms: u64,
-    /// Requests served inside the current window.
-    pub window_count: u64,
-    /// Windowed total-latency quantiles (ms).
-    pub p50_ms: f64,
-    /// 95th percentile of windowed total latency (ms).
-    pub p95_ms: f64,
-    /// 99th percentile of windowed total latency (ms).
-    pub p99_ms: f64,
-    /// Windowed queue-wait median (ms).
-    pub queue_p50_ms: f64,
-    /// Windowed per-batch service-time median (ms).
-    pub service_p50_ms: f64,
-    /// Windowed per-request process-CPU cost median (ms).
-    pub cpu_p50_ms: f64,
-    /// 95th percentile of windowed per-request process-CPU cost (ms).
-    pub cpu_p95_ms: f64,
-    /// Windowed per-request allocation-churn median (bytes).
-    pub alloc_p50_bytes: f64,
-    /// 95th percentile of windowed per-request allocation churn (bytes).
-    pub alloc_p95_bytes: f64,
-    /// Heap bytes currently live in the server process (0 when the
-    /// instrumented allocator is compiled out).
-    pub mem_live_bytes: u64,
-    /// High-water mark of live heap bytes.
-    pub mem_peak_bytes: u64,
-    /// Admission refusals per second over the window.
-    pub shed_per_sec: f64,
-    /// Queue-full rejections per second over the window.
-    pub rejected_per_sec: f64,
-    /// Reload resubmissions per second over the window.
-    pub resubmitted_per_sec: f64,
-    /// Whether the model carries a drift reference profile.
-    pub drift_available: bool,
-    /// Whether the drift alert is currently raised.
-    pub drift_alert: bool,
-    /// Per-input-feature drift scores (training std units).
-    pub drift_scores: Vec<f64>,
-    /// Advisory prediction-drift score.
-    pub drift_prediction_score: f64,
-    /// Configured drift alert threshold.
-    pub drift_threshold: f64,
-    /// Time steps in the drift window the scores describe.
-    pub drift_window_count: u64,
-    /// Streaming sessions currently open (server-wide).
-    pub sessions_open: u64,
-    /// Sessions opened since startup (server-wide, lifetime).
-    pub sessions_opened: u64,
-    /// Sessions evicted by the TTL sweep (server-wide, lifetime).
-    pub session_evictions: u64,
-    /// Whether the online adapter is running.
-    pub adapt_enabled: bool,
-    /// Adapter state: `"off"`, `"idle"`, `"adapting"`, `"published"`,
-    /// or `"rolled_back"` (the latter two describe the last cycle).
-    pub adapt_state: String,
-    /// Optimizer steps the adapter has taken (lifetime).
-    pub adapt_steps: u64,
-    /// Divergent adaptation cycles rolled back by the watchdog.
-    pub adapt_rollbacks: u64,
-    /// Adapted generations published into the routing table.
-    pub adapt_publishes: u64,
-    /// Process-CPU milliseconds spent in adaptation rounds (lifetime).
-    pub adapt_cpu_ms: f64,
-    /// Heap bytes allocated during adaptation rounds (lifetime).
-    pub adapt_alloc_bytes: u64,
-}
-
-/// Format a stats request line (client side).
-pub fn format_stats_request(id: u64, model: Option<&str>) -> String {
-    with_model(command(id, "stats"), model).finish()
-}
-
-/// Format a stats response carrying one model's [`StatsReport`].
-pub fn format_stats(id: u64, r: &StatsReport) -> String {
-    header(id, true)
-        .str("model", &r.model)
-        .int("gen", r.generation)
-        .int("replicas", r.replicas as u64)
-        .int("queue_depth", r.queue_depth as u64)
-        .int("served_total", r.served_total)
-        .int("window_ms", r.window_ms)
-        .int("window_count", r.window_count)
-        .num("p50_ms", r.p50_ms)
-        .num("p95_ms", r.p95_ms)
-        .num("p99_ms", r.p99_ms)
-        .num("queue_p50_ms", r.queue_p50_ms)
-        .num("service_p50_ms", r.service_p50_ms)
-        .num("cpu_p50_ms", r.cpu_p50_ms)
-        .num("cpu_p95_ms", r.cpu_p95_ms)
-        .num("alloc_p50_bytes", r.alloc_p50_bytes)
-        .num("alloc_p95_bytes", r.alloc_p95_bytes)
-        .int("mem_live_bytes", r.mem_live_bytes)
-        .int("mem_peak_bytes", r.mem_peak_bytes)
-        .num("shed_per_sec", r.shed_per_sec)
-        .num("rejected_per_sec", r.rejected_per_sec)
-        .num("resubmitted_per_sec", r.resubmitted_per_sec)
-        .bool("drift_available", r.drift_available)
-        .bool("drift_alert", r.drift_alert)
-        .nums("drift_scores", r.drift_scores.iter().map(|&v| v as f32))
-        .num("drift_prediction_score", r.drift_prediction_score)
-        .num("drift_threshold", r.drift_threshold)
-        .int("drift_window_count", r.drift_window_count)
-        .int("sessions_open", r.sessions_open)
-        .int("sessions_opened", r.sessions_opened)
-        .int("session_evictions", r.session_evictions)
-        .bool("adapt_enabled", r.adapt_enabled)
-        .str("adapt_state", &r.adapt_state)
-        .int("adapt_steps", r.adapt_steps)
-        .int("adapt_rollbacks", r.adapt_rollbacks)
-        .int("adapt_publishes", r.adapt_publishes)
-        .num("adapt_cpu_ms", r.adapt_cpu_ms)
-        .int("adapt_alloc_bytes", r.adapt_alloc_bytes)
-        .finish()
-}
-
-/// Parse a stats response into `(id, Result<report, error>)` — the
-/// client half of the `"stats"` command (`lttf watch` runs on this).
-pub fn parse_stats_response(line: &str) -> Result<(u64, Result<StatsReport, String>), String> {
-    read_reply(line, |f| {
-        Ok(StatsReport {
-            model: f.string("model").ok_or("stats response missing 'model'")?,
-            generation: f.need("gen")? as u64,
-            replicas: f.need("replicas")? as usize,
-            queue_depth: f.need("queue_depth")? as usize,
-            served_total: f.need("served_total")? as u64,
-            window_ms: f.need("window_ms")? as u64,
-            window_count: f.need("window_count")? as u64,
-            p50_ms: f.need("p50_ms")?,
-            p95_ms: f.need("p95_ms")?,
-            p99_ms: f.need("p99_ms")?,
-            queue_p50_ms: f.need("queue_p50_ms")?,
-            service_p50_ms: f.need("service_p50_ms")?,
-            // Cost/memory fields are absent in pre-attribution stats
-            // lines; default them so old servers still parse.
-            cpu_p50_ms: f.num("cpu_p50_ms").unwrap_or(0.0),
-            cpu_p95_ms: f.num("cpu_p95_ms").unwrap_or(0.0),
-            alloc_p50_bytes: f.num("alloc_p50_bytes").unwrap_or(0.0),
-            alloc_p95_bytes: f.num("alloc_p95_bytes").unwrap_or(0.0),
-            mem_live_bytes: f.count("mem_live_bytes"),
-            mem_peak_bytes: f.count("mem_peak_bytes"),
-            shed_per_sec: f.need("shed_per_sec")?,
-            rejected_per_sec: f.need("rejected_per_sec")?,
-            resubmitted_per_sec: f.need("resubmitted_per_sec")?,
-            drift_available: f.flag("drift_available"),
-            drift_alert: f.flag("drift_alert"),
-            drift_scores: f
-                .get("drift_scores")
-                .and_then(JsonValue::as_arr)
-                .map(<[f64]>::to_vec)
-                .unwrap_or_default(),
-            drift_prediction_score: f.num("drift_prediction_score").unwrap_or(0.0),
-            drift_threshold: f.num("drift_threshold").unwrap_or(0.0),
-            drift_window_count: f.count("drift_window_count"),
-            // Session/adapter fields are absent in pre-session stats
-            // lines; default them so old servers still parse.
-            sessions_open: f.count("sessions_open"),
-            sessions_opened: f.count("sessions_opened"),
-            session_evictions: f.count("session_evictions"),
-            adapt_enabled: f.flag("adapt_enabled"),
-            adapt_state: f.str("adapt_state").unwrap_or("off").to_string(),
-            adapt_steps: f.count("adapt_steps"),
-            adapt_rollbacks: f.count("adapt_rollbacks"),
-            adapt_publishes: f.count("adapt_publishes"),
-            adapt_cpu_ms: f.num("adapt_cpu_ms").unwrap_or(0.0),
-            adapt_alloc_bytes: f.count("adapt_alloc_bytes"),
-        })
     })
 }
 
@@ -795,7 +601,7 @@ mod tests {
         for id in ["9007199254740993", "18446744073709551614", "-1", "1.5"] {
             for line in [
                 format!("{{\"id\":{id},\"t0\":0,\"values\":[1]}}"),
-                format!("{{\"id\":{id},\"cmd\":\"stats\"}}"),
+                format!("{{\"id\":{id},\"cmd\":\"metrics\"}}"),
                 format!("{{\"id\":1,\"cmd\":\"close\",\"session\":{id}}}"),
                 format!("{{\"id\":{id},\"ok\":false,\"error\":\"x\"}}"),
             ] {
@@ -815,7 +621,7 @@ mod tests {
         assert_eq!(parse_response_meta(&format_err(max, "x")).unwrap().id, max);
         // The server answers an out-of-range id with the exact text id.
         assert_eq!(
-            extract_id("{\"id\":9007199254740993,\"cmd\":\"stats\"}"),
+            extract_id("{\"id\":9007199254740993,\"cmd\":\"metrics\"}"),
             Some(9_007_199_254_740_993)
         );
     }
@@ -893,13 +699,15 @@ mod tests {
 
     #[test]
     fn metrics_command_round_trip() {
-        match parse_command("{\"id\":3,\"cmd\":\"metrics\"}").unwrap() {
+        match parse_command(&format_metrics_request(3)).unwrap() {
             Command::Metrics { id } => assert_eq!(id, 3),
             other => panic!("expected Metrics, got {other:?}"),
         }
-        assert!(parse_command("{\"id\":3,\"cmd\":\"nope\"}")
-            .unwrap_err()
-            .contains("unknown cmd"));
+        for cmd in ["nope", "stats"] {
+            let line = format!("{{\"id\":3,\"cmd\":\"{cmd}\"}}");
+            let err = parse_command(&line).unwrap_err();
+            assert_eq!(err, format!("unknown cmd '{cmd}'"));
+        }
         // Lines without cmd parse as forecasts.
         let line = "{\"id\":1,\"t0\":0,\"values\":[1,2]}";
         assert!(matches!(parse_command(line).unwrap(), Command::Forecast(_)));
@@ -908,67 +716,6 @@ mod tests {
         let (id, res) = parse_metrics_response(&format_metrics(3, text)).unwrap();
         assert_eq!(id, 3);
         assert_eq!(res.unwrap(), text, "newlines survive the one-line framing");
-    }
-
-    #[test]
-    fn stats_round_trip() {
-        match parse_command("{\"id\":4,\"cmd\":\"stats\",\"model\":\"demo\"}").unwrap() {
-            Command::Stats { id, model } => {
-                assert_eq!(id, 4);
-                assert_eq!(model.as_deref(), Some("demo"));
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        match parse_command(&format_stats_request(5, None)).unwrap() {
-            Command::Stats { model, .. } => assert!(model.is_none()),
-            other => panic!("expected Stats, got {other:?}"),
-        }
-
-        let report = StatsReport {
-            model: "demo".to_string(),
-            generation: 2,
-            replicas: 3,
-            queue_depth: 1,
-            served_total: 400,
-            window_ms: 120_000,
-            window_count: 37,
-            p50_ms: 1.5,
-            p95_ms: 4.25,
-            p99_ms: 9.0,
-            queue_p50_ms: 0.5,
-            service_p50_ms: 1.0,
-            cpu_p50_ms: 0.75,
-            cpu_p95_ms: 2.5,
-            alloc_p50_bytes: 8_192.0,
-            alloc_p95_bytes: 65_536.0,
-            mem_live_bytes: 1_048_576,
-            mem_peak_bytes: 2_097_152,
-            shed_per_sec: 0.25,
-            rejected_per_sec: 0.0,
-            resubmitted_per_sec: 0.125,
-            drift_available: true,
-            drift_alert: true,
-            drift_scores: vec![0.5, 3.25],
-            drift_prediction_score: 0.75,
-            drift_threshold: 1.0,
-            drift_window_count: 640,
-            sessions_open: 3,
-            sessions_opened: 11,
-            session_evictions: 2,
-            adapt_enabled: true,
-            adapt_state: "published".to_string(),
-            adapt_steps: 12,
-            adapt_rollbacks: 1,
-            adapt_publishes: 2,
-            adapt_cpu_ms: 350.5,
-            adapt_alloc_bytes: 4_194_304,
-        };
-        let (id, got) = parse_stats_response(&format_stats(9, &report)).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(got.unwrap(), report);
-
-        let (_, err) = parse_stats_response(&format_err(9, "unknown model 'x'")).unwrap();
-        assert!(err.unwrap_err().contains("unknown model"));
     }
 
     #[test]

@@ -61,10 +61,9 @@ use crate::engine::{BatchConfig, Reject};
 use crate::metrics::{self, ServerGauges};
 use crate::protocol::{
     extract_id, format_close_ok, format_err, format_metrics, format_ok, format_open_ok,
-    format_push_ok, format_push_pending, format_reject, format_reload_ok, format_stats,
-    parse_command, Command, StatsReport,
+    format_push_ok, format_push_pending, format_reject, format_reload_ok, parse_command, Command,
 };
-use crate::registry::{LoadedModel, Registry, Window};
+use crate::registry::{LoadedModel, Registry};
 use crate::session::{SessionClock, SessionConfig, SessionShape, SessionTable};
 use crate::stats::{FlowStats, LatencySummary};
 
@@ -161,7 +160,7 @@ struct Shared {
     /// The streaming-session table (bounded, TTL-evicted).
     sessions: SessionTable,
     /// Adapter telemetry (state machine + lifetime counters), rendered
-    /// by `stats` and `metrics` whether or not adaptation is enabled.
+    /// by `metrics` whether or not adaptation is enabled.
     adapt: AdaptShared,
     /// Recent session examples the adapter fine-tunes on. Only fed when
     /// adaptation is enabled.
@@ -208,6 +207,8 @@ impl Shared {
             sessions_opened: self.sessions.opened_total(),
             session_evictions: self.sessions.evicted_total(),
             adapt_enabled: self.cfg.adapt.enabled,
+            // Only the adapter thread moves the state off `Off`.
+            adapt_state: self.adapt.state(),
             adapt_steps: self.adapt.steps(),
             adapt_rollbacks: self.adapt.rollbacks(),
             adapt_publishes: self.adapt.publishes(),
@@ -481,13 +482,6 @@ fn answer(line: &str, shared: &Shared) -> String {
                 metrics::render(&shared.entries(), &shared.flow.rates(), &shared.gauges());
             return format_metrics(id, &text);
         }
-        Ok(Command::Stats { id, model }) => {
-            let name = model.as_deref().unwrap_or(&shared.default);
-            return match shared.entry(name) {
-                Some(entry) => format_stats(id, &stats_report(&entry, shared)),
-                None => format_err(id, &format!("unknown model '{name}'")),
-            };
-        }
         Ok(Command::Reload { id, model, path }) => {
             return reload(id, model.as_deref(), &path, shared);
         }
@@ -531,14 +525,10 @@ fn answer(line: &str, shared: &Shared) -> String {
     // Only admitted traffic is sketched: refused requests never reach the
     // model, so they should not move its input-distribution estimate.
     entry.drift().observe_input(&req.values);
-    let window = match entry.model().make_window(&req.values, req.t0, req.dt) {
-        Ok(w) => w,
-        Err(e) => return format_err(req.id, &e),
-    };
     let deadline = req
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    match run_forecast(entry, window, deadline, shared) {
+    match run_forecast(entry, &req.values, req.t0, req.dt, deadline, shared) {
         ForecastOutcome::Done { forecast, entry } => {
             format_ok(req.id, entry.generation(), &forecast)
         }
@@ -556,7 +546,7 @@ fn answer(line: &str, shared: &Shared) -> String {
     }
 }
 
-/// How one prepared window fared against the replica pools.
+/// How one forecast fared against the replica pools.
 enum ForecastOutcome {
     /// Answered; `entry` is the generation that actually served it
     /// (relevant after a mid-flight reload or adapter publish).
@@ -570,27 +560,35 @@ enum ForecastOutcome {
     Failed(String),
 }
 
-/// Submit a window, retrying across generation swaps: a pool drained
-/// under us (hot reload, adapter publish, or shutdown) hands the window
-/// back, and a new generation in the table means resubmit there.
+/// Forecast the raw window `values` (first step at `t0`, `dt` seconds
+/// apart), retrying across generation swaps: a pool drained under us (hot
+/// reload, adapter publish, or shutdown) refuses the window, and a new
+/// generation in the table means resubmit there. Each generation prepares
+/// its own window from the raw values, with its own scaler and shape: a
+/// window the retired generation scaled is never fed to its successor.
 fn run_forecast(
     mut entry: Arc<ModelEntry>,
-    mut window: Window,
+    values: &[f32],
+    t0: i64,
+    dt: i64,
     deadline: Option<Instant>,
     shared: &Shared,
 ) -> ForecastOutcome {
     for _ in 0..=RELOAD_RETRIES {
+        let window = match entry.model().make_window(values, t0, dt) {
+            Ok(w) => w,
+            Err(e) => return ForecastOutcome::Failed(e),
+        };
         let reply_rx = match entry.pool().submit(window, deadline) {
             Ok(rx) => rx,
             Err((_, Reject::QueueFull)) => return ForecastOutcome::QueueFull,
-            Err((w, Reject::Closed)) => {
+            Err((_, Reject::Closed)) => {
                 // Re-read the table: a new generation means retry there;
                 // the same one means the server is going away for real.
                 match shared.entry(entry.name()) {
                     Some(cur) if cur.generation() != entry.generation() => {
                         lttf_obs::counter!("serve.reload_resubmit", 1);
                         shared.flow.resubmitted();
-                        window = w;
                         entry = cur;
                         continue;
                     }
@@ -652,11 +650,7 @@ fn push_session(id: u64, session: u64, values: &[f32], shared: &Shared) -> Strin
     let Some((win_values, win_t0)) = outcome.window else {
         return format_push_pending(id, session, outcome.pending);
     };
-    let window = match entry.model().make_window(&win_values, win_t0, outcome.dt) {
-        Ok(w) => w,
-        Err(e) => return format_err(id, &e),
-    };
-    match run_forecast(entry, window, None, shared) {
+    match run_forecast(entry, &win_values, win_t0, outcome.dt, None, shared) {
         ForecastOutcome::Done { forecast, entry } => {
             format_push_ok(id, session, entry.generation(), entry.adapted(), &forecast)
         }
@@ -669,61 +663,6 @@ fn push_session(id: u64, session: u64, values: &[f32], shared: &Shared) -> Strin
             )
         }
         ForecastOutcome::Failed(e) => format_err(id, &e),
-    }
-}
-
-/// Build one model's [`StatsReport`] from its live entry plus the
-/// server-level flow counters.
-fn stats_report(entry: &Arc<ModelEntry>, shared: &Shared) -> StatsReport {
-    let pool = entry.pool();
-    let stats = pool.stats();
-    let win = stats.windowed();
-    let life = stats.lifetime();
-    let flow = shared.flow.rates();
-    let drift = entry.drift().status();
-    let ms = |ns: u64| ns as f64 / 1e6;
-    StatsReport {
-        model: entry.name().to_string(),
-        generation: entry.generation(),
-        replicas: pool.replicas(),
-        queue_depth: pool.queue_depth(),
-        served_total: life.count(),
-        window_ms: win.window_ms,
-        window_count: win.total.count(),
-        p50_ms: ms(win.total.quantile(0.50)),
-        p95_ms: ms(win.total.quantile(0.95)),
-        p99_ms: ms(win.total.quantile(0.99)),
-        queue_p50_ms: ms(win.queue.quantile(0.50)),
-        service_p50_ms: ms(win.service.quantile(0.50)),
-        cpu_p50_ms: ms(win.cpu.quantile(0.50)),
-        cpu_p95_ms: ms(win.cpu.quantile(0.95)),
-        alloc_p50_bytes: win.alloc.quantile(0.50) as f64,
-        alloc_p95_bytes: win.alloc.quantile(0.95) as f64,
-        mem_live_bytes: lttf_obs::alloc::live_bytes(),
-        mem_peak_bytes: lttf_obs::alloc::peak_bytes(),
-        shed_per_sec: flow.shed_per_sec,
-        rejected_per_sec: flow.rejected_per_sec,
-        resubmitted_per_sec: flow.resubmitted_per_sec,
-        drift_available: drift.available,
-        drift_alert: drift.alert,
-        drift_scores: drift.scores,
-        drift_prediction_score: drift.prediction_score,
-        drift_threshold: drift.threshold,
-        drift_window_count: drift.window_count,
-        sessions_open: shared.sessions.open_count() as u64,
-        sessions_opened: shared.sessions.opened_total(),
-        session_evictions: shared.sessions.evicted_total(),
-        adapt_enabled: shared.cfg.adapt.enabled,
-        adapt_state: if shared.cfg.adapt.enabled {
-            shared.adapt.state().label().to_string()
-        } else {
-            AdaptState::Off.label().to_string()
-        },
-        adapt_steps: shared.adapt.steps(),
-        adapt_rollbacks: shared.adapt.rollbacks(),
-        adapt_publishes: shared.adapt.publishes(),
-        adapt_cpu_ms: shared.adapt.cpu_ns() as f64 / 1e6,
-        adapt_alloc_bytes: shared.adapt.alloc_bytes(),
     }
 }
 
@@ -788,7 +727,7 @@ fn adapter_loop(shared: Arc<Shared>) {
         round += 1;
         let examples = shared.examples.recent(cfg.batch.max(1));
         let seed = shared.cfg.seed.wrapping_add(round);
-        // Cost-attribute the fine-tune round so `watch`/stats can show
+        // Cost-attribute the fine-tune round so `metrics`/`watch` can show
         // what online adaptation steals from serving. Process-CPU, like
         // the request path: the round's forwards and backwards run on
         // the shared pool.
@@ -1023,26 +962,93 @@ mod tests {
         assert!(text.contains("lttf_health_diverged"), "{text}");
         lttf_obs::metrics::validate(&text).expect("live exposition must validate");
 
-        // The machine-readable twin of the exposition.
-        let lines = ["{\"id\":3,\"cmd\":\"stats\"}".to_string()];
-        let responses = roundtrip(handle.addr(), &lines);
-        let (id, report) = crate::protocol::parse_stats_response(&responses[0]).unwrap();
-        assert_eq!(id, 3);
-        let report = report.unwrap();
-        assert_eq!(report.model, "demo");
-        assert_eq!(report.generation, 1);
-        assert_eq!(report.served_total, 1);
-        assert!(report.window_count >= 1, "{report:?}");
-        assert!(report.p50_ms > 0.0 && report.p50_ms <= report.p99_ms, "{report:?}");
-        assert!(!report.drift_available, "tiny model carries no profile");
-        assert!(!report.drift_alert);
+        // The same exposition, read through the validated lookup.
+        let doc = lttf_obs::metrics::validate(&text).unwrap();
+        let demo = [("model", "demo")];
+        assert_eq!(doc.get("lttf_serve_generation", &demo), Some(1.0));
+        assert_eq!(doc.get("lttf_serve_requests_served_total", &demo), Some(1.0));
+        let gen1 = [("model", "demo"), ("gen", "1")];
+        assert!(doc.get("lttf_serve_window_requests", &gen1).unwrap() >= 1.0, "{text}");
+        let p = |q| {
+            let labels = [("model", "demo"), ("gen", "1"), ("quantile", q)];
+            doc.get("lttf_serve_latency_seconds", &labels).unwrap()
+        };
+        assert!(p("0.5") > 0.0 && p("0.5") <= p("0.99"), "{text}");
+        let available = doc.get("lttf_drift_available", &demo);
+        assert_eq!(available, Some(0.0), "tiny model carries no profile");
+        assert_eq!(doc.get("lttf_drift_alert", &demo), Some(0.0));
+        assert_eq!(doc.get("lttf_adapt_state", &[("state", "off")]), Some(1.0));
 
-        let bad = roundtrip(
-            handle.addr(),
-            &["{\"id\":4,\"cmd\":\"stats\",\"model\":\"nope\"}".to_string()],
-        );
-        let (_, err) = crate::protocol::parse_stats_response(&bad[0]).unwrap();
-        assert!(err.unwrap_err().contains("unknown model"));
+        // `stats` is an unknown command; the refusal echoes its id.
+        let bad = roundtrip(handle.addr(), &["{\"id\":4,\"cmd\":\"stats\"}".to_string()]);
+        let meta = parse_response_meta(&bad[0]).unwrap();
+        assert_eq!(meta.id, 4);
+        assert_eq!(meta.result.unwrap_err(), "bad request: unknown cmd 'stats'");
+        handle.shutdown();
+    }
+
+    /// A forecast that races a swap is resubmitted as raw values: the
+    /// generation that serves it prepares the window with its own scaler,
+    /// and one whose input shape changed refuses it with the shape error.
+    /// Deterministic: the test drains the old pool and swaps the table
+    /// itself, then resubmits through the retired entry.
+    #[test]
+    fn resubmitted_forecast_is_prepared_by_the_serving_generation() {
+        use lttf_conformer::ConformerConfig;
+        use lttf_data::StandardScaler;
+        use lttf_eval::TrainedModel;
+
+        let (t0, dt) = (1_700_000_000, 3600);
+        let model = tiny_model();
+        let raw = Tensor::randn(&[model.window_len()], &mut Rng::seed(51))
+            .data()
+            .to_vec();
+        let old_forecast = model.forecast_one(&raw, t0, dt).unwrap();
+        // The same parameters behind another scaler.
+        let cfg = ConformerConfig::tiny(2, 8, 4);
+        let fit_on = Tensor::randn(&[64, 2], &mut Rng::seed(10)).mul_scalar(0.5);
+        let scaler = StandardScaler::fit(&fit_on);
+        let trained = TrainedModel::from_conformer(&cfg, 3);
+        let rescaled = LoadedModel::from_parts(trained, cfg, scaler, "OT".to_string(), 1);
+        let new_forecast = rescaled.forecast_one(&raw, t0, dt).unwrap();
+        assert_ne!(new_forecast, old_forecast, "the scalers must disagree");
+
+        let handle = serve(
+            Registry::single("demo", model),
+            "127.0.0.1:0",
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let shared = &handle.shared;
+        // Swap `next` in as the next generation and drain the current one,
+        // as a reload does; returns the retired entry.
+        let swap = |next: LoadedModel| {
+            let old = shared.entry("demo").unwrap();
+            let gen = old.generation() + 1;
+            let entry = ModelEntry::start("demo", gen, Arc::new(next), &shared.cfg.pool_cfg());
+            shared.table.write().unwrap().insert("demo".to_string(), Arc::new(entry));
+            old.pool().drain();
+            old
+        };
+
+        let retired = swap(rescaled);
+        match run_forecast(retired, &raw, t0, dt, None, shared) {
+            ForecastOutcome::Done { forecast, entry } => {
+                assert_eq!(entry.generation(), 2);
+                assert_eq!(forecast, new_forecast, "scaled by the retired generation's scaler");
+            }
+            ForecastOutcome::QueueFull => panic!("queue full"),
+            ForecastOutcome::Failed(e) => panic!("resubmit failed: {e}"),
+        }
+
+        let retired = swap(crate::registry::tiny_model_with_c_in(3));
+        match run_forecast(retired, &raw, t0, dt, None, shared) {
+            ForecastOutcome::Failed(e) => {
+                assert_eq!(e, "expected 24 values (lx 8 x c_in 3), got 16");
+            }
+            ForecastOutcome::Done { .. } => panic!("a 2-variable window fed a 3-variable model"),
+            ForecastOutcome::QueueFull => panic!("queue full"),
+        }
         handle.shutdown();
     }
 

@@ -18,48 +18,6 @@ fn request() -> Request {
     }
 }
 
-fn report() -> StatsReport {
-    StatsReport {
-        model: "demo".to_string(),
-        generation: 2,
-        replicas: 3,
-        queue_depth: 1,
-        served_total: 400,
-        window_ms: 120_000,
-        window_count: 37,
-        p50_ms: 1.5,
-        p95_ms: 4.25,
-        p99_ms: 9.0,
-        queue_p50_ms: 0.5,
-        service_p50_ms: 1.0,
-        cpu_p50_ms: 0.75,
-        cpu_p95_ms: 2.5,
-        alloc_p50_bytes: 8_192.0,
-        alloc_p95_bytes: 65_536.0,
-        mem_live_bytes: 1_048_576,
-        mem_peak_bytes: 2_097_152,
-        shed_per_sec: 0.25,
-        rejected_per_sec: 0.0,
-        resubmitted_per_sec: 0.125,
-        drift_available: true,
-        drift_alert: false,
-        drift_scores: vec![0.5, 3.25],
-        drift_prediction_score: 0.75,
-        drift_threshold: 1.0,
-        drift_window_count: 640,
-        sessions_open: 3,
-        sessions_opened: 11,
-        session_evictions: 2,
-        adapt_enabled: true,
-        adapt_state: "published".to_string(),
-        adapt_steps: 12,
-        adapt_rollbacks: 1,
-        adapt_publishes: 2,
-        adapt_cpu_ms: 350.5,
-        adapt_alloc_bytes: 4_194_304,
-    }
-}
-
 /// Every writer's output next to the exact line it must produce. The
 /// literals are the bytes the protocol has always written (the request
 /// line is the shape clients built by hand before `format_request`
@@ -123,12 +81,8 @@ fn golden() -> Vec<(String, &'static str)> {
             r#"{"id":14,"ok":true,"metrics":"lttf_up 1\nlttf_serve_queue_depth{model=\"demo\"} 0\n"}"#,
         ),
         (
-            format_stats_request(15, Some("demo")),
-            r#"{"id":15,"cmd":"stats","model":"demo"}"#,
-        ),
-        (
-            format_stats(16, &report()),
-            r#"{"id":16,"ok":true,"model":"demo","gen":2,"replicas":3,"queue_depth":1,"served_total":400,"window_ms":120000,"window_count":37,"p50_ms":1.5,"p95_ms":4.25,"p99_ms":9,"queue_p50_ms":0.5,"service_p50_ms":1,"cpu_p50_ms":0.75,"cpu_p95_ms":2.5,"alloc_p50_bytes":8192,"alloc_p95_bytes":65536,"mem_live_bytes":1048576,"mem_peak_bytes":2097152,"shed_per_sec":0.25,"rejected_per_sec":0,"resubmitted_per_sec":0.125,"drift_available":true,"drift_alert":false,"drift_scores":[0.5,3.25],"drift_prediction_score":0.75,"drift_threshold":1,"drift_window_count":640,"sessions_open":3,"sessions_opened":11,"session_evictions":2,"adapt_enabled":true,"adapt_state":"published","adapt_steps":12,"adapt_rollbacks":1,"adapt_publishes":2,"adapt_cpu_ms":350.5,"adapt_alloc_bytes":4194304}"#,
+            format_metrics_request(15),
+            r#"{"id":15,"cmd":"metrics"}"#,
         ),
     ]
 }
@@ -151,7 +105,6 @@ fn read_everything(line: &str) {
     let _ = parse_push_response(line);
     let _ = parse_close_response(line);
     let _ = parse_metrics_response(line);
-    let _ = parse_stats_response(line);
 }
 
 #[test]

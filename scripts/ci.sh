@@ -154,6 +154,17 @@ grep -q "drift monitor armed" "$SCRATCH/serve.out" \
 grep -q "max_wait 0 ms" "$SCRATCH/serve.out" \
     || { echo "FAIL: lttf serve does not ship the work-conserving default (max_wait 0 ms)" >&2; exit 1; }
 
+# One watch tick before any traffic: the trailing window is empty, so the
+# exposition carries no quantile series, and every dashboard line must
+# still render (an absent quantile reads 0).
+LTTF_QUIET=1 target/release/lttf watch --port $PORT --iters 1 --no-clear \
+    | tee "$SCRATCH/watch_idle.out"
+for line in "served 0 lifetime, 0 in last" "latency   p50 0.00 ms" "phases    " "cost      " \
+    "memory    " "flows     " "drift     ok" "sessions  0 open" "adapt     off"; do
+    grep -qF "$line" "$SCRATCH/watch_idle.out" \
+        || { echo "FAIL: idle watch tick did not render '$line'" >&2; exit 1; }
+done
+
 # Drive real traffic so the trailing-window series are populated. Each
 # request's raw window is a different lx=16 row slice from the TRAIN
 # region of the CSV (first 70% of 400 rows), so the aggregate traffic
@@ -214,6 +225,7 @@ cargo run -q --release --offline -p lttf-obs --bin metrics_check -- "$SCRATCH/me
     --require 'lttf_sessions_open 0' \
     --require 'lttf_sessions_opened_total 0' \
     --require 'lttf_adapt_enabled 0' \
+    --require 'lttf_adapt_state{state="off"} 1' \
     --require 'lttf_adapt_rollbacks_total 0' \
     --require 'lttf_trace_dropped_total' \
     --require 'lttf_request_cpu_ns{model="ckpt",gen="1",quantile="0.5"}' \
@@ -275,7 +287,7 @@ for threads in 1 4; do
     esac
     # An id past 2^53 does not survive the f64 parse: the server must
     # refuse it and echo the id exactly as sent, not a rounded one.
-    echo '{"id":9007199254740993,"cmd":"stats"}' >&8
+    echo '{"id":9007199254740993,"cmd":"metrics"}' >&8
     IFS= read -r resp <&8
     case "$resp" in
         *'"id":9007199254740993,"ok":false'*) ;;

@@ -673,16 +673,18 @@ fn watch_roundtrip(
 }
 
 /// `lttf watch`: a live terminal dashboard over a running `lttf serve`.
-/// Polls the `stats` wire command every `--interval-ms` and renders
-/// trailing-window latency, per-request cost, memory, flow rates, and
-/// the drift verdict; with `--scrape-out FILE` it also fetches the
-/// Prometheus exposition each tick and **appends** it as one
-/// period-stamped JSONL snapshot line (`{"t_ms":…,"iter":…,"metrics":…}`),
-/// so a watch run preserves its whole scrape history instead of keeping
-/// only the last tick (CI validates the file with `metrics_check`,
-/// which checks every snapshot). `--iters N` stops after N ticks
-/// (0 = forever).
+/// Each `--interval-ms` it makes one `metrics` round trip, validates the
+/// exposition, and renders trailing-window latency, per-request cost,
+/// memory, flow rates, the drift verdict, sessions and the adapter from
+/// its series. `--model` picks the model; without it the exposition must
+/// carry exactly one. With `--scrape-out FILE` the same exposition is
+/// **appended** as one period-stamped JSONL snapshot line
+/// (`{"t_ms":…,"iter":…,"metrics":…}`), so a watch run preserves its
+/// whole scrape history instead of keeping only the last tick (CI
+/// validates the file with `metrics_check`, which checks every
+/// snapshot). `--iters N` stops after N ticks (0 = forever).
 fn cmd_watch(flags: HashMap<String, String>) {
+    use lttf::serve::protocol::{format_metrics_request, parse_metrics_response};
     let host = flags.get("host").map(String::as_str).unwrap_or("127.0.0.1");
     let port = get(&flags, "port", 7878u16);
     let interval_ms = get(&flags, "interval-ms", 1000u64);
@@ -715,124 +717,144 @@ fn cmd_watch(flags: HashMap<String, String>) {
     let mut tick = 0u64;
     loop {
         tick += 1;
-        let req = lttf::serve::protocol::format_stats_request(tick, model.as_deref());
-        let resp = watch_roundtrip(&mut writer, &mut reader, &req);
-        let report = match lttf::serve::protocol::parse_stats_response(&resp) {
-            Ok((_, Ok(r))) => r,
-            Ok((_, Err(e))) => {
-                eprintln!("stats error: {e}");
-                exit(1);
-            }
-            Err(e) => {
-                eprintln!("bad stats response: {e}");
+        let resp = watch_roundtrip(&mut writer, &mut reader, &format_metrics_request(tick));
+        let text = match parse_metrics_response(&resp) {
+            Ok((_, Ok(text))) => text,
+            Ok((_, Err(e))) | Err(e) => {
+                eprintln!("metrics error: {e}");
                 exit(1);
             }
         };
+        let doc = lttf::obs::metrics::validate(&text).unwrap_or_else(|e| {
+            eprintln!("invalid exposition: {e}");
+            exit(1);
+        });
+        let models = doc.label_values("lttf_serve_generation", "model");
+        let name = match (&model, models.as_slice()) {
+            (Some(m), _) if models.contains(&m.as_str()) => m.as_str(),
+            (Some(m), _) => {
+                eprintln!("unknown model '{m}'");
+                exit(1);
+            }
+            (None, [only]) => only,
+            (None, _) => {
+                let (n, names) = (models.len(), models.join(", "));
+                eprintln!("the server fronts {n} models ({names}); pick one with --model");
+                exit(1);
+            }
+        };
+        // Absent series read 0: an empty window emits no quantiles.
+        let v = |metric: &str, labels: &[(&str, &str)]| doc.get(metric, labels).unwrap_or(0.0);
+        let m = [("model", name)];
+        let gen = v("lttf_serve_generation", &m).to_string();
+        // A windowed quantile of the serving generation.
+        let q = |metric: &str, quantile: &str| {
+            v(metric, &[("model", name), ("gen", gen.as_str()), ("quantile", quantile)])
+        };
+        let ms = |metric: &str, quantile: &str| q(metric, quantile) * 1e3;
+        let bytes = |b: f64| fmt_bytes(b as u64);
         if clear {
             // ANSI clear + home; suppressible for logs and dumb terminals.
             print!("\x1b[2J\x1b[H");
         }
-        println!("lttf watch — '{}' @ {addr} (tick {tick})", report.model);
+        println!("lttf watch — '{name}' @ {addr} (tick {tick})");
         println!(
-            "  gen {} | {} replica(s) | queue {} | served {} lifetime, {} in last {:.0}s",
-            report.generation,
-            report.replicas,
-            report.queue_depth,
-            report.served_total,
-            report.window_count,
-            report.window_ms as f64 / 1e3,
+            "  gen {gen} | {} replica(s) | queue {} | served {} lifetime, {} in last {:.0}s",
+            v("lttf_serve_replicas", &m),
+            v("lttf_serve_queue_depth", &m),
+            v("lttf_serve_requests_served_total", &m),
+            v("lttf_serve_window_requests", &[("model", name), ("gen", &gen)]),
+            v("lttf_serve_window_seconds", &m),
         );
+        let latency = "lttf_serve_latency_seconds";
         println!(
             "  latency   p50 {:.2} ms   p95 {:.2} ms   p99 {:.2} ms (window)",
-            report.p50_ms, report.p95_ms, report.p99_ms
+            ms(latency, "0.5"),
+            ms(latency, "0.95"),
+            ms(latency, "0.99")
         );
         println!(
             "  phases    queue-wait p50 {:.2} ms | service p50 {:.2} ms",
-            report.queue_p50_ms, report.service_p50_ms
+            ms("lttf_serve_queue_wait_seconds", "0.5"),
+            ms("lttf_serve_service_time_seconds", "0.5")
         );
         println!(
             "  cost      cpu p50 {:.2} ms p95 {:.2} ms | alloc p50 {} p95 {} per request",
-            report.cpu_p50_ms,
-            report.cpu_p95_ms,
-            fmt_bytes(report.alloc_p50_bytes as u64),
-            fmt_bytes(report.alloc_p95_bytes as u64),
+            q("lttf_request_cpu_ns", "0.5") / 1e6,
+            q("lttf_request_cpu_ns", "0.95") / 1e6,
+            bytes(q("lttf_request_alloc_bytes", "0.5")),
+            bytes(q("lttf_request_alloc_bytes", "0.95")),
         );
         println!(
             "  memory    {} live | {} peak",
-            fmt_bytes(report.mem_live_bytes),
-            fmt_bytes(report.mem_peak_bytes),
+            bytes(v("lttf_mem_live_bytes", &[])),
+            bytes(v("lttf_mem_peak_bytes", &[])),
         );
         println!(
             "  flows     shed {:.2}/s   rejected {:.2}/s   resubmitted {:.2}/s",
-            report.shed_per_sec, report.rejected_per_sec, report.resubmitted_per_sec
+            v("lttf_serve_shed_per_second", &[]),
+            v("lttf_serve_rejected_per_second", &[]),
+            v("lttf_serve_resubmitted_per_second", &[])
         );
-        if report.drift_available {
-            let scores = report
-                .drift_scores
-                .iter()
+        if v("lttf_drift_available", &m) == 1.0 {
+            let scores = (0..)
+                .map_while(|i: usize| {
+                    let feature = i.to_string();
+                    doc.get("lttf_drift_score", &[("model", name), ("feature", &feature)])
+                })
                 .map(|s| format!("{s:.2}"))
                 .collect::<Vec<_>>()
                 .join(" ");
             println!(
                 "  drift     {} | scores [{scores}] pred {:.2} thr {:.1} (n={})",
-                if report.drift_alert { "ALERT" } else { "ok" },
-                report.drift_prediction_score,
-                report.drift_threshold,
-                report.drift_window_count,
+                if v("lttf_drift_alert", &m) == 1.0 { "ALERT" } else { "ok" },
+                v("lttf_drift_prediction_score", &m),
+                v("lttf_drift_threshold", &m),
+                v("lttf_drift_window_count", &m),
             );
         } else {
             println!("  drift     unavailable (checkpoint has no reference profile)");
         }
         println!(
             "  sessions  {} open | {} opened | {} evicted",
-            report.sessions_open, report.sessions_opened, report.session_evictions
+            v("lttf_sessions_open", &[]),
+            v("lttf_sessions_opened_total", &[]),
+            v("lttf_session_evictions_total", &[])
         );
-        if report.adapt_enabled {
+        if v("lttf_adapt_enabled", &[]) == 1.0 {
+            let state = doc.label_values("lttf_adapt_state", "state");
             println!(
                 "  adapt     {} | steps {} | published {} | rolled back {} | \
                  overhead {:.0} ms cpu, {} alloc",
-                report.adapt_state,
-                report.adapt_steps,
-                report.adapt_publishes,
-                report.adapt_rollbacks,
-                report.adapt_cpu_ms,
-                fmt_bytes(report.adapt_alloc_bytes),
+                state.first().copied().unwrap_or("off"),
+                v("lttf_adapt_steps_total", &[]),
+                v("lttf_adapt_publishes_total", &[]),
+                v("lttf_adapt_rollbacks_total", &[]),
+                v("lttf_adapt_cpu_seconds_total", &[]) * 1e3,
+                bytes(v("lttf_adapt_alloc_bytes_total", &[])),
             );
         } else {
             println!("  adapt     off (serve with --adapt to enable)");
         }
         if let Some(path) = &scrape_out {
-            let req = lttf::obs::JsonObj::new()
-                .int("id", tick)
-                .str("cmd", "metrics")
+            let line = lttf::obs::JsonObj::new()
+                .int("t_ms", epoch.elapsed().as_millis() as u64)
+                .int("iter", tick)
+                .str("metrics", &text)
                 .finish();
-            let resp = watch_roundtrip(&mut writer, &mut reader, &req);
-            match lttf::serve::protocol::parse_metrics_response(&resp) {
-                Ok((_, Ok(text))) => {
-                    let line = lttf::obs::JsonObj::new()
-                        .int("t_ms", epoch.elapsed().as_millis() as u64)
-                        .int("iter", tick)
-                        .str("metrics", &text)
-                        .finish();
-                    use std::io::Write as _;
-                    std::fs::OpenOptions::new()
-                        .append(true)
-                        .open(path)
-                        .and_then(|mut f| writeln!(f, "{line}"))
-                        .unwrap_or_else(|e| {
-                            eprintln!("cannot append to {path}: {e}");
-                            exit(1);
-                        });
-                    println!(
-                        "  scrape    appended snapshot {tick} to {path} ({} bytes)",
-                        text.len()
-                    );
-                }
-                Ok((_, Err(e))) | Err(e) => {
-                    eprintln!("metrics error: {e}");
+            use std::io::Write as _;
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .and_then(|mut f| writeln!(f, "{line}"))
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot append to {path}: {e}");
                     exit(1);
-                }
-            }
+                });
+            println!(
+                "  scrape    appended snapshot {tick} to {path} ({} bytes)",
+                text.len()
+            );
         }
         if iters > 0 && tick >= iters {
             break;
@@ -1178,11 +1200,14 @@ fn stream_series(
     }
 
     // Ids past the pushes' 1..=len, inside the protocol's 0..2^53.
-    let (stats_id, close_id) = (len as u64 + 1, len as u64 + 2);
-    let stats = ask(&mut writer, proto::format_stats_request(stats_id, None));
-    if let Ok((_, Ok(report))) = proto::parse_stats_response(&stats) {
-        out.publishes = report.adapt_publishes;
-        out.rollbacks = report.adapt_rollbacks;
+    let (metrics_id, close_id) = (len as u64 + 1, len as u64 + 2);
+    let metrics = ask(&mut writer, proto::format_metrics_request(metrics_id));
+    if let Ok((_, Ok(text))) = proto::parse_metrics_response(&metrics) {
+        if let Ok(doc) = lttf::obs::metrics::validate(&text) {
+            let total = |name| doc.get(name, &[]).unwrap_or(0.0) as u64;
+            out.publishes = total("lttf_adapt_publishes_total");
+            out.rollbacks = total("lttf_adapt_rollbacks_total");
+        }
     }
     let closed = ask(&mut writer, proto::format_close(close_id, session));
     let _ = proto::parse_close_response(&closed).expect("close parse");

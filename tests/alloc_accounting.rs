@@ -12,7 +12,7 @@ use lttf::serve::{
 use lttf::tensor::{Rng, Tensor};
 
 mod common;
-use common::{ask_stats, SessionClient};
+use common::{ask_metrics, SessionClient};
 
 #[test]
 fn allocation_accounting_sees_session_buffers_grow_and_shrink() {
@@ -103,9 +103,13 @@ fn allocation_accounting_sees_session_buffers_grow_and_shrink() {
         .push(9_999, handles[0], &payload[..8])
         .expect_err("an idle session past its TTL must be gone");
     assert!(err.contains("unknown session"), "unexpected error: {err}");
-    let stats = ask_stats(handle.addr(), 10_000);
-    assert_eq!(stats.sessions_open, 0, "sweep left sessions behind");
-    assert!(stats.session_evictions >= SESSIONS as u64, "{stats:?}");
+    let doc = ask_metrics(handle.addr(), 10_000);
+    let open = doc.get("lttf_sessions_open", &[]);
+    assert_eq!(open, Some(0.0), "sweep left sessions behind");
+    let evictions = doc.get("lttf_session_evictions_total", &[]).unwrap();
+    assert!(evictions >= SESSIONS as f64, "{evictions} evictions");
+    // The exposition's own buffers are not the server's to hand back.
+    drop(doc);
     let after = lttf::obs::alloc::live_bytes();
     assert!(
         after <= grown.saturating_sub(SESSIONS as u64 * PER_SESSION_FLOOR / 2),

@@ -228,3 +228,45 @@ fn missing_required_flag_fails() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
 }
+
+/// `lttf watch` reads one `metrics` exposition per tick. Without
+/// `--model` it needs the server to front exactly one model: against
+/// two it exits 1 and names both, and `--model` picks one of them.
+#[test]
+fn watch_names_every_model_when_it_cannot_pick_one() {
+    use lttf::conformer::ConformerConfig;
+    use lttf::data::StandardScaler;
+    use lttf::eval::TrainedModel;
+    use lttf::serve::{serve, LoadedModel, Registry, ServeConfig};
+    use lttf::tensor::{Rng, Tensor};
+
+    let model = || {
+        let cfg = ConformerConfig::tiny(2, 8, 4);
+        let scaler = StandardScaler::fit(&Tensor::randn(&[32, 2], &mut Rng::seed(1)));
+        let trained = TrainedModel::from_conformer(&cfg, 3);
+        LoadedModel::from_parts(trained, cfg, scaler, "OT".to_string(), 1)
+    };
+    let mut registry = Registry::single("a", model());
+    registry.insert("b", model());
+    let handle = serve(registry, "127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let watch = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_lttf"))
+            .args(["watch", "--port", &handle.addr().port().to_string()])
+            .args(["--iters", "1", "--no-clear"])
+            .args(extra)
+            .output()
+            .expect("run watch")
+    };
+
+    let out = watch(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("2 models (a, b)"), "{stderr}");
+
+    let out = watch(&["--model", "b"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("lttf watch — 'b' @"), "{stdout}");
+    assert!(stdout.contains("  latency   p50 0.00 ms"), "{stdout}");
+    handle.shutdown();
+}

@@ -5,21 +5,24 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
+use lttf::obs::metrics::Exposition;
 use lttf::serve::protocol;
 
-/// Ask the `stats` command on a fresh connection.
-pub fn ask_stats(addr: SocketAddr, id: u64) -> protocol::StatsReport {
+/// Ask the `metrics` command on a fresh connection and validate the
+/// exposition it returns.
+pub fn ask_metrics(addr: SocketAddr, id: u64) -> Exposition {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    writeln!(writer, "{}", protocol::format_stats_request(id, None)).unwrap();
+    writeln!(writer, "{}", protocol::format_metrics_request(id)).unwrap();
     writer.flush().unwrap();
     let mut resp = String::new();
     reader.read_line(&mut resp).unwrap();
-    let (got, report) = protocol::parse_stats_response(resp.trim_end()).expect("stats parses");
+    let (got, text) = protocol::parse_metrics_response(resp.trim_end()).expect("metrics parses");
     assert_eq!(got, id);
-    report.expect("stats ok")
+    let text = text.expect("metrics ok");
+    lttf::obs::metrics::validate(&text).unwrap_or_else(|e| panic!("{e}: {text}"))
 }
 
 /// A persistent connection speaking the session protocol.

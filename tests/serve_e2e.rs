@@ -10,6 +10,7 @@ use std::sync::Arc;
 use lttf::conformer::ConformerConfig;
 use lttf::data::StandardScaler;
 use lttf::eval::TrainedModel;
+use lttf::obs::metrics::Exposition;
 use lttf::serve::{
     protocol, serve, AdaptConfig, AdmissionConfig, BatchConfig, DriftConfig, LoadedModel, Policy,
     Registry, ServeConfig, SessionConfig,
@@ -17,7 +18,7 @@ use lttf::serve::{
 use lttf::tensor::{Rng, Tensor};
 
 mod common;
-use common::{ask_stats, SessionClient};
+use common::{ask_metrics, SessionClient};
 
 fn test_model() -> LoadedModel {
     let cfg = ConformerConfig::tiny(3, 12, 6);
@@ -426,18 +427,14 @@ fn metrics_endpoint_and_traced_request_over_tcp() {
     handle.shutdown();
 }
 
-/// Fetch the metrics exposition on a fresh connection.
-fn ask_metrics(addr: SocketAddr, id: u64) -> String {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{{\"id\":{id},\"cmd\":\"metrics\"}}").unwrap();
-    writer.flush().unwrap();
-    let mut resp = String::new();
-    reader.read_line(&mut resp).unwrap();
-    let (_, text) = protocol::parse_metrics_response(resp.trim_end()).expect("metrics parses");
-    text.expect("metrics ok")
+/// Model `m`'s per-feature drift scores, in feature order.
+fn drift_scores(doc: &Exposition) -> Vec<f64> {
+    (0..)
+        .map_while(|i: usize| {
+            let feature = i.to_string();
+            doc.get("lttf_drift_score", &[("model", "m"), ("feature", &feature)])
+        })
+        .collect()
 }
 
 #[test]
@@ -475,17 +472,18 @@ fn drift_monitor_alerts_on_shifted_traffic_only() {
         let (_, res) = ask(addr, &request_line(i, &raw, None));
         res.expect("served");
     }
-    let stats = ask_stats(addr, 50);
-    assert!(stats.drift_available, "profile-armed model must report available");
-    assert!(!stats.drift_alert, "in-distribution traffic alerted: {stats:?}");
-    assert_eq!(stats.drift_scores.len(), 3);
+    let m = [("model", "m")];
+    let doc = ask_metrics(addr, 50);
+    let available = doc.get("lttf_drift_available", &m);
+    assert_eq!(available, Some(1.0), "profile-armed model must report available");
+    let scores = drift_scores(&doc);
+    let alert = doc.get("lttf_drift_alert", &m);
+    assert_eq!(alert, Some(0.0), "in-distribution traffic alerted: {scores:?}");
+    assert_eq!(scores.len(), 3);
     assert!(
-        stats.drift_scores.iter().all(|&s| s < 1.0),
-        "scores must stay below threshold: {stats:?}"
+        scores.iter().all(|&s| s < 1.0),
+        "scores must stay below threshold: {scores:?}"
     );
-    let text = ask_metrics(addr, 51);
-    assert!(text.contains("lttf_drift_available{model=\"m\"} 1\n"), "{text}");
-    assert!(text.contains("lttf_drift_alert{model=\"m\"} 0\n"), "{text}");
 
     // Phase 2: shift every value by +5 training stds — the alert must
     // fire within the same evaluation window.
@@ -497,22 +495,20 @@ fn drift_monitor_alerts_on_shifted_traffic_only() {
         let (_, res) = ask(addr, &request_line(100 + i, &raw, None));
         res.expect("shifted traffic is still served");
     }
-    let stats = ask_stats(addr, 60);
-    assert!(stats.drift_alert, "5-sigma shift must alert: {stats:?}");
+    let doc = ask_metrics(addr, 60);
+    let scores = drift_scores(&doc);
+    let alert = doc.get("lttf_drift_alert", &m);
+    assert_eq!(alert, Some(1.0), "5-sigma shift must alert: {scores:?}");
     assert!(
-        stats.drift_scores.iter().any(|&s| s >= 1.0),
-        "at least one feature must cross the threshold: {stats:?}"
+        scores.iter().any(|&s| s >= 1.0),
+        "at least one feature must cross the threshold: {scores:?}"
     );
-    let text = ask_metrics(addr, 61);
-    assert!(text.contains("lttf_drift_alert{model=\"m\"} 1\n"), "{text}");
-    assert!(text.contains("lttf_drift_score{model=\"m\",feature=\"0\"}"), "{text}");
-    lttf::obs::metrics::validate(&text).expect("exposition validates with drift series");
 
     handle.shutdown();
 }
 
 #[test]
-fn stats_command_reports_windowed_latency_and_flows() {
+fn metrics_command_reports_windowed_latency_and_flows() {
     let handle = serve(
         Registry::single("m", test_model()),
         "127.0.0.1:0",
@@ -528,14 +524,14 @@ fn stats_command_reports_windowed_latency_and_flows() {
     let raw = raw_window(&test_model(), 23);
     let (_, res) = ask(handle.addr(), &request_line(1, &raw, None));
     res.expect_err("shed_depth 0 refuses forecasts");
-    let stats = ask_stats(handle.addr(), 2);
-    assert_eq!(stats.model, "m");
-    assert_eq!(stats.served_total, 0, "shed traffic never reaches a replica");
-    assert!(
-        stats.shed_per_sec > 0.0,
-        "windowed shed rate must see the refusal: {stats:?}"
-    );
-    assert_eq!(stats.rejected_per_sec, 0.0);
+    let m = [("model", "m")];
+    let doc = ask_metrics(handle.addr(), 2);
+    assert_eq!(doc.label_values("lttf_serve_generation", "model"), ["m"]);
+    let served = doc.get("lttf_serve_requests_served_total", &m);
+    assert_eq!(served, Some(0.0), "shed traffic never reaches a replica");
+    let shed = doc.get("lttf_serve_shed_per_second", &[]).unwrap();
+    assert!(shed > 0.0, "windowed shed rate must see the refusal: {shed}");
+    assert_eq!(doc.get("lttf_serve_rejected_per_second", &[]), Some(0.0));
     handle.shutdown();
 
     // A permissive server serves, and the windowed latency view fills in.
@@ -549,16 +545,22 @@ fn stats_command_reports_windowed_latency_and_flows() {
         let (_, res) = ask(handle.addr(), &request_line(i, &raw, None));
         res.expect("served");
     }
-    let stats = ask_stats(handle.addr(), 9);
-    assert_eq!(stats.served_total, 3);
-    assert_eq!(stats.window_count, 3, "all three land in the trailing window");
-    assert!(stats.p50_ms > 0.0 && stats.p50_ms <= stats.p99_ms, "{stats:?}");
-    assert!(
-        stats.queue_p50_ms <= stats.p50_ms,
-        "queue wait is a component of total latency: {stats:?}"
-    );
-    assert!(stats.service_p50_ms > 0.0, "{stats:?}");
-    assert_eq!(stats.shed_per_sec, 0.0);
+    let doc = ask_metrics(handle.addr(), 9);
+    assert_eq!(doc.get("lttf_serve_requests_served_total", &m), Some(3.0));
+    let window = doc.get("lttf_serve_window_requests", &[("model", "m"), ("gen", "1")]);
+    assert_eq!(window, Some(3.0), "all three land in the trailing window");
+    let q = |metric: &str, quantile: &str| {
+        let labels = [("model", "m"), ("gen", "1"), ("quantile", quantile)];
+        doc.get(metric, &labels).unwrap()
+    };
+    let p50 = q("lttf_serve_latency_seconds", "0.5");
+    let p99 = q("lttf_serve_latency_seconds", "0.99");
+    assert!(p50 > 0.0 && p50 <= p99, "p50 {p50} p99 {p99}");
+    let queue = q("lttf_serve_queue_wait_seconds", "0.5");
+    assert!(queue <= p50, "queue wait is a component of total latency: {queue} > {p50}");
+    let service = q("lttf_serve_service_time_seconds", "0.5");
+    assert!(service > 0.0, "service p50 {service}");
+    assert_eq!(doc.get("lttf_serve_shed_per_second", &[]), Some(0.0));
     handle.shutdown();
 }
 
@@ -593,13 +595,11 @@ fn profileless_checkpoint_serves_with_drift_unavailable() {
         res.expect("profile-less checkpoints must keep serving"),
         reference.forecast_one(&raw, 1_700_000_000, 3600).unwrap()
     );
-    let stats = ask_stats(handle.addr(), 2);
-    assert!(!stats.drift_available);
-    assert!(!stats.drift_alert);
-    assert!(stats.drift_scores.is_empty());
-    let text = ask_metrics(handle.addr(), 3);
-    assert!(text.contains("lttf_drift_available{model=\"m\"} 0\n"), "{text}");
-    lttf::obs::metrics::validate(&text).expect("exposition validates without a profile");
+    let m = [("model", "m")];
+    let doc = ask_metrics(handle.addr(), 2);
+    assert_eq!(doc.get("lttf_drift_available", &m), Some(0.0));
+    assert_eq!(doc.get("lttf_drift_alert", &m), Some(0.0));
+    assert!(doc.label_values("lttf_drift_score", "feature").is_empty());
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -615,6 +615,11 @@ fn session_rows(n: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..n)
         .map(|r| (0..3).map(|c| t.at(&[r, c])).collect())
         .collect()
+}
+
+/// A server-wide (unlabelled) series, which the exposition always carries.
+fn total(doc: &Exposition, name: &str) -> f64 {
+    doc.get(name, &[]).unwrap_or_else(|| panic!("no {name} series"))
 }
 
 /// Poll `cond` until it holds or `budget_ms` elapses.
@@ -721,10 +726,11 @@ fn session_ttl_evicts_idle_sessions_over_tcp() {
         .push(3, session, &[1.0, 2.0, 3.0])
         .expect_err("an idle session past its TTL must be gone");
     assert!(err.contains("unknown session"), "unexpected error: {err}");
-    let stats = ask_stats(handle.addr(), 4);
-    assert_eq!(stats.sessions_open, 0);
-    assert!(stats.session_evictions >= 1, "{stats:?}");
-    assert_eq!(stats.adapt_state, "off");
+    let doc = ask_metrics(handle.addr(), 4);
+    assert_eq!(doc.get("lttf_sessions_open", &[]), Some(0.0));
+    let evictions = doc.get("lttf_session_evictions_total", &[]).unwrap();
+    assert!(evictions >= 1.0, "{evictions} evictions");
+    assert_eq!(doc.label_values("lttf_adapt_state", "state"), ["off"]);
     handle.shutdown();
 }
 
@@ -836,14 +842,15 @@ fn injected_nan_adapt_round_rolls_back_and_leaves_forecasts_bit_identical() {
         client.push(10 + t as u64, session, row).expect("push served");
     }
     wait_for(
-        || ask_stats(addr, 500).adapt_rollbacks >= 1,
+        || total(&ask_metrics(addr, 500), "lttf_adapt_rollbacks_total") >= 1.0,
         10_000,
         "a watchdog rollback",
     );
-    let stats = ask_stats(addr, 501);
+    let doc = ask_metrics(addr, 501);
     assert_eq!(
-        stats.adapt_publishes, 0,
-        "a poisoned round must never publish: {stats:?}"
+        total(&doc, "lttf_adapt_publishes_total"),
+        0.0,
+        "a poisoned round must never publish"
     );
 
     let reply = client.push(900, session, &rows[0]).expect("post-rollback push");
@@ -902,13 +909,14 @@ fn drift_triggered_adaptation_publishes_on_shift_and_stays_quiet_in_distribution
         client.push(10 + t as u64, session, row).expect("push served");
     }
     std::thread::sleep(std::time::Duration::from_millis(200));
-    let stats = ask_stats(addr, 300);
-    assert!(stats.adapt_enabled);
+    let doc = ask_metrics(addr, 300);
+    assert_eq!(total(&doc, "lttf_adapt_enabled"), 1.0);
     assert_eq!(
-        stats.adapt_publishes, 0,
-        "in-distribution traffic must not trigger adaptation: {stats:?}"
+        total(&doc, "lttf_adapt_publishes_total"),
+        0.0,
+        "in-distribution traffic must not trigger adaptation"
     );
-    assert_eq!(stats.adapt_rollbacks, 0, "{stats:?}");
+    assert_eq!(total(&doc, "lttf_adapt_rollbacks_total"), 0.0);
 
     // Phase 2: shift every value by +5 training stds. The monitor
     // alerts, the adapter fine-tunes and publishes, and push replies
@@ -921,7 +929,7 @@ fn drift_triggered_adaptation_publishes_on_shift_and_stays_quiet_in_distribution
         client.push(100 + t as u64, session, row).expect("push served");
     }
     wait_for(
-        || ask_stats(addr, 400).adapt_publishes >= 1,
+        || total(&ask_metrics(addr, 400), "lttf_adapt_publishes_total") >= 1.0,
         15_000,
         "a drift-triggered publish",
     );
