@@ -52,7 +52,6 @@ mod norm;
 mod optim;
 mod param;
 mod rnn;
-mod schedule;
 mod serialize;
 
 pub mod attention;
@@ -67,7 +66,6 @@ pub use norm::LayerNorm;
 pub use optim::{Adam, GradClip, Optimizer, Sgd};
 pub use param::{Fwd, ParamId, ParamSet};
 pub use rnn::{Gru, GruCell, Lstm, LstmCell, RnnOutput};
-pub use schedule::{CosineAnnealing, ExponentialDecay, LrSchedule, StepDecay, Warmup};
 pub use serialize::{
     load_params, load_params_with_meta, read_params, read_params_with_meta, save_params,
     save_params_with_meta, write_params, write_params_with_meta,

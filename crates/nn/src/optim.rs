@@ -12,7 +12,7 @@ pub trait Optimizer {
     /// Current learning rate.
     fn lr(&self) -> f32;
 
-    /// Override the learning rate (used by schedules).
+    /// Override the learning rate (the trainer decays it once per epoch).
     fn set_lr(&mut self, lr: f32);
 }
 

@@ -15,7 +15,7 @@
 use std::process::ExitCode;
 
 use lttf_obs::jsonl::parse_object;
-use lttf_obs::{runlog, sampler, trace};
+use lttf_obs::{flame, runlog, trace};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
@@ -92,10 +92,10 @@ fn check_trace(path: &str) -> Result<(), String> {
 }
 
 fn check_flame(path: &str) -> Result<(), String> {
-    let summary = sampler::validate_collapsed(&read_with_newline(path)?)?;
+    let summary = flame::validate_collapsed(&read_with_newline(path)?)?;
     println!(
-        "ok {path}: {} stacks, {} samples, {} roots",
-        summary.stacks, summary.samples, summary.roots
+        "ok {path}: {} stacks, weight {}, {} roots",
+        summary.stacks, summary.weight, summary.roots
     );
     Ok(())
 }

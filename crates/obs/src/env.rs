@@ -14,7 +14,6 @@
 //! | `OBS_MIN_WORK`    | 4096 madds                   | min kernel work before a span opens |
 //! | `OBS_MIN_REDUCE`  | 32768 elements               | min reduction size before a span opens |
 //! | `LTTF_TRACE_BUF`  | 16384 events/thread          | timeline ring-buffer capacity |
-//! | `LTTF_PROFILE_HZ` | 99 Hz                        | `lttf flame` stack-sampling rate |
 //!
 //! The process-wide caching means tests must not mutate these variables
 //! at runtime and expect the change to be observed; use the dedicated
@@ -92,14 +91,6 @@ pub fn trace_buf() -> usize {
     *V.get_or_init(|| positive("LTTF_TRACE_BUF").unwrap_or(16 * 1024).max(64))
 }
 
-/// `LTTF_PROFILE_HZ`: the rate at which `lttf flame` samples span stacks
-/// ([`crate::sampler`]); `None` when unset, and `lttf flame` then uses
-/// 99 Hz. Setting it starts no sampler.
-pub fn profile_hz() -> Option<usize> {
-    static V: OnceLock<Option<usize>> = OnceLock::new();
-    *V.get_or_init(|| positive("LTTF_PROFILE_HZ"))
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -109,7 +100,6 @@ mod tests {
         assert_eq!(super::min_work(), 4096);
         assert_eq!(super::min_reduce(), 32 * 1024);
         assert_eq!(super::trace_buf(), 16 * 1024);
-        assert_eq!(super::profile_hz(), None);
     }
 
     #[test]

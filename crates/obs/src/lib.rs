@@ -20,14 +20,13 @@
 //!    divergence watchdog, and Prometheus-style text exposition for the
 //!    serve front end. [`env`] centralizes the `LTTF_*`/`OBS_*`
 //!    environment knobs all of this reads.
-//! 5. **Resource observability** ([`alloc`], [`sampler`], [`cputime`]):
+//! 5. **Resource observability** ([`alloc`], [`flame`], [`cputime`]):
 //!    an instrumented global allocator that counts every allocation and
-//!    charges it to the innermost open span, a continuous stack-sampling
-//!    profiler (`lttf flame`, exported as collapsed flamegraph stacks)
-//!    that reads the same per-thread span stack, and std-only
-//!    process/thread CPU-time clocks used by the serve tier for
-//!    per-request cost attribution. The counting and the sampler compile
-//!    out with the `telemetry` feature.
+//!    charges it to the innermost open span, flame graphs of the exact
+//!    self-time of every span path (`lttf flame`, exported as collapsed
+//!    flamegraph stacks), and std-only process/thread CPU-time clocks
+//!    used by the serve tier for per-request cost attribution. The
+//!    counting and the flame compile out with the `telemetry` feature.
 //!
 //! Overhead discipline: an active span costs two `Instant::now()` calls
 //! plus a few relaxed atomic adds (~50 ns); call sites gate on a work-size
@@ -65,6 +64,7 @@
 pub mod alloc;
 pub mod cputime;
 pub mod env;
+pub mod flame;
 pub mod health;
 pub mod hist;
 pub mod jsonl;
@@ -72,7 +72,6 @@ pub mod metrics;
 pub mod registry;
 pub mod report;
 pub mod runlog;
-pub mod sampler;
 pub mod sketch;
 pub mod trace;
 

@@ -1,4 +1,4 @@
-//! Global span/counter registry and the per-thread span stack.
+//! Global span/counter registry and the span path table.
 //!
 //! A [`SpanStats`] is a leaked, never-freed bundle of atomics keyed by a
 //! `(group, name)` pair of `&'static str`s. Call sites cache the pointer in
@@ -7,34 +7,37 @@
 //! registry mutex is only touched on first use of each site and when
 //! snapshotting.
 //!
-//! Every thread that opens a span owns one span stack: the open spans'
-//! registry entries, innermost last, in a fixed array of [`MAX_DEPTH`]
-//! frames published through a seqlock. Three readers share it:
+//! Every open span also runs under a *path node*: its parent's node plus
+//! its site, interned (and leaked) the first time that pair occurs. A
+//! thread's outermost spans hang under a root named after the thread, and
+//! every thread without a name shares one `unnamed` root, so the table
+//! grows with thread names × span paths, never with the number of
+//! threads. A node's children are read without a lock and added under one
+//! mutex, so entering a span whose path exists takes no lock and
+//! allocates nothing. Each thread keeps two const, destructor-free
+//! `Cell`s:
 //!
-//! - **Self-time.** Each thread keeps a running total of the self-time it
-//!   has credited. A guard records the total when it opens; when it
-//!   closes, everything credited since then is the elapsed time of its
-//!   direct children (their descendants' self-times add up to exactly
-//!   that), so `self = elapsed − (total_now − total_at_entry)`, and the
-//!   total grows by `self`.
-//! - **The allocation hook** ([`crate::alloc`]) charges each allocation to
-//!   the top frame. It finds the stack through a destructor-free
-//!   const-initialised `Cell`, so it never allocates, locks or re-enters.
-//! - **The sampling profiler** ([`crate::sampler`]) copies every thread's
-//!   stack under the lock that registers and unregisters them.
+//! - **The current node**, which the allocation hook ([`crate::alloc`])
+//!   reads to charge each allocation to the innermost open span. Reading
+//!   it cannot allocate, lock or re-enter the hook.
+//! - **The self-time credited so far.** A guard records it when it opens;
+//!   when it closes, everything credited since then is the elapsed time
+//!   of its direct children (their descendants' self-times add up to
+//!   exactly that), so `self = elapsed − (credited_now − credited_at_entry)`.
+//!   The credit grows by `self`, and so does the span's node.
 //!
-//! The stack is created by the thread's first [`SpanGuard::enter`] and
-//! freed when the thread exits. Spans nested deeper than [`MAX_DEPTH`]
-//! are timed and counted in the depth but not stored: their allocations
-//! charge the deepest stored frame and sampled stacks stop there. Spans
-//! opened on pool worker threads have no parent on that thread's stack,
-//! so their time is *not* subtracted from the dispatching span —
-//! utilization numbers come from the pool gauges instead.
+//! A site's self-time in [`snapshot`] is the sum of its nodes' weights,
+//! and [`crate::flame`] renders the same weights as collapsed stacks, so
+//! the profile table and the flame graph agree by construction. Spans
+//! opened on pool worker threads have no parent on that thread, so their
+//! time is *not* subtracted from the dispatching span — utilization
+//! numbers come from the pool gauges instead.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -77,7 +80,6 @@ pub struct SpanStats {
     kind: Kind,
     calls: AtomicU64,
     total_ns: AtomicU64,
-    self_ns: AtomicU64,
     min_ns: AtomicU64,
     max_ns: AtomicU64,
     bytes: AtomicU64,
@@ -100,7 +102,6 @@ impl SpanStats {
             kind,
             calls: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
-            self_ns: AtomicU64::new(0),
             min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -111,7 +112,7 @@ impl SpanStats {
     }
 
     /// `group.name` display form (just `name` when the group is empty),
-    /// as rendered by snapshots and the sampling profiler.
+    /// as rendered by snapshots and flame graphs.
     pub(crate) fn display_name(&self) -> String {
         if self.group.is_empty() {
             self.name.to_string()
@@ -127,11 +128,7 @@ impl SpanStats {
         if cached != u32::MAX {
             return cached;
         }
-        let idx = if self.group.is_empty() {
-            trace::intern(self.name)
-        } else {
-            trace::intern(&format!("{}.{}", self.group, self.name))
-        };
+        let idx = trace::intern(&self.display_name());
         self.trace_idx.store(idx, Ordering::Relaxed);
         idx
     }
@@ -139,7 +136,6 @@ impl SpanStats {
     fn clear(&self) {
         self.calls.store(0, Ordering::Relaxed);
         self.total_ns.store(0, Ordering::Relaxed);
-        self.self_ns.store(0, Ordering::Relaxed);
         self.min_ns.store(u64::MAX, Ordering::Relaxed);
         self.max_ns.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
@@ -183,149 +179,124 @@ pub fn register(group: &'static str, name: &'static str, kind: Kind) -> &'static
         .or_insert_with(|| &*Box::leak(Box::new(SpanStats::new(group, name, kind))))
 }
 
-/// Deepest span nesting a span stack stores (see the module docs for
-/// what happens past it).
-pub const MAX_DEPTH: usize = 32;
-
-/// One thread's open spans. Only the owning thread writes; the sampler
-/// reads through the seqlock: the owner makes `seq` odd, writes, and makes
-/// it even again, so a reader that sees the same even `seq` before and
-/// after copying saw a consistent stack.
-struct SpanStack {
-    seq: AtomicU64,
-    /// Open spans, counted past [`MAX_DEPTH`]; frames `0..depth` (capped
-    /// at [`MAX_DEPTH`]) are valid.
-    depth: AtomicUsize,
-    frames: [AtomicPtr<SpanStats>; MAX_DEPTH],
-    /// Self-time credited on this thread so far, ns (owner only).
-    credited_ns: AtomicU64,
-    /// Owner's thread name, fixed at creation.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    name: String,
+/// What a path node stands for.
+enum Frame {
+    /// A thread root, keyed by the thread's name.
+    Thread(&'static str),
+    /// A span site under its parent's path.
+    Span(&'static SpanStats),
 }
 
-impl SpanStack {
-    /// Set `depth` to `f(depth)` (which may also store frames) as one
-    /// seqlock write. The release fence keeps the odd `seq` ahead of the
-    /// stores and the release store keeps them ahead of the even `seq`;
-    /// they pair with the reader's acquire load and acquire fence in
-    /// [`for_each_stack`].
-    fn write(&self, f: impl FnOnce(usize) -> usize) {
-        let seq = self.seq.load(Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        let depth = self.depth.load(Ordering::Relaxed);
-        self.depth.store(f(depth), Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(2), Ordering::Release);
-    }
+/// One interned span path. Leaked and never freed; after creation only
+/// its weight and its child list change.
+struct PathNode {
+    /// `None` only on [`THREADS`], which every thread root hangs under.
+    parent: Option<&'static PathNode>,
+    frame: Frame,
+    /// Self-time of every span that ran under this path, ns.
+    self_ns: AtomicU64,
+    /// Newest child first. A child's `next` is fixed before the release
+    /// store that publishes it here, so readers walk the list lock-free.
+    first_child: AtomicPtr<PathNode>,
+    next: Option<&'static PathNode>,
+}
 
-    fn push(&self, site: &'static SpanStats) {
-        self.write(|d| {
-            if d < MAX_DEPTH {
-                self.frames[d].store(std::ptr::from_ref(site).cast_mut(), Ordering::Relaxed);
+static THREADS: PathNode = PathNode {
+    parent: None,
+    frame: Frame::Thread(""),
+    self_ns: AtomicU64::new(0),
+    first_child: AtomicPtr::new(ptr::null_mut()),
+    next: None,
+};
+
+/// Every node but [`THREADS`]; its lock also serialises insertions.
+fn paths() -> MutexGuard<'static, Vec<&'static PathNode>> {
+    static PATHS: Mutex<Vec<&'static PathNode>> = Mutex::new(Vec::new());
+    PATHS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl PathNode {
+    /// The child whose frame satisfies `is`, read without a lock; made by
+    /// `frame` under the table lock the first time.
+    fn child(
+        &'static self,
+        is: impl Fn(&Frame) -> bool,
+        frame: impl FnOnce() -> Frame,
+    ) -> &'static PathNode {
+        let find = || {
+            // SAFETY: the list holds leaked nodes, each published fully built.
+            let mut next = unsafe { self.first_child.load(Ordering::Acquire).as_ref() };
+            while let Some(n) = next {
+                if is(&n.frame) {
+                    return Some(n);
+                }
+                next = n.next;
             }
-            d + 1
-        });
-    }
-
-    /// Pop the span opened when `credited_ns` read `at_entry` and return
-    /// its self-time.
-    fn pop(&self, at_entry: u64, elapsed: u64) -> u64 {
-        self.write(|d| d.saturating_sub(1));
-        let credited = self.credited_ns.load(Ordering::Relaxed);
-        let self_ns = elapsed.saturating_sub(credited.saturating_sub(at_entry));
-        self.credited_ns
-            .store(credited + self_ns, Ordering::Relaxed);
-        self_ns
-    }
-
-    /// The innermost stored frame (owner thread only: no seqlock).
-    #[cfg(feature = "telemetry")]
-    fn top(&self) -> Option<&'static SpanStats> {
-        let d = self.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
-        let p = self.frames[d.checked_sub(1)?].load(Ordering::Relaxed);
-        // SAFETY: frames hold leaked 'static registry entries.
-        Some(unsafe { &*p })
-    }
-}
-
-/// Every live thread's span stack. Each is boxed, so the owner's pointer
-/// to it stays valid until its thread exits and removes it here.
-#[allow(clippy::vec_box)]
-fn stacks() -> MutexGuard<'static, Vec<Box<SpanStack>>> {
-    static STACKS: Mutex<Vec<Box<SpanStack>>> = Mutex::new(Vec::new());
-    STACKS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Frees the thread's span stack at thread exit.
-struct Release;
-
-impl Drop for Release {
-    fn drop(&mut self) {
-        let mine = STACK.with(|s| s.replace(std::ptr::null()));
-        stacks().retain(|st| !std::ptr::eq(&**st, mine));
+            None
+        };
+        if let Some(n) = find() {
+            return n;
+        }
+        let mut table = paths();
+        // Another thread may have added it since the lock-free read.
+        if let Some(n) = find() {
+            return n;
+        }
+        let node: &'static PathNode = Box::leak(Box::new(PathNode {
+            parent: Some(self),
+            frame: frame(),
+            self_ns: AtomicU64::new(0),
+            first_child: AtomicPtr::new(ptr::null_mut()),
+            // SAFETY: as in `find`; only this lock's holder stores here.
+            next: unsafe { self.first_child.load(Ordering::Relaxed).as_ref() },
+        }));
+        self.first_child
+            .store(ptr::from_ref(node).cast_mut(), Ordering::Release);
+        table.push(node);
+        node
     }
 }
 
 thread_local! {
-    /// This thread's span stack, null until its first span. Const and
-    /// destructor-free, so the allocation hook can read it without
-    /// allocating or registering anything.
-    static STACK: Cell<*const SpanStack> = const { Cell::new(std::ptr::null()) };
-    /// Registered by the first span, never by the allocation hook.
-    static RELEASE: Release = const { Release };
+    /// The innermost open span's node (the thread root once every span has
+    /// closed; `None` before the first). Const and destructor-free, so the
+    /// allocation hook can read it without allocating or registering anything.
+    static CURRENT: Cell<Option<&'static PathNode>> = const { Cell::new(None) };
+    /// Self-time credited on this thread so far, ns.
+    static CREDITED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Run `f` on this thread's span stack, if it has one.
-fn with_stack<R>(f: impl FnOnce(&SpanStack) -> R) -> Option<R> {
-    let p = STACK.with(Cell::get);
-    // SAFETY: a non-null `STACK` points into `stacks()`, and only this
-    // thread's `Release` removes it, after nulling the cell.
-    unsafe { p.as_ref() }.map(f)
-}
-
-/// Create this thread's span stack; none once the thread's exit has
-/// begun, so spans opened by later destructors are timed without nesting.
+/// This thread's root: one per thread name, and one `unnamed` for all
+/// threads without a name.
 #[cold]
-fn create_stack() {
-    static UNNAMED: AtomicUsize = AtomicUsize::new(0);
-    if RELEASE.try_with(|_| ()).is_err() {
-        return;
-    }
-    let name = match std::thread::current().name() {
-        Some(n) => n.to_string(),
-        None => format!("thread-{}", UNNAMED.fetch_add(1, Ordering::Relaxed)),
-    };
-    let st = Box::new(SpanStack {
-        seq: AtomicU64::new(0),
-        depth: AtomicUsize::new(0),
-        frames: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_DEPTH],
-        credited_ns: AtomicU64::new(0),
-        name,
-    });
-    STACK.with(|s| s.set(&*st));
-    stacks().push(st);
+fn thread_root() -> &'static PathNode {
+    let me = std::thread::current();
+    let name = me.name().unwrap_or("unnamed");
+    THREADS.child(
+        |f| matches!(f, Frame::Thread(n) if *n == name),
+        || Frame::Thread(name.to_string().leak()),
+    )
 }
 
-/// Call `f(thread name, frames outermost first)` for every thread with
-/// open spans. A stack caught mid-write is skipped. Holds the lock that
-/// frees exiting threads' stacks, so none is freed while read.
-#[cfg(feature = "telemetry")]
-pub(crate) fn for_each_stack(mut f: impl FnMut(&str, &[&'static SpanStats])) {
-    let (mut raw, mut frames) = (Vec::with_capacity(MAX_DEPTH), Vec::with_capacity(MAX_DEPTH));
-    for st in stacks().iter() {
-        let seq = st.seq.load(Ordering::Acquire);
-        let depth = st.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
-        raw.clear();
-        raw.extend(st.frames[..depth].iter().map(|p| p.load(Ordering::Relaxed)));
-        fence(Ordering::Acquire);
-        if seq % 2 == 1 || st.seq.load(Ordering::Relaxed) != seq || depth == 0 {
+/// Call `f(thread;span;…, self_ns)` for every path with self-time.
+pub(crate) fn for_each_path(mut f: impl FnMut(String, u64)) {
+    for node in paths().iter() {
+        let weight = node.self_ns.load(Ordering::Relaxed);
+        if weight == 0 {
             continue;
         }
-        frames.clear();
-        // SAFETY: a consistent copy holds only leaked 'static registry entries.
-        frames.extend(raw.iter().map(|&p| unsafe { &*p }));
-        f(&st.name, &frames);
+        let mut frames = Vec::new();
+        let mut n = Some(*node);
+        while let Some(PathNode { frame, parent, .. }) = n {
+            match frame {
+                Frame::Span(site) => frames.push(site.display_name()),
+                Frame::Thread(name) => frames.push(name.to_string()),
+            }
+            n = *parent;
+        }
+        frames.pop(); // THREADS
+        frames.reverse();
+        f(frames.join(";"), weight);
     }
 }
 
@@ -335,7 +306,7 @@ pub(crate) fn for_each_stack(mut f: impl FnMut(&str, &[&'static SpanStats])) {
 #[cfg(feature = "telemetry")]
 #[inline]
 pub(crate) fn charge_alloc(size: usize) {
-    if let Some(site) = with_stack(SpanStack::top).flatten() {
+    if let Some(PathNode { frame: Frame::Span(site), .. }) = CURRENT.with(Cell::get) {
         site.alloc_bytes.fetch_add(size as u64, Ordering::Relaxed);
         site.allocs.fetch_add(1, Ordering::Relaxed);
     }
@@ -343,10 +314,11 @@ pub(crate) fn charge_alloc(size: usize) {
 
 struct ActiveSpan {
     site: &'static SpanStats,
+    node: &'static PathNode,
     start: Instant,
     /// The thread's credited self-time when this span opened.
     credited_at_entry: u64,
-    /// Not `Send`: the guard must pop the span stack it pushed.
+    /// Not `Send`: the guard must close the path it opened.
     _not_send: PhantomData<*const ()>,
 }
 
@@ -366,18 +338,17 @@ impl SpanGuard {
         if trace::enabled() {
             trace::begin(site.trace_idx());
         }
-        if STACK.with(Cell::get).is_null() {
-            create_stack();
-        }
-        let credited_at_entry = with_stack(|st| {
-            st.push(site);
-            st.credited_ns.load(Ordering::Relaxed)
-        })
-        .unwrap_or(0);
+        let parent = CURRENT.with(Cell::get).unwrap_or_else(thread_root);
+        let node = parent.child(
+            |f| matches!(f, Frame::Span(s) if ptr::eq(*s, site)),
+            || Frame::Span(site),
+        );
+        CURRENT.with(|c| c.set(Some(node)));
         SpanGuard(Some(ActiveSpan {
             site,
+            node,
             start: Instant::now(),
-            credited_at_entry,
+            credited_at_entry: CREDITED_NS.with(Cell::get),
             _not_send: PhantomData,
         }))
     }
@@ -403,11 +374,15 @@ impl Drop for SpanGuard {
         if trace::enabled() {
             trace::end(a.site.trace_idx());
         }
-        // Guards are strictly scoped per thread, so the top frame is ours.
-        let self_ns = with_stack(|st| st.pop(a.credited_at_entry, elapsed)).unwrap_or(elapsed);
+        // Guards are strictly scoped per thread, so this span's parent is
+        // the node that was current when it opened.
+        CURRENT.with(|c| c.set(a.node.parent));
+        let credited = CREDITED_NS.with(Cell::get);
+        let self_ns = elapsed.saturating_sub(credited.saturating_sub(a.credited_at_entry));
+        CREDITED_NS.with(|c| c.set(credited + self_ns));
+        a.node.self_ns.fetch_add(self_ns, Ordering::Relaxed);
         a.site.calls.fetch_add(1, Ordering::Relaxed);
         a.site.total_ns.fetch_add(elapsed, Ordering::Relaxed);
-        a.site.self_ns.fetch_add(self_ns, Ordering::Relaxed);
         a.site.min_ns.fetch_min(elapsed, Ordering::Relaxed);
         a.site.max_ns.fetch_max(elapsed, Ordering::Relaxed);
     }
@@ -436,7 +411,8 @@ pub struct SpanSnapshot {
     /// Total wall nanoseconds across activations (spans) or accumulated
     /// nanoseconds (gauges).
     pub total_ns: u64,
-    /// Total minus time attributed to directly nested spans.
+    /// Total minus time attributed to directly nested spans: the sum of
+    /// the site's path weights (see the module docs).
     pub self_ns: u64,
     /// Fastest single activation, ns (0 when never called).
     pub min_ns: u64,
@@ -454,6 +430,13 @@ pub struct SpanSnapshot {
 /// Copy every registry entry, sorted by display name. Entries with zero
 /// calls and zero time are skipped.
 pub fn snapshot() -> Vec<SpanSnapshot> {
+    let mut self_ns = HashMap::<*const SpanStats, u64>::new();
+    for node in paths().iter() {
+        if let Frame::Span(site) = node.frame {
+            let ns = node.self_ns.load(Ordering::Relaxed);
+            *self_ns.entry(ptr::from_ref(site)).or_default() += ns;
+        }
+    }
     let map = registry().lock().unwrap_or_else(|e| e.into_inner());
     let mut out: Vec<SpanSnapshot> = map
         .values()
@@ -465,7 +448,7 @@ pub fn snapshot() -> Vec<SpanSnapshot> {
                 kind: s.kind,
                 calls,
                 total_ns: s.total_ns.load(Ordering::Relaxed),
-                self_ns: s.self_ns.load(Ordering::Relaxed),
+                self_ns: self_ns.get(&ptr::from_ref(*s)).copied().unwrap_or(0),
                 min_ns: if min == u64::MAX { 0 } else { min },
                 max_ns: s.max_ns.load(Ordering::Relaxed),
                 bytes: s.bytes.load(Ordering::Relaxed),
@@ -479,9 +462,13 @@ pub fn snapshot() -> Vec<SpanSnapshot> {
     out
 }
 
-/// Zero every registered entry (entries stay registered, so cached call
-/// sites remain valid). Meaningful only while no spans are in flight.
+/// Zero every registered entry and every path weight (both stay
+/// registered, so cached call sites remain valid). Meaningful only while
+/// no spans are in flight.
 pub fn reset() {
+    for node in paths().iter() {
+        node.self_ns.store(0, Ordering::Relaxed);
+    }
     let map = registry().lock().unwrap_or_else(|e| e.into_inner());
     for s in map.values() {
         s.clear();
@@ -608,12 +595,32 @@ mod tests {
         }
     }
 
+    /// The site's self-time in the snapshot (0 when it never ran).
+    fn self_ns(name: &str) -> u64 {
+        snapshot().iter().find(|s| s.name == name).map_or(0, |s| s.self_ns)
+    }
+
+    /// Nodes whose thread root is named `thread`, the root included.
+    fn nodes_of(thread: &str) -> usize {
+        paths()
+            .iter()
+            .filter(|n| {
+                let mut n = **n;
+                while let Some(p) = n.parent.filter(|p| p.parent.is_some()) {
+                    n = p;
+                }
+                matches!(n.frame, Frame::Thread(name) if name == thread)
+            })
+            .count()
+    }
+
     #[test]
     fn self_times_sum_exactly_to_the_root_total() {
         let _g = exclusive();
+        let names = ["root", "a", "grandchild", "b"].map(|n| format!("obs_test_tree.{n}"));
         let [root, a, grandchild, b] =
             ["root", "a", "grandchild", "b"].map(|n| register("obs_test_tree", n, Kind::Span));
-        let before = [root, a, grandchild, b].map(|s| load(&s.self_ns));
+        let before = names.clone().map(|n| self_ns(&n));
         let root_total0 = load(&root.total_ns);
         let nap = || std::thread::sleep(std::time::Duration::from_micros(300));
         {
@@ -628,54 +635,53 @@ mod tests {
             let _b = SpanGuard::enter(b);
             nap();
         }
-        let self_sum: u64 = [root, a, grandchild, b]
-            .iter()
-            .zip(before)
-            .map(|(s, b)| load(&s.self_ns) - b)
-            .sum();
+        let self_sum: u64 = names.iter().zip(before).map(|(n, b)| self_ns(n) - b).sum();
         assert_eq!(self_sum, load(&root.total_ns) - root_total0);
-        assert!(load(&grandchild.self_ns) - before[2] > 0);
+        assert!(self_ns(&names[2]) - before[2] > 0);
     }
 
     #[test]
-    fn exited_threads_release_their_stacks() {
-        const THREADS: usize = 64;
+    fn threads_sharing_a_name_share_their_paths() {
+        const N: usize = 64;
         let _g = exclusive();
-        let ours = || {
-            stacks()
-                .iter()
-                .filter(|s| s.name.starts_with("obs-stack-exit-"))
-                .count()
-        };
-        for sampling in [true, false] {
-            let sampler_on = sampling && crate::sampler::start(1_000).is_ok();
-            assert_eq!(sampler_on, sampling && cfg!(feature = "telemetry"));
-            let open = Arc::new(Barrier::new(THREADS + 1));
-            let close = Arc::new(Barrier::new(THREADS + 1));
-            let threads: Vec<_> = (0..THREADS)
-                .map(|i| {
-                    let (open, close) = (open.clone(), close.clone());
-                    std::thread::Builder::new()
-                        .name(format!("obs-stack-exit-{i}"))
+        for name in [Some("obs-path-shared"), None] {
+            let root = name.unwrap_or("unnamed");
+            let before = nodes_of(root);
+            let start = Arc::new(Barrier::new(N));
+            let threads: Vec<_> = (0..N)
+                .map(|_| {
+                    let start = start.clone();
+                    let mut builder = std::thread::Builder::new();
+                    if let Some(n) = name {
+                        builder = builder.name(n.to_string());
+                    }
+                    builder
                         .spawn(move || {
-                            let _s = scoped("", "obs_test_thread_exit");
-                            open.wait();
-                            close.wait();
+                            start.wait();
+                            let _s = scoped("", "obs_test_shared_path");
                         })
                         .unwrap()
                 })
                 .collect();
-            open.wait();
-            let registered = ours();
-            close.wait();
             for t in threads {
                 t.join().unwrap();
             }
-            let left = ours();
-            if sampler_on {
-                crate::sampler::stop();
-            }
-            assert_eq!((registered, left), (THREADS, 0), "sampler on: {sampler_on}");
+            let grown = nodes_of(root) - before;
+            assert!((1..=2).contains(&grown), "{root}: {grown} new nodes");
         }
+    }
+
+    #[test]
+    fn reset_zeroes_every_path_weight() {
+        let _g = exclusive();
+        {
+            let _outer = scoped("obs_test_reset", "outer");
+            let _inner = scoped("obs_test_reset", "inner");
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        assert!(self_ns("obs_test_reset.inner") > 0);
+        reset();
+        assert!(paths().iter().all(|n| load(&n.self_ns) == 0));
+        assert_eq!(crate::flame::render(), "");
     }
 }

@@ -15,10 +15,10 @@ cargo build --release --offline --locked --no-default-features
 
 # Prove the compile-out is real. The stripped binary still installs
 # the #[global_allocator] (src/lib.rs: its heap policy is not telemetry),
-# but every allocator counter must compile out and read zero, and the
-# sampling profiler must refuse to start rather than silently measuring
-# nothing.
-echo "==> compile-out proof  (stripped binary: allocator installed, counters read 0, sampler unavailable)"
+# but every allocator counter must compile out and read zero, and
+# `lttf flame` must report the flame as unavailable rather than silently
+# writing an empty one.
+echo "==> compile-out proof  (stripped binary: allocator installed, counters read 0, flame unavailable)"
 grep -B1 -A1 '^#\[global_allocator\]' src/lib.rs | grep -q 'cfg(feature' \
     && { echo "FAIL: the allocator (and its heap policy) is gated on a feature" >&2; exit 1; }
 STRIPPED_OUT=$(mktemp -d)
@@ -27,17 +27,17 @@ target/release/lttf bench-serve --mode memory --threads 2 --requests 2 \
 grep -q "allocator accounting compiled out" /tmp/lttf_stripped_mem.out \
     && grep -Fq "| 0 allocs/req, - per request" /tmp/lttf_stripped_mem.out \
     || { echo "FAIL: no-default-features build still counts allocations" >&2; exit 1; }
-LTTF_PROFILE_HZ=97 target/release/lttf flame --flame-out "$STRIPPED_OUT/flame.txt" \
+target/release/lttf flame --flame-out "$STRIPPED_OUT/flame.txt" \
     bench-serve --mode memory --threads 1 --requests 1 --out-dir "$STRIPPED_OUT" \
     2>&1 | tee /tmp/lttf_stripped_flame.out >/dev/null || true
-grep -q "flame sampling unavailable" /tmp/lttf_stripped_flame.out \
-    || { echo "FAIL: no-default-features build did not report the sampler as compiled out" >&2; exit 1; }
+grep -q "flame unavailable" /tmp/lttf_stripped_flame.out \
+    || { echo "FAIL: no-default-features build did not report the flame as compiled out" >&2; exit 1; }
 rm -rf "$STRIPPED_OUT"
 
 echo "==> cargo test -q --offline -p lttf-obs --no-default-features  (obs's own tests, compiled out)"
 # Each span/counter test asserts that the stripped build records nothing,
-# and the compile-out tests (sampler refuses to start, allocator counters
-# read zero) run only in this build.
+# and the compile-out tests (the rendered flame is empty, allocator
+# counters read zero) run only in this build.
 cargo test -q --offline -p lttf-obs --no-default-features
 
 echo "==> cargo build --release --offline --locked"
@@ -100,15 +100,15 @@ grep -q "^trace: /tmp/lttf_trace_smoke.json" /tmp/lttf_trace_smoke.out \
 # nesting per thread, async b/e pairing by id.
 cargo run -q --release --offline -p lttf-obs --bin jsonl_check -- --trace /tmp/lttf_trace_smoke.json
 
-echo "==> lttf flame  (continuous sampling profiler: collapsed-stack export + validator)"
-# High sampling rate so even the short smoke workload lands plenty of
-# samples; the exported collapsed text must satisfy the strict in-repo
-# parser (positive counts, no duplicate stacks, trailing newline).
-LTTF_QUIET=1 LTTF_PROFILE_HZ=997 target/release/lttf flame \
+echo "==> lttf flame  (span-path self-time: collapsed-stack export + validator)"
+# Every span path's exact self-time, weighted in ns; the exported
+# collapsed text must satisfy the strict in-repo parser (positive
+# weights, no duplicate stacks, trailing newline).
+LTTF_QUIET=1 target/release/lttf flame \
     --flame-out /tmp/lttf_flame_smoke.txt profile --smoke --name ci_flame_smoke \
     | tee /tmp/lttf_flame_smoke.out
-grep -Eq "^flame: [1-9][0-9]* weighted samples" /tmp/lttf_flame_smoke.out \
-    || { echo "FAIL: lttf flame captured no samples" >&2; exit 1; }
+grep -Eq "^flame: [1-9][0-9]* ns self-time" /tmp/lttf_flame_smoke.out \
+    || { echo "FAIL: lttf flame recorded no self-time" >&2; exit 1; }
 cargo run -q --release --offline -p lttf-obs --bin jsonl_check -- --flame /tmp/lttf_flame_smoke.txt
 
 echo "==> jsonl_check  (validate every run log under results/runs/ and committed bench files)"

@@ -52,8 +52,8 @@ fn usage() -> ! {
          lttf trace [--trace-out FILE.json] <subcommand …>   \
          (record a Chrome trace of any subcommand; open in chrome://tracing)\n  \
          lttf flame [--flame-out FILE.txt] <subcommand …>   \
-         (sample span stacks at LTTF_PROFILE_HZ, default 99 Hz; writes \
-         collapsed stacks for flamegraph.pl/inferno)"
+         (write each span path's self-time in ns as collapsed stacks \
+         for flamegraph.pl/inferno)"
     );
     exit(2);
 }
@@ -493,12 +493,12 @@ fn cmd_profile(flags: HashMap<String, String>) {
     println!("run log: {}", log.path().display());
 }
 
-/// Stop the stack sampler, validate its collapsed output against the
-/// strict in-repo parser, and write it to `path` (the `lttf flame`
-/// wrapper).
+/// Render the span path table as collapsed stacks, validate them
+/// against the strict in-repo parser, and write them to `path` (the
+/// `lttf flame` wrapper).
 fn write_flame(path: &str) {
-    let report = lttf::obs::sampler::stop();
-    let summary = lttf::obs::sampler::validate_collapsed(&report.collapsed).unwrap_or_else(|e| {
+    let collapsed = lttf::obs::flame::render();
+    let summary = lttf::obs::flame::validate_collapsed(&collapsed).unwrap_or_else(|e| {
         eprintln!("internal error: collapsed stacks failed validation: {e}");
         exit(1);
     });
@@ -507,14 +507,14 @@ fn write_flame(path: &str) {
             std::fs::create_dir_all(parent).ok();
         }
     }
-    if let Err(e) = std::fs::write(path, &report.collapsed) {
+    if let Err(e) = std::fs::write(path, &collapsed) {
         eprintln!("cannot write flame output to {path}: {e}");
         exit(1);
     }
     println!(
-        "flame: {} weighted samples over {} stacks ({} roots) -> {path} \
+        "flame: {} ns self-time over {} stacks ({} roots) -> {path} \
          (collapsed format; feed to inferno/flamegraph.pl)",
-        summary.samples, summary.stacks, summary.roots
+        summary.weight, summary.stacks, summary.roots
     );
 }
 
@@ -1672,10 +1672,10 @@ fn main() {
         trace_out = Some(out);
     }
 
-    // `lttf flame [--flame-out FILE] <cmd> …` wraps any subcommand with
-    // the continuous stack sampler (LTTF_PROFILE_HZ, default 99 Hz) and
-    // writes collapsed stacks when the inner command returns — the input
-    // format of inferno / flamegraph.pl. Validated before writing.
+    // `lttf flame [--flame-out FILE] <cmd> …` runs any subcommand and
+    // writes the self-time of every span path as collapsed stacks when it
+    // returns — the input format of inferno / flamegraph.pl. Validated
+    // before writing.
     let mut flame_out: Option<String> = None;
     if args.first().map(String::as_str) == Some("flame") {
         args.remove(0);
@@ -1692,9 +1692,8 @@ fn main() {
             eprintln!("lttf flame needs a subcommand to run");
             usage();
         }
-        let hz = lttf::obs::env::profile_hz().unwrap_or(99) as u64;
-        if let Err(e) = lttf::obs::sampler::start(hz) {
-            eprintln!("warning: flame sampling unavailable: {e}");
+        if !cfg!(feature = "telemetry") {
+            eprintln!("warning: flame unavailable: built without the 'telemetry' feature");
         }
         flame_out = Some(out);
     }

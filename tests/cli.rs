@@ -186,6 +186,57 @@ fn trace_wrapper_writes_valid_chrome_json() {
 }
 
 #[test]
+fn flame_weights_equal_the_run_logs_self_time() {
+    let dir = workdir().join("flame");
+    let flame_path = dir.join("flame.txt");
+    let out = Command::new(env!("CARGO_BIN_EXE_lttf"))
+        .arg("flame")
+        .arg("--flame-out")
+        .arg(&flame_path)
+        .args([
+            "profile", "--smoke", "--mode", "fwd", "--lx", "24", "--ly", "8", "--d-model", "8",
+            "--epochs", "1", "--batch", "8", "--len", "400", "--name", "cli_flame", "--out-dir",
+        ])
+        .arg(&dir)
+        .env("LTTF_QUIET", "1")
+        .output()
+        .expect("flame profile");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let flame = std::fs::read_to_string(&flame_path).expect("flame file written");
+    let summary = lttf::obs::flame::validate_collapsed(&flame).expect("valid collapsed stacks");
+    assert!(summary.weight > 0, "empty flame");
+    // Per span, the lines ending in it add up to its self-time exactly.
+    let mut weights = std::collections::BTreeMap::<&str, u64>::new();
+    for line in flame.lines() {
+        let (stack, ns) = line.rsplit_once(' ').unwrap();
+        let span = stack.rsplit(';').next().unwrap();
+        *weights.entry(span).or_default() += ns.parse::<u64>().unwrap();
+    }
+    let log = std::fs::read_to_string(dir.join("cli_flame.jsonl")).expect("run log written");
+    let mut self_ns = std::collections::BTreeMap::<&str, u64>::new();
+    let records: Vec<_> = log
+        .lines()
+        .map(|l| lttf::obs::jsonl::parse_object(l).unwrap())
+        .collect();
+    for fields in &records {
+        let get = |k| lttf::obs::jsonl::field(fields, k).unwrap();
+        if get("event").as_str() == Some("span") && get("kind").as_str() == Some("span") {
+            let ns = get("self_ns").as_num().unwrap() as u64;
+            if ns > 0 {
+                self_ns.insert(get("name").as_str().unwrap(), ns);
+            }
+        }
+    }
+    assert!(self_ns.contains_key("matmul"), "{log}");
+    assert_eq!(weights, self_ns, "flame:\n{flame}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn unknown_subcommand_fails() {
     let out = Command::new(env!("CARGO_BIN_EXE_lttf"))
         .arg("frobnicate")

@@ -365,3 +365,53 @@ fn telemetry_preserves_thread_count_determinism() {
     // Spans recorded while sweeping: 1 reference + 3 sweep calls.
     assert_eq!(obs::calls("", "matmul"), 4);
 }
+
+#[test]
+fn flame_paths_add_up_to_each_sites_self_time() {
+    let _g = exclusive();
+    obs::reset();
+    let mut rng = Rng::seed(17);
+    // 32 Mi multiply-adds split across the pool; with SIMD kernels k > KC
+    // takes the packed gemm, whose `gemm.pack` span opens on every thread
+    // that runs a block. The 16 sleeping tasks put spans on the workers
+    // on either backend.
+    let a = Tensor::randn(&[256, 512], &mut rng);
+    let b = Tensor::randn(&[512, 256], &mut rng);
+    set_threads_override(Some(4));
+    std::hint::black_box(a.matmul(&b));
+    let mut rows = vec![0.0f32; 16];
+    lttf_parallel::par_chunks_mut(&mut rows, 1, |_, row| {
+        let _s = obs::scoped("", "obs_test_pool_task");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        row[0] = 1.0;
+    });
+    set_threads_override(None);
+
+    let flame = obs::flame::render();
+    obs::flame::validate_collapsed(&flame).expect("rendered flame validates");
+    let snap = obs::snapshot();
+    let me = std::thread::current();
+    let root = me.name().unwrap_or("unnamed");
+    let mut by_site = std::collections::BTreeMap::<&str, u64>::new();
+    let mut under_matmul = 0;
+    for line in flame.lines() {
+        let (stack, ns) = line.rsplit_once(' ').unwrap();
+        let ns: u64 = ns.parse().unwrap();
+        *by_site.entry(stack.rsplit(';').next().unwrap()).or_default() += ns;
+        if stack.starts_with(&format!("{root};matmul")) {
+            under_matmul += ns;
+        }
+    }
+    assert!(
+        flame.lines().any(|l| l.starts_with("lttf-par-")),
+        "no span on a pool worker:\n{flame}"
+    );
+    for s in snap.iter().filter(|s| s.kind == obs::Kind::Span) {
+        assert_eq!(by_site.get(s.name.as_str()).copied().unwrap_or(0), s.self_ns, "{}", s.name);
+    }
+    assert_eq!(by_site.len(), snap.iter().filter(|s| s.self_ns > 0).count());
+    // The matmul and the spans nested under it on this thread: their
+    // self-times add back up to the matmul's wall time.
+    let matmul = snap.iter().find(|s| s.name == "matmul").unwrap();
+    assert_eq!(under_matmul, matmul.total_ns);
+}
