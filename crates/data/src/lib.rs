@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod csv;
-mod impute;
 mod scaler;
 mod series;
 mod window;
@@ -38,7 +37,6 @@ mod window;
 pub mod synth;
 
 pub use csv::{read_csv, write_csv};
-pub use impute::{impute, missing_counts, ImputeStrategy};
 pub use scaler::StandardScaler;
 pub use series::{time_features, Freq, TimeSeries, MARK_DIM};
 pub use window::{Batch, Split, WindowDataset};

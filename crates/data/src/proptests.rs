@@ -27,7 +27,7 @@ properties! {
             let b = ds.batch(&[0, ds.len() - 1]);
             prop_assert_eq!(b.x.shape(), &[2, lx, 3]);
             prop_assert_eq!(b.y.shape(), &[2, ly, 3]);
-            prop_assert_eq!(b.dec.shape(), &[2, ds.label_len() + ly, 3]);
+            prop_assert_eq!(b.dec.shape(), &[2, ly.min(lx) + ly, 3]);
             prop_assert!(!b.x.has_non_finite());
         }
     }

@@ -74,13 +74,6 @@ impl StandardScaler {
         self.apply(x, |v, m, s| v * s + m)
     }
 
-    /// Inverse-transform a single column `d` given a tensor whose last axis
-    /// is that single variable (used for univariate outputs).
-    pub fn inverse_transform_column(&self, x: &Tensor, d: usize) -> Tensor {
-        let (m, s) = (self.mean[d], self.std[d]);
-        x.map(|v| v * s + m)
-    }
-
     fn apply(&self, x: &Tensor, f: impl Fn(f32, f32, f32) -> f32) -> Tensor {
         let dims = *x.shape().last().expect("scaler input needs an axis");
         assert_eq!(
@@ -158,15 +151,5 @@ mod tests {
         let rebuilt =
             StandardScaler::from_parts(fitted.mean().to_vec(), fitted.std().to_vec());
         rebuilt.transform(&x).assert_close(&fitted.transform(&x), 0.0);
-    }
-
-    #[test]
-    fn column_inverse() {
-        let x = Tensor::from_vec(vec![0.0, 100.0, 10.0, 200.0], &[2, 2]);
-        let sc = StandardScaler::fit(&x);
-        let scaled_target = sc.transform(&x).select(1, &[1]);
-        let restored = sc.inverse_transform_column(&scaled_target, 1);
-        assert!((restored.data()[0] - 100.0).abs() < 1e-3);
-        assert!((restored.data()[1] - 200.0).abs() < 1e-3);
     }
 }

@@ -45,17 +45,6 @@ pub struct SynthSpec {
     pub seed: u64,
 }
 
-impl SynthSpec {
-    /// A spec with the given length and the dataset's default width.
-    pub fn with_len(len: usize, seed: u64) -> Self {
-        SynthSpec {
-            len,
-            dims: None,
-            seed,
-        }
-    }
-}
-
 /// The seven datasets, as an enum the harnesses iterate over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dataset {

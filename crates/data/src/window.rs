@@ -133,11 +133,6 @@ impl WindowDataset {
         self.ly
     }
 
-    /// Decoder warm-start length.
-    pub fn label_len(&self) -> usize {
-        self.label_len
-    }
-
     /// Target column index.
     pub fn target(&self) -> usize {
         self.target

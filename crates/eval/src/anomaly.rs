@@ -21,15 +21,11 @@ pub struct Anomaly {
     pub score: f32,
 }
 
-/// Detection report: flagged points plus the residual scale used.
+/// Detection report: the flagged points out of all examined.
 #[derive(Clone, Debug)]
 pub struct AnomalyReport {
     /// Flagged anomalies, strongest first.
     pub anomalies: Vec<Anomaly>,
-    /// Median residual (location estimate).
-    pub residual_median: f32,
-    /// Robust residual scale (1.4826 × MAD).
-    pub residual_scale: f32,
     /// Total points examined.
     pub points: usize,
 }
@@ -92,8 +88,6 @@ pub fn detect_anomalies(
     });
     AnomalyReport {
         anomalies,
-        residual_median: median,
-        residual_scale: scale,
         points: residuals.len(),
     }
 }
@@ -149,7 +143,6 @@ mod tests {
         let report = detect_anomalies(&model, &test, 16, 5.0);
         let rate = report.anomalies.len() as f32 / report.points as f32;
         assert!(rate < 0.02, "false-positive rate {rate}");
-        assert!(report.residual_scale > 0.0);
     }
 
     #[test]

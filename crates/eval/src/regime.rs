@@ -116,11 +116,6 @@ impl ErrorAccum {
         }
     }
 
-    /// Pointwise values scored so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Mean squared error over everything observed (NaN when empty).
     pub fn mse(&self) -> f64 {
         if self.n == 0 {
@@ -187,6 +182,5 @@ mod tests {
         // errors 1 and -2: mse (1+4)/2, mae (1+2)/2
         assert!((acc.mse() - 2.5).abs() < 1e-12);
         assert!((acc.mae() - 1.5).abs() < 1e-12);
-        assert_eq!(acc.count(), 2);
     }
 }

@@ -34,22 +34,6 @@ impl Table {
         self.rows.push(r);
     }
 
-    /// Append a row of display-able cells.
-    pub fn row_of(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -116,7 +100,6 @@ mod tests {
     fn short_rows_padded() {
         let mut t = Table::new("T", &["a", "b", "c"]);
         t.row(&["x".into()]);
-        assert_eq!(t.len(), 1);
         assert!(t.render().contains('x'));
     }
 

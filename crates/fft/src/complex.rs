@@ -24,11 +24,6 @@ impl Complex {
         Complex { re, im: 0.0 }
     }
 
-    /// Zero.
-    pub fn zero() -> Self {
-        Complex { re: 0.0, im: 0.0 }
-    }
-
     /// `e^{iθ}` on the unit circle.
     pub fn cis(theta: f64) -> Self {
         Complex {
@@ -44,19 +39,28 @@ impl Complex {
             im: -self.im,
         }
     }
+}
+
+/// Helpers only the transform tests use.
+#[cfg(test)]
+impl Complex {
+    /// Zero.
+    pub(crate) fn zero() -> Self {
+        Complex { re: 0.0, im: 0.0 }
+    }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Magnitude.
-    pub fn abs(self) -> f64 {
+    pub(crate) fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
 
     /// Scale by a real factor.
-    pub fn scale(self, s: f64) -> Self {
+    pub(crate) fn scale(self, s: f64) -> Self {
         Complex {
             re: self.re * s,
             im: self.im * s,

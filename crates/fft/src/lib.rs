@@ -10,14 +10,11 @@
 //! 2. **The Autoformer baseline**: its auto-correlation attention mechanism
 //!    ranks time delays by the same FFT-computed autocorrelation.
 //!
-//! This crate implements:
-//! - an iterative radix-2 Cooley–Tukey FFT for power-of-two lengths,
-//! - Bluestein's algorithm for arbitrary lengths (so series of length 96,
-//!   336, … need no padding),
-//! - forward/inverse transforms, real-input convenience wrappers,
-//! - circular autocorrelation and top-k period detection, with the
-//!   transform core running four series side by side for a batch
-//!   ([`autocorrelations`]).
+//! This crate implements circular autocorrelation and top-k period
+//! detection on one transform core, which runs four series side by side
+//! for a batch ([`autocorrelations`]): an iterative radix-2 Cooley–Tukey
+//! FFT for power-of-two lengths and Bluestein's algorithm for arbitrary
+//! lengths (so series of length 96, 336, … need no padding).
 //!
 //! ```
 //! use lttf_fft::{autocorrelation, top_k_periods};
@@ -38,8 +35,6 @@ mod complex;
 mod transform;
 
 pub use autocorr::{autocorrelation, autocorrelation_matrix, autocorrelations, top_k_periods};
-pub use complex::Complex;
-pub use transform::{fft, ifft, next_pow2, rfft_magnitudes};
 
 #[cfg(test)]
 mod proptests;

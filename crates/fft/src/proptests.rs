@@ -1,6 +1,8 @@
 //! Property-based tests of FFT invariants.
 
-use crate::{autocorrelation, fft, ifft, Complex};
+use crate::autocorrelation;
+use crate::complex::Complex;
+use crate::transform::{fft, ifft};
 use lttf_testkit::prop::{self, Gen};
 use lttf_testkit::{prop_assert, properties};
 

@@ -3,8 +3,9 @@
 //! that the cached transform matches it bit for bit on every length in
 //! 1..=300.
 
+use crate::autocorrelation;
 use crate::complex::Complex;
-use crate::{autocorrelation, fft, ifft, next_pow2};
+use crate::transform::{fft, ifft};
 
 fn fft_pow2(buf: &mut [Complex], sign: f64) {
     let n = buf.len();
@@ -45,7 +46,7 @@ fn fft_pow2(buf: &mut [Complex], sign: f64) {
 
 fn bluestein(x: &[Complex], sign: f64) -> Vec<Complex> {
     let n = x.len();
-    let m = next_pow2(2 * n - 1);
+    let m = (2 * n - 1).next_power_of_two();
     let chirp: Vec<Complex> = (0..n)
         .map(|k| {
             let k2 = (k as u64 * k as u64) % (2 * n as u64);

@@ -12,11 +12,6 @@ use std::thread::LocalKey;
 
 use crate::complex::Complex;
 
-/// Smallest power of two `>= n`.
-pub fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 /// Plans a thread keeps per table; past it the table starts over. The
 /// models use a handful of lengths, so this only bounds a caller that
 /// sweeps many.
@@ -228,7 +223,7 @@ struct Bluestein {
 
 fn bluestein_plan(n: usize, sign: f64) -> Rc<Bluestein> {
     cached(&BLUESTEIN, n, sign, || {
-        let m = next_pow2(2 * n - 1);
+        let m = (2 * n - 1).next_power_of_two();
         let chirp: Vec<Complex> = (0..n)
             .map(|k| {
                 // k² mod 2n avoids precision loss for large k.
@@ -282,7 +277,10 @@ pub(crate) fn dft<const L: usize>(buf: &mut [Lanes<L>], sign: f64, work: &mut Ve
     }
 }
 
-/// `x` through [`dft`] as one lane.
+/// `x` through [`dft`] as one lane. This and the two transforms below
+/// are how the tests reach the transform core, which only
+/// [`crate::autocorrelations`] runs outside them.
+#[cfg(test)]
 fn transform(x: &[Complex], sign: f64) -> Vec<Lanes<1>> {
     let mut buf: Vec<Lanes<1>> = x.iter().map(|&c| c.into()).collect();
     dft(&mut buf, sign, &mut Vec::new());
@@ -293,29 +291,18 @@ fn transform(x: &[Complex], sign: f64) -> Vec<Lanes<1>> {
 ///
 /// Accepts any length: powers of two use radix-2 Cooley–Tukey, other
 /// lengths use Bluestein's algorithm. An empty input returns empty.
-pub fn fft(x: &[Complex]) -> Vec<Complex> {
+#[cfg(test)]
+pub(crate) fn fft(x: &[Complex]) -> Vec<Complex> {
     transform(x, -1.0).into_iter().map(Complex::from).collect()
 }
 
 /// Inverse DFT with `1/n` normalization: `ifft(fft(x)) == x`.
-pub fn ifft(x: &[Complex]) -> Vec<Complex> {
+#[cfg(test)]
+pub(crate) fn ifft(x: &[Complex]) -> Vec<Complex> {
     let scale = 1.0 / x.len() as f64;
     transform(x, 1.0)
         .into_iter()
         .map(|v| v.scale(scale).into())
-        .collect()
-}
-
-/// Magnitudes of the positive-frequency half of the DFT of a real signal.
-///
-/// Returns `n/2 + 1` magnitudes (bins `0..=n/2`). Useful for spectrum
-/// inspection and period detection.
-pub fn rfft_magnitudes(x: &[f32]) -> Vec<f32> {
-    let buf: Vec<Complex> = x.iter().map(|&v| Complex::from_re(v as f64)).collect();
-    let spec = fft(&buf);
-    spec.iter()
-        .take(x.len() / 2 + 1)
-        .map(|c| c.abs() as f32)
         .collect()
 }
 
@@ -411,23 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn rfft_detects_sine_frequency() {
-        // A pure sine with 4 cycles over 64 samples peaks at bin 4.
-        let x: Vec<f32> = (0..64)
-            .map(|i| (2.0 * std::f32::consts::PI * 4.0 * i as f32 / 64.0).sin())
-            .collect();
-        let mags = rfft_magnitudes(&x);
-        assert_eq!(mags.len(), 33);
-        let peak = mags
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(peak, 4);
-    }
-
-    #[test]
     fn parseval_energy_conservation() {
         let x: Vec<Complex> = (0..32)
             .map(|i| Complex::from_re((i as f64 * 0.37).sin()))
@@ -442,13 +412,5 @@ mod tests {
     fn empty_input() {
         assert!(fft(&[]).is_empty());
         assert!(ifft(&[]).is_empty());
-    }
-
-    #[test]
-    fn next_pow2_values() {
-        assert_eq!(next_pow2(1), 1);
-        assert_eq!(next_pow2(5), 8);
-        assert_eq!(next_pow2(16), 16);
-        assert_eq!(next_pow2(17), 32);
     }
 }

@@ -9,7 +9,6 @@
 use crate::attention::full::full_attention;
 use crate::param::Fwd;
 use lttf_autograd::Var;
-use lttf_tensor::Tensor;
 
 /// LSH attention on head-folded tensors. Requires `Lq == Lk` (self-
 /// attention); for cross-attention callers should fall back to full
@@ -69,44 +68,12 @@ pub fn lsh_attention<'g>(
     stacked.select(1, &inverse)
 }
 
-/// Non-autograd forward used by the Fig. 5 efficiency benchmark.
-pub fn lsh_forward(q: &Tensor, k: &Tensor, v: &Tensor, n_buckets: usize, proj: &Tensor) -> Tensor {
-    let (bh, lq, dh) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let dv = v.shape()[2];
-    let shared = q.mean_axis(0).add(&k.mean_axis(0)).mul_scalar(0.5);
-    let rot = shared.matmul(proj);
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_buckets];
-    for i in 0..lq {
-        groups[rot.narrow(0, i, 1).argmax() % n_buckets].push(i);
-    }
-    let scale = 1.0 / (dh as f32).sqrt();
-    let mut out = Tensor::zeros(&[bh, lq, dv]);
-    for group in groups.iter().filter(|g| !g.is_empty()) {
-        let qs = q.select(1, group);
-        let ks = k.select(1, group);
-        let vs = v.select(1, group);
-        let attn = qs
-            .matmul(&ks.swap_axes(1, 2))
-            .mul_scalar(scale)
-            .softmax(-1)
-            .matmul(&vs);
-        for (gi, &i) in group.iter().enumerate() {
-            for b in 0..bh {
-                for f in 0..dv {
-                    out.set(&[b, i, f], attn.at(&[b, gi, f]));
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::param::ParamSet;
     use lttf_autograd::Graph;
-    use lttf_tensor::Rng;
+    use lttf_tensor::{Rng, Tensor};
 
     #[test]
     fn shape_preserved() {

@@ -41,9 +41,6 @@ mod window;
 #[cfg(test)]
 mod proptests;
 
-pub use full::full_attention;
-pub use logsparse::{log_sparse_attention, log_sparse_mask};
-pub use lsh::lsh_forward;
 pub use window::{
     sliding_window_attention, sliding_window_global_attention, window_forward,
     window_global_backward, window_global_forward,
@@ -180,11 +177,6 @@ impl MultiHeadAttention {
             wo: Linear::new(ps, &format!("{name}.wo"), d_model, d_model, rng),
             dropout,
         }
-    }
-
-    /// The configured mechanism.
-    pub fn kind(&self) -> AttentionKind {
-        self.kind
     }
 
     /// `[B, L, d] → [B·N, L, d/N]`, for the mechanisms that take

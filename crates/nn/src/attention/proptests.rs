@@ -6,9 +6,10 @@
 //! several 8-query lane blocks — and every mechanism preserves the
 //! convex-combination property of softmax attention.
 
+use crate::attention::full::full_attention;
 use crate::attention::window::reference;
 use crate::attention::{
-    full_attention, sliding_window_global_attention, window_global_backward, window_global_forward,
+    sliding_window_global_attention, window_global_backward, window_global_forward,
 };
 use lttf_autograd::Graph;
 use lttf_tensor::simd::on_both_backends;

@@ -24,9 +24,9 @@ use std::ops::Range;
 const PAR_MIN_WORK: usize = 32 * 1024;
 
 /// Minimum score-matrix work (`bh·lq·(w+n_global+1)·dh`) before the
-/// telemetry span is opened; lower than `lttf_tensor::OBS_MIN_WORK`
-/// because the attention kernel is called once per layer per batch, never
-/// in a tight loop.
+/// telemetry span is opened; lower than the default of
+/// `lttf_tensor::obs_min_work()` because the attention kernel is called
+/// once per layer per batch, never in a tight loop.
 const OBS_MIN_ATTN: usize = 2048;
 
 /// Window bounds for query `i`: `[lo, hi)` over key positions.

@@ -23,11 +23,6 @@ impl SeriesDecomp {
         SeriesDecomp { kernel }
     }
 
-    /// The moving-average window.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
     /// Split `x` (shape `[batch, len, d]`) into `(seasonal, trend)`.
     pub fn forward<'g>(&self, x: Var<'g>) -> (Var<'g>, Var<'g>) {
         let trend = x.moving_avg(1, self.kernel);

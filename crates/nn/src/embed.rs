@@ -28,7 +28,6 @@ pub fn positional_encoding(len: usize, d_model: usize) -> Tensor {
 pub struct TokenEmbedding {
     weight: ParamId,
     c_in: usize,
-    d_model: usize,
 }
 
 impl TokenEmbedding {
@@ -38,11 +37,7 @@ impl TokenEmbedding {
             format!("{name}.conv"),
             kaiming_uniform(&[d_model, c_in, 3], c_in * 3, rng),
         );
-        TokenEmbedding {
-            weight,
-            c_in,
-            d_model,
-        }
+        TokenEmbedding { weight, c_in }
     }
 
     /// Apply: `[batch, len, c_in] → [batch, len, d_model]`.
@@ -55,11 +50,6 @@ impl TokenEmbedding {
             self.c_in, shape
         );
         x.conv1d(cx.param(self.weight), 1, 1)
-    }
-
-    /// Output width.
-    pub fn d_model(&self) -> usize {
-        self.d_model
     }
 }
 
@@ -109,11 +99,6 @@ impl DataEmbedding {
             e = e.add(cx.constant(pe));
         }
         cx.dropout(e, self.dropout)
-    }
-
-    /// Output width.
-    pub fn d_model(&self) -> usize {
-        self.d_model
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Neural-network building blocks for the Conformer (ICDE 2023)
 //! reproduction: parameter management, layers, six attention mechanisms,
-//! optimizers, and losses — all on top of [`lttf_autograd`].
+//! the Adam optimizer, and the MSE loss — all on top of [`lttf_autograd`].
 //!
 //! ## Parameter model
 //!
@@ -22,7 +22,7 @@
 //! let layer = Linear::new(&mut ps, "lin", 4, 2, &mut rng);
 //! let mut opt = Adam::new(1e-2);
 //!
-//! // one SGD step on || layer(x) ||²
+//! // one Adam step on || layer(x) ||²
 //! let g = Graph::new();
 //! let cx = Fwd::new(&g, &ps, true, 1);
 //! let x = g.leaf(Tensor::randn(&[8, 4], &mut rng));
@@ -61,11 +61,11 @@ pub use decomp::SeriesDecomp;
 pub use embed::{positional_encoding, DataEmbedding, TokenEmbedding};
 pub use init::{kaiming_uniform, xavier_uniform};
 pub use linear::Linear;
-pub use loss::{mae_loss, mse_loss, mse_loss_to};
+pub use loss::{mse_loss, mse_loss_to};
 pub use norm::LayerNorm;
-pub use optim::{Adam, GradClip, Optimizer, Sgd};
+pub use optim::{Adam, GradClip, Optimizer};
 pub use param::{Fwd, ParamId, ParamSet};
-pub use rnn::{Gru, GruCell, Lstm, LstmCell, RnnOutput};
+pub use rnn::{Gru, GruCell, RnnOutput};
 pub use serialize::{
     load_params, load_params_with_meta, read_params, read_params_with_meta, save_params,
     save_params_with_meta, write_params, write_params_with_meta,

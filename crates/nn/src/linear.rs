@@ -12,7 +12,6 @@ pub struct Linear {
     w: ParamId,
     b: Option<ParamId>,
     in_features: usize,
-    out_features: usize,
 }
 
 impl Linear {
@@ -46,22 +45,7 @@ impl Linear {
                 lttf_tensor::Tensor::zeros(&[out_features]),
             )
         });
-        Linear {
-            w,
-            b,
-            in_features,
-            out_features,
-        }
-    }
-
-    /// Input width.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output width.
-    pub fn out_features(&self) -> usize {
-        self.out_features
+        Linear { w, b, in_features }
     }
 
     /// Apply the layer. Input must be 2-D or 3-D with last axis

@@ -1,4 +1,4 @@
-//! Loss functions: MSE (the paper's training objective, Eq. 18) and MAE.
+//! The loss: MSE, the paper's training objective (Eq. 18).
 
 use lttf_autograd::Var;
 use lttf_tensor::Tensor;
@@ -12,11 +12,6 @@ pub fn mse_loss<'g>(pred: Var<'g>, target: Var<'g>) -> Var<'g> {
 pub fn mse_loss_to<'g>(pred: Var<'g>, target: &Tensor) -> Var<'g> {
     let t = pred.graph().constant(target.clone());
     mse_loss(pred, t)
-}
-
-/// Mean absolute error between two variables of the same shape.
-pub fn mae_loss<'g>(pred: Var<'g>, target: Var<'g>) -> Var<'g> {
-    pred.sub(target).abs().mean_all()
 }
 
 #[cfg(test)]
@@ -39,14 +34,6 @@ mod tests {
         let b = g.leaf(Tensor::from_slice(&[3.0, 4.0]));
         // (9 + 16) / 2 = 12.5
         assert_eq!(mse_loss(a, b).value().item(), 12.5);
-    }
-
-    #[test]
-    fn mae_hand_computed() {
-        let g = Graph::new();
-        let a = g.leaf(Tensor::from_slice(&[0.0, 0.0]));
-        let b = g.leaf(Tensor::from_slice(&[3.0, -4.0]));
-        assert_eq!(mae_loss(a, b).value().item(), 3.5);
     }
 
     #[test]

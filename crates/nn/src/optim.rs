@@ -1,5 +1,5 @@
-//! Optimizers: Adam (the paper's choice) and SGD with momentum, plus
-//! gradient clipping.
+//! The optimizer: Adam, the paper's choice for Conformer and every
+//! baseline (Section V-A3), plus gradient clipping.
 
 use crate::param::ParamSet;
 use lttf_tensor::Tensor;
@@ -17,14 +17,12 @@ pub trait Optimizer {
 }
 
 /// Adam (Kingma & Ba 2015) with the paper's defaults:
-/// `β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`. Construct with
-/// [`Adam::with_weight_decay`] for the decoupled-decay (AdamW) variant.
+/// `β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`, and no weight decay.
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -39,20 +37,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// AdamW (Loshchilov & Hutter 2019): weight decay applied directly to
-    /// the parameters, decoupled from the adaptive gradient statistics.
-    pub fn with_weight_decay(lr: f32, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        let mut a = Self::new(lr);
-        a.weight_decay = weight_decay;
-        a
     }
 
     fn ensure_state(&mut self, ps: &ParamSet) {
@@ -88,59 +76,7 @@ impl Optimizer for Adam {
             for ((pv, &mv), &vv) in p.value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let mhat = mv / bc1;
                 let vhat = vv / bc2;
-                *pv -= self.lr * (mhat / (vhat.sqrt() + self.eps) + self.weight_decay * *pv);
-            }
-        }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// SGD with classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD (`momentum = 0`).
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum `μ`: `v ← μv − lr·g ; θ ← θ + v`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, ps: &mut ParamSet) {
-        while self.velocity.len() < ps.len() {
-            let i = self.velocity.len();
-            self.velocity.push(ps.params[i].value.zeros_like());
-        }
-        for (i, p) in ps.params.iter_mut().enumerate() {
-            let vel = &mut self.velocity[i];
-            for ((vv, pv), &gv) in vel
-                .data_mut()
-                .iter_mut()
-                .zip(p.value.data_mut().iter_mut())
-                .zip(p.grad.data())
-            {
-                *vv = self.momentum * *vv - self.lr * gv;
-                *pv += *vv;
+                *pv -= self.lr * (mhat / (vhat.sqrt() + self.eps));
             }
         }
     }
@@ -184,7 +120,7 @@ mod tests {
     use super::*;
     use lttf_tensor::Tensor;
 
-    /// Minimize f(x) = Σ (x − c)² with each optimizer.
+    /// Minimize f(x) = Σ (x − c)² with `opt`.
     fn quadratic_descent(opt: &mut dyn Optimizer, steps: usize) -> f32 {
         let target = Tensor::from_slice(&[3.0, -2.0, 0.5]);
         let mut ps = ParamSet::new();
@@ -207,48 +143,15 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let loss = quadratic_descent(&mut opt, 200);
-        assert!(loss < 1e-6, "loss {loss}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let loss = quadratic_descent(&mut opt, 200);
-        assert!(loss < 1e-4, "loss {loss}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_unused_parameters() {
-        // With zero gradients, AdamW still pulls weights toward zero while
-        // plain Adam leaves them alone.
+    fn adam_leaves_parameters_alone_without_gradients() {
         let mut ps = ParamSet::new();
-        let x = ps.add("x", Tensor::from_slice(&[1.0, -2.0]));
+        let y = ps.add("y", Tensor::from_slice(&[1.0, -2.0]));
         ps.zero_grad();
-        let mut adamw = Adam::with_weight_decay(0.1, 0.1);
-        for _ in 0..10 {
-            adamw.step(&mut ps);
-        }
-        let decayed = ps.value(x).abs().sum();
-        assert!(decayed < 3.0, "no decay applied: {decayed}");
-
-        let mut ps2 = ParamSet::new();
-        let y = ps2.add("y", Tensor::from_slice(&[1.0, -2.0]));
-        ps2.zero_grad();
         let mut adam = Adam::new(0.1);
         for _ in 0..10 {
-            adam.step(&mut ps2);
+            adam.step(&mut ps);
         }
-        assert_eq!(ps2.value(y).data(), &[1.0, -2.0]);
-    }
-
-    #[test]
-    fn adamw_still_converges() {
-        let mut opt = Adam::with_weight_decay(0.1, 0.01);
-        let loss = quadratic_descent(&mut opt, 200);
-        assert!(loss < 1e-2, "loss {loss}");
+        assert_eq!(ps.value(y).data(), &[1.0, -2.0]);
     }
 
     #[test]

@@ -157,39 +157,6 @@ impl ParamSet {
             })
             .collect()
     }
-
-    /// A human-readable parameter-count breakdown, grouped by the first
-    /// dot-separated component of each parameter name (i.e. per layer /
-    /// block), largest first. Useful for model cards and debugging:
-    ///
-    /// ```text
-    /// encoder.l0       12_345
-    /// decoder.l0        6_789
-    /// flow              4_321
-    /// total            23_455
-    /// ```
-    pub fn summary(&self) -> String {
-        use std::collections::BTreeMap;
-        let mut groups: BTreeMap<String, usize> = BTreeMap::new();
-        for id in self.ids() {
-            let name = self.name(id);
-            let group = name.splitn(3, '.').take(2).collect::<Vec<_>>().join(".");
-            *groups.entry(group).or_default() += self.value(id).numel();
-        }
-        let mut rows: Vec<(String, usize)> = groups.into_iter().collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.1));
-        let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(5).max(5);
-        let mut out = String::new();
-        for (name, count) in &rows {
-            out.push_str(&format!("{name:<width$}  {count:>10}\n"));
-        }
-        out.push_str(&format!(
-            "{:<width$}  {:>10}\n",
-            "total",
-            self.num_elements()
-        ));
-        out
-    }
 }
 
 /// Context threading a [`Graph`], a [`ParamSet`], and per-pass state
@@ -377,19 +344,6 @@ mod tests {
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
         // some elements must be dropped
         assert!(y.data().iter().filter(|&&v| v == 0.0).count() > 2000);
-    }
-
-    #[test]
-    fn summary_groups_and_totals() {
-        let mut ps = ParamSet::new();
-        ps.add("enc.l0.w", Tensor::zeros(&[10]));
-        ps.add("enc.l0.b", Tensor::zeros(&[5]));
-        ps.add("dec.l0.w", Tensor::zeros(&[3]));
-        let s = ps.summary();
-        assert!(s.contains("enc.l0"), "{s}");
-        assert!(s.contains("15"), "{s}");
-        assert!(s.contains("dec.l0"), "{s}");
-        assert!(s.lines().last().unwrap().contains("18"), "{s}");
     }
 
     #[test]

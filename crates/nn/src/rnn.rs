@@ -1,5 +1,5 @@
-//! Recurrent networks: GRU (the paper's choice for all RNN blocks in
-//! Conformer) and LSTM (used by the LSTNet baseline).
+//! The recurrent network: a GRU, the paper's choice for every RNN block
+//! in Conformer and in the recurrent baselines (LSTNet, DeepAR).
 
 use crate::init::xavier_uniform;
 use crate::param::{Fwd, ParamId, ParamSet};
@@ -20,7 +20,6 @@ pub struct GruCell {
     w_hh: ParamId,
     b_ih: ParamId,
     b_hh: ParamId,
-    input_size: usize,
     hidden_size: usize,
 }
 
@@ -45,7 +44,6 @@ impl GruCell {
             ),
             b_ih: ps.add(format!("{name}.b_ih"), Tensor::zeros(&[h3])),
             b_hh: ps.add(format!("{name}.b_hh"), Tensor::zeros(&[h3])),
-            input_size,
             hidden_size,
         }
     }
@@ -53,11 +51,6 @@ impl GruCell {
     /// Hidden width.
     pub fn hidden_size(&self) -> usize {
         self.hidden_size
-    }
-
-    /// Input width.
-    pub fn input_size(&self) -> usize {
-        self.input_size
     }
 
     /// One step: `x` is `[batch, input]`, `h` is `[batch, hidden]`;
@@ -121,11 +114,6 @@ impl Gru {
     /// Hidden width.
     pub fn hidden_size(&self) -> usize {
         self.cells[0].hidden_size
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.cells.len()
     }
 
     /// Run over `x` of shape `[batch, len, input]` starting from zero
@@ -203,108 +191,6 @@ impl Gru {
     }
 }
 
-/// A single LSTM cell (gate layout: input, forget, cell, output).
-pub struct LstmCell {
-    w_ih: ParamId,
-    w_hh: ParamId,
-    b_ih: ParamId,
-    b_hh: ParamId,
-    input_size: usize,
-    hidden_size: usize,
-}
-
-impl LstmCell {
-    /// Allocate an LSTM cell.
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        input_size: usize,
-        hidden_size: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        let h4 = 4 * hidden_size;
-        LstmCell {
-            w_ih: ps.add(
-                format!("{name}.w_ih"),
-                xavier_uniform(&[input_size, h4], input_size, h4, rng),
-            ),
-            w_hh: ps.add(
-                format!("{name}.w_hh"),
-                xavier_uniform(&[hidden_size, h4], hidden_size, h4, rng),
-            ),
-            b_ih: ps.add(format!("{name}.b_ih"), Tensor::zeros(&[h4])),
-            b_hh: ps.add(format!("{name}.b_hh"), Tensor::zeros(&[h4])),
-            input_size,
-            hidden_size,
-        }
-    }
-
-    /// One step. Returns `(h', c')`.
-    pub fn step<'g>(
-        &self,
-        cx: &Fwd<'g, '_>,
-        x: Var<'g>,
-        h: Var<'g>,
-        c: Var<'g>,
-    ) -> (Var<'g>, Var<'g>) {
-        let hs = self.hidden_size;
-        let gates = x
-            .matmul(cx.param(self.w_ih))
-            .add(cx.param(self.b_ih))
-            .add(h.matmul(cx.param(self.w_hh)).add(cx.param(self.b_hh)));
-        let i = gates.narrow(1, 0, hs).sigmoid();
-        let f = gates.narrow(1, hs, hs).sigmoid();
-        let gc = gates.narrow(1, 2 * hs, hs).tanh();
-        let o = gates.narrow(1, 3 * hs, hs).sigmoid();
-        let c_next = f.mul(c).add(i.mul(gc));
-        let h_next = o.mul(c_next.tanh());
-        (h_next, c_next)
-    }
-}
-
-/// A single-layer LSTM unrolled over a sequence (LSTNet's recurrent core).
-pub struct Lstm {
-    cell: LstmCell,
-}
-
-impl Lstm {
-    /// Allocate a single-layer LSTM.
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        input_size: usize,
-        hidden_size: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        Lstm {
-            cell: LstmCell::new(ps, name, input_size, hidden_size, rng),
-        }
-    }
-
-    /// Run over `x` of shape `[batch, len, input]` from zero state.
-    pub fn forward<'g>(&self, cx: &Fwd<'g, '_>, x: Var<'g>) -> RnnOutput<'g> {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 3, "LSTM input must be [batch, len, input]");
-        let (b, len) = (shape[0], shape[1]);
-        let hs = self.cell.hidden_size;
-        let g = cx.graph();
-        let mut h = g.constant(Tensor::zeros(&[b, hs]));
-        let mut c = g.constant(Tensor::zeros(&[b, hs]));
-        let mut steps = Vec::with_capacity(len);
-        for t in 0..len {
-            let xt = x.narrow(1, t, 1).reshape(&[b, self.cell.input_size]);
-            let (hn, cn) = self.cell.step(cx, xt, h, c);
-            h = hn;
-            c = cn;
-            steps.push(h.reshape(&[b, 1, hs]));
-        }
-        RnnOutput {
-            outputs: Var::concat(&steps, 1),
-            last_hidden: vec![h],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,19 +254,6 @@ mod tests {
         assert!(out.outputs.value().abs().max() < 1e-6);
     }
 
-    #[test]
-    fn lstm_output_shapes() {
-        let mut ps = ParamSet::new();
-        let mut rng = Rng::seed(4);
-        let lstm = Lstm::new(&mut ps, "l", 4, 6, &mut rng);
-        let g = Graph::new();
-        let cx = Fwd::new(&g, &ps, false, 0);
-        let x = g.leaf(Tensor::randn(&[2, 7, 4], &mut rng));
-        let out = lstm.forward(&cx, x);
-        assert_eq!(out.outputs.shape(), vec![2, 7, 6]);
-        assert_eq!(out.last_hidden[0].shape(), vec![2, 6]);
-    }
-
     /// The fused GRU layer must agree with the op-by-op `GruCell::step`
     /// composition — both the forward outputs and every parameter
     /// gradient — to float tolerance (the fused path reassociates the
@@ -410,7 +283,9 @@ mod tests {
             let mut h = g2.constant(Tensor::zeros(&[2, 5]));
             let mut steps = Vec::new();
             for t in 0..6 {
-                let xt = layer_input.narrow(1, t, 1).reshape(&[2, cell.input_size()]);
+                let xt = layer_input
+                    .narrow(1, t, 1)
+                    .reshape(&[2, layer_input.shape()[2]]);
                 h = cell.step(&cx2, xt, h);
                 steps.push(h.reshape(&[2, 1, 5]));
             }

@@ -397,6 +397,48 @@ mod tests {
         }
     }
 
+    /// A checkpoint is read from disk or a reload request, so it is
+    /// outside input. Every single-byte XOR (masks 1..=255 at every
+    /// offset) of a v2 file with metadata and three params must come back
+    /// `Err` or `Ok` — never a panic — and neither outcome may change the
+    /// model's parameter names or shapes. Each case draws the parameter
+    /// values and the metadata, so the flipped bytes differ between cases.
+    #[test]
+    fn every_byte_flip_errors_or_keeps_the_structure() {
+        lttf_testkit::prop::check(
+            "serialize::every_byte_flip_errors_or_keeps_the_structure",
+            lttf_testkit::prop::cases_or(2),
+            &lttf_testkit::prop::u64s(0..u64::MAX),
+            |&seed| {
+                let meta = vec![
+                    ("target".to_string(), format!("col{}", seed % 7)),
+                    ("scaler.mean".to_string(), format!("{},-2", seed % 1000)),
+                ];
+                let mut buf = Vec::new();
+                write_params_with_meta(&sample_set(seed), &meta, &mut buf).unwrap();
+                let structure = |ps: &ParamSet| -> Vec<(String, Vec<usize>)> {
+                    ps.ids()
+                        .map(|id| (ps.name(id).to_string(), ps.value(id).shape().to_vec()))
+                        .collect()
+                };
+                let want = structure(&sample_set(0));
+                for pos in 0..buf.len() {
+                    for mask in 1..=255u8 {
+                        let mut bytes = buf.clone();
+                        bytes[pos] ^= mask;
+                        let mut ps = sample_set(0);
+                        let _ = read_params_with_meta(&mut ps, bytes.as_slice());
+                        prop_assert!(
+                            structure(&ps) == want,
+                            "byte {pos} ^ {mask:#04x} changed the model's names or shapes"
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn file_round_trip() {
         let src = sample_set(3);

@@ -87,8 +87,8 @@ pub use sketch::{FeatureSketch, FeatureStats, ReferenceProfile, Welford};
 #[cfg(test)]
 mod proptests;
 
-/// The registry is process-global; tests that reset or snapshot it
-/// must not interleave.
+/// The registry and the trace ring are process-global; tests that reset,
+/// snapshot or record into either must not interleave.
 #[cfg(test)]
 pub(crate) fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     use std::sync::{Mutex, OnceLock};

@@ -612,14 +612,10 @@ fn flatten_args(line: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Recording is process-global; tests that toggle it must not overlap.
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
+    // Recording is process-global, and the span tests elsewhere in this
+    // crate emit trace events while it is on: every test that toggles or
+    // reads the ring holds the crate-wide lock.
+    use crate::exclusive;
 
     #[test]
     fn disabled_records_nothing() {

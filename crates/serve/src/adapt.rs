@@ -89,25 +89,25 @@ impl Default for AdaptConfig {
 /// trailing rows plus the stream timing needed to rebuild calendar
 /// marks.
 #[derive(Clone, Debug)]
-pub struct Example {
+pub(crate) struct Example {
     /// Flattened `(lx + ly) * c_in` raw values.
-    pub values: Vec<f32>,
+    pub(crate) values: Vec<f32>,
     /// Unix seconds of the example's first row.
-    pub t0: i64,
+    pub(crate) t0: i64,
     /// Seconds between rows.
-    pub dt: i64,
+    pub(crate) dt: i64,
 }
 
 /// Bounded FIFO of recent examples, shared between connection threads
 /// (producers) and the adapter thread (consumer).
-pub struct ExampleBuffer {
+pub(crate) struct ExampleBuffer {
     cap: usize,
     inner: Mutex<VecDeque<Example>>,
 }
 
 impl ExampleBuffer {
     /// An empty buffer retaining at most `cap` examples.
-    pub fn new(cap: usize) -> ExampleBuffer {
+    pub(crate) fn new(cap: usize) -> ExampleBuffer {
         ExampleBuffer {
             cap: cap.max(1),
             inner: Mutex::new(VecDeque::new()),
@@ -115,7 +115,7 @@ impl ExampleBuffer {
     }
 
     /// Append an example, evicting the oldest beyond capacity.
-    pub fn push(&self, ex: Example) {
+    pub(crate) fn push(&self, ex: Example) {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if q.len() == self.cap {
             q.pop_front();
@@ -124,17 +124,12 @@ impl ExampleBuffer {
     }
 
     /// Examples currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Clone the most recent `n` examples, newest last.
-    pub fn recent(&self, n: usize) -> Vec<Example> {
+    pub(crate) fn recent(&self, n: usize) -> Vec<Example> {
         let q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let skip = q.len().saturating_sub(n);
         q.iter().skip(skip).cloned().collect()
@@ -144,7 +139,7 @@ impl ExampleBuffer {
 /// Where the adapter currently is in its cycle; the `lttf_adapt_state`
 /// series and the watch dashboard render the label.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdaptState {
+pub(crate) enum AdaptState {
     /// Adaptation disabled (no adapter thread exists).
     #[default]
     Off,
@@ -160,7 +155,7 @@ pub enum AdaptState {
 
 impl AdaptState {
     /// Stable snake_case label used on the wire and in dashboards.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AdaptState::Off => "off",
             AdaptState::Idle => "idle",
@@ -194,7 +189,7 @@ impl AdaptState {
 /// Lock-free adapter telemetry shared between the adapter thread and
 /// the metrics render path.
 #[derive(Default)]
-pub struct AdaptShared {
+pub(crate) struct AdaptShared {
     state: AtomicU8,
     steps: AtomicU64,
     rollbacks: AtomicU64,
@@ -205,69 +200,69 @@ pub struct AdaptShared {
 
 impl AdaptShared {
     /// Fresh telemetry in the [`AdaptState::Off`] state.
-    pub fn new() -> AdaptShared {
+    pub(crate) fn new() -> AdaptShared {
         AdaptShared::default()
     }
 
     /// Record a state transition.
-    pub fn set_state(&self, s: AdaptState) {
+    pub(crate) fn set_state(&self, s: AdaptState) {
         self.state.store(s.as_u8(), Ordering::Relaxed);
     }
 
     /// The current state.
-    pub fn state(&self) -> AdaptState {
+    pub(crate) fn state(&self) -> AdaptState {
         AdaptState::from_u8(self.state.load(Ordering::Relaxed))
     }
 
     /// Count `n` completed gradient steps.
-    pub fn add_steps(&self, n: u64) {
+    pub(crate) fn add_steps(&self, n: u64) {
         self.steps.fetch_add(n, Ordering::Relaxed);
         lttf_obs::counter!("serve.adapt.steps", n);
     }
 
     /// Count a discarded (rolled-back) round.
-    pub fn add_rollback(&self) {
+    pub(crate) fn add_rollback(&self) {
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         lttf_obs::counter!("serve.adapt.rollbacks", 1);
         self.set_state(AdaptState::RolledBack);
     }
 
     /// Count a published round.
-    pub fn add_publish(&self) {
+    pub(crate) fn add_publish(&self) {
         self.publishes.fetch_add(1, Ordering::Relaxed);
         lttf_obs::counter!("serve.adapt.publishes", 1);
         self.set_state(AdaptState::Published);
     }
 
     /// Lifetime gradient steps.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
     }
 
     /// Lifetime rolled-back rounds.
-    pub fn rollbacks(&self) -> u64 {
+    pub(crate) fn rollbacks(&self) -> u64 {
         self.rollbacks.load(Ordering::Relaxed)
     }
 
     /// Lifetime published rounds.
-    pub fn publishes(&self) -> u64 {
+    pub(crate) fn publishes(&self) -> u64 {
         self.publishes.load(Ordering::Relaxed)
     }
 
     /// Charge one adaptation round's resource cost (process-CPU delta
     /// and allocation churn around the round; see the adapter loop).
-    pub fn add_cost(&self, cpu_ns: u64, alloc_bytes: u64) {
+    pub(crate) fn add_cost(&self, cpu_ns: u64, alloc_bytes: u64) {
         self.cpu_ns.fetch_add(cpu_ns, Ordering::Relaxed);
         self.alloc_bytes.fetch_add(alloc_bytes, Ordering::Relaxed);
     }
 
     /// Lifetime process-CPU nanoseconds spent in adaptation rounds.
-    pub fn cpu_ns(&self) -> u64 {
+    pub(crate) fn cpu_ns(&self) -> u64 {
         self.cpu_ns.load(Ordering::Relaxed)
     }
 
     /// Lifetime heap bytes allocated during adaptation rounds.
-    pub fn alloc_bytes(&self) -> u64 {
+    pub(crate) fn alloc_bytes(&self) -> u64 {
         self.alloc_bytes.load(Ordering::Relaxed)
     }
 }
@@ -296,7 +291,7 @@ fn concat_batches(parts: &[Batch]) -> Batch {
 ///
 /// `seed` varies dropout across rounds; a fixed seed makes the whole
 /// round deterministic for tests.
-pub fn fine_tune(
+pub(crate) fn fine_tune(
     live: &LoadedModel,
     examples: &[Example],
     cfg: &AdaptConfig,
@@ -385,7 +380,7 @@ mod tests {
     #[test]
     fn buffer_is_bounded_fifo() {
         let buf = ExampleBuffer::new(3);
-        assert!(buf.is_empty());
+        assert_eq!(buf.len(), 0);
         for i in 0..5 {
             buf.push(Example { values: vec![i as f32], t0: i, dt: 1 });
         }

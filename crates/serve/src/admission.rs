@@ -56,7 +56,7 @@ impl Default for AdmissionConfig {
 
 /// Why a request was refused at the door.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Denied {
+pub(crate) enum Denied {
     /// The token bucket is empty; a token arrives in ~`retry_after_ms`.
     RateLimited {
         /// Milliseconds until the bucket refills one token (at least 1).
@@ -71,7 +71,7 @@ pub enum Denied {
 
 impl Denied {
     /// The backoff hint, whatever the reason.
-    pub fn retry_after_ms(&self) -> u64 {
+    pub(crate) fn retry_after_ms(&self) -> u64 {
         match *self {
             Denied::RateLimited { retry_after_ms } | Denied::Overloaded { retry_after_ms } => {
                 retry_after_ms
@@ -80,7 +80,7 @@ impl Denied {
     }
 
     /// The wire error string (`"rate limited"` / `"overloaded"`).
-    pub fn reason(&self) -> &'static str {
+    pub(crate) fn reason(&self) -> &'static str {
         match self {
             Denied::RateLimited { .. } => "rate limited",
             Denied::Overloaded { .. } => "overloaded",
@@ -95,7 +95,7 @@ struct Bucket {
 
 /// Shared admission state; one per server, checked by every connection
 /// thread under a short lock.
-pub struct Admission {
+pub(crate) struct Admission {
     cfg: AdmissionConfig,
     bucket: Mutex<Bucket>,
 }
@@ -103,7 +103,7 @@ pub struct Admission {
 impl Admission {
     /// Build the gate; the bucket starts full (a quiet server admits an
     /// initial burst).
-    pub fn new(cfg: AdmissionConfig) -> Admission {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Admission {
         Admission {
             cfg,
             bucket: Mutex::new(Bucket {
@@ -114,13 +114,13 @@ impl Admission {
     }
 
     /// The configuration this gate enforces.
-    pub fn config(&self) -> &AdmissionConfig {
+    pub(crate) fn config(&self) -> &AdmissionConfig {
         &self.cfg
     }
 
     /// Admit or refuse one request given the target pool's current
     /// aggregate queue depth.
-    pub fn admit(&self, queue_depth: usize) -> Result<(), Denied> {
+    pub(crate) fn admit(&self, queue_depth: usize) -> Result<(), Denied> {
         self.admit_at(queue_depth, Instant::now())
     }
 

@@ -66,19 +66,19 @@ pub struct PoolConfig {
     /// with the replica count).
     pub batch: BatchConfig,
     /// Number of engines serving this model.
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// How requests are distributed over the replicas.
-    pub policy: Policy,
+    pub(crate) policy: Policy,
     /// Thread budget for each replica's forward passes (`None` = inherit
     /// `LTTF_THREADS`). Disjoint budgets mean replicas never oversubscribe
     /// the machine: e.g. 4 replicas x 2 threads on an 8-core host.
-    pub threads_per_replica: Option<usize>,
+    pub(crate) threads_per_replica: Option<usize>,
     /// Seeds the round-robin starting offset, making the assignment
     /// sequence reproducible run to run.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Drift-monitor knobs for this model (window, threshold, minimum
     /// sample count).
-    pub drift: DriftConfig,
+    pub(crate) drift: DriftConfig,
 }
 
 impl Default for PoolConfig {
@@ -114,7 +114,7 @@ pub struct ReplicaPool {
 impl ReplicaPool {
     /// Spawn `cfg.replicas` engines for `model`. Batcher threads are
     /// named `lttf-batch-<name>-<i>` so traces and stack dumps read well.
-    pub fn start(model: Arc<LoadedModel>, cfg: &PoolConfig, name: &str) -> ReplicaPool {
+    pub(crate) fn start(model: Arc<LoadedModel>, cfg: &PoolConfig, name: &str) -> ReplicaPool {
         assert!(cfg.replicas >= 1, "a pool needs at least one replica");
         let stats = ServeStats::new(cfg.replicas);
         let mut engines = Vec::with_capacity(cfg.replicas);
@@ -196,7 +196,7 @@ impl ReplicaPool {
 
     /// Requests queued across all replicas (approximate; for admission
     /// control and monitoring).
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.submitters
             .read()
             .unwrap_or_else(|e| e.into_inner())
@@ -206,7 +206,7 @@ impl ReplicaPool {
     }
 
     /// Per-replica queue depths, by replica index (empty once drained).
-    pub fn replica_depths(&self) -> Vec<usize> {
+    pub(crate) fn replica_depths(&self) -> Vec<usize> {
         self.submitters
             .read()
             .unwrap_or_else(|e| e.into_inner())
@@ -216,14 +216,14 @@ impl ReplicaPool {
     }
 
     /// Number of replicas this pool was started with.
-    pub fn replicas(&self) -> usize {
+    pub(crate) fn replicas(&self) -> usize {
         self.replicas
     }
 
     /// Live latency summary aggregated over every replica (from the
     /// lifetime histogram: count/min/max/mean exact, quantiles within
     /// 3.125%).
-    pub fn latency(&self) -> LatencySummary {
+    pub(crate) fn latency(&self) -> LatencySummary {
         self.stats.summary()
     }
 
@@ -278,7 +278,7 @@ impl ModelEntry {
 
     /// [`ModelEntry::start`] with the adapted provenance tag set
     /// explicitly — the online adapter publishes with `adapted = true`.
-    pub fn start_tagged(
+    pub(crate) fn start_tagged(
         name: &str,
         generation: u64,
         model: Arc<LoadedModel>,
@@ -298,13 +298,13 @@ impl ModelEntry {
     }
 
     /// The registry name requests route on.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The generation number, unique per server run and echoed as `gen`
     /// in every forecast reply this entry serves.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -326,7 +326,7 @@ impl ModelEntry {
 
     /// Whether this generation was published by the online adapter
     /// (true) or loaded from a checkpoint (false).
-    pub fn adapted(&self) -> bool {
+    pub(crate) fn adapted(&self) -> bool {
         self.adapted
     }
 }

@@ -55,22 +55,22 @@ impl Default for DriftConfig {
 
 /// Per-feature divergence plus the overall verdict, as of one instant.
 #[derive(Clone, Debug)]
-pub struct DriftStatus {
+pub(crate) struct DriftStatus {
     /// False when the checkpoint carried no reference profile; every
     /// other field is zero/false and the alert can never fire.
-    pub available: bool,
+    pub(crate) available: bool,
     /// Per-input-feature divergence scores in training std units
     /// (empty until a window reaches `min_count`).
-    pub scores: Vec<f64>,
+    pub(crate) scores: Vec<f64>,
     /// Advisory divergence of the model's own predictions vs. the
     /// reference target-column stats (not part of the alert).
-    pub prediction_score: f64,
+    pub(crate) prediction_score: f64,
     /// True when any input-feature score is at or above the threshold.
-    pub alert: bool,
+    pub(crate) alert: bool,
     /// Time steps in the window the scores were computed over.
-    pub window_count: u64,
+    pub(crate) window_count: u64,
     /// The configured alert threshold, echoed for dashboards.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
 }
 
 impl DriftStatus {
@@ -135,16 +135,6 @@ impl DriftMonitor {
         }
     }
 
-    /// Whether a reference profile is loaded.
-    pub fn available(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> DriftConfig {
-        self.cfg
-    }
-
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
@@ -184,13 +174,13 @@ impl DriftMonitor {
     /// recently completed window if it is at most one period old
     /// (older completions describe traffic that stopped — stale, so
     /// dropped). Test hook: [`DriftMonitor::status_at`].
-    pub fn status(&self) -> DriftStatus {
+    pub(crate) fn status(&self) -> DriftStatus {
         self.status_at(self.now_ms())
     }
 
     /// [`DriftMonitor::status`] at an explicit milliseconds-since-start
     /// time, for deterministic window-rotation tests.
-    pub fn status_at(&self, t_ms: u64) -> DriftStatus {
+    pub(crate) fn status_at(&self, t_ms: u64) -> DriftStatus {
         let Some(profile) = &self.profile else {
             return DriftStatus::unavailable(self.cfg.threshold);
         };

@@ -14,9 +14,10 @@
 //! `max_wait_ms > 0` still lets an operator make a partial batch linger
 //! that long for new arrivals.
 //!
-//! Backpressure is explicit: when the queue is full, [`Submitter::submit`]
-//! returns [`Reject::QueueFull`] immediately instead of blocking, so the
-//! front end can answer with an error while the system is saturated.
+//! Backpressure is explicit: when the queue is full,
+//! [`Submitter::submit_window`] returns [`Reject::QueueFull`] immediately
+//! instead of blocking, so the front end can answer with an error while
+//! the system is saturated.
 //! Graceful shutdown is the channel's own semantics: dropping every
 //! [`Submitter`] and the [`Engine`]'s internal sender lets the batcher
 //! drain whatever is still queued, reply to each request, and exit.
@@ -121,27 +122,17 @@ struct Job {
 /// owning `Engine` are dropped; the server drops its submitters before
 /// calling [`Engine::shutdown`].
 #[derive(Clone)]
-pub struct Submitter {
+pub(crate) struct Submitter {
     tx: SyncSender<Job>,
     depth: Arc<AtomicUsize>,
-    stats: Arc<ServeStats>,
 }
 
 impl Submitter {
     /// Enqueue one prepared window. On success, the returned receiver
     /// yields exactly one [`Reply`] — the forecast, a deadline rejection,
-    /// or a model error.
-    pub fn submit(
-        &self,
-        window: Window,
-        deadline: Option<Instant>,
-    ) -> Result<Receiver<Reply>, Reject> {
-        self.submit_window(window, deadline).map_err(|(_, r)| r)
-    }
-
-    /// [`Submitter::submit`], but a rejection hands the window back so a
-    /// replica pool can retry it against another replica without cloning
-    /// the prepared tensors.
+    /// or a model error. A rejection hands the window back, so a replica
+    /// pool can retry it against another replica without cloning the
+    /// prepared tensors.
     pub(crate) fn submit_window(
         &self,
         window: Window,
@@ -186,27 +177,13 @@ impl Submitter {
     }
 
     /// Requests currently queued (approximate; for monitoring).
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Live latency summary over every request served so far — the
-    /// monitoring view behind the `"metrics"` request type. Reads the
-    /// fixed-memory lifetime histogram under a short lock; quantiles are
-    /// within 3.125%, count/min/max/mean exact.
-    pub fn latency(&self) -> LatencySummary {
-        self.stats.summary()
-    }
-
-    /// The shared live-stats handle (windowed histograms, per-replica
-    /// counters) behind this submitter.
-    pub fn stats(&self) -> &Arc<ServeStats> {
-        &self.stats
     }
 }
 
 /// A model plus its batcher thread.
-pub struct Engine {
+pub(crate) struct Engine {
     tx: SyncSender<Job>,
     depth: Arc<AtomicUsize>,
     stats: Arc<ServeStats>,
@@ -214,15 +191,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawn the batcher thread for `model`.
-    pub fn start(model: Arc<LoadedModel>, cfg: BatchConfig) -> Engine {
-        // Live stats are histogram-backed (O(1) memory, locked once per
-        // batch by the writer) so monitoring can read windowed
-        // percentiles while the server runs, not only at shutdown.
-        Engine::start_with(model, cfg, ServeStats::new(1), 0, None, "lttf-batcher")
-    }
-
-    /// [`Engine::start`] with the pieces a replica pool shares or pins:
+    /// Spawn the batcher thread for `model` with the pieces a replica
+    /// pool shares or pins:
     /// a stats accumulator common to all replicas of one model, this
     /// engine's replica index within it, an optional per-replica thread
     /// budget for the forward passes, and a thread label naming the
@@ -255,11 +225,10 @@ impl Engine {
     }
 
     /// A submission handle for connection threads.
-    pub fn submitter(&self) -> Submitter {
+    pub(crate) fn submitter(&self) -> Submitter {
         Submitter {
             tx: self.tx.clone(),
             depth: Arc::clone(&self.depth),
-            stats: Arc::clone(&self.stats),
         }
     }
 
@@ -269,7 +238,7 @@ impl Engine {
     ///
     /// All [`Submitter`] clones must be dropped first, or this blocks
     /// until they are.
-    pub fn shutdown(self) -> LatencySummary {
+    pub(crate) fn shutdown(self) -> LatencySummary {
         drop(self.tx);
         self.worker.join().expect("batcher thread panicked");
         self.stats.summary()
@@ -411,6 +380,20 @@ mod tests {
     use crate::registry::{tiny_model, tiny_model_with_c_in};
     use lttf_tensor::{Rng, Tensor};
 
+    /// A lone engine with its own stats, as a one-replica pool runs it.
+    fn start(model: Arc<LoadedModel>, cfg: BatchConfig) -> Engine {
+        Engine::start_with(model, cfg, ServeStats::new(1), 0, None, "lttf-batcher")
+    }
+
+    /// [`Submitter::submit_window`] without the window handed back.
+    fn submit(
+        sub: &Submitter,
+        w: Window,
+        deadline: Option<Instant>,
+    ) -> Result<Receiver<Reply>, Reject> {
+        sub.submit_window(w, deadline).map_err(|(_, r)| r)
+    }
+
     fn raw_window(model: &LoadedModel, seed: u64) -> Vec<f32> {
         Tensor::randn(&[model.window_len()], &mut Rng::seed(seed))
             .data()
@@ -420,11 +403,11 @@ mod tests {
     #[test]
     fn serves_and_matches_direct_forward() {
         let model = Arc::new(tiny_model());
-        let engine = Engine::start(Arc::clone(&model), BatchConfig::default());
+        let engine = start(Arc::clone(&model), BatchConfig::default());
         let sub = engine.submitter();
         let raw = raw_window(&model, 1);
         let w = model.make_window(&raw, 0, 60).unwrap();
-        let rx = sub.submit(w, None).unwrap();
+        let rx = submit(&sub, w, None).unwrap();
         let got = rx.recv().unwrap().unwrap();
         assert_eq!(got, model.forecast_one(&raw, 0, 60).unwrap());
         drop(sub);
@@ -437,7 +420,7 @@ mod tests {
     fn batches_accumulate_up_to_max_batch() {
         let model = Arc::new(tiny_model());
         // Long wait so concurrent submissions coalesce into one batch.
-        let engine = Engine::start(
+        let engine = start(
             Arc::clone(&model),
             BatchConfig {
                 max_batch: 4,
@@ -451,7 +434,7 @@ mod tests {
             .iter()
             .map(|raw| {
                 let w = model.make_window(raw, 0, 60).unwrap();
-                sub.submit(w, None).unwrap()
+                submit(&sub, w, None).unwrap()
             })
             .collect();
         for (raw, rx) in raws.iter().zip(rxs) {
@@ -473,12 +456,11 @@ mod tests {
         let sub = Submitter {
             tx,
             depth: Arc::clone(&depth),
-            stats: Arc::clone(&stats),
         };
         let raw = raw_window(&model, 0);
         let window = || model.make_window(&raw, 0, 60).unwrap();
-        let accepted = sub.submit(window(), None).expect("an empty queue accepts");
-        assert_eq!(sub.submit(window(), None).unwrap_err(), Reject::QueueFull);
+        let accepted = submit(&sub, window(), None).expect("an empty queue accepts");
+        assert_eq!(submit(&sub, window(), None).unwrap_err(), Reject::QueueFull);
         assert_eq!(sub.queue_depth(), 1, "a refused submit is not queued");
 
         // Accepted work is still answered: drop the only sender and let a
@@ -502,12 +484,11 @@ mod tests {
         let sub = Submitter {
             tx,
             depth: Arc::clone(&depth),
-            stats: Arc::clone(&stats),
         };
         let raws: Vec<Vec<f32>> = (0..n as u64).map(|i| raw_window(&model, 20 + i)).collect();
         let rxs: Vec<_> = raws
             .iter()
-            .map(|raw| sub.submit(model.make_window(raw, 0, 60).unwrap(), None).unwrap())
+            .map(|raw| submit(&sub, model.make_window(raw, 0, 60).unwrap(), None).unwrap())
             .collect();
         drop(sub);
         let cfg = BatchConfig {
@@ -543,23 +524,30 @@ mod tests {
     #[test]
     fn panicking_forward_fails_its_batch_not_the_replica() {
         let model = Arc::new(tiny_model());
-        let engine = Engine::start(Arc::clone(&model), BatchConfig::default());
+        let stats = ServeStats::new(1);
+        let engine = Engine::start_with(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            Arc::clone(&stats),
+            0,
+            None,
+            "lttf-batcher",
+        );
         let sub = engine.submitter();
         // A window prepared by a model with another `c_in`, as a reload
         // to a differently shaped checkpoint can resubmit: this model's
         // forward panics on it.
         let other = tiny_model_with_c_in(3);
         let foreign = other.make_window(&raw_window(&other, 1), 0, 60).unwrap();
-        let err = sub.submit(foreign, None).unwrap().recv().unwrap().unwrap_err();
+        let err = submit(&sub, foreign, None).unwrap().recv().unwrap().unwrap_err();
         assert_eq!(err, "internal error: forward panicked");
 
         // The replica survives and serves the next window bit-exact.
         let raw = raw_window(&model, 2);
         let w = model.make_window(&raw, 0, 60).unwrap();
-        let got = sub.submit(w, None).unwrap().recv().unwrap().unwrap();
+        let got = submit(&sub, w, None).unwrap().recv().unwrap().unwrap();
         assert_eq!(got, model.forecast_one(&raw, 0, 60).unwrap());
 
-        let stats = Arc::clone(sub.stats());
         drop(sub);
         assert_eq!(engine.shutdown().count, 1, "the failed batch is not served");
         assert_eq!(stats.forward_panics(), 1);
@@ -568,11 +556,11 @@ mod tests {
     #[test]
     fn expired_deadline_gets_reject_reply() {
         let model = Arc::new(tiny_model());
-        let engine = Engine::start(Arc::clone(&model), BatchConfig::default());
+        let engine = start(Arc::clone(&model), BatchConfig::default());
         let sub = engine.submitter();
         let w = model.make_window(&raw_window(&model, 3), 0, 60).unwrap();
         // A deadline already in the past when the batcher picks it up.
-        let rx = sub.submit(w, Some(Instant::now())).unwrap();
+        let rx = submit(&sub, w, Some(Instant::now())).unwrap();
         let err = rx.recv().unwrap().unwrap_err();
         assert!(err.contains("deadline"), "{err}");
         drop(sub);
@@ -588,7 +576,7 @@ mod tests {
         // the future), but its deadline expires while the batch waits out
         // `max_wait_ms`. The post-assembly recheck must reject it instead
         // of serving it late.
-        let engine = Engine::start(
+        let engine = start(
             Arc::clone(&model),
             BatchConfig {
                 max_batch: 8,
@@ -598,9 +586,7 @@ mod tests {
         );
         let sub = engine.submitter();
         let w = model.make_window(&raw_window(&model, 4), 0, 60).unwrap();
-        let rx = sub
-            .submit(w, Some(Instant::now() + Duration::from_millis(30)))
-            .unwrap();
+        let rx = submit(&sub, w, Some(Instant::now() + Duration::from_millis(30))).unwrap();
         let err = rx.recv().unwrap().unwrap_err();
         assert!(err.contains("deadline"), "{err}");
         drop(sub);
@@ -610,11 +596,11 @@ mod tests {
     #[test]
     fn traced_request_exports_connected_async_slice() {
         let model = Arc::new(tiny_model());
-        let engine = Engine::start(Arc::clone(&model), BatchConfig::default());
+        let engine = start(Arc::clone(&model), BatchConfig::default());
         let sub = engine.submitter();
         trace::set_enabled(true);
         let w = model.make_window(&raw_window(&model, 9), 0, 60).unwrap();
-        let rx = sub.submit(w, None).unwrap();
+        let rx = submit(&sub, w, None).unwrap();
         rx.recv().unwrap().unwrap();
         trace::set_enabled(false);
         drop(sub);
@@ -631,7 +617,7 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_work() {
         let model = Arc::new(tiny_model());
-        let engine = Engine::start(
+        let engine = start(
             Arc::clone(&model),
             BatchConfig {
                 max_batch: 2,
@@ -645,7 +631,7 @@ mod tests {
             .iter()
             .map(|raw| {
                 let w = model.make_window(raw, 0, 60).unwrap();
-                sub.submit(w, None).unwrap()
+                submit(&sub, w, None).unwrap()
             })
             .collect();
         // Drop every sender immediately: the batcher must still answer

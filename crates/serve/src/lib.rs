@@ -2,10 +2,10 @@
 //!
 //! Zero-dependency batched inference serving for the Conformer
 //! reproduction: a model [`Registry`] that round-trips checkpoints plus
-//! scaler state, a work-conserving micro-batching [`Engine`] (bounded
-//! queue; each batch takes what is queued, up to `max_batch`, as soon as
-//! the replica is free), a replicated [`ReplicaPool`]
-//! dispatcher with [`Admission`] control, and a std-only TCP front end
+//! scaler state, a work-conserving micro-batching engine per replica
+//! (bounded queue; each batch takes what is queued, up to `max_batch`, as
+//! soon as the replica is free), a replica pool per model behind
+//! admission control ([`AdmissionConfig`]), and a std-only TCP front end
 //! speaking newline-delimited JSON (see [`protocol`]).
 //!
 //! Requests carry **raw** input windows; the server scales them with the
@@ -71,30 +71,24 @@
 
 #![deny(missing_docs)]
 
-pub mod adapt;
+mod adapt;
 mod admission;
 mod dispatch;
 mod drift;
 mod engine;
-pub mod metrics;
+mod metrics;
 pub mod protocol;
 mod registry;
 mod server;
 mod session;
 mod stats;
 
-pub use adapt::{AdaptConfig, AdaptShared, AdaptState, Example, ExampleBuffer};
-pub use admission::{Admission, AdmissionConfig, Denied};
-pub use dispatch::{ModelEntry, Policy, PoolConfig, ReplicaPool};
-pub use drift::{DriftConfig, DriftMonitor, DriftStatus};
-pub use engine::{BatchConfig, Engine, Reject, Reply, Submitter};
-pub use metrics::ServerGauges;
-pub use registry::{scaler_from_meta, scaler_meta, LoadedModel, Registry, Window};
-pub use server::{serve, serve_with_clock, ServeConfig, ServerHandle, MAX_LINE};
-pub use session::{
-    PushOutcome, SessionClock, SessionConfig, SessionShape, SessionSummary, SessionTable,
-};
-pub use stats::{
-    FlowRates, FlowStats, LatencySummary, ServeStats, WindowSnapshot, WINDOW_BUCKETS,
-    WINDOW_BUCKET_MS,
-};
+pub use adapt::AdaptConfig;
+pub use admission::AdmissionConfig;
+pub use dispatch::{ModelEntry, Policy, PoolConfig};
+pub use drift::{DriftConfig, DriftMonitor};
+pub use engine::{BatchConfig, Reply};
+pub use registry::{scaler_meta, LoadedModel, Registry, Window};
+pub use server::{serve, serve_with_clock, ServeConfig, ServerHandle};
+pub use session::{SessionClock, SessionConfig, SessionShape, SessionTable};
+pub use stats::LatencySummary;

@@ -44,33 +44,37 @@ use crate::stats::FlowRates;
 /// Server-level session and adapter gauges, snapshotted by the server
 /// when a `metrics` request arrives.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ServerGauges {
+pub(crate) struct ServerGauges {
     /// Sessions currently open.
-    pub sessions_open: u64,
+    pub(crate) sessions_open: u64,
     /// Sessions opened since startup.
-    pub sessions_opened: u64,
+    pub(crate) sessions_opened: u64,
     /// Sessions evicted by the TTL sweep since startup.
-    pub session_evictions: u64,
+    pub(crate) session_evictions: u64,
     /// Whether online adaptation is enabled.
-    pub adapt_enabled: bool,
+    pub(crate) adapt_enabled: bool,
     /// Where the adapter is in its cycle (`Off` when disabled).
-    pub adapt_state: AdaptState,
+    pub(crate) adapt_state: AdaptState,
     /// Lifetime adapter gradient steps.
-    pub adapt_steps: u64,
+    pub(crate) adapt_steps: u64,
     /// Lifetime rolled-back adaptation rounds.
-    pub adapt_rollbacks: u64,
+    pub(crate) adapt_rollbacks: u64,
     /// Lifetime published adaptation rounds.
-    pub adapt_publishes: u64,
+    pub(crate) adapt_publishes: u64,
     /// Lifetime process-CPU nanoseconds spent in adaptation rounds.
-    pub adapt_cpu_ns: u64,
+    pub(crate) adapt_cpu_ns: u64,
     /// Lifetime heap bytes allocated during adaptation rounds.
-    pub adapt_alloc_bytes: u64,
+    pub(crate) adapt_alloc_bytes: u64,
 }
 
 /// Render the exposition for the routing table's current entries
 /// (typically every model the server fronts, current generation each)
 /// plus the server-level flow rates and session/adapter gauges.
-pub fn render(entries: &[Arc<ModelEntry>], flow: &FlowRates, gauges: &ServerGauges) -> String {
+pub(crate) fn render(
+    entries: &[Arc<ModelEntry>],
+    flow: &FlowRates,
+    gauges: &ServerGauges,
+) -> String {
     let mut m = MetricsText::new();
     m.line("lttf_up", &[], 1.0);
     for entry in entries {

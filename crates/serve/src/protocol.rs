@@ -53,8 +53,8 @@
 //! **Control commands:**
 //!
 //! * `metrics` ([`format_metrics_request`]) → `"metrics":"…"`, a
-//!   Prometheus-style text exposition (newlines escaped as `\n`); see
-//!   [`crate::metrics`]. It is the server's one live-telemetry reply:
+//!   Prometheus-style text exposition (newlines escaped as `\n`), rendered
+//!   by the server's `metrics` module. It is the server's one live-telemetry reply:
 //!   clients read it with [`lttf_obs::metrics::validate`] and look up
 //!   the series they need.
 //! * `reload` (`path`, `model` optional) → `"gen":…,"replicas":…,
@@ -83,7 +83,7 @@ pub struct Request {
 
 /// Largest accepted `values` length; guards against a client line that
 /// would allocate without bound.
-pub const MAX_VALUES: usize = 1 << 22;
+pub(crate) const MAX_VALUES: usize = 1 << 22;
 
 /// Ids travel as JSON numbers and are parsed as `f64`, which holds every
 /// integer only below 2^53.
@@ -364,7 +364,7 @@ pub struct ReloadInfo {
     /// Replica count of the new generation's pool.
     pub replicas: usize,
     /// Requests the retired generation answered over its lifetime.
-    pub drained: u64,
+    pub(crate) drained: u64,
 }
 
 /// Parse a reload response into `(id, Result<info, error>)`.

@@ -54,7 +54,7 @@ fn parse_floats(s: &str, what: &str) -> io::Result<Vec<f32>> {
 }
 
 /// Rebuild the scaler from checkpoint metadata written via [`scaler_meta`].
-pub fn scaler_from_meta(meta: &[(String, String)]) -> io::Result<StandardScaler> {
+pub(crate) fn scaler_from_meta(meta: &[(String, String)]) -> io::Result<StandardScaler> {
     let get = |k: &str| {
         meta.iter()
             .find(|(key, _)| key == k)
@@ -346,7 +346,7 @@ impl LoadedModel {
     /// the same mechanism [`LoadedModel::load`] uses to revive a
     /// checkpoint. The live model is never handed out mutably; the
     /// adapter fine-tunes this copy and publishes it as a new entry.
-    pub fn clone_trained(&self) -> TrainedModel {
+    pub(crate) fn clone_trained(&self) -> TrainedModel {
         let mut copy = TrainedModel::from_conformer(&self.cfg, 0);
         copy.params_mut().restore(&self.model.params().snapshot());
         copy
@@ -355,7 +355,7 @@ impl LoadedModel {
     /// Wrap a (fine-tuned) model with this entry's scaler, target,
     /// profile, and calibration floor — the publish half of the adapter's
     /// clone → tune → publish cycle.
-    pub fn with_model(&self, model: TrainedModel) -> LoadedModel {
+    pub(crate) fn with_model(&self, model: TrainedModel) -> LoadedModel {
         LoadedModel {
             model,
             cfg: self.cfg.clone(),
@@ -442,17 +442,17 @@ impl Registry {
     }
 
     /// Look up by name, falling back to the default model for `None`.
-    pub fn get(&self, name: Option<&str>) -> Option<&Arc<LoadedModel>> {
+    pub(crate) fn get(&self, name: Option<&str>) -> Option<&Arc<LoadedModel>> {
         self.models.get(name.unwrap_or(&self.default))
     }
 
     /// The default model's name.
-    pub fn default_name(&self) -> &str {
+    pub(crate) fn default_name(&self) -> &str {
         &self.default
     }
 
     /// Registered model names, sorted.
-    pub fn names(&self) -> Vec<&str> {
+    pub(crate) fn names(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.models.keys().map(String::as_str).collect();
         v.sort_unstable();
         v

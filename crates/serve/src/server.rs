@@ -73,7 +73,7 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// Hard cap on one request line (bytes, newline included). A client that
 /// exceeds it gets a protocol error and the connection closes; nothing
 /// past the cap is buffered.
-pub const MAX_LINE: usize = 1 << 20;
+pub(crate) const MAX_LINE: usize = 1 << 20;
 
 /// How many times a forecast resubmits after racing a reload before
 /// giving up. One retry suffices for a single swap; the margin covers

@@ -34,7 +34,7 @@ use std::time::Instant;
 /// The session table's time source, in milliseconds since the clock was
 /// made.
 ///
-/// [`SessionClock::monotonic`] is wall time and what servers run on. A
+/// `SessionClock::monotonic` is wall time and what servers run on. A
 /// [`SessionClock::manual`] clock moves only when [`SessionClock::advance`]
 /// says so: a test can step a live server past the idle TTL without
 /// sleeping, and a loaded host cannot age its sessions early.
@@ -48,7 +48,7 @@ enum Source {
 
 impl SessionClock {
     /// Wall time, anchored now.
-    pub fn monotonic() -> SessionClock {
+    pub(crate) fn monotonic() -> SessionClock {
         SessionClock(Arc::new(Source::Monotonic(Instant::now())))
     }
 
@@ -71,7 +71,7 @@ impl SessionClock {
     }
 
     /// Milliseconds since the clock was made (or the manual total).
-    pub fn now_ms(&self) -> u64 {
+    pub(crate) fn now_ms(&self) -> u64 {
         match &*self.0 {
             Source::Monotonic(epoch) => epoch.elapsed().as_millis() as u64,
             Source::Manual(now) => now.load(Ordering::SeqCst),
@@ -132,28 +132,26 @@ struct Session {
 /// What one push produced, before any model work happens.
 #[derive(Debug)]
 pub struct PushOutcome {
-    /// Registry name the session streams against.
-    pub model: String,
     /// Rows still needed before forecasts flow (`0` = window ready).
-    pub pending: usize,
+    pub(crate) pending: usize,
     /// The full forecast window when ready: flattened `lx * c_in`
     /// values plus the unix timestamp of the window's first row.
     pub window: Option<(Vec<f32>, i64)>,
     /// The trailing `lx + ly` rows when the session retains enough for
     /// an adaptation example: flattened values plus the timestamp of
     /// the example's first row.
-    pub example: Option<(Vec<f32>, i64)>,
+    pub(crate) example: Option<(Vec<f32>, i64)>,
     /// Seconds between rows (echoed from `open`).
-    pub dt: i64,
+    pub(crate) dt: i64,
 }
 
 /// Lifetime counts returned by `close`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionSummary {
     /// Total observation rows pushed.
-    pub pushed_rows: u64,
+    pub(crate) pushed_rows: u64,
     /// Forecasts answered.
-    pub forecasts: u64,
+    pub(crate) forecasts: u64,
 }
 
 /// The bounded, TTL-evicted session table; one per server, shared by
@@ -178,7 +176,7 @@ impl SessionTable {
     }
 
     /// An empty table enforcing `cfg`, aging sessions on `clock`.
-    pub fn with_clock(cfg: SessionConfig, clock: SessionClock) -> SessionTable {
+    pub(crate) fn with_clock(cfg: SessionConfig, clock: SessionClock) -> SessionTable {
         SessionTable {
             cfg,
             clock,
@@ -189,11 +187,6 @@ impl SessionTable {
             opened: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration this table enforces.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
     }
 
     fn now_ms(&self) -> u64 {
@@ -229,7 +222,7 @@ impl SessionTable {
     }
 
     /// [`SessionTable::open`] with the clock injected (tests).
-    pub fn open_at(
+    pub(crate) fn open_at(
         &self,
         model: &str,
         shape: SessionShape,
@@ -281,7 +274,7 @@ impl SessionTable {
     }
 
     /// [`SessionTable::push`] with the clock injected (tests).
-    pub fn push_at(
+    pub(crate) fn push_at(
         &self,
         id: u64,
         values: &[f32],
@@ -333,7 +326,6 @@ impl SessionTable {
             (s.rows.clone(), slice_t0(rows))
         });
         Ok(PushOutcome {
-            model: s.model.clone(),
             pending,
             window,
             example,
@@ -347,7 +339,7 @@ impl SessionTable {
     }
 
     /// [`SessionTable::close`] with the clock injected (tests).
-    pub fn close_at(&self, id: u64, now_ms: u64) -> Result<SessionSummary, String> {
+    pub(crate) fn close_at(&self, id: u64, now_ms: u64) -> Result<SessionSummary, String> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         self.sweep(&mut inner, now_ms);
         let s = inner.map.remove(&id).ok_or("unknown session")?;
@@ -360,7 +352,7 @@ impl SessionTable {
 
     /// The model name a session streams against (`None` for unknown or
     /// evicted ids). Read-only: does not touch the idle clock.
-    pub fn model_of(&self, id: u64) -> Option<String> {
+    pub(crate) fn model_of(&self, id: u64) -> Option<String> {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -370,17 +362,17 @@ impl SessionTable {
     }
 
     /// Sessions currently open.
-    pub fn open_count(&self) -> usize {
+    pub(crate) fn open_count(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).map.len()
     }
 
     /// Sessions opened since startup.
-    pub fn opened_total(&self) -> u64 {
+    pub(crate) fn opened_total(&self) -> u64 {
         self.opened.load(Ordering::Relaxed)
     }
 
     /// Sessions evicted by the TTL sweep since startup.
-    pub fn evicted_total(&self) -> u64 {
+    pub(crate) fn evicted_total(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
 }

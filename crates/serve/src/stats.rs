@@ -24,9 +24,9 @@ use std::time::Instant;
 use lttf_obs::hist::{Histogram, WindowedCounter, WindowedHistogram};
 
 /// Number of rotating window buckets on the live path.
-pub const WINDOW_BUCKETS: usize = 12;
+pub(crate) const WINDOW_BUCKETS: usize = 12;
 /// Width of one window bucket in milliseconds (total window 2 minutes).
-pub const WINDOW_BUCKET_MS: u64 = 10_000;
+pub(crate) const WINDOW_BUCKET_MS: u64 = 10_000;
 
 /// The windowed latency phases and per-request costs tracked per model.
 struct Windows {
@@ -56,11 +56,11 @@ pub struct WindowSnapshot {
     pub service: Histogram,
     /// Per-request process-CPU cost (ns) over the window. Zero-valued
     /// samples are recorded when cost attribution is compiled out.
-    pub cpu: Histogram,
+    pub(crate) cpu: Histogram,
     /// Per-request allocation churn (bytes) over the window.
-    pub alloc: Histogram,
+    pub(crate) alloc: Histogram,
     /// Trailing-window span in milliseconds.
-    pub window_ms: u64,
+    pub(crate) window_ms: u64,
 }
 
 /// A latency percentile summary, read off a [`Histogram`] of
@@ -128,13 +128,13 @@ pub struct ServeStats {
 impl ServeStats {
     /// Stats for a pool of `replicas` engines, with the default
     /// 12 × 10 s trailing window.
-    pub fn new(replicas: usize) -> Arc<ServeStats> {
+    pub(crate) fn new(replicas: usize) -> Arc<ServeStats> {
         ServeStats::with_window(replicas, WINDOW_BUCKETS, WINDOW_BUCKET_MS)
     }
 
     /// [`ServeStats::new`] with an explicit window geometry (tests use
     /// short buckets so rotation is observable quickly).
-    pub fn with_window(replicas: usize, buckets: usize, bucket_ms: u64) -> Arc<ServeStats> {
+    pub(crate) fn with_window(replicas: usize, buckets: usize, bucket_ms: u64) -> Arc<ServeStats> {
         let wh = || WindowedHistogram::new(buckets, bucket_ms);
         Arc::new(ServeStats {
             epoch: Instant::now(),
@@ -155,12 +155,12 @@ impl ServeStats {
 
     /// Milliseconds since this stats object was created — the time base
     /// every window operation uses.
-    pub fn now_ms(&self) -> u64 {
+    pub(crate) fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
 
     /// Number of replica slots.
-    pub fn replicas(&self) -> usize {
+    pub(crate) fn replicas(&self) -> usize {
         self.replicas.len()
     }
 
@@ -170,7 +170,7 @@ impl ServeStats {
     /// (process-CPU ns and allocated heap bytes; both 0 when cost
     /// attribution is compiled out). One lock round per batch, not per
     /// request.
-    pub fn record_batch(
+    pub(crate) fn record_batch(
         &self,
         replica: usize,
         samples: &[(u64, u64)],
@@ -209,24 +209,24 @@ impl ServeStats {
 
     /// Count one batch whose forward panicked. Its requests were answered
     /// with an error, so it records no latency and no served request.
-    pub fn record_forward_panic(&self) {
+    pub(crate) fn record_forward_panic(&self) {
         self.forward_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Batches whose forward panicked, over the stats' lifetime.
-    pub fn forward_panics(&self) -> u64 {
+    pub(crate) fn forward_panics(&self) -> u64 {
         self.forward_panics.load(Ordering::Relaxed)
     }
 
     /// Requests served by one replica over its lifetime.
-    pub fn replica_served(&self, replica: usize) -> u64 {
+    pub(crate) fn replica_served(&self, replica: usize) -> u64 {
         self.replicas
             .get(replica)
             .map_or(0, |r| r.served.load(Ordering::Relaxed))
     }
 
     /// Trailing-window latency histogram for one replica.
-    pub fn replica_window(&self, replica: usize) -> Histogram {
+    pub(crate) fn replica_window(&self, replica: usize) -> Histogram {
         let t = self.now_ms();
         self.replicas.get(replica).map_or_else(Histogram::new, |r| {
             r.window.lock().unwrap_or_else(|e| e.into_inner()).snapshot(t)
@@ -235,7 +235,7 @@ impl ServeStats {
 
     /// Lifetime latency histogram (cumulative since start — the
     /// Prometheus-monotone series).
-    pub fn lifetime(&self) -> Histogram {
+    pub(crate) fn lifetime(&self) -> Histogram {
         self.lifetime.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
@@ -245,7 +245,7 @@ impl ServeStats {
     }
 
     /// [`ServeStats::windowed`] at an explicit time (deterministic tests).
-    pub fn at(&self, t_ms: u64) -> WindowSnapshot {
+    pub(crate) fn at(&self, t_ms: u64) -> WindowSnapshot {
         let w = self.windows.lock().unwrap_or_else(|e| e.into_inner());
         WindowSnapshot {
             total: w.total.snapshot(t_ms),
@@ -258,7 +258,7 @@ impl ServeStats {
     }
 
     /// The shutdown/e2e summary of the lifetime histogram.
-    pub fn summary(&self) -> LatencySummary {
+    pub(crate) fn summary(&self) -> LatencySummary {
         LatencySummary::from(&*self.lifetime.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
@@ -266,22 +266,20 @@ impl ServeStats {
 /// Trailing-window rates of the three refusal/retry flows, as of one
 /// instant. All rates are events per second over the window.
 #[derive(Clone, Copy, Debug)]
-pub struct FlowRates {
+pub(crate) struct FlowRates {
     /// Admission refusals (rate limit + load shed) per second.
-    pub shed_per_sec: f64,
+    pub(crate) shed_per_sec: f64,
     /// Queue-full rejections (aggregate replica capacity) per second.
-    pub rejected_per_sec: f64,
+    pub(crate) rejected_per_sec: f64,
     /// Reload-race resubmissions per second.
-    pub resubmitted_per_sec: f64,
-    /// Window the rates were computed over, in milliseconds.
-    pub window_ms: u64,
+    pub(crate) resubmitted_per_sec: f64,
 }
 
 /// Windowed counters for the server-level request flows that never reach
 /// a replica: admission refusals, queue-full rejections, and reload
 /// resubmissions. One per server; rates answer "is the gate biting *right
 /// now*", which lifetime counters cannot.
-pub struct FlowStats {
+pub(crate) struct FlowStats {
     epoch: Instant,
     shed: Mutex<WindowedCounter>,
     rejected: Mutex<WindowedCounter>,
@@ -296,12 +294,12 @@ impl Default for FlowStats {
 
 impl FlowStats {
     /// Flow counters over the default 12 × 10 s trailing window.
-    pub fn new() -> FlowStats {
+    pub(crate) fn new() -> FlowStats {
         FlowStats::with_window(WINDOW_BUCKETS, WINDOW_BUCKET_MS)
     }
 
     /// [`FlowStats::new`] with explicit window geometry (tests).
-    pub fn with_window(buckets: usize, bucket_ms: u64) -> FlowStats {
+    pub(crate) fn with_window(buckets: usize, bucket_ms: u64) -> FlowStats {
         let wc = || Mutex::new(WindowedCounter::new(buckets, bucket_ms));
         FlowStats {
             epoch: Instant::now(),
@@ -321,22 +319,22 @@ impl FlowStats {
     }
 
     /// Count one admission refusal (rate limited or overloaded).
-    pub fn shed(&self) {
+    pub(crate) fn shed(&self) {
         self.bump(&self.shed);
     }
 
     /// Count one queue-full rejection.
-    pub fn rejected(&self) {
+    pub(crate) fn rejected(&self) {
         self.bump(&self.rejected);
     }
 
     /// Count one reload-race resubmission.
-    pub fn resubmitted(&self) {
+    pub(crate) fn resubmitted(&self) {
         self.bump(&self.resubmitted);
     }
 
     /// Current trailing-window rates.
-    pub fn rates(&self) -> FlowRates {
+    pub(crate) fn rates(&self) -> FlowRates {
         let t = self.now_ms();
         let rate = |c: &Mutex<WindowedCounter>| {
             c.lock().unwrap_or_else(|e| e.into_inner()).rate_per_sec(t)
@@ -345,11 +343,6 @@ impl FlowStats {
             shed_per_sec: rate(&self.shed),
             rejected_per_sec: rate(&self.rejected),
             resubmitted_per_sec: rate(&self.resubmitted),
-            window_ms: self
-                .shed
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .window_ms(),
         }
     }
 }
@@ -369,7 +362,6 @@ mod tests {
         assert!(r.shed_per_sec > 0.0, "{}", r.shed_per_sec);
         assert!(r.rejected_per_sec > 0.0);
         assert_eq!(r.resubmitted_per_sec, 0.0);
-        assert_eq!(r.window_ms, 100);
         std::thread::sleep(std::time::Duration::from_millis(160));
         let r = f.rates();
         assert_eq!(r.shed_per_sec, 0.0, "events must age out of the window");

@@ -83,38 +83,37 @@ impl Tensor {
     /// Each operand is read in place: the output is written one innermost
     /// row at a time, and along a row each operand either advances by one
     /// element or repeats one value (stride 0). Rows where both operands advance
-    /// go through the [`crate::simd::binary`] lane kernel when `op` names
-    /// the operation (bit-identical to `f` — the lane kernels apply the same
-    /// IEEE operation); every other element is `f(a, b)`. Same-shaped
-    /// operands coalesce into a single row. When `op` is named, one operand
-    /// has the output's shape and the other is one repeated trailing row
-    /// (`[w]`, `[1, w]`, …), a single [`crate::simd::binary_rows`] call
-    /// covers every row of a chunk instead. Large outputs are filled in
+    /// go through the [`crate::simd::binary`] lane kernel for `op`
+    /// (bit-identical to `f`, which must be the same operation — the lane
+    /// kernels apply the same IEEE operation); every other element is
+    /// `f(a, b)`. Same-shaped operands coalesce into a single row. When one
+    /// operand has the output's shape and the other is one repeated
+    /// trailing row (`[w]`, `[1, w]`, …), a single
+    /// [`crate::simd::binary_rows`] call covers every row of a chunk
+    /// instead. Large outputs are filled in
     /// fixed-size chunks on the worker pool (bit-identical at any count).
     pub(crate) fn broadcast_zip(
         &self,
         other: &Tensor,
-        op: Option<BinOp>,
+        op: BinOp,
         f: impl Fn(f32, f32) -> f32 + Sync,
     ) -> Tensor {
         let target = broadcast_shapes(self.shape(), other.shape());
-        if let Some(op) = op {
-            let (full, row, row_left) = if is_row_of(other.shape(), &target) {
-                (self, other, false)
-            } else {
-                (other, self, true)
+        let (full, row, row_left) = if is_row_of(other.shape(), &target) {
+            (self, other, false)
+        } else {
+            (other, self, true)
+        };
+        if full.shape() == target.as_slice() && is_row_of(row.shape(), &target) {
+            let (full, row, w) = (&full.data, &row.data, row.numel());
+            let data = fill_chunked(full.len(), |s, out| {
+                let full = &full[s..s + out.len()];
+                crate::simd::binary_rows(op, full, row, s % w, row_left, out)
+            });
+            return Tensor {
+                data,
+                shape: Shape(target),
             };
-            if full.shape() == target.as_slice() && is_row_of(row.shape(), &target) {
-                let (full, row, w) = (&full.data, &row.data, row.numel());
-                let data = fill_chunked(full.len(), |s, out| {
-                    let full = &full[s..s + out.len()];
-                    crate::simd::binary_rows(op, full, row, s % w, row_left, out)
-                });
-                return Tensor {
-                    data,
-                    shape: Shape(target),
-                };
-            }
         }
         let rows = Rows::broadcast(&target, [self.shape(), other.shape()]);
         let (step_a, step_b) = (rows.row_stride(0), rows.row_stride(1));
@@ -122,17 +121,7 @@ impl Tensor {
         let data = fill_rows(&rows, target.iter().product(), |dst, [ao, bo]| {
             let w = dst.len();
             match (step_a, step_b) {
-                (1, 1) => {
-                    let (x, y) = (&a[ao..ao + w], &b[bo..bo + w]);
-                    match op {
-                        Some(op) => crate::simd::binary(op, x, y, dst),
-                        None => {
-                            for ((o, &x), &y) in dst.iter_mut().zip(x).zip(y) {
-                                *o = f(x, y);
-                            }
-                        }
-                    }
-                }
+                (1, 1) => crate::simd::binary(op, &a[ao..ao + w], &b[bo..bo + w], dst),
                 (1, 0) => {
                     let y = b[bo];
                     for (o, &x) in dst.iter_mut().zip(&a[ao..ao + w]) {
@@ -455,7 +444,7 @@ mod tests {
     fn zip_same_shape_fast_path() {
         let a = Tensor::from_slice(&[1.0, 2.0]);
         let b = Tensor::from_slice(&[3.0, 4.0]);
-        let c = a.broadcast_zip(&b, None, |x, y| x * y);
+        let c = a.broadcast_zip(&b, BinOp::Mul, |x, y| x * y);
         assert_eq!(c.data(), &[3.0, 8.0]);
     }
 }

@@ -40,32 +40,22 @@ impl Tensor {
 
     /// Element-wise addition with broadcasting.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, Some(BinOp::Add), |a, b| a + b)
+        self.broadcast_zip(other, BinOp::Add, |a, b| a + b)
     }
 
     /// Element-wise subtraction with broadcasting.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, Some(BinOp::Sub), |a, b| a - b)
+        self.broadcast_zip(other, BinOp::Sub, |a, b| a - b)
     }
 
     /// Element-wise multiplication with broadcasting.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, Some(BinOp::Mul), |a, b| a * b)
+        self.broadcast_zip(other, BinOp::Mul, |a, b| a * b)
     }
 
     /// Element-wise division with broadcasting.
     pub fn div(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, Some(BinOp::Div), |a, b| a / b)
-    }
-
-    /// Element-wise maximum with broadcasting.
-    pub fn maximum(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, None, f32::max)
-    }
-
-    /// Element-wise minimum with broadcasting.
-    pub fn minimum(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, None, f32::min)
+        self.broadcast_zip(other, BinOp::Div, |a, b| a / b)
     }
 
     /// Add a scalar to every element.
@@ -73,19 +63,9 @@ impl Tensor {
         self.map(|v| v + s)
     }
 
-    /// Subtract a scalar from every element.
-    pub fn sub_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v - s)
-    }
-
     /// Multiply every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
         self.map(|v| v * s)
-    }
-
-    /// Divide every element by a scalar.
-    pub fn div_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v / s)
     }
 
     /// Negate every element.
@@ -106,11 +86,6 @@ impl Tensor {
     /// Element-wise square root.
     pub fn sqrt(&self) -> Tensor {
         self.map(f32::sqrt)
-    }
-
-    /// Element-wise power with a scalar exponent.
-    pub fn powf(&self, p: f32) -> Tensor {
-        self.map(|v| v.powf(p))
     }
 
     /// Element-wise square.
@@ -151,11 +126,6 @@ impl Tensor {
     /// Element-wise softplus `ln(1 + e^x)`, computed stably.
     pub fn softplus(&self) -> Tensor {
         self.map(|v| if v > 20.0 { v } else { (1.0 + v.exp()).ln() })
-    }
-
-    /// Clamp every element into `[lo, hi]`.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        self.map(|v| v.clamp(lo, hi))
     }
 
     /// Apply an arbitrary function to every element.
@@ -364,16 +334,6 @@ mod tests {
         assert_eq!(a.square().data(), &[1.0, 16.0]);
         assert!((t(&[std::f32::consts::E]).ln().data()[0] - 1.0).abs() < 1e-6);
         assert!((t(&[1.0]).exp().data()[0] - std::f32::consts::E).abs() < 1e-6);
-        assert_eq!(t(&[2.0]).powf(3.0).data(), &[8.0]);
-    }
-
-    #[test]
-    fn clamp_and_minmax() {
-        let a = t(&[-2.0, 0.5, 3.0]);
-        assert_eq!(a.clamp(-1.0, 1.0).data(), &[-1.0, 0.5, 1.0]);
-        let b = t(&[0.0, 1.0, 0.0]);
-        assert_eq!(a.maximum(&b).data(), &[0.0, 1.0, 3.0]);
-        assert_eq!(a.minimum(&b).data(), &[-2.0, 0.5, 0.0]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!    reproduction (sequence length ≤ 1k, width ≤ 64) the copies are cheap
 //!    and the kernels stay trivially verifiable.
 //! 3. **Just enough surface** — exactly the operations the forecasting
-//!    models need: broadcasting arithmetic, matmul, 1-D convolution and
-//!    pooling, reductions, softmax, shape surgery, and seeded randomness.
+//!    models need: broadcasting arithmetic, matmul, 1-D convolution, the
+//!    moving average, reductions, softmax, shape surgery, and seeded randomness.
 //!
 //! Shape errors are programming errors in this codebase, so shape-mismatched
 //! operations **panic** with a descriptive message rather than returning
@@ -57,25 +57,20 @@ pub use shape::Shape;
 pub use tensor::Tensor;
 
 /// Minimum kernel work size (madds / touched elements) before a telemetry
-/// span is opened. Keeps the ~50 ns guard cost off tiny ops (e.g. the
-/// per-step matmuls of a narrow GRU) so the `telemetry` feature stays
-/// within the <3% overhead budget enforced by `scripts/bench_check.sh`.
-pub const OBS_MIN_WORK: usize = 4096;
-
-/// Like [`OBS_MIN_WORK`] but for O(n) reductions, which do so little work
-/// per element that a span only pays for itself on large inputs.
-pub const OBS_MIN_REDUCE: usize = 32 * 1024;
-
-/// [`OBS_MIN_WORK`] with the `OBS_MIN_WORK` environment override applied
-/// (parsed once per process by `lttf_obs::env`). Kernel span conditions
-/// call this, so e.g. `OBS_MIN_WORK=1 lttf trace profile` captures every
-/// kernel in the timeline. Only evaluated when `telemetry` is compiled in.
+/// span is opened: 4096, or the `OBS_MIN_WORK` environment override
+/// (parsed once per process by `lttf_obs::env`). It keeps the ~50 ns guard
+/// cost off tiny ops (e.g. the per-step matmuls of a narrow GRU), so the
+/// `telemetry` feature stays within the <3% overhead budget enforced by
+/// `scripts/bench_check.sh`. Kernel span conditions call this, so e.g.
+/// `OBS_MIN_WORK=1 lttf trace profile` captures every kernel in the
+/// timeline. Only evaluated when `telemetry` is compiled in.
 pub fn obs_min_work() -> usize {
     lttf_obs::env::min_work()
 }
 
-/// [`OBS_MIN_REDUCE`] with the `OBS_MIN_REDUCE` environment override
-/// applied; see [`obs_min_work`].
+/// Like [`obs_min_work`] but for O(n) reductions, which do so little work
+/// per element that a span only pays for itself on large inputs: 32768
+/// elements, or the `OBS_MIN_REDUCE` environment override.
 pub fn obs_min_reduce() -> usize {
     lttf_obs::env::min_reduce()
 }

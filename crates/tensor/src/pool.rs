@@ -1,67 +1,9 @@
-//! 1-D pooling and the moving average used by series decomposition (Eq. 9).
+//! The moving average used by series decomposition (Eq. 9).
 
 use crate::tensor::Tensor;
 use lttf_parallel::par_chunks_mut;
 
 impl Tensor {
-    /// Average pooling over the last axis of a `[batch, ch, len]` tensor.
-    ///
-    /// Output length is `(len - k)/stride + 1`.
-    ///
-    /// # Panics
-    /// Panics unless the tensor is 3-D and the window fits.
-    pub fn avg_pool1d(&self, k: usize, stride: usize) -> Tensor {
-        assert_eq!(
-            self.ndim(),
-            3,
-            "avg_pool1d input must be [b, c, len], got {}",
-            self.shape
-        );
-        assert!(
-            k >= 1 && stride >= 1,
-            "avg_pool1d window and stride must be >= 1"
-        );
-        let (b, c, len) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        assert!(len >= k, "avg_pool1d window {k} exceeds length {len}");
-        let out_len = (len - k) / stride + 1;
-        let mut out = vec![0.0f32; b * c * out_len];
-        let inv = 1.0 / k as f32;
-        for bc in 0..b * c {
-            let base = bc * len;
-            for ot in 0..out_len {
-                let start = ot * stride;
-                let s: f32 = self.data[base + start..base + start + k].iter().sum();
-                out[bc * out_len + ot] = s * inv;
-            }
-        }
-        Tensor::from_vec(out, &[b, c, out_len])
-    }
-
-    /// Max pooling over the last axis of a `[batch, ch, len]` tensor.
-    pub fn max_pool1d(&self, k: usize, stride: usize) -> Tensor {
-        assert_eq!(
-            self.ndim(),
-            3,
-            "max_pool1d input must be [b, c, len], got {}",
-            self.shape
-        );
-        let (b, c, len) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        assert!(len >= k, "max_pool1d window {k} exceeds length {len}");
-        let out_len = (len - k) / stride + 1;
-        let mut out = vec![0.0f32; b * c * out_len];
-        for bc in 0..b * c {
-            let base = bc * len;
-            for ot in 0..out_len {
-                let start = ot * stride;
-                out[bc * out_len + ot] = self.data[base + start..base + start + k]
-                    .iter()
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max);
-            }
-        }
-        Tensor::from_vec(out, &[b, c, out_len])
-    }
-
     /// Length-preserving moving average along `axis` with replicate padding —
     /// exactly the `AvgPool(Padding(x))` trend extractor of Autoformer-style
     /// series decomposition (paper Eq. 9).
@@ -141,22 +83,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avg_pool_basic() {
-        let x = Tensor::from_vec(vec![1., 2., 3., 4.], &[1, 1, 4]);
-        let y = x.avg_pool1d(2, 2);
-        assert_eq!(y.data(), &[1.5, 3.5]);
-        let y1 = x.avg_pool1d(2, 1);
-        assert_eq!(y1.data(), &[1.5, 2.5, 3.5]);
-    }
-
-    #[test]
-    fn max_pool_basic() {
-        let x = Tensor::from_vec(vec![1., 3., 2., 5.], &[1, 1, 4]);
-        let y = x.max_pool1d(2, 2);
-        assert_eq!(y.data(), &[3., 5.]);
-    }
 
     #[test]
     fn moving_avg_preserves_length() {

@@ -101,14 +101,10 @@ properties! {
     }
 
     fn concat_narrow_round_trip(t in arb_tensor()) {
-        let parts = t.split(0, 1);
+        let parts: Vec<Tensor> = (0..t.size(0)).map(|i| t.narrow(0, i, 1)).collect();
         let refs: Vec<&Tensor> = parts.iter().collect();
         let back = Tensor::concat(&refs, 0);
         back.assert_close(&t, 0.0);
-    }
-
-    fn flip_involution(t in arb_tensor()) {
-        t.flip(0).flip(0).assert_close(&t, 0.0);
     }
 
     fn moving_avg_bounded_by_extrema(data in vec_f32(-5.0, 5.0, 10)) {
@@ -116,12 +112,6 @@ properties! {
         let m = t.moving_avg(0, 3);
         prop_assert!(m.max() <= t.max() + 1e-5);
         prop_assert!(m.min() >= t.min() - 1e-5);
-    }
-
-    fn cumsum_last_equals_sum(data in vec_f32(-5.0, 5.0, 8)) {
-        let t = Tensor::from_vec(data, &[8]);
-        let c = t.cumsum(0);
-        prop_assert!((c.data()[7] - t.sum()).abs() < 1e-3);
     }
 }
 

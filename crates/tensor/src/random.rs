@@ -71,17 +71,6 @@ impl Rng {
         -u.ln() / lambda
     }
 
-    /// Fork an independent child generator (used to give each model /
-    /// dataset its own stream while staying reproducible from one seed).
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed(self.inner.next_u64())
-    }
-
-    /// A fresh `u64` for seeding external components.
-    pub fn next_seed(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
     /// A uniform random permutation of `0..n`.
     pub fn permutation(&mut self, n: usize) -> Vec<usize> {
         self.inner.permutation(n)
@@ -150,7 +139,7 @@ mod tests {
         let m1 = Tensor::bernoulli_mask(&[64], 0.4, 1.0, &mut r1);
         let m2 = Tensor::bernoulli_mask(&[64], 0.4, 1.0, &mut r2);
         assert_eq!(m1.data(), m2.data());
-        assert_eq!(r1.next_seed(), r2.next_seed());
+        assert_eq!(r1.permutation(16), r2.permutation(16));
     }
 
     #[test]
@@ -214,16 +203,6 @@ mod tests {
         let mut rng = Rng::seed(11);
         let mean: f32 = (0..20_000).map(|_| rng.exponential(2.0)).sum::<f32>() / 20_000.0;
         assert!((mean - 0.5).abs() < 0.03, "mean {mean}");
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut base = Rng::seed(5);
-        let mut c1 = base.fork();
-        let mut c2 = base.fork();
-        let a = Tensor::randn(&[8], &mut c1);
-        let b = Tensor::randn(&[8], &mut c2);
-        assert_ne!(a.data(), b.data());
     }
 
     #[test]

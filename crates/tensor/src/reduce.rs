@@ -8,7 +8,6 @@
 //! boundaries are fixed the result is bit-identical whether the blocks are
 //! reduced serially or in parallel.
 
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 use lttf_parallel::{chunk_count, par_chunks_mut};
 
@@ -240,22 +239,6 @@ impl Tensor {
         self.reduce_axis(axis, f32::NEG_INFINITY, f32::max, |v, _| v, false)
     }
 
-    /// Maximum along `axis`, keeping it with extent 1.
-    pub fn max_axis_keepdim(&self, axis: isize) -> Tensor {
-        self.reduce_axis(axis, f32::NEG_INFINITY, f32::max, |v, _| v, true)
-    }
-
-    /// Minimum along `axis`, removing that axis.
-    pub fn min_axis(&self, axis: isize) -> Tensor {
-        self.reduce_axis(axis, f32::INFINITY, f32::min, |v, _| v, false)
-    }
-
-    /// Population variance along `axis`, keeping it with extent 1.
-    pub fn var_axis_keepdim(&self, axis: isize) -> Tensor {
-        let m = self.mean_axis_keepdim(axis);
-        self.sub(&m).square().mean_axis_keepdim(axis)
-    }
-
     /// Numerically stable softmax along `axis`.
     ///
     /// Each lane along `axis` is shifted by its maximum before
@@ -265,7 +248,7 @@ impl Tensor {
     /// is a left fold from −∞, the shifted values go through the
     /// [`crate::simd::unary`] `exp` kernel, the sum is a left fold from
     /// 0.0, and each value is divided by its lane's sum — the same float
-    /// operations in the same order as composing `max_axis_keepdim`,
+    /// operations in the same order as composing a keep-dim `max_axis`,
     /// `sub`, `exp`, `sum_axis_keepdim` and `div`, so the bits match that
     /// composition. Large inputs run outer-parallel with the axis
     /// reductions' threshold and chunking.
@@ -341,37 +324,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, dims)
     }
-
-    /// Log-softmax along `axis` (stable).
-    pub fn log_softmax(&self, axis: isize) -> Tensor {
-        let m = self.max_axis_keepdim(axis);
-        let shifted = self.sub(&m);
-        let lse = shifted.exp().sum_axis_keepdim(axis).ln();
-        shifted.sub(&lse)
-    }
-
-    /// Cumulative sum along `axis`.
-    pub fn cumsum(&self, axis: isize) -> Tensor {
-        let ax = self.shape.normalize_axis(axis);
-        let dims = self.shape.dims();
-        let extent = dims[ax];
-        let outer: usize = dims[..ax].iter().product();
-        let inner: usize = dims[ax + 1..].iter().product();
-        let mut out = self.data.clone();
-        for o in 0..outer {
-            for e in 1..extent {
-                let prev = (o * extent + e - 1) * inner;
-                let cur = (o * extent + e) * inner;
-                for i in 0..inner {
-                    out[cur + i] += out[prev + i];
-                }
-            }
-        }
-        Tensor {
-            data: out,
-            shape: Shape::new(dims),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -406,7 +358,6 @@ mod tests {
         assert_eq!(t.sum_axis(-1).data(), &[6., 15.]);
         assert_eq!(t.mean_axis(1).data(), &[2., 5.]);
         assert_eq!(t.max_axis(0).data(), &[4., 5., 6.]);
-        assert_eq!(t.min_axis(1).data(), &[1., 4.]);
     }
 
     #[test]
@@ -414,7 +365,6 @@ mod tests {
         let t = m23();
         assert_eq!(t.sum_axis_keepdim(0).shape(), &[1, 3]);
         assert_eq!(t.mean_axis_keepdim(1).shape(), &[2, 1]);
-        assert_eq!(t.max_axis_keepdim(-1).shape(), &[2, 1]);
     }
 
     #[test]
@@ -446,21 +396,6 @@ mod tests {
         let s = t.softmax(0);
         assert!((s.data()[0] - 0.5).abs() < 1e-6);
         assert!(!s.has_non_finite());
-    }
-
-    #[test]
-    fn log_softmax_matches_ln_of_softmax() {
-        let t = m23();
-        let a = t.log_softmax(1);
-        let b = t.softmax(1).ln();
-        a.assert_close(&b, 1e-5);
-    }
-
-    #[test]
-    fn cumsum_axis() {
-        let t = m23();
-        assert_eq!(t.cumsum(1).data(), &[1., 3., 6., 4., 9., 15.]);
-        assert_eq!(t.cumsum(0).data(), &[1., 2., 3., 5., 7., 9.]);
     }
 
     /// Chunked pairwise summation must land far closer to the f64 reference
@@ -530,14 +465,5 @@ mod tests {
         let parallel = t.sum();
         lttf_parallel::set_threads_override(None);
         assert_eq!(serial.to_bits(), parallel.to_bits());
-    }
-
-    #[test]
-    fn var_axis() {
-        let t = Tensor::from_vec(vec![1., 3., 2., 2.], &[2, 2]);
-        let v = t.var_axis_keepdim(1);
-        assert_eq!(v.shape(), &[2, 1]);
-        assert!((v.at(&[0, 0]) - 1.0).abs() < 1e-6);
-        assert!((v.at(&[1, 0]) - 0.0).abs() < 1e-6);
     }
 }

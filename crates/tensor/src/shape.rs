@@ -29,18 +29,6 @@ impl Shape {
         &self.0
     }
 
-    /// Row-major strides for this shape, in elements.
-    ///
-    /// The last axis has stride 1; a scalar shape yields an empty vector.
-    pub fn strides(&self) -> Vec<usize> {
-        let n = self.0.len();
-        let mut strides = vec![1usize; n];
-        for i in (0..n.saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
     /// Convert a multi-dimensional index to a flat row-major offset.
     ///
     /// # Panics
@@ -120,13 +108,6 @@ impl From<Vec<usize>> for Shape {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strides_row_major() {
-        assert_eq!(Shape::new(&[2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::new(&[5]).strides(), vec![1]);
-        assert_eq!(Shape::new(&[]).strides(), Vec::<usize>::new());
-    }
 
     #[test]
     fn numel_and_ndim() {

@@ -51,36 +51,6 @@ impl Tensor {
         }
     }
 
-    /// Insert a new axis of extent 1 at `axis` (may equal `ndim` to append).
-    pub fn unsqueeze(&self, axis: usize) -> Tensor {
-        assert!(
-            axis <= self.ndim(),
-            "unsqueeze axis {axis} out of range for rank {}",
-            self.ndim()
-        );
-        let mut dims = self.shape.dims().to_vec();
-        dims.insert(axis, 1);
-        self.reshape(&dims)
-    }
-
-    /// Remove an axis of extent 1.
-    ///
-    /// # Panics
-    /// Panics if the axis extent is not 1.
-    pub fn squeeze(&self, axis: isize) -> Tensor {
-        let ax = self.shape.normalize_axis(axis);
-        assert_eq!(
-            self.shape.dims()[ax],
-            1,
-            "cannot squeeze axis {ax} of extent {} in {}",
-            self.shape.dims()[ax],
-            self.shape
-        );
-        let mut dims = self.shape.dims().to_vec();
-        dims.remove(ax);
-        self.reshape(&dims)
-    }
-
     /// Transpose a 2-D tensor.
     ///
     /// # Panics
@@ -188,13 +158,6 @@ impl Tensor {
         Tensor::from_vec(out, &new_dims)
     }
 
-    /// Select a single index along `axis`, removing that axis.
-    pub fn index_axis(&self, axis: isize, index: usize) -> Tensor {
-        let ax = self.shape.normalize_axis(axis);
-        let t = self.narrow(axis, index, 1);
-        t.squeeze(ax as isize)
-    }
-
     /// Select (gather) the given `indices` along `axis`, in order.
     ///
     /// # Panics
@@ -265,31 +228,6 @@ impl Tensor {
         Tensor::from_vec(out, &new_dims)
     }
 
-    /// Stack tensors of identical shape along a new leading `axis`.
-    pub fn stack(tensors: &[&Tensor], axis: usize) -> Tensor {
-        assert!(!tensors.is_empty(), "stack of empty tensor list");
-        let unsqueezed: Vec<Tensor> = tensors.iter().map(|t| t.unsqueeze(axis)).collect();
-        let refs: Vec<&Tensor> = unsqueezed.iter().collect();
-        Tensor::concat(&refs, axis as isize)
-    }
-
-    /// Split into equal chunks of `size` along `axis`.
-    ///
-    /// # Panics
-    /// Panics if the axis extent is not divisible by `size`.
-    pub fn split(&self, axis: isize, size: usize) -> Vec<Tensor> {
-        let ax = self.shape.normalize_axis(axis);
-        let extent = self.shape.dims()[ax];
-        assert_eq!(
-            extent % size,
-            0,
-            "axis {ax} extent {extent} not divisible by chunk size {size}"
-        );
-        (0..extent / size)
-            .map(|i| self.narrow(axis, i * size, size))
-            .collect()
-    }
-
     /// Pad `axis` with `before` copies of `value` in front and `after` behind.
     pub fn pad_axis(&self, axis: isize, before: usize, after: usize, value: f32) -> Tensor {
         let ax = self.shape.normalize_axis(axis);
@@ -325,20 +263,6 @@ impl Tensor {
         indices.extend(std::iter::repeat_n(extent - 1, after));
         self.select(ax as isize, &indices)
     }
-
-    /// Reverse the order of elements along `axis`.
-    pub fn flip(&self, axis: isize) -> Tensor {
-        let ax = self.shape.normalize_axis(axis);
-        let extent = self.shape.dims()[ax];
-        let indices: Vec<usize> = (0..extent).rev().collect();
-        self.select(ax as isize, &indices)
-    }
-
-    /// Repeat the whole tensor `n` times along `axis`.
-    pub fn repeat_axis(&self, axis: isize, n: usize) -> Tensor {
-        let copies: Vec<&Tensor> = std::iter::repeat_n(self, n).collect();
-        Tensor::concat(&copies, axis)
-    }
 }
 
 #[cfg(test)]
@@ -350,13 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn reshape_and_squeeze() {
+    fn reshape_keeps_the_data() {
         let t = m23();
         assert_eq!(t.reshape(&[3, 2]).shape(), &[3, 2]);
         assert_eq!(t.reshape(&[6]).data(), t.data());
-        let u = t.unsqueeze(0);
-        assert_eq!(u.shape(), &[1, 2, 3]);
-        assert_eq!(u.squeeze(0).shape(), &[2, 3]);
     }
 
     #[test]
@@ -393,14 +314,11 @@ mod tests {
     }
 
     #[test]
-    fn narrow_and_index() {
+    fn narrow_keeps_the_axis() {
         let t = m23();
         let n = t.narrow(1, 1, 2);
         assert_eq!(n.shape(), &[2, 2]);
         assert_eq!(n.data(), &[2., 3., 5., 6.]);
-        let r = t.index_axis(0, 1);
-        assert_eq!(r.shape(), &[3]);
-        assert_eq!(r.data(), &[4., 5., 6.]);
     }
 
     #[test]
@@ -425,22 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn stack_new_axis() {
-        let a = Tensor::from_slice(&[1., 2.]);
-        let b = Tensor::from_slice(&[3., 4.]);
-        let s = Tensor::stack(&[&a, &b], 0);
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.data(), &[1., 2., 3., 4.]);
-        let s1 = Tensor::stack(&[&a, &b], 1);
-        assert_eq!(s1.shape(), &[2, 2]);
-        assert_eq!(s1.data(), &[1., 3., 2., 4.]);
-    }
-
-    #[test]
-    fn split_round_trip() {
+    fn narrow_concat_round_trip() {
         let t = m23();
-        let parts = t.split(1, 1);
-        assert_eq!(parts.len(), 3);
+        let parts: Vec<Tensor> = (0..3).map(|i| t.narrow(1, i, 1)).collect();
         let refs: Vec<&Tensor> = parts.iter().collect();
         let back = Tensor::concat(&refs, 1);
         assert_eq!(back.data(), t.data());
@@ -459,13 +364,6 @@ mod tests {
         let p = t.pad_axis_replicate(0, 2, 1);
         assert_eq!(p.shape(), &[6, 2]);
         assert_eq!(p.data(), &[1., 2., 1., 2., 1., 2., 3., 4., 5., 6., 5., 6.]);
-    }
-
-    #[test]
-    fn flip_axis() {
-        let t = m23();
-        assert_eq!(t.flip(1).data(), &[3., 2., 1., 6., 5., 4.]);
-        assert_eq!(t.flip(0).data(), &[4., 5., 6., 1., 2., 3.]);
     }
 
     #[test]
@@ -495,12 +393,5 @@ mod tests {
     #[should_panic(expected = "exceeds axis")]
     fn narrow_overflow_panics() {
         m23().narrow(1, 2, 2);
-    }
-
-    #[test]
-    fn repeat_axis_tiles() {
-        let t = Tensor::from_slice(&[1., 2.]);
-        let r = t.repeat_axis(0, 3);
-        assert_eq!(r.data(), &[1., 2., 1., 2., 1., 2.]);
     }
 }

@@ -95,21 +95,6 @@ impl Tensor {
         t
     }
 
-    /// `[0, 1, ..., n-1]` as a 1-D tensor.
-    pub fn arange(n: usize) -> Self {
-        Tensor::from_vec((0..n).map(|i| i as f32).collect(), &[n])
-    }
-
-    /// `n` evenly spaced values from `start` to `end` inclusive.
-    ///
-    /// # Panics
-    /// Panics if `n < 2`.
-    pub fn linspace(start: f32, end: f32, n: usize) -> Self {
-        assert!(n >= 2, "linspace needs at least 2 points, got {n}");
-        let step = (end - start) / (n - 1) as f32;
-        Tensor::from_vec((0..n).map(|i| start + step * i as f32).collect(), &[n])
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -137,11 +122,6 @@ impl Tensor {
     /// Dimension extents.
     pub fn shape(&self) -> &[usize] {
         self.shape.dims()
-    }
-
-    /// The [`Shape`] object.
-    pub fn shape_obj(&self) -> &Shape {
-        &self.shape
     }
 
     /// Number of dimensions.
@@ -250,14 +230,7 @@ mod tests {
         assert_eq!(Tensor::ones(&[3]).data(), &[1.0; 3]);
         assert_eq!(Tensor::full(&[2], 7.5).data(), &[7.5, 7.5]);
         assert_eq!(Tensor::eye(2).data(), &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(Tensor::arange(4).data(), &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(Tensor::scalar(2.0).item(), 2.0);
-    }
-
-    #[test]
-    fn linspace_endpoints() {
-        let t = Tensor::linspace(0.0, 1.0, 5);
-        assert_eq!(t.data(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
     }
 
     #[test]

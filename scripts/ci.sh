@@ -43,6 +43,20 @@ cargo test -q --offline -p lttf-obs --no-default-features
 echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 
+echo "==> cargo build --offline --workspace --all-targets  (any compiler warning fails)"
+# Library items nothing calls are deleted and serve's internals are
+# `pub(crate)`, so rustc's dead_code lint sees every unused item: a
+# warning here is new dead code (or any other lint) and fails the run.
+# Cargo replays the warnings of cached units, so a warm build still shows
+# them.
+BUILD_LOG=$(mktemp)
+cargo build --offline --workspace --all-targets 2>&1 | tee "$BUILD_LOG"
+if grep -q '^warning' "$BUILD_LOG"; then
+    echo "FAIL: the workspace build printed compiler warnings" >&2
+    exit 1
+fi
+rm -f "$BUILD_LOG"
+
 echo "==> cargo test -q --offline  (LTTF_THREADS=1 LTTF_SIMD=0, serial + scalar kernels)"
 LTTF_QUIET=1 LTTF_THREADS=1 LTTF_SIMD=0 cargo test -q --offline
 

@@ -5,10 +5,10 @@
 //! (Conformer, ICDE 2023). Re-exports the whole workspace so examples and
 //! downstream users need a single dependency:
 //!
-//! * [`tensor`] — N-D `f32` arrays, broadcasting, matmul, conv1d, pooling
-//! * [`fft`] — FFT and autocorrelation
+//! * [`tensor`] — N-D `f32` arrays, broadcasting, matmul, conv1d, moving average
+//! * [`fft`] — autocorrelation and period detection
 //! * [`autograd`] — tape-based reverse-mode differentiation
-//! * [`nn`] — layers, six attention mechanisms, optimizers, losses
+//! * [`nn`] — layers, six attention mechanisms, the Adam optimizer, MSE loss
 //! * [`data`] — series containers, scalers, windows, synthetic datasets
 //! * [`conformer`] — the paper's model (SIRN + sliding-window attention +
 //!   normalizing flow)

@@ -23,8 +23,10 @@ use lttf::nn::{Fwd, ParamSet};
 use lttf::tensor::simd::{backend_name, enabled, set_simd_override};
 use lttf::tensor::{Rng, Tensor};
 
+mod canonical;
 mod digest;
-use digest::{batch, canonical_config, fnv1a};
+use canonical::{batch, canonical_config};
+use digest::fnv1a;
 
 /// Models in digest order.
 const MODELS: [&str; 4] = ["lstnet", "ts2vec", "informer", "longformer"];

@@ -16,8 +16,10 @@
 use lttf::eval::TrainedModel;
 use lttf::tensor::simd::{backend_name, enabled, set_simd_override};
 
+mod canonical;
 mod digest;
-use digest::{batch, canonical_config, fnv1a};
+use canonical::{batch, canonical_config};
+use digest::fnv1a;
 
 /// Digests of `[b1, b8]` forecasts on the scalar backend.
 const SCALAR: [u64; 2] = [0xf694_2c50_cd9f_0dba, 0x49c1_54fe_ac92_f384];

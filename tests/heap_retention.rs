@@ -15,8 +15,8 @@ use lttf::autograd::Graph;
 use lttf::eval::TrainedModel;
 use lttf::nn::{Adam, Fwd, Optimizer};
 
-mod digest;
-use digest::{batch, canonical_config};
+mod canonical;
+use canonical::{batch, canonical_config};
 
 /// Steps that bring the heap to its working size before counting.
 const WARM_STEPS: u64 = 3;

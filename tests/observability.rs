@@ -36,7 +36,7 @@ fn span_counts_match_known_workload() {
     let mut rng = Rng::seed(11);
 
     // All shapes exceed the instrumentation work thresholds
-    // (tensor::OBS_MIN_WORK etc.), so every call records exactly one span.
+    // (`OBS_MIN_WORK`, `OBS_MIN_REDUCE`), so every call records exactly one span.
     let a = Tensor::randn(&[64, 64], &mut rng);
     let b = Tensor::randn(&[64, 64], &mut rng);
     for _ in 0..5 {

@@ -20,8 +20,10 @@ use lttf::eval::TrainedModel;
 use lttf::nn::{Adam, Fwd, Optimizer};
 use lttf::tensor::simd::{backend_name, enabled, set_simd_override};
 
+mod canonical;
 mod digest;
-use digest::{batch, canonical_config, fnv1a};
+use canonical::{batch, canonical_config};
+use digest::fnv1a;
 
 /// Digest of the parameters after `STEPS` steps on the scalar backend.
 const SCALAR: u64 = 0xe3b2_50d0_4d93_9caa;
